@@ -75,22 +75,26 @@ def _stack_mc(mc) -> np.ndarray:
     return np.stack(mats)
 
 
-def score_mcme(mc) -> list[AcquisitionScore]:
-    """Entropy of the mean predictive distribution over the MC samples."""
-    stack = _stack_mc(mc)
-    scores = entropy_rows(stack.mean(axis=0))
-    return [AcquisitionScore(i, float(s)) for i, s in enumerate(scores)]
+def _as_scores(values: np.ndarray) -> list[AcquisitionScore]:
+    return [AcquisitionScore(i, s) for i, s in enumerate(values.tolist())]
 
 
-def score_bald(mc) -> list[AcquisitionScore]:
-    """Mutual information H(mean_t p_t) - mean_t H(p_t), clamped at 0."""
-    stack = _stack_mc(mc)
+def _bald(stack: np.ndarray) -> np.ndarray:
     if stack.shape[0] < 2:
         raise ValueError("BALD needs at least 2 MC samples")
     total = entropy_rows(stack.mean(axis=0))
     expected = np.stack([entropy_rows(m) for m in stack]).mean(axis=0)
-    scores = np.maximum(total - expected, 0.0)
-    return [AcquisitionScore(i, float(s)) for i, s in enumerate(scores)]
+    return np.maximum(total - expected, 0.0)
+
+
+def score_mcme(mc) -> list[AcquisitionScore]:
+    """Entropy of the mean predictive distribution over the MC samples."""
+    return _as_scores(entropy_rows(_stack_mc(mc).mean(axis=0)))
+
+
+def score_bald(mc) -> list[AcquisitionScore]:
+    """Mutual information H(mean_t p_t) - mean_t H(p_t), clamped at 0."""
+    return _as_scores(_bald(_stack_mc(mc)))
 
 
 def _sigmoid(x):
@@ -110,6 +114,11 @@ def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | N
     example is the discriminator's probability that it is unlabelled, i.e.
     how distinguishable it is from the current training set.
     """
+    return _as_scores(_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg, rng_seed))
+
+
+def _dal(embeddings_labelled, embeddings_unlabelled, dal_cfg, rng_seed) -> np.ndarray:
+    """Array form of :func:`score_dal`."""
     cfg = dal_cfg or DalConfig()
     A = np.asarray(embeddings_labelled, dtype=float)
     B = np.asarray(embeddings_unlabelled, dtype=float)
@@ -150,8 +159,7 @@ def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | N
             b2 -= cfg.learning_rate * gb2
         h = np.maximum(B @ W1 + b1, 0.0)
         probs = _sigmoid(h @ w2 + b2)
-
-    return [AcquisitionScore(i, float(s)) for i, s in enumerate(probs)]
+    return probs
 
 
 def _check_strategy(strategy: str):
@@ -160,46 +168,44 @@ def _check_strategy(strategy: str):
 
 
 def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
-               dal_cfg=None) -> list[AcquisitionScore] | None:
-    """Scores over the unlabelled pool keyed by real example id.
+               dal_cfg=None) -> np.ndarray | None:
+    """Scores over the unlabelled pool, aligned with its ids in ascending order.
 
     Returns None for the random strategy, which has no scores.
     """
     _check_strategy(strategy)
     if strategy == "random":
         return None
-    ids = sorted(state.unlabelled)
-    X_u = np.stack([state.universe.by_id(i).features for i in ids])
+    X = state.universe.X
+    X_u = X[~state.labelled_mask]
     if strategy in ("mcme", "bald"):
-        mc = model.mc_predict_proba(X_u, mc_samples, rng_seed)
-        raw = score_mcme(mc) if strategy == "mcme" else score_bald(mc)
-    else:
-        lab_ids = sorted(state.labelled)
-        X_l = np.stack([state.universe.by_id(i).features for i in lab_ids])
-        raw = score_dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed)
-    return [AcquisitionScore(ids[s.example_id], s.score) for s in raw]
+        stack = _stack_mc(model.mc_predict_proba(X_u, mc_samples, rng_seed))
+        return entropy_rows(stack.mean(axis=0)) if strategy == "mcme" else _bald(stack)
+    X_l = X[state.labelled_mask]
+    return _dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed)
 
 
 def select_batch(strategy, state, model, k, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
-                 dal_cfg=None) -> set[int]:
+                 dal_cfg=None, scores=None) -> set[int]:
     """Pick k unlabelled ids: uniform for random, top-k by score otherwise.
 
-    Score ties break toward the smaller example id, which makes selection
-    invariant to the iteration order of the pool.
+    ``scores``, when given, is :func:`score_pool`'s result for the same
+    state and seed and is used instead of scoring the pool again. Score ties
+    break toward the smaller example id, which makes selection invariant to
+    the iteration order of the pool.
     """
     _check_strategy(strategy)
+    ids = state.universe.ids[~state.labelled_mask]
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > len(state.unlabelled):
-        raise ValueError(f"k={k} exceeds unlabelled pool size {len(state.unlabelled)}")
-    ids = np.array(sorted(state.unlabelled), dtype=np.int64)
+    if k > ids.size:
+        raise ValueError(f"k={k} exceeds unlabelled pool size {ids.size}")
     if strategy == "random":
         rng = np.random.default_rng(rng_seed)
-        picked = rng.choice(ids.size, size=k, replace=False)
-        return {int(ids[i]) for i in picked}
-    scores = score_pool(strategy, state, model, rng_seed, mc_samples, dal_cfg)
-    values = np.array([s.score for s in scores])
-    if not np.isfinite(values).all():
+        return set(ids[rng.choice(ids.size, size=k, replace=False)].tolist())
+    if scores is None:
+        scores = score_pool(strategy, state, model, rng_seed, mc_samples, dal_cfg)
+    if not np.isfinite(scores).all():
         raise ValueError("non-finite acquisition score")
-    order = np.lexsort((ids, -values))
-    return {int(ids[i]) for i in order[:k]}
+    order = np.lexsort((ids, -scores))
+    return set(ids[order[:k]].tolist())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import CapacityError, InsufficientDynamicsError
 __all__ = [
     "DIFFICULTIES",
     "DynamicsTrace",
+    "TraceMatrix",
     "DatamapEntry",
     "DifficultyThresholds",
     "CartographyResult",
@@ -78,35 +80,58 @@ def classify_difficulty(mean_confidence: float, thresholds: DifficultyThresholds
     return "easy"
 
 
+class TraceMatrix(Sequence):
+    """Dynamics of many examples as row-major (N, T) arrays.
+
+    Row i holds the T snapshots of example ``ids[i]``; indexing gives that
+    row as a :class:`DynamicsTrace`.
+    """
+
+    def __init__(self, ids, confidences: np.ndarray, correct: np.ndarray):
+        self.ids, self.confidences, self.correct = np.asarray(ids, dtype=np.int64), confidences, correct
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i) -> DynamicsTrace:
+        return DynamicsTrace(int(self.ids[i]), tuple(self.confidences[i].tolist()),
+                             tuple(self.correct[i].tolist()))
+
+
 def compute_datamap(traces, thresholds: DifficultyThresholds | None = None) -> list[DatamapEntry]:
-    """Mean/population-std/correctness per trace, banded into difficulties."""
+    """Mean/population-std/correctness per trace, banded into difficulties.
+
+    ``traces`` is a :class:`TraceMatrix` or a sequence of equally long
+    :class:`DynamicsTrace`. Reducing each row of the row-major (N, T) matrix
+    gives the same bits as reducing each trace on its own.
+    """
     thresholds = thresholds or DifficultyThresholds()
-    entries = []
-    for tr in traces:
-        conf = np.asarray(tr.confidences, dtype=float)
-        flags = np.asarray(tr.correct_flags, dtype=bool)
-        if conf.size == 0 or flags.size == 0:
-            raise ValueError(f"empty dynamics trace for example {tr.example_id}")
-        if conf.size != flags.size:
-            raise ValueError(f"trace length mismatch for example {tr.example_id}")
-        mean = float(conf.mean())
-        entries.append(
-            DatamapEntry(
-                example_id=tr.example_id,
-                mean_confidence=mean,
-                variability=float(conf.std()),
-                correctness=float(flags.mean()),
-                difficulty=classify_difficulty(mean, thresholds),
-            )
-        )
-    return entries
+    if not isinstance(traces, TraceMatrix):
+        traces = list(traces)
+        if not traces:
+            return []
+        for tr in traces:
+            if len(tr.confidences) == 0 or len(tr.correct_flags) == 0:
+                raise ValueError(f"empty dynamics trace for example {tr.example_id}")
+            if not len(tr.confidences) == len(tr.correct_flags) == len(traces[0].confidences):
+                raise ValueError(f"trace length mismatch for example {tr.example_id}")
+        traces = TraceMatrix([tr.example_id for tr in traces],
+                             np.array([tr.confidences for tr in traces], dtype=float),
+                             np.array([tr.correct_flags for tr in traces], dtype=bool))
+    means = traces.confidences.mean(axis=1).tolist()
+    return [
+        DatamapEntry(i, mean, variability, correctness, classify_difficulty(mean, thresholds))
+        for i, mean, variability, correctness in zip(
+            traces.ids.tolist(), means, traces.confidences.std(axis=1).tolist(),
+            traces.correct.mean(axis=1).tolist())
+    ]
 
 
 @dataclass
 class CartographyResult:
     entries: list[DatamapEntry]
     model: clf.Classifier
-    traces: list[DynamicsTrace]
+    traces: TraceMatrix
 
 
 def run_cartography_full(pool, probe, config, tcfg, val=None,
@@ -131,14 +156,7 @@ def run_cartography_full(pool, probe, config, tcfg, val=None,
             f"collected {len(probe_confidences)} snapshots; need at least 2 "
             "(shorten eval_interval or train longer)"
         )
-    traces = [
-        DynamicsTrace(
-            example_id=e.id,
-            confidences=tuple(float(c[i]) for c in probe_confidences),
-            correct_flags=tuple(bool(c[i]) for c in probe_correct),
-        )
-        for i, e in enumerate(probe.examples)
-    ]
+    traces = TraceMatrix(probe.ids, np.stack(probe_confidences, axis=1), np.stack(probe_correct, axis=1))
     return CartographyResult(compute_datamap(traces, thresholds), model, traces)
 
 

@@ -93,10 +93,7 @@ def _as_xy(data):
         X = np.asarray(data[0], dtype=float)
         y = np.asarray(data[1], dtype=np.int64)
         return X, y
-    examples = list(data)
-    X = np.stack([e.features for e in examples]) if examples else np.zeros((0, 0))
-    y = np.array([e.label for e in examples], dtype=np.int64)
-    return X, y
+    raise TypeError(f"expected a Dataset or an (X, y) pair, got {type(data).__name__}")
 
 
 def init_weights(config: ClassifierConfig, rng: np.random.Generator):

@@ -20,6 +20,7 @@ from . import classifier as clf
 from .config import config_to_dict, parse_config
 from .errors import CartalError, ConfigError
 from .experiment import (
+    ablation_fraction,
     build_experiment_data,
     prepare_context,
     run_ablated_suite,
@@ -44,8 +45,9 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 def _setup_logging():
     level = os.environ.get("CARTAL_LOG", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    if level not in _LOG_LEVELS:
+        raise ConfigError(f"unknown level {level!r}; valid: {', '.join(_LOG_LEVELS)}", key="CARTAL_LOG")
+    logging.basicConfig(level=_LOG_LEVELS[level], format="%(levelname)s %(name)s: %(message)s")
 
 
 def _write_config_copy(config, out_dir):
@@ -123,8 +125,7 @@ def cmd_ablate(args) -> int:
         _write_config_copy(config, args.out)
     write_suite_artifacts(suite, context, args.out, prefix="ablated_")
     write_pool_datamap(context, args.out)
-    write_manifest(args.out, {"ablation_fraction": 0.25 if config.ablation_fraction is None
-                              else config.ablation_fraction})
+    write_manifest(args.out, {"ablation_fraction": ablation_fraction(config)})
     for s in suite.summaries:
         for test_set, (mean, std, n) in s.accuracies.items():
             print(f"{s.strategy:>8s} {test_set:>12s}: {mean:.4f} ± {std:.4f} ({n} runs, ablated)")
@@ -232,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
     except (CartalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,8 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_ABLATION_FRACTION = 0.25
+
 __all__ = [
     "ExperimentConfig",
     "TestSetSpec",
@@ -235,10 +237,6 @@ def _load_sources(config: ExperimentConfig) -> list[Dataset]:
     )
 
 
-def _concat_sources(sources, name: str) -> Dataset:
-    return concat_datasets(sources, name)
-
-
 def build_test_set(spec: TestSetSpec, data_seed: int) -> Dataset:
     if spec.synthetic_sources:
         sources = [
@@ -249,7 +247,7 @@ def build_test_set(spec: TestSetSpec, data_seed: int) -> Dataset:
         sources = _harmonize_classes(
             [load_dataset(path, spec.file_format) for path in spec.files]
         )
-    return _concat_sources(sources, spec.name)
+    return concat_datasets(sources, spec.name)
 
 
 def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
@@ -269,7 +267,7 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     pool = build_multi_source_pool(
         rests, config.per_source_cap, derive_seed(config.data_seed, "pool")
     )
-    val = _concat_sources(helds, "val") if helds else Dataset("val", [], pool.num_classes)
+    val = concat_datasets(helds, "val") if helds else Dataset("val", [], pool.num_classes)
     tests = {t.name: build_test_set(t, config.data_seed) for t in config.test_sets}
     return ExperimentData(pool=pool, val=val, tests=tests)
 
@@ -287,14 +285,17 @@ def prepare_context(config: ExperimentConfig, data: ExperimentData | None = None
     return RunContext(data=data, reference_model=result.model, pool_datamap=result.entries)
 
 
-def _dump_scores(scores_dir, strategy, seed, rnd, scores, pool):
+def _dump_scores(scores_dir, strategy, seed, rnd, state, scores):
     os.makedirs(scores_dir, exist_ok=True)
     path = os.path.join(scores_dir, f"{strategy}_seed{seed}_round{rnd}.csv")
+    pool = state.universe
+    pos = np.flatnonzero(~state.labelled_mask)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "source", "score"])
-        for s in scores:
-            writer.writerow([s.example_id, pool.by_id(s.example_id).source, _fmt(s.score)])
+        codes = pool.source_codes[pos].tolist()
+        for i, code, score in zip(pool.ids[pos].tolist(), codes, scores.tolist()):
+            writer.writerow([i, pool.source_names[code], _fmt(score)])
 
 
 def run_al(config: ExperimentConfig, strategy: str, seed: int,
@@ -320,45 +321,42 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
     run_seed = derive_seed("run", strategy, seed)
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
     state = seed_split(pool, config.seed_size, derive_seed(run_seed, "split"))
-    source_names = pool.sources()
     round_logs: list[RoundLog] = []
 
     for rnd in range(1, config.rounds + 1):
-        train_ds = pool.subset(sorted(state.labelled))
+        labelled = np.flatnonzero(state.labelled_mask)
         tcfg = replace(config.training, rng_seed=derive_seed(run_seed, rnd, "fit"))
-        model = clf.fit(ccfg, train_ds, val=val, tcfg=tcfg)
+        model = clf.fit(ccfg, (pool.X[labelled], pool.y[labelled]), val=val, tcfg=tcfg)
         val_acc = model.accuracy(val, val.labels_array()) if len(val) else float("nan")
 
         select_seed = derive_seed(run_seed, rnd, "select")
+        scores = None
         if scores_dir is not None and strategy != "random":
             scores = score_pool(strategy, state, model, select_seed,
                                 mc_samples=config.mc_samples, dal_cfg=config.dal)
-            _dump_scores(scores_dir, strategy, seed, rnd, scores, pool)
+            _dump_scores(scores_dir, strategy, seed, rnd, state, scores)
         batch = select_batch(
             strategy, state, model, config.k, select_seed,
-            mc_samples=config.mc_samples, dal_cfg=config.dal,
+            mc_samples=config.mc_samples, dal_cfg=config.dal, scores=scores,
         )
-        batch_sorted = tuple(sorted(batch))
-        batch_examples = [pool.by_id(i) for i in batch_sorted]
-        remainder = [pool.by_id(i) for i in sorted(state.unlabelled - batch)]
+        picked = pool.positions(sorted(batch))
+        remainder = ~state.labelled_mask
+        remainder[picked] = False
         m = RoundMetrics(
             round=rnd,
-            input_diversity=input_diversity(tokens_of(batch_examples), tokens_of(remainder)),
-            output_uncertainty=output_uncertainty(context.reference_model, batch_examples),
-            class_distribution=class_distribution(batch_examples, pool.num_classes),
+            input_diversity=input_diversity(tokens_of(pool, picked), tokens_of(pool, remainder)),
+            output_uncertainty=output_uncertainty(context.reference_model, pool.X[picked]),
+            class_distribution=class_distribution(pool.y[picked], pool.num_classes),
             acquisition_factor=acquisition_factor(batch, state),
         )
-        counts = {s: 0 for s in source_names}
-        for e in batch_examples:
-            counts[e.source] += 1
         state = transfer(state, batch)
         round_logs.append(
             RoundLog(
                 strategy=strategy,
                 seed=seed,
                 round=rnd,
-                acquired_ids=batch_sorted,
-                per_source_counts=counts,
+                acquired_ids=tuple(pool.ids[picked].tolist()),
+                per_source_counts=pool.source_counts(picked),
                 metrics=m,
                 val_accuracy=val_acc,
                 labelled_size=len(state.labelled),
@@ -366,19 +364,17 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
         )
         logger.info("%s/seed %s round %d: val_acc=%.4f", strategy, seed, rnd, val_acc)
 
-    labelled_ids = tuple(sorted(state.labelled))
-    train_ds = pool.subset(labelled_ids)
+    labelled = np.flatnonzero(state.labelled_mask)
     final_tcfg = replace(config.training, rng_seed=derive_seed(run_seed, "final"))
-    final_model = clf.fit(ccfg, train_ds, val=val, tcfg=final_tcfg)
+    final_model = clf.fit(ccfg, (pool.X[labelled], pool.y[labelled]), val=val, tcfg=final_tcfg)
     final_val = final_model.accuracy(val, val.labels_array()) if len(val) else float("nan")
     test_acc = {name: final_model.accuracy(ds, ds.labels_array()) for name, ds in tests.items()}
 
-    labelled_examples = [pool.by_id(i) for i in labelled_ids]
-    remainder = [pool.by_id(i) for i in sorted(state.unlabelled)]
     profile = RunProfile(
-        input_diversity=input_diversity(tokens_of(labelled_examples), tokens_of(remainder)),
-        output_uncertainty=output_uncertainty(context.reference_model, labelled_examples),
-        class_distribution=class_distribution(labelled_examples, pool.num_classes),
+        input_diversity=input_diversity(tokens_of(pool, labelled),
+                                        tokens_of(pool, ~state.labelled_mask)),
+        output_uncertainty=output_uncertainty(context.reference_model, pool.X[labelled]),
+        class_distribution=class_distribution(pool.y[labelled], pool.num_classes),
     )
     return RunResult(
         strategy=strategy,
@@ -388,7 +384,7 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
         final_val_accuracy=final_val,
         test_accuracies=test_acc,
         profile=profile,
-        labelled_ids=labelled_ids,
+        labelled_ids=tuple(pool.ids[labelled].tolist()),
     )
 
 
@@ -442,6 +438,11 @@ def run_suite(config: ExperimentConfig, context: RunContext | None = None,
     return SuiteResult(_aggregate(config, results), results, failures)
 
 
+def ablation_fraction(config: ExperimentConfig) -> float:
+    """The configured outlier-ablation fraction, or the default when unset."""
+    return DEFAULT_ABLATION_FRACTION if config.ablation_fraction is None else config.ablation_fraction
+
+
 def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = None,
                       parallel: int = 1) -> tuple[SuiteResult, RunContext]:
     """Filter the pool's per-source bottom conf*var fraction, then run a suite.
@@ -450,7 +451,7 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = Non
     reference and difficulty authority for the ablated runs.
     """
     context = context or prepare_context(config)
-    fraction = 0.25 if config.ablation_fraction is None else config.ablation_fraction
+    fraction = ablation_fraction(config)
     pool = context.data.pool
     retained = ablate_hard_to_learn(context.pool_datamap, pool.source_of(), fraction)
     filtered = pool.subset(sorted(retained), name="pool-ablated")
@@ -481,7 +482,8 @@ def run_difficulty_split(config: ExperimentConfig,
                 derive_seed(config.data_seed, "split-sample", combo, seed),
             )
             tcfg = replace(config.training, rng_seed=derive_seed(config.data_seed, "split-fit", combo, seed))
-            model = clf.fit(ccfg, pool.subset(sorted(ids)), val=val, tcfg=tcfg)
+            rows = pool.positions(sorted(ids))
+            model = clf.fit(ccfg, (pool.X[rows], pool.y[rows]), val=val, tcfg=tcfg)
             per_test["val"].append(model.accuracy(val, val.labels_array()) if len(val) else float("nan"))
             for name, ds in tests.items():
                 per_test[name].append(model.accuracy(ds, ds.labels_array()))
@@ -537,7 +539,7 @@ def _fmt(x) -> str:
 
 
 def write_rounds_csv(results: list[RunResult], pool: Dataset, path) -> None:
-    sources = pool.sources()
+    sources = pool.source_names
     C = pool.num_classes
     header = (
         ["strategy", "seed", "round", "labelled_size", "val_acc"]

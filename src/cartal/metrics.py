@@ -46,28 +46,40 @@ class StratifiedResult:
     overall: float
 
 
-def tokens_of(examples) -> set[str]:
-    """Union of token sets; examples without tokens contribute nothing."""
-    tokens: set[str] = set()
-    missing = 0
-    for e in examples:
-        if e.tokens:
-            tokens.update(e.tokens)
-        else:
-            missing += 1
+def tokens_of(examples, rows=None):
+    """Union of token sets; examples without tokens contribute nothing.
+
+    Given a :class:`Dataset` and ``rows`` (positions or a boolean mask), the
+    union comes back as a presence vector over the dataset's vocabulary.
+    """
+    if rows is None:
+        tokens: set[str] = set()
+        missing = 0
+        for e in examples:
+            if e.tokens:
+                tokens.update(e.tokens)
+            else:
+                missing += 1
+    else:
+        tokens, missing = examples.token_presence(rows)
     if missing:
         logger.warning("%d examples carry no tokens; they do not affect input diversity", missing)
     return tokens
 
 
 def input_diversity(acquired_tokens, remainder_tokens) -> float:
-    """Jaccard similarity of the two token sets; two empty sets give 0."""
-    V = set(acquired_tokens)
-    Vp = set(remainder_tokens)
-    union = V | Vp
-    if not union:
-        return 0.0
-    return len(V & Vp) / len(union)
+    """Jaccard similarity of the two token sets; two empty sets give 0.
+
+    The sets may also be presence vectors over one vocabulary (see :func:`tokens_of`).
+    """
+    if isinstance(acquired_tokens, np.ndarray):
+        shared = np.count_nonzero(acquired_tokens & remainder_tokens)
+        union = np.count_nonzero(acquired_tokens | remainder_tokens)
+    else:
+        V = set(acquired_tokens)
+        Vp = set(remainder_tokens)
+        shared, union = len(V & Vp), len(V | Vp)
+    return shared / union if union else 0.0
 
 
 def output_uncertainty(reference_model, acquired) -> float:
@@ -79,12 +91,15 @@ def output_uncertainty(reference_model, acquired) -> float:
 
 
 def class_distribution(acquired, num_classes=None) -> tuple[float, ...]:
-    """Fraction of each gold label among the acquired examples."""
+    """Fraction of each gold label among the acquired examples.
+
+    ``acquired`` is a Dataset or an array of gold labels.
+    """
     if isinstance(acquired, Dataset):
         labels = acquired.labels_array()
         num_classes = num_classes or acquired.num_classes
     else:
-        labels = np.array([e.label for e in acquired], dtype=np.int64)
+        labels = acquired
         if num_classes is None:
             raise ValueError("num_classes required when acquired is not a Dataset")
     if labels.size == 0:
@@ -100,23 +115,21 @@ def acquisition_factor(batch_ids, pool_before) -> dict[str, float]:
     the batch was selected. Every source present in the pool appears in the
     result, including those the batch never touched (factor 0).
     """
-    batch = set(batch_ids)
-    if not batch:
+    pos, stray = pool_before.locate_unlabelled(batch_ids)
+    if not pos.size and not stray:
         raise ValueError("batch is empty")
-    stray = batch - pool_before.unlabelled
     if stray:
-        raise ValueError(f"batch ids not in the pre-round unlabelled pool: {sorted(stray)[:10]}")
+        raise ValueError(f"batch ids not in the pre-round unlabelled pool: {stray}")
     shares = pool_before.source_shares()
-    counts = {s: 0 for s in shares}
-    for i in batch:
-        counts[pool_before.universe.by_id(i).source] += 1
-    return {s: counts[s] / (len(batch) * share) for s, share in shares.items()}
+    counts = pool_before.universe.source_counts(pos)
+    return {s: counts[s] / (pos.size * share) for s, share in shares.items()}
 
 
 def stratified_accuracy(model, test: Dataset, test_datamap) -> StratifiedResult:
     """Argmax accuracy per difficulty class of the test examples, plus overall."""
     difficulty_of = {e.example_id: e.difficulty for e in test_datamap}
-    missing = [e.id for e in test.examples if e.id not in difficulty_of]
+    ids = test.ids.tolist()
+    missing = [i for i in ids if i not in difficulty_of]
     if missing:
         raise ValueError(f"test ids missing from the datamap: {missing[:10]}")
     preds = model.predict(test)
@@ -125,9 +138,9 @@ def stratified_accuracy(model, test: Dataset, test_datamap) -> StratifiedResult:
 
     counts: dict[str, int] = {}
     hits: dict[str, int] = {}
-    for i, e in enumerate(test.examples):
-        d = difficulty_of[e.id]
+    for i, hit in zip(ids, correct.tolist()):
+        d = difficulty_of[i]
         counts[d] = counts.get(d, 0) + 1
-        hits[d] = hits.get(d, 0) + int(correct[i])
+        hits[d] = hits.get(d, 0) + int(hit)
     accuracies = {d: hits[d] / counts[d] for d in counts}
     return StratifiedResult(accuracies=accuracies, counts=counts, overall=float(correct.mean()))

@@ -1,7 +1,7 @@
 """Datasets, synthetic sources, and labelled/unlabelled pool bookkeeping.
 
 A :class:`Dataset` is immutable after construction and shareable across runs.
-:class:`PoolState` tracks the disjoint labelled/unlabelled id partition and is
+:class:`PoolState` tracks the disjoint labelled/unlabelled partition and is
 only ever advanced through :func:`transfer`.
 """
 
@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,22 @@ class Example:
     tokens: tuple[str, ...] = ()
 
 
+def _recode(codes, names):
+    """Codes into the distinct ``names`` that occur, listed in order of first occurrence."""
+    present, first = np.unique(codes, return_index=True)
+    distinct = tuple(dict.fromkeys(names[c] for c in present[np.argsort(first)]))
+    index = {name: i for i, name in enumerate(distinct)}
+    return np.array([index.get(name, -1) for name in names], dtype=np.int64)[codes], distinct
+
+
 class Dataset:
-    """Ordered, validated collection of examples with a shared schema.
+    """Ordered, validated collection of examples with a shared schema, held as columns.
+
+    Columns: ``ids`` (strictly increasing), ``X`` (n x feature_dim), ``y``,
+    ``source_codes`` into ``source_names`` (the present sources, in
+    first-appearance order), and each row's tokens as the CSR pair
+    ``token_indptr``/``token_indices`` into ``vocab``. ``examples`` and
+    :meth:`by_id` are per-example views built on first use.
 
     ``metadata`` carries bookkeeping that is not part of the schema proper:
     ``flipped_ids`` (planted label noise), ``true_labels`` (pre-flip labels
@@ -50,82 +65,140 @@ class Dataset:
     """
 
     def __init__(self, name, examples, num_classes, metadata=None):
+        examples = tuple(examples)
+        dim = int(examples[0].features.shape[0]) if examples else 0
+        for e in examples:
+            if e.features.shape != (dim,):
+                raise SchemaError(
+                    f"dataset {name!r}: example {e.id} has feature dim "
+                    f"{e.features.shape[0]}, expected {dim}"
+                )
+        sources: dict[str, int] = {}
+        vocab: dict[str, int] = {}
+        codes = [sources.setdefault(e.source, len(sources)) for e in examples]
+        tokens = [vocab.setdefault(t, len(vocab)) for e in examples for t in e.tokens]
+        self._set_columns(
+            name, num_classes, metadata,
+            ids=np.array([e.id for e in examples], dtype=np.int64),
+            X=np.stack([e.features for e in examples]).astype(float) if examples else np.zeros((0, 0)),
+            y=np.array([e.label for e in examples], dtype=np.int64),
+            source_codes=np.array(codes, dtype=np.int64), source_names=tuple(sources),
+            token_indptr=np.cumsum([0] + [len(e.tokens) for e in examples]),
+            token_indices=np.array(tokens, dtype=np.int64), vocab=tuple(vocab),
+        )
+
+    @classmethod
+    def from_columns(cls, name, num_classes, metadata=None, **columns) -> "Dataset":
+        """Dataset over ready columns (the keyword names of the class docstring)."""
+        ds = cls.__new__(cls)
+        ds._set_columns(name, num_classes, metadata, **columns)
+        return ds
+
+    def _set_columns(self, name, num_classes, metadata, *, ids, X, y, source_codes, source_names,
+                     token_indptr, token_indices, vocab):
         self.name = str(name)
-        self.examples: tuple[Example, ...] = tuple(examples)
         self.num_classes = int(num_classes)
         self.metadata: dict = dict(metadata or {})
-        self.feature_dim = int(self.examples[0].features.shape[0]) if self.examples else 0
+        self.ids, self.X, self.y = ids, X, y
+        self.source_codes, self.source_names = _recode(source_codes, source_names)
+        self.token_indices, self.vocab = _recode(token_indices, vocab)
+        self.token_indptr = token_indptr
+        self.feature_dim = int(X.shape[1])
+        self._examples: tuple[Example, ...] | None = None
         self._validate()
-        self._by_id = {e.id: e for e in self.examples}
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
 
     def _validate(self):
         if self.num_classes < 1:
             raise SchemaError(f"dataset {self.name!r}: num_classes must be >= 1")
-        prev_id = None
-        for e in self.examples:
-            if e.id < 0:
-                raise SchemaError(f"dataset {self.name!r}: negative id {e.id}")
-            if prev_id is not None and e.id <= prev_id:
-                kind = "duplicate" if e.id == prev_id else "non-increasing"
-                raise SchemaError(f"dataset {self.name!r}: {kind} id {e.id}")
-            prev_id = e.id
-            if e.features.shape != (self.feature_dim,):
-                raise SchemaError(
-                    f"dataset {self.name!r}: example {e.id} has feature dim "
-                    f"{e.features.shape[0]}, expected {self.feature_dim}"
-                )
-            if not 0 <= e.label < self.num_classes:
-                raise SchemaError(
-                    f"dataset {self.name!r}: example {e.id} has label {e.label} "
-                    f"outside [0, {self.num_classes})"
-                )
+        if (self.ids < 0).any():
+            raise SchemaError(f"dataset {self.name!r}: negative id {self.ids[self.ids < 0][0]}")
+        steps = np.diff(self.ids)
+        if (steps <= 0).any():
+            at = int(np.argmax(steps <= 0))
+            kind = "duplicate" if steps[at] == 0 else "non-increasing"
+            raise SchemaError(f"dataset {self.name!r}: {kind} id {self.ids[at + 1]}")
+        bad = (self.y < 0) | (self.y >= self.num_classes)
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise SchemaError(
+                f"dataset {self.name!r}: example {self.ids[at]} has label {self.y[at]} "
+                f"outside [0, {self.num_classes})"
+            )
+
+    def __getstate__(self):
+        return {**self.__dict__, "_examples": None}  # views are rebuilt, not shipped
 
     def __len__(self):
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    def by_id(self, example_id: int) -> Example:
-        return self._by_id[example_id]
+        return len(self.ids)
 
     @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.examples)
+    def examples(self) -> tuple[Example, ...]:
+        if self._examples is None:
+            bounds = self.token_indptr.tolist()
+            tokens = [self.vocab[t] for t in self.token_indices.tolist()]
+            self._examples = tuple(
+                Example(i, self.source_names[c], x, label, tuple(tokens[a:b]))
+                for i, c, x, label, a, b in zip(self.ids.tolist(), self.source_codes.tolist(), self.X,
+                                                self.y.tolist(), bounds[:-1], bounds[1:])
+            )
+        return self._examples
+
+    def by_id(self, example_id: int) -> Example:
+        [pos] = self.positions([example_id])
+        if pos < 0:
+            raise KeyError(example_id)
+        return self.examples[pos]
+
+    def positions(self, ids) -> np.ndarray:
+        """Row positions of ``ids`` (any iterable of ints); -1 where an id is absent."""
+        ids = np.fromiter(ids, dtype=np.int64)
+        pos = np.searchsorted(self.ids, ids)
+        found = pos < len(self.ids)
+        found[found] = self.ids[pos[found]] == ids[found]
+        return np.where(found, pos, -1)
 
     def features_matrix(self) -> np.ndarray:
-        if self._X is None:
-            self._X = (
-                np.stack([e.features for e in self.examples])
-                if self.examples
-                else np.zeros((0, self.feature_dim))
-            )
-        return self._X
+        return self.X
 
     def labels_array(self) -> np.ndarray:
-        if self._y is None:
-            self._y = np.array([e.label for e in self.examples], dtype=np.int64)
-        return self._y
-
-    def sources(self) -> tuple[str, ...]:
-        """Distinct source tags in first-appearance order."""
-        seen: dict[str, None] = {}
-        for e in self.examples:
-            seen.setdefault(e.source, None)
-        return tuple(seen)
+        return self.y
 
     def source_of(self) -> dict[int, str]:
-        return {e.id: e.source for e in self.examples}
+        return dict(zip(self.ids.tolist(), (self.source_names[c] for c in self.source_codes.tolist())))
+
+    def source_counts(self, rows) -> dict[str, int]:
+        """Rows per source among ``rows`` (positions or a boolean mask); every source is listed."""
+        counts = np.bincount(self.source_codes[rows], minlength=len(self.source_names))
+        return dict(zip(self.source_names, counts.tolist()))
+
+    def token_presence(self, rows) -> tuple[np.ndarray, int]:
+        """Which vocabulary ids occur in ``rows`` (positions or a boolean mask),
+        and how many of those rows carry no tokens."""
+        take = np.zeros(len(self), dtype=bool)
+        take[rows] = True
+        lengths = np.diff(self.token_indptr)
+        counts = np.bincount(self.token_indices[np.repeat(take, lengths)], minlength=len(self.vocab))
+        return counts > 0, int(np.count_nonzero(take & (lengths == 0)))
+
+    def _take(self, pos, name=None, metadata=None) -> "Dataset":
+        """New dataset of the rows at ``pos`` (ascending positions)."""
+        lengths = np.diff(self.token_indptr)[pos]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        token_pos = np.repeat(self.token_indptr[pos] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Dataset.from_columns(
+            name or self.name, self.num_classes, metadata,
+            ids=self.ids[pos], X=self.X[pos], y=self.y[pos],
+            source_codes=self.source_codes[pos], source_names=self.source_names,
+            token_indptr=indptr, token_indices=self.token_indices[token_pos], vocab=self.vocab,
+        )
 
     def subset(self, ids, name=None) -> "Dataset":
         """New dataset holding the given ids (original id values preserved)."""
-        wanted = set(ids)
-        unknown = wanted - set(self._by_id)
-        if unknown:
-            raise ValueError(f"unknown ids in subset request: {sorted(unknown)[:10]}")
-        kept = [e for e in self.examples if e.id in wanted]
+        wanted_ids = np.unique(np.fromiter(ids, dtype=np.int64))
+        pos = self.positions(wanted_ids)
+        if (pos < 0).any():
+            raise ValueError(f"unknown ids in subset request: {wanted_ids[pos < 0][:10].tolist()}")
+        wanted = set(wanted_ids.tolist())
         meta = {}
         if "flipped_ids" in self.metadata:
             meta["flipped_ids"] = sorted(set(self.metadata["flipped_ids"]) & wanted)
@@ -137,34 +210,53 @@ class Dataset:
             meta["provenance"] = {
                 i: prov for i, prov in self.metadata["provenance"].items() if i in wanted
             }
-        return Dataset(name or self.name, kept, self.num_classes, meta)
+        return self._take(pos, name, meta)
 
 
-@dataclass
 class PoolState:
-    """Disjoint labelled/unlabelled id partition over a backing dataset."""
+    """Disjoint labelled/unlabelled partition of a backing dataset.
 
-    labelled: frozenset[int]
-    unlabelled: frozenset[int]
-    universe: Dataset = field(repr=False)
+    The state is one boolean mask over the dataset's rows; ``labelled`` and
+    ``unlabelled`` are frozenset views of it, built on first use.
+    """
 
-    def __post_init__(self):
-        overlap = self.labelled & self.unlabelled
-        if overlap:
-            raise StateError(f"labelled/unlabelled overlap: {sorted(overlap)[:10]}")
-        known = set(self.universe.ids)
-        stray = (self.labelled | self.unlabelled) - known
+    def __init__(self, labelled, unlabelled, universe: Dataset):
+        labelled, unlabelled = frozenset(labelled), frozenset(unlabelled)
+        if labelled & unlabelled:
+            raise StateError(f"labelled/unlabelled overlap: {sorted(labelled & unlabelled)[:10]}")
+        stray = (labelled | unlabelled).symmetric_difference(universe.ids.tolist())
         if stray:
-            raise StateError(f"ids outside the universe: {sorted(stray)[:10]}")
+            raise StateError(f"ids outside the universe or on neither side: {sorted(stray)[:10]}")
+        self.labelled_mask, self.universe = np.isin(universe.ids, list(labelled)), universe
+        self.__dict__.update(labelled=labelled, unlabelled=unlabelled)  # pre-filled cached views
+
+    @classmethod
+    def from_mask(cls, labelled_mask: np.ndarray, universe: Dataset) -> "PoolState":
+        state = cls.__new__(cls)
+        state.labelled_mask, state.universe = labelled_mask, universe
+        return state
+
+    @cached_property
+    def labelled(self) -> frozenset[int]:
+        return frozenset(self.universe.ids[self.labelled_mask].tolist())
+
+    @cached_property
+    def unlabelled(self) -> frozenset[int]:
+        return frozenset(self.universe.ids[~self.labelled_mask].tolist())
+
+    def locate_unlabelled(self, ids) -> tuple[np.ndarray, list[int]]:
+        """Positions of the distinct ``ids``, and those of them not in the unlabelled pool."""
+        ids = np.unique(np.fromiter(ids, dtype=np.int64))
+        pos = self.universe.positions(ids)
+        stray = pos < 0
+        stray[~stray] = self.labelled_mask[pos[~stray]]
+        return pos[~stray], ids[stray][:10].tolist()
 
     def source_shares(self) -> dict[str, float]:
         """Fraction of the unlabelled pool contributed by each source."""
-        counts: dict[str, int] = {}
-        for i in self.unlabelled:
-            src = self.universe.by_id(i).source
-            counts[src] = counts.get(src, 0) + 1
+        counts = self.universe.source_counts(~self.labelled_mask)
         total = sum(counts.values())
-        return {s: c / total for s, c in counts.items()} if total else {}
+        return {s: c / total for s, c in counts.items() if c}
 
 
 @dataclass(frozen=True)
@@ -204,9 +296,16 @@ class SyntheticSourceSpec:
         return len(self.class_centroids[0]) if self.class_centroids else 0
 
 
-def _feature_tokens(features: np.ndarray) -> tuple[str, ...]:
-    # One-decimal quantization; +0.0 folds the negative-zero artefact.
-    return tuple(f"f{j}={round(float(v), 1) + 0.0:.1f}" for j, v in enumerate(features))
+def _feature_tokens(feats: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Token ids of ``f"f{j}={round(v, 1):.1f}"`` per feature, and their vocabulary.
+
+    Keys are integer tenths, which also folds "-0.0" into "0.0".
+    """
+    n, d = feats.shape
+    tenths = np.rint(np.array([round(v, 1) for v in feats.ravel().tolist()]) * 10.0).astype(np.int64)
+    distinct, token_ids = np.unique(tenths * d + np.tile(np.arange(d), n), return_inverse=True)
+    vocab = tuple(f"f{k % d}={(k // d) / 10:.1f}" for k in distinct.tolist())
+    return token_ids.reshape(n, d), vocab
 
 
 def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Dataset:
@@ -234,21 +333,17 @@ def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Datas
     offsets = rng.integers(1, C, size=n_flip)
     labels[flip_ids] = (gold[flip_ids] + offsets) % C
 
-    examples = [
-        Example(
-            id=i,
-            source=spec.name,
-            features=feats[i],
-            label=int(labels[i]),
-            tokens=_feature_tokens(feats[i]),
-        )
-        for i in range(n)
-    ]
+    token_ids, vocab = _feature_tokens(feats)
     metadata = {
         "flipped_ids": [int(i) for i in flip_ids],
         "true_labels": {int(i): int(gold[i]) for i in flip_ids},
     }
-    return Dataset(spec.name, examples, C, metadata)
+    return Dataset.from_columns(
+        spec.name, C, metadata,
+        ids=np.arange(n, dtype=np.int64), X=feats, y=labels.astype(np.int64),
+        source_codes=np.zeros(n, dtype=np.int64), source_names=(spec.name,),
+        token_indptr=np.arange(n + 1, dtype=np.int64) * d, token_indices=token_ids.ravel(), vocab=vocab,
+    )
 
 
 def _parse_jsonl(path) -> list[dict]:
@@ -371,25 +466,37 @@ def _check_schemas_match(sources):
 
 
 def _merge_sources(sources, positions_per_source, name) -> Dataset:
-    """Re-id and merge picked examples, carrying provenance and flip metadata."""
-    examples = []
+    """Re-id and merge picked rows, carrying provenance and flip metadata."""
+    parts = [src._take(np.asarray(pos, dtype=np.int64))
+             for src, pos in zip(sources, positions_per_source)]
     provenance: dict[int, tuple[str, int]] = {}
     flipped: list[int] = []
     true_labels: dict[int, int] = {}
-    new_id = 0
-    for src, positions in zip(sources, positions_per_source):
-        src_flipped = set(src.metadata.get("flipped_ids", ()))
+    start = 0
+    for src, part in zip(sources, parts):
+        old_ids = part.ids.tolist()
+        provenance.update((start + i, (src.name, old)) for i, old in enumerate(old_ids))
         src_true = src.metadata.get("true_labels", {})
-        for pos in positions:
-            e = src.examples[pos]
-            examples.append(Example(new_id, e.source, e.features, e.label, e.tokens))
-            provenance[new_id] = (src.name, e.id)
-            if e.id in src_flipped:
-                flipped.append(new_id)
-                true_labels[new_id] = src_true.get(e.id, e.label)
-            new_id += 1
+        for i in np.flatnonzero(np.isin(part.ids, src.metadata.get("flipped_ids", []))).tolist():
+            flipped.append(start + i)
+            true_labels[start + i] = src_true.get(old_ids[i], int(part.y[i]))
+        start += len(part)
+
+    # Each part's codes shift past the earlier parts' names; from_columns merges repeated names.
+    name_starts = np.cumsum([0] + [len(p.source_names) for p in parts])
+    vocab_starts = np.cumsum([0] + [len(p.vocab) for p in parts])
+    token_counts = np.concatenate([np.diff(p.token_indptr) for p in parts])
     metadata = {"provenance": provenance, "flipped_ids": flipped, "true_labels": true_labels}
-    return Dataset(name, examples, sources[0].num_classes, metadata)
+    return Dataset.from_columns(
+        name, sources[0].num_classes, metadata,
+        ids=np.arange(start, dtype=np.int64),
+        X=np.concatenate([p.X for p in parts]), y=np.concatenate([p.y for p in parts]),
+        source_codes=np.concatenate([p.source_codes + o for p, o in zip(parts, name_starts)]),
+        source_names=sum((p.source_names for p in parts), ()),
+        token_indptr=np.concatenate(([0], np.cumsum(token_counts))),
+        token_indices=np.concatenate([p.token_indices + o for p, o in zip(parts, vocab_starts)]),
+        vocab=sum((p.vocab for p in parts), ()),
+    )
 
 
 def build_multi_source_pool(sources, per_source_cap, rng_seed) -> Dataset:
@@ -425,9 +532,9 @@ def split_dataset(dataset: Dataset, fraction: float, rng_seed: int):
     n_hold = round(fraction * len(dataset))
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(dataset))
-    held_ids = {dataset.examples[i].id for i in order[:n_hold]}
-    rest_ids = [e.id for e in dataset.examples if e.id not in held_ids]
-    return dataset.subset(rest_ids), dataset.subset(sorted(held_ids), name=f"{dataset.name}-held")
+    held = dataset.ids[np.sort(order[:n_hold])]
+    rest = dataset.ids[np.sort(order[n_hold:])]
+    return dataset.subset(rest), dataset.subset(held, name=f"{dataset.name}-held")
 
 
 def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:
@@ -437,23 +544,18 @@ def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:
     if seed_size < 0:
         raise ValueError("seed_size must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    all_ids = np.array(pool.ids)
-    picked = rng.choice(len(all_ids), size=seed_size, replace=False)
-    labelled = frozenset(int(all_ids[i]) for i in picked)
-    unlabelled = frozenset(int(i) for i in all_ids) - labelled
-    return PoolState(labelled=labelled, unlabelled=unlabelled, universe=pool)
+    labelled = np.zeros(len(pool), dtype=bool)
+    labelled[rng.choice(len(pool), size=seed_size, replace=False)] = True
+    return PoolState.from_mask(labelled, pool)
 
 
 def transfer(state: PoolState, batch_ids) -> PoolState:
     """Move a batch from the unlabelled to the labelled side."""
-    batch = frozenset(int(i) for i in batch_ids)
-    bad = batch - state.unlabelled
-    if bad:
+    pos, stray = state.locate_unlabelled(batch_ids)
+    if stray:
         raise StateError(
-            f"ids not in the unlabelled pool (already labelled or unknown): {sorted(bad)[:10]}"
+            f"ids not in the unlabelled pool (already labelled or unknown): {stray}"
         )
-    return PoolState(
-        labelled=state.labelled | batch,
-        unlabelled=state.unlabelled - batch,
-        universe=state.universe,
-    )
+    labelled = state.labelled_mask.copy()
+    labelled[pos] = True
+    return PoolState.from_mask(labelled, state.universe)

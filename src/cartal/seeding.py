@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(*parts: object) -> int:
     """Collapse an arbitrary tuple of labels/ints into a stable 64-bit seed."""
@@ -19,7 +17,3 @@ def derive_seed(*parts: object) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def rng_from(*parts: object) -> np.random.Generator:
-    """Generator seeded by :func:`derive_seed` over the given parts."""
-    return np.random.default_rng(derive_seed(*parts))

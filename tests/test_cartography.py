@@ -13,6 +13,7 @@ from cartal.cartography import (
     DatamapEntry,
     DifficultyThresholds,
     DynamicsTrace,
+    TraceMatrix,
     ablate_hard_to_learn,
     acquisition_by_difficulty,
     build_difficulty_split,
@@ -278,3 +279,21 @@ def test_datamap_csv_roundtrip(tmp_path):
     assert lines[0] == "id,source,mean_confidence,variability,correctness,difficulty"
     assert lines[1].startswith("0,A,0.9")
     assert lines[2].endswith("hard")
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_matrix_datamap_equals_per_trace_numpy_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, T = int(rng.integers(1, 20)), int(rng.integers(1, 300))
+    conf = rng.random((n, T))
+    flags = rng.random((n, T)) > 0.5
+    matrix = TraceMatrix(np.arange(n), conf, flags)
+    traces = [DynamicsTrace(i, tuple(conf[i].tolist()), tuple(flags[i].tolist())) for i in range(n)]
+    entries = compute_datamap(matrix)
+    for e, tr in zip(entries, traces):
+        assert e.mean_confidence == float(np.mean(tr.confidences))
+        assert e.variability == float(np.std(tr.confidences))
+        assert e.correctness == float(np.mean(tr.correct_flags))
+    assert compute_datamap(traces) == entries
+    assert list(matrix) == traces

@@ -236,3 +236,26 @@ def test_report_missing_inputs_names_file(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--exp", str(empty)]) == 1
     assert "rounds.csv" in capsys.readouterr().err
+
+
+# --- environment and defaults -------------------------------------------------
+
+def test_unknown_log_level_is_rejected_listing_valid_ones(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CARTAL_LOG", "verbose")
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert "CARTAL_LOG" in err and "'verbose'" in err
+    assert "error, warn, info, debug" in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_ablate_records_the_single_default_fraction(tmp_path):
+    config = tiny_config(strategies=("random",), seeds=(1,))
+    assert config.ablation_fraction is None
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "exp"
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ablation_fraction"] == exp.DEFAULT_ABLATION_FRACTION == 0.25
+    assert exp.ablation_fraction(parse_config(cfg)) == exp.DEFAULT_ABLATION_FRACTION

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import cartal.acquisition as acquisition
 import cartal.experiment as exp
+from cartal.acquisition import score_pool
 from cartal.errors import CapacityError, ConfigError
 from cartal.experiment import (
     ExperimentConfig,
@@ -319,3 +321,24 @@ def test_csv_writers_shape(tmp_path, ctx, suite):
     lines = summary_path.read_text().strip().splitlines()
     assert lines[0] == "strategy,test_set,mean,std,runs"
     assert len(lines) == 1 + len(suite.summaries) * (1 + len(config.test_sets))
+
+
+@pytest.mark.parametrize("strategy", ["mcme", "dal"])
+def test_score_dump_scores_once_per_round_and_keeps_rounds(tmp_path, ctx, monkeypatch, strategy):
+    config, context = ctx
+    plain = run_al(config, strategy, 1, context)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return score_pool(*args, **kwargs)
+
+    monkeypatch.setattr(acquisition, "score_pool", counting)
+    monkeypatch.setattr(exp, "score_pool", counting)
+    dumped = run_al(config, strategy, 1, context, scores_dir=str(tmp_path / "scores"))
+    assert calls == [strategy] * config.rounds
+    write_rounds_csv([plain], context.data.pool, tmp_path / "plain.csv")
+    write_rounds_csv([dumped], context.data.pool, tmp_path / "dumped.csv")
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dumped.csv").read_bytes()
+    first = (tmp_path / "scores" / f"{strategy}_seed1_round1.csv").read_text().splitlines()
+    assert len(first) == 1 + len(context.data.pool) - config.seed_size

@@ -232,3 +232,44 @@ def test_stratified_rejects_missing_datamap_entry():
     dm = _datamap_for(ds, ["easy", "easy"])[:1]
     with pytest.raises(ValueError):
         stratified_accuracy(_FixedModel([0, 1]), ds, dm)
+
+
+# --- array kernels against the set-based formulas -----------------------------------
+
+@given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=4), min_size=1, max_size=12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_csr_jaccard_matches_set_formula(token_lists, data):
+    ds = _dataset([0] * len(token_lists), tokens=token_lists)
+    acquired = np.array(data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))))
+    positions = np.flatnonzero(acquired)
+    a = [ds.examples[i] for i in positions]
+    b = [ds.examples[i] for i in np.flatnonzero(~acquired)]
+    expected = input_diversity(tokens_of(a), tokens_of(b))
+    assert input_diversity(tokens_of(ds, positions), tokens_of(ds, ~acquired)) == expected
+
+
+def test_csr_tokens_warn_about_tokenless_rows(caplog):
+    ds = _dataset([0, 1, 2], tokens=[["a", "b"], [], []])
+    with caplog.at_level("WARNING"):
+        present = tokens_of(ds, np.arange(3))
+    assert "2 examples carry no tokens" in caplog.text
+    assert {ds.vocab[i] for i in np.flatnonzero(present)} == tokens_of(ds.examples)
+
+
+@given(st.lists(st.sampled_from("ABC"), min_size=2, max_size=40), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bincount_factors_match_per_id_counts(sources, data):
+    ids = set(range(len(sources)))
+    labelled = data.draw(st.sets(st.sampled_from(sorted(ids)), max_size=len(sources) - 1))
+    unlabelled = sorted(ids - labelled)
+    batch = data.draw(st.sets(st.sampled_from(unlabelled), min_size=1))
+    examples = [Example(i, s, np.zeros(1), 0) for i, s in enumerate(sources)]
+    state = PoolState(labelled, ids - labelled, Dataset("p", examples, 2))
+
+    in_pool = {s: sum(sources[i] == s for i in unlabelled) for s in set(sources)}
+    in_batch = {s: sum(sources[i] == s for i in batch) for s in set(sources)}
+    shares = {s: c / len(unlabelled) for s, c in in_pool.items() if c}
+    assert state.source_shares() == shares
+    assert acquisition_factor(batch, state) == {
+        s: in_batch[s] / (len(batch) * share) for s, share in shares.items()
+    }

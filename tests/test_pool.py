@@ -22,6 +22,7 @@ from cartal.pool import (
     split_dataset,
     transfer,
 )
+from cartal.pool import _feature_tokens
 
 CENTROIDS_2D = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))
 
@@ -51,7 +52,7 @@ def test_load_jsonl_echoes_records(tmp_path):
     assert ds.feature_dim == 2
     assert ds.num_classes == 3
     assert ds.examples[1].tokens == ("x", "y")
-    assert ds.ids == (0, 1, 5)
+    assert ds.ids.tolist() == [0, 1, 5]
 
 
 def test_load_empty_file_is_valid(tmp_path):
@@ -220,7 +221,7 @@ def test_pool_single_source_cap():
 def test_pool_ids_contiguous_with_provenance():
     sources = [_tiny_dataset(10, "A"), _tiny_dataset(10, "B")]
     pool = build_multi_source_pool(sources, per_source_cap=5, rng_seed=1)
-    assert pool.ids == tuple(range(10))
+    assert pool.ids.tolist() == list(range(10))
     prov = pool.metadata["provenance"]
     assert set(prov) == set(range(10))
     assert all(prov[i][0] == ("A" if i < 5 else "B") for i in range(10))
@@ -246,7 +247,7 @@ def test_concat_keeps_unequal_sources_whole():
     b = _tiny_dataset(7, "B")
     merged = concat_datasets([a, b], "both")
     assert len(merged) == 32
-    assert merged.ids == tuple(range(32))
+    assert merged.ids.tolist() == list(range(32))
     assert merged.metadata["provenance"][30] == ("B", 5)
 
 
@@ -350,3 +351,34 @@ def test_dataset_validation():
         Dataset("x", [Example(0, "s", np.zeros(1), 5)], num_classes=3)
     with pytest.raises(SchemaError, match="non-increasing"):
         Dataset("x", [Example(1, "s", np.zeros(1), 0), Example(0, "s", np.zeros(1), 0)], 2)
+
+
+# --- array kernels against per-example references ------------------------------------
+
+_values = st.one_of(st.floats(-60, 60, allow_nan=False),
+                    st.integers(-1200, 1200).map(lambda k: k / 20))  # exact and near ties
+
+
+@given(st.lists(_values, min_size=1, max_size=24), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_feature_tokens_match_python_rounding(values, d):
+    feats = np.tile(np.array(values, dtype=float)[:, None], (1, d))
+    token_ids, vocab = _feature_tokens(feats)
+    expected = [[f"f{j}={round(float(v), 1) + 0.0:.1f}" for j, v in enumerate(row)] for row in feats]
+    assert [[vocab[t] for t in row] for row in token_ids.tolist()] == expected
+
+
+@given(st.sets(st.integers(0, 300), min_size=1, max_size=30), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mask_state_round_trips_frozensets(ids, data):
+    ds = Dataset("p", [Example(i, "s", np.zeros(1), 0) for i in sorted(ids)], 2)
+    labelled = frozenset(data.draw(st.sets(st.sampled_from(sorted(ids)))))
+    unlabelled = frozenset(ids) - labelled
+    state = PoolState(labelled, unlabelled, ds)
+    rebuilt = PoolState.from_mask(state.labelled_mask.copy(), ds)
+    assert (rebuilt.labelled, rebuilt.unlabelled) == (labelled, unlabelled)
+    assert ds.ids[~rebuilt.labelled_mask].tolist() == sorted(unlabelled)
+    batch = data.draw(st.sets(st.sampled_from(sorted(unlabelled)))) if unlabelled else set()
+    moved = transfer(rebuilt, batch)
+    assert (moved.labelled, moved.unlabelled) == (labelled | batch, unlabelled - batch)
+    assert rebuilt.labelled == labelled  # transfer leaves its input alone
