@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "TrainConfig",
     "Classifier",
     "fit",
+    "fit_many",
     "init_weights",
     "loss_and_gradients",
     "save_checkpoint",
@@ -108,36 +109,40 @@ def init_weights(config: ClassifierConfig, rng: np.random.Generator):
     return weights
 
 
-def _activate(z, activation):
-    return np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+def _activate(z, activation, out=None):
+    return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
 def _forward(weights, X, activation, masks=None):
     """Forward pass; returns logits and per-layer caches for backprop.
 
     ``masks`` are pre-scaled inverted-dropout masks, one per hidden layer, or
-    None for deterministic inference.
+    None for deterministic inference. Weights may be stacked: W of shape
+    (R, fan_in, fan_out) and b of shape (R, fan_out) run R networks at once,
+    each slice through the same matmul a single network makes.
     """
     h = X
     caches = []
     n_hidden = len(weights) - 1
     for l in range(n_hidden):
         W, b = weights[l]
-        z = h @ W + b
-        a = _activate(z, activation)
+        z = h @ W
+        z += b[..., None, :]
+        a = _activate(z, activation, out=z)
         m = masks[l] if masks is not None else None
         h_out = a * m if m is not None else a
-        caches.append((h, z, a, m))
+        caches.append((h, a, m))
         h = h_out
     W, b = weights[-1]
-    logits = h @ W + b
-    caches.append((h, None, None, None))
+    logits = h @ W
+    logits += b[..., None, :]
+    caches.append((h, None, None))
     return logits, caches
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits):
@@ -149,32 +154,35 @@ def loss_and_gradients(config, weights, X, y, masks=None):
     """Mean cross-entropy and its analytic gradients for every layer.
 
     This is the single gradient path used by training; tests compare it
-    against central finite differences of the returned loss.
+    against central finite differences of the returned loss. With stacked
+    weights, X (R, n, d) and y (R, n), the loss is one value per network.
     """
-    n = X.shape[0]
+    n = X.shape[-2]
     logits, caches = _forward(weights, X, config.activation, masks)
     logp = _log_softmax(logits)
-    loss = -logp[np.arange(n), y].mean()
+    gold = y[..., None] == np.arange(logp.shape[-1])
+    loss = -logp[gold].reshape(y.shape).mean(axis=-1)
 
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits -= gold
     dlogits /= n
 
     grads = [None] * len(weights)
     h_last = caches[-1][0]
-    grads[-1] = (h_last.T @ dlogits, dlogits.sum(axis=0))
-    dh = dlogits @ weights[-1][0].T
+    grads[-1] = (h_last.swapaxes(-1, -2) @ dlogits, dlogits.sum(axis=-2))
+    dh = dlogits @ weights[-1][0].swapaxes(-1, -2)
     for l in range(len(weights) - 2, -1, -1):
-        h_in, z, a, m = caches[l]
+        h_in, a, m = caches[l]
         if m is not None:
-            dh = dh * m
+            dh *= m
         if config.activation == "relu":
-            dz = dh * (z > 0)
+            dh *= a > 0  # relu(z) > 0 exactly where z > 0
         else:
-            dz = dh * (1.0 - a * a)
-        grads[l] = (h_in.T @ dz, dz.sum(axis=0))
+            slope = a * a
+            dh *= np.subtract(1.0, slope, out=slope)
+        grads[l] = (h_in.swapaxes(-1, -2) @ dh, dh.sum(axis=-2))
         if l > 0:
-            dh = dz @ weights[l][0].T
+            dh = dh @ weights[l][0].swapaxes(-1, -2)
     return loss, grads
 
 
@@ -196,20 +204,27 @@ class Classifier:
         return np.argmax(self.predict_proba(xs), axis=1)
 
     def mc_predict_proba(self, xs, T: int, rng_seed: int) -> list[np.ndarray]:
-        """T stochastic forward passes with fresh inverted-dropout masks."""
+        """T stochastic forward passes with fresh inverted-dropout masks.
+
+        The first hidden layer's activations do not depend on the masks, so
+        they are computed once and each pass starts from them.
+        """
         if T < 1:
             raise ValueError(f"T must be >= 1: {T}")
         X = _as_features(xs, self.config.input_dim)
+        act = self.config.activation
         p = self.config.dropout_rate
         if p == 0.0:
-            logits, _ = _forward(self.weights, X, self.config.activation)
+            logits, _ = _forward(self.weights, X, act)
             probs = softmax(logits)
             return [probs.copy() for _ in range(T)]
+        W, b = self.weights[0]
+        first = _activate(X @ W + b, act)
         rng = np.random.default_rng(rng_seed)
         out = []
         for _ in range(T):
             masks = self._draw_masks(rng, X.shape[0])
-            logits, _ = _forward(self.weights, X, self.config.activation, masks)
+            logits, _ = _forward(self.weights[1:], first * masks[0], act, masks[1:])
             out.append(softmax(logits))
         return out
 
@@ -241,83 +256,171 @@ def _snapshot_steps(max_epochs, eval_interval, steps_per_epoch):
     return [math.ceil(j * eval_interval * steps_per_epoch - 1e-9) for j in range(1, count + 1)]
 
 
+# Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit:
+# 2^16 doubles keep the draw buffer and its masks near 1 MB even when one
+# epoch covers a whole pool, where a whole-epoch draw would take tens of MB.
+_MASK_CHUNK = 1 << 16
+
+
 def fit(config: ClassifierConfig, train, val=None, tcfg: TrainConfig | None = None,
         dynamics_sink=None, probe=None) -> Classifier:
     """Train a fresh model with mini-batch SGD and patience-based early stop.
 
-    Early stopping tracks validation accuracy per epoch and restores the best
-    weights seen; with an empty validation set training runs all epochs. When
-    ``dynamics_sink`` is given, every ``eval_interval`` fraction of an epoch
-    the sink is called with (global step, gold-label probability per probe
-    example, argmax prediction per probe example), dropout disabled.
+    This is :func:`fit_many` for one run; a divergence raises its
+    :class:`DivergenceError`. Early stopping tracks validation accuracy per
+    epoch and restores the best weights seen; with an empty validation set
+    training runs all epochs. When ``dynamics_sink`` is given, every
+    ``eval_interval`` fraction of an epoch the sink is called with (global
+    step, gold-label probability per probe example, argmax prediction per
+    probe example), dropout disabled.
     """
-    tcfg = tcfg or TrainConfig()
     X, y = _as_xy(train)
-    if X.shape[0] == 0:
+    [model] = fit_many(config, X[None], y[None], val, [tcfg or TrainConfig()],
+                       dynamics_sink=dynamics_sink, probe=probe)
+    if isinstance(model, DivergenceError):
+        raise model
+    return model
+
+
+def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
+             dynamics_sink=None, probe=None) -> list:
+    """Train R fresh models in lockstep, one per stacked training set.
+
+    ``X`` is (R, n, d) and ``y`` is (R, n); ``tcfgs`` holds one TrainConfig
+    per run, all equal but for ``rng_seed``. Each step is one forward and
+    backward pass over the runs' stacked weights. Every run draws from its
+    own generator exactly what a separate fit draws, in the same order (per
+    epoch a permutation, then the dropout masks of its steps), so run r ends
+    with the bits of a fit on ``(X[r], y[r])`` alone. Early stopping is per
+    run; a stopped run leaves the stack.
+
+    Returns one entry per run: its :class:`Classifier`, or the
+    :class:`DivergenceError` of a run whose loss went non-finite (the other
+    runs go on). ``dynamics_sink`` and ``probe`` are as in :func:`fit` and
+    need R == 1.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise ValueError(f"expected X (R, n, d) and y (R, n), got {X.shape} and {y.shape}")
+    R, n, d = X.shape
+    if n == 0:
         raise ValueError("training set is empty")
-    if X.shape[1] != config.input_dim:
-        raise ValueError(f"train feature dim {X.shape[1]} != config input_dim {config.input_dim}")
-    val_X, val_y = _as_xy(val) if val is not None else (np.zeros((0, config.input_dim)), np.zeros(0, np.int64))
+    if d != config.input_dim:
+        raise ValueError(f"train feature dim {d} != config input_dim {config.input_dim}")
+    tcfgs = list(tcfgs) if tcfgs is not None else [TrainConfig()] * R
+    if len(tcfgs) != R:
+        raise ValueError(f"{len(tcfgs)} train configs for {R} runs")
+    tcfg = tcfgs[0]
+    if any(replace(t, rng_seed=tcfg.rng_seed) != tcfg for t in tcfgs):
+        raise ValueError("lockstep runs must share every TrainConfig field but rng_seed")
+    val_X, val_y = _as_xy(val) if val is not None else (np.zeros((0, d)), np.zeros(0, np.int64))
     if dynamics_sink is not None and probe is None:
         raise ValueError("dynamics_sink requires a probe set")
+    if dynamics_sink is not None and R != 1:
+        raise ValueError("dynamics_sink needs a single run")
     probe_X, probe_y = _as_xy(probe) if probe is not None else (None, None)
 
-    rng = np.random.default_rng(tcfg.rng_seed)
-    weights = init_weights(config, rng)
-    n = X.shape[0]
-    steps_per_epoch = math.ceil(n / tcfg.batch_size)
+    rngs = [np.random.default_rng(t.rng_seed) for t in tcfgs]
+    inits = [init_weights(config, rng) for rng in rngs]
+    weights = [(np.stack([w[l][0] for w in inits]), np.stack([w[l][1] for w in inits]))
+               for l in range(len(inits[0]))]
+    B = tcfg.batch_size
+    steps_per_epoch = math.ceil(n / B)
     snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch) if dynamics_sink else []
     next_snap = 0
     p = config.dropout_rate
+    width = sum(config.hidden_dims)
 
-    model = Classifier(config, weights)
-    best_acc = -1.0
-    best_weights = None
-    stale_epochs = 0
+    live = np.arange(R)  # run index of each slice of the stacked arrays
+    results: list = [None] * R
+    best: dict[int, list] = {}
+    best_acc = np.full(R, -1.0)
+    best_epoch = [None] * R
+    stale = np.zeros(R, dtype=np.int64)
+    curves: list[list[float]] = [[] for _ in range(R)]
     step = 0
-    val_curve = []
-    epochs_run = 0
+
+    def finish(slices, epochs, stopped_early):
+        for i in slices:
+            r = live[i]
+            kept = best.get(r) or [(W[i].copy(), b[i].copy()) for W, b in weights]
+            results[r] = Classifier(config, kept, {
+                "epochs": epochs,
+                "steps": step,
+                "best_val_accuracy": float(best_acc[r]) if r in best else None,
+                "val_curve": curves[r],
+                "best_epoch": best_epoch[r],
+                "stopped_early": stopped_early,
+            })
 
     for epoch in range(tcfg.max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, tcfg.batch_size):
-            idx = order[start:start + tcfg.batch_size]
-            masks = model._draw_masks(rng, idx.size) if p > 0 else None
-            loss, grads = loss_and_gradients(config, weights, X[idx], y[idx], masks)
-            if not np.isfinite(loss):
-                raise DivergenceError("non-finite training loss", step=step)
+        rows = np.arange(live.size)[:, None]
+        order = np.stack([rngs[r].permutation(n) for r in live])
+        Xe, ye = X[rows, order], y[rows, order]
+        chunk_steps = max(1, _MASK_CHUNK // (live.size * B * width))
+        for s in range(steps_per_epoch):
+            lo, hi = s * B, min(n, (s + 1) * B)
+            masks = None
+            if p > 0:
+                if s % chunk_steps == 0:
+                    # one draw per run covers the masks of the next chunk_steps steps
+                    size = (min(n, (s + chunk_steps) * B) - lo) * width
+                    uniform = np.empty((live.size, size))
+                    for i, r in enumerate(live):
+                        rngs[r].random(out=uniform[i])
+                    drawn, at = (uniform >= p) / (1.0 - p), 0
+                masks = []
+                for h in config.hidden_dims:
+                    masks.append(drawn[:, at:at + (hi - lo) * h].reshape(live.size, hi - lo, h))
+                    at += (hi - lo) * h
+            loss, grads = loss_and_gradients(config, weights, Xe[:, lo:hi], ye[:, lo:hi], masks)
+            ok = np.isfinite(loss)
+            if not ok.all():
+                for r in live[~ok]:
+                    results[r] = DivergenceError("non-finite training loss", step=step)
+                weights = [(W[ok], b[ok]) for W, b in weights]
+                grads = [(dW[ok], db[ok]) for dW, db in grads]
+                X, y, Xe, ye, live = X[ok], y[ok], Xe[ok], ye[ok], live[ok]
+                if p > 0:
+                    drawn = drawn[ok]
+                if not live.size:
+                    break
             for (W, b), (dW, db) in zip(weights, grads):
                 W -= tcfg.learning_rate * dW
                 b -= tcfg.learning_rate * db
             step += 1
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
                 logits, _ = _forward(weights, probe_X, config.activation)
-                probs = softmax(logits)
+                probs = softmax(logits[0])
                 gold_p = probs[np.arange(probe_X.shape[0]), probe_y]
                 dynamics_sink(step, gold_p, np.argmax(probs, axis=1))
                 next_snap += 1
-        epochs_run = epoch + 1
-        if val_X.shape[0] > 0:
-            acc = model.accuracy(val_X, val_y)
-            val_curve.append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                best_weights = [(W.copy(), b.copy()) for W, b in weights]
-                stale_epochs = 0
+        if not live.size:
+            break
+        if val_X.shape[0] == 0:
+            continue
+        done = np.zeros(live.size, dtype=bool)
+        for i, r in enumerate(live):
+            # run by run: a stacked pass would hold R copies of every activation
+            acc = Classifier(config, [(W[i], b[i]) for W, b in weights]).accuracy(val_X, val_y)
+            curves[r].append(acc)
+            if acc > best_acc[r]:
+                best_acc[r], best_epoch[r], stale[r] = acc, epoch + 1, 0
+                best[r] = [(W[i].copy(), b[i].copy()) for W, b in weights]
             else:
-                stale_epochs += 1
-                if stale_epochs >= tcfg.patience:
-                    break
-
-    if best_weights is not None:
-        model.weights = best_weights
-    model.history = {
-        "epochs": epochs_run,
-        "steps": step,
-        "best_val_accuracy": best_acc if best_weights is not None else None,
-        "val_curve": val_curve,
-    }
-    return model
+                stale[r] += 1
+                done[i] = stale[r] >= tcfg.patience
+        if done.any():
+            finish(np.flatnonzero(done), epoch + 1, True)
+            keep = ~done
+            weights = [(W[keep], b[keep]) for W, b in weights]
+            X, y, live = X[keep], y[keep], live[keep]
+            if not live.size:
+                break
+    else:
+        finish(range(live.size), tcfg.max_epochs, False)
+    return results
 
 
 def save_checkpoint(model: Classifier, path) -> None:
@@ -353,8 +456,18 @@ def load_checkpoint(path) -> Classifier:
         dropout_rate=cfg["dropout_rate"],
         activation=cfg["activation"],
     )
-    weights = [
-        (np.array(layer["W"], dtype=float).reshape(layer["shape"]), np.array(layer["b"], dtype=float))
-        for layer in payload["layers"]
-    ]
+    dims = (config.input_dim, *config.hidden_dims, config.num_classes)
+    layers = payload["layers"]
+    if len(layers) != len(dims) - 1:
+        raise ValueError(f"{path}: {len(layers)} layers, expected {len(dims) - 1} "
+                         f"for hidden_dims {list(config.hidden_dims)}")
+    weights = []
+    for l, (layer, shape) in enumerate(zip(layers, zip(dims[:-1], dims[1:]))):
+        if tuple(layer["shape"]) != shape:
+            raise ValueError(f"{path}: layer {l} has shape {layer['shape']}, expected {list(shape)}")
+        if len(layer["W"]) != shape[0] * shape[1] or len(layer["b"]) != shape[1]:
+            raise ValueError(f"{path}: layer {l} holds {len(layer['W'])} weights and "
+                             f"{len(layer['b'])} biases, expected {shape[0] * shape[1]} and {shape[1]}")
+        weights.append((np.array(layer["W"], dtype=float).reshape(shape),
+                        np.array(layer["b"], dtype=float)))
     return Classifier(config, weights)

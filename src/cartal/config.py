@@ -13,7 +13,7 @@ from .acquisition import DalConfig
 from .cartography import DifficultyThresholds
 from .classifier import TrainConfig
 from .errors import ConfigError
-from .experiment import ExperimentConfig, TestSetSpec
+from .experiment import ExperimentConfig, TestSetSpec, cartography_defaults
 from .pool import SyntheticSourceSpec
 
 __all__ = ["parse_config", "parse_config_dict", "config_to_dict"]
@@ -102,12 +102,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     _check_keys(cls, {"hidden_dims", "dropout_rate", "activation"}, "classifier")
 
     training = _train_config(raw.get("training", {}), "training", TrainConfig())
-    carto_default = TrainConfig(
-        learning_rate=training.learning_rate, batch_size=training.batch_size,
-        max_epochs=6, patience=6, eval_interval=0.5,
-    )
     carto = _train_config(raw.get("cartography_training", {}), "cartography_training",
-                           carto_default)
+                           cartography_defaults(training))
 
     dal = raw.get("dal", {})
     _check_keys(dal, {"learning_rate", "epochs", "hidden_dim"}, "dal")

@@ -41,6 +41,7 @@ from .metrics import (
 )
 from .pool import (
     Dataset,
+    PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
     concat_datasets,
@@ -66,6 +67,7 @@ __all__ = [
     "RunSummary",
     "RunFailure",
     "SuiteResult",
+    "cartography_defaults",
     "build_experiment_data",
     "prepare_context",
     "run_al",
@@ -85,6 +87,13 @@ class TestSetSpec:
     synthetic_sources: tuple[SyntheticSourceSpec, ...] = ()
     files: tuple[str, ...] = ()
     file_format: str = "jsonl"
+
+
+def cartography_defaults(training: clf.TrainConfig) -> clf.TrainConfig:
+    """The cartography fit when none is configured: the AL fit's learning
+    rate and batch size, 6 epochs with patience 6."""
+    return clf.TrainConfig(learning_rate=training.learning_rate, batch_size=training.batch_size,
+                           max_epochs=6, patience=6)
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,7 @@ class ExperimentConfig:
     dropout_rate: float = 0.3
     activation: str = "relu"
     training: clf.TrainConfig = field(default_factory=clf.TrainConfig)
-    cartography_training: clf.TrainConfig = field(
-        default_factory=lambda: clf.TrainConfig(max_epochs=6, patience=6)
-    )
+    cartography_training: clf.TrainConfig | None = None  # None: cartography_defaults(training)
     mc_samples: int = DEFAULT_MC_SAMPLES
     dal: DalConfig = field(default_factory=DalConfig)
     # diagnostics
@@ -121,6 +128,8 @@ class ExperimentConfig:
     dump_scores: bool = False
 
     def __post_init__(self):
+        if self.cartography_training is None:
+            object.__setattr__(self, "cartography_training", cartography_defaults(self.training))
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1", key="al.rounds")
         if self.k < 1:
@@ -298,18 +307,20 @@ def _dump_scores(scores_dir, strategy, seed, rnd, state, scores):
             writer.writerow([i, pool.source_names[code], _fmt(score)])
 
 
-def run_al(config: ExperimentConfig, strategy: str, seed: int,
-           context: RunContext | None = None, scores_dir=None) -> RunResult:
-    """One full AL run: per-round fit / select / transfer, then a final refit.
+@dataclass
+class _Run:
+    """One AL run while a lockstep group advances it round by round."""
 
-    The final model is refit from scratch on the complete labelled set after
-    the last transfer and evaluated on the validation set and every test set.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
-    context = context or prepare_context(config)
-    pool, val, tests = context.data.pool, context.data.val, context.data.tests
+    strategy: str
+    seed: int
+    run_seed: int
+    state: PoolState | None = None
+    round_logs: list[RoundLog] = field(default_factory=list)
+    result: RunResult | None = None
+    error: Exception | None = None
 
+
+def _start_run(config: ExperimentConfig, run: _Run, pool: Dataset) -> None:
     needed = config.seed_size + config.rounds * config.k
     if needed > len(pool):
         exhaust_round = max(0, (len(pool) - config.seed_size) // config.k) + 1
@@ -317,69 +328,69 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
             f"pool of {len(pool)} exhausted at round {exhaust_round}: "
             f"need {needed} for {config.rounds} rounds of k={config.k} from seed {config.seed_size}"
         )
+    run.state = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
 
-    run_seed = derive_seed("run", strategy, seed)
-    ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
-    state = seed_split(pool, config.seed_size, derive_seed(run_seed, "split"))
-    round_logs: list[RoundLog] = []
 
-    for rnd in range(1, config.rounds + 1):
-        labelled = np.flatnonzero(state.labelled_mask)
-        tcfg = replace(config.training, rng_seed=derive_seed(run_seed, rnd, "fit"))
-        model = clf.fit(ccfg, (pool.X[labelled], pool.y[labelled]), val=val, tcfg=tcfg)
-        val_acc = model.accuracy(val, val.labels_array()) if len(val) else float("nan")
+def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: int,
+              context: RunContext, scores_dir=None) -> None:
+    """One run's round after its fit: score, select, profile, transfer."""
+    pool, val = context.data.pool, context.data.val
+    state = run.state
+    val_acc = model.accuracy(val, val.labels_array()) if len(val) else float("nan")
 
-        select_seed = derive_seed(run_seed, rnd, "select")
-        scores = None
-        if scores_dir is not None and strategy != "random":
-            scores = score_pool(strategy, state, model, select_seed,
-                                mc_samples=config.mc_samples, dal_cfg=config.dal)
-            _dump_scores(scores_dir, strategy, seed, rnd, state, scores)
-        batch = select_batch(
-            strategy, state, model, config.k, select_seed,
-            mc_samples=config.mc_samples, dal_cfg=config.dal, scores=scores,
-        )
-        picked = pool.positions(sorted(batch))
-        remainder = ~state.labelled_mask
-        remainder[picked] = False
-        m = RoundMetrics(
+    select_seed = derive_seed(run.run_seed, rnd, "select")
+    scores = None
+    if scores_dir is not None and run.strategy != "random":
+        scores = score_pool(run.strategy, state, model, select_seed,
+                            mc_samples=config.mc_samples, dal_cfg=config.dal)
+        _dump_scores(scores_dir, run.strategy, run.seed, rnd, state, scores)
+    batch = select_batch(
+        run.strategy, state, model, config.k, select_seed,
+        mc_samples=config.mc_samples, dal_cfg=config.dal, scores=scores,
+    )
+    picked = pool.positions(sorted(batch))
+    remainder = ~state.labelled_mask
+    remainder[picked] = False
+    m = RoundMetrics(
+        round=rnd,
+        input_diversity=input_diversity(tokens_of(pool, picked), tokens_of(pool, remainder)),
+        output_uncertainty=output_uncertainty(context.reference_model, pool.X[picked]),
+        class_distribution=class_distribution(pool.y[picked], pool.num_classes),
+        acquisition_factor=acquisition_factor(batch, state),
+    )
+    run.state = state = transfer(state, batch)
+    run.round_logs.append(
+        RoundLog(
+            strategy=run.strategy,
+            seed=run.seed,
             round=rnd,
-            input_diversity=input_diversity(tokens_of(pool, picked), tokens_of(pool, remainder)),
-            output_uncertainty=output_uncertainty(context.reference_model, pool.X[picked]),
-            class_distribution=class_distribution(pool.y[picked], pool.num_classes),
-            acquisition_factor=acquisition_factor(batch, state),
+            acquired_ids=tuple(pool.ids[picked].tolist()),
+            per_source_counts=pool.source_counts(picked),
+            metrics=m,
+            val_accuracy=val_acc,
+            labelled_size=len(state.labelled),
         )
-        state = transfer(state, batch)
-        round_logs.append(
-            RoundLog(
-                strategy=strategy,
-                seed=seed,
-                round=rnd,
-                acquired_ids=tuple(pool.ids[picked].tolist()),
-                per_source_counts=pool.source_counts(picked),
-                metrics=m,
-                val_accuracy=val_acc,
-                labelled_size=len(state.labelled),
-            )
-        )
-        logger.info("%s/seed %s round %d: val_acc=%.4f", strategy, seed, rnd, val_acc)
+    )
+    logger.info("%s/seed %s round %d: val_acc=%.4f", run.strategy, run.seed, rnd, val_acc)
 
-    labelled = np.flatnonzero(state.labelled_mask)
-    final_tcfg = replace(config.training, rng_seed=derive_seed(run_seed, "final"))
-    final_model = clf.fit(ccfg, (pool.X[labelled], pool.y[labelled]), val=val, tcfg=final_tcfg)
+
+def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier,
+                context: RunContext) -> None:
+    """Evaluate a run's final refit everywhere and profile its labelled set."""
+    pool, val, tests = context.data.pool, context.data.val, context.data.tests
+    labelled = np.flatnonzero(run.state.labelled_mask)
     final_val = final_model.accuracy(val, val.labels_array()) if len(val) else float("nan")
     test_acc = {name: final_model.accuracy(ds, ds.labels_array()) for name, ds in tests.items()}
-
     profile = RunProfile(
         input_diversity=input_diversity(tokens_of(pool, labelled),
-                                        tokens_of(pool, ~state.labelled_mask)),
+                                        tokens_of(pool, ~run.state.labelled_mask)),
         output_uncertainty=output_uncertainty(context.reference_model, pool.X[labelled]),
         class_distribution=class_distribution(pool.y[labelled], pool.num_classes),
     )
-    return RunResult(
-        strategy=strategy,
-        seed=seed,
-        round_logs=round_logs,
+    run.result = RunResult(
+        strategy=run.strategy,
+        seed=run.seed,
+        round_logs=run.round_logs,
         final_model=final_model,
         final_val_accuracy=final_val,
         test_accuracies=test_acc,
@@ -388,13 +399,85 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
     )
 
 
-def _run_job(args):
-    config, strategy, seed, context, scores_dir = args
+def _advance(runs: list[_Run], outcomes, step) -> None:
+    """Call ``step(run, outcome)`` for each run; a run that fails drops out.
+
+    An outcome that is an exception (a diverged fit) fails its run.
+    """
+    for run, outcome in zip(runs, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            step(run, outcome)
+        except Exception as exc:  # a suite must survive the failure of one run
+            run.error = exc
+
+
+def _fit_live(config: ExperimentConfig, runs: list[_Run], context: RunContext, *tag) -> list:
+    """One lockstep fit over the labelled sets of the runs still live."""
+    pool = context.data.pool
+    rows = np.stack([np.flatnonzero(run.state.labelled_mask) for run in runs])
+    tcfgs = [replace(config.training, rng_seed=derive_seed(run.run_seed, *tag)) for run in runs]
+    ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
     try:
-        return strategy, seed, run_al(config, strategy, seed, context, scores_dir), None
-    except Exception as exc:  # suite must survive individual run failures
-        logger.error("run %s/seed %s failed: %s", strategy, seed, exc)
-        return strategy, seed, None, f"{type(exc).__name__}: {exc}"
+        return clf.fit_many(ccfg, pool.X[rows], pool.y[rows], val=context.data.val, tcfgs=tcfgs)
+    except Exception as exc:  # e.g. an empty seed set: every run fails alike
+        return [exc] * len(runs)
+
+
+def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
+                  scores_dir=None) -> list[_Run]:
+    """Run the (strategy, seed) runs of ``specs`` round-synchronously.
+
+    At a given round every run holds the same number of labelled examples,
+    so each round trains all live runs with one :func:`classifier.fit_many`
+    call, then selects, profiles and transfers run by run. A run that raises
+    records its error and drops out; the others go on.
+    """
+    pool = context.data.pool
+    runs = [_Run(strategy, seed, derive_seed("run", strategy, seed)) for strategy, seed in specs]
+    _advance(runs, [None] * len(runs), lambda run, _: _start_run(config, run, pool))
+    for rnd in range(1, config.rounds + 1):
+        live = [run for run in runs if run.error is None]
+        if live:
+            _advance(live, _fit_live(config, live, context, rnd, "fit"),
+                     lambda run, model: _al_round(config, run, model, rnd, context, scores_dir))
+    live = [run for run in runs if run.error is None]
+    if live:
+        _advance(live, _fit_live(config, live, context, "final"),
+                 lambda run, model: _finish_run(config, run, model, context))
+    return runs
+
+
+def run_al(config: ExperimentConfig, strategy: str, seed: int,
+           context: RunContext | None = None, scores_dir=None) -> RunResult:
+    """One full AL run: per-round fit / select / transfer, then a final refit.
+
+    The final model is refit from scratch on the complete labelled set after
+    the last transfer and evaluated on the validation set and every test set.
+    This is the suite's lockstep path with a single run; its error is raised.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
+    context = context or prepare_context(config)
+    [run] = _run_lockstep(config, [(strategy, seed)], context, scores_dir)
+    if run.error is not None:
+        raise run.error
+    return run.result
+
+
+def _run_group(args) -> list:
+    """A lockstep group's outcome per run: its RunResult or its RunFailure."""
+    config, specs, context, scores_dir = args
+    out = []
+    for run in _run_lockstep(config, specs, context, scores_dir):
+        if run.error is None:
+            out.append(run.result)
+        else:
+            logger.error("run %s/seed %s failed: %s", run.strategy, run.seed, run.error,
+                         exc_info=run.error)
+            out.append(RunFailure(run.strategy, run.seed, f"{type(run.error).__name__}: {run.error}"))
+    return out
 
 
 def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSummary]:
@@ -420,21 +503,26 @@ def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSu
 
 def run_suite(config: ExperimentConfig, context: RunContext | None = None,
               parallel: int = 1, scores_dir=None) -> SuiteResult:
-    """Cross-product of strategies x seeds; failures are recorded, not fatal."""
-    context = context or prepare_context(config)
-    jobs = [(config, s, sd, context, scores_dir) for s in config.strategies for sd in config.seeds]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool_exec:
-            outcomes = list(pool_exec.map(_run_job, jobs))
-    else:
-        outcomes = [_run_job(j) for j in jobs]
+    """Cross-product of strategies x seeds; failures are recorded, not fatal.
 
-    results, failures = [], []
-    for strategy, seed, result, error in outcomes:
-        if error is None:
-            results.append(result)
-        else:
-            failures.append(RunFailure(strategy, seed, error))
+    The runs advance in lockstep (see :func:`_run_lockstep`). With
+    ``parallel`` P > 1 they are dealt round-robin into P lockstep groups,
+    one worker process each; the outcome is the same bytes in the same order.
+    """
+    context = context or prepare_context(config)
+    specs = [(s, sd) for s in config.strategies for sd in config.seeds]
+    groups = min(parallel, len(specs))
+    if groups > 1:
+        jobs = [(config, specs[g::groups], context, scores_dir) for g in range(groups)]
+        outcomes = [None] * len(specs)
+        with ProcessPoolExecutor(max_workers=groups) as pool_exec:
+            for g, part in enumerate(pool_exec.map(_run_group, jobs)):
+                outcomes[g::groups] = part
+    else:
+        outcomes = _run_group((config, specs, context, scores_dir))
+
+    results = [o for o in outcomes if isinstance(o, RunResult)]
+    failures = [o for o in outcomes if isinstance(o, RunFailure)]
     return SuiteResult(_aggregate(config, results), results, failures)
 
 
@@ -466,24 +554,35 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = Non
 
 def run_difficulty_split(config: ExperimentConfig,
                          context: RunContext | None = None) -> list[RunSummary]:
-    """Train once per difficulty combo (no AL loop) and evaluate everywhere."""
+    """Train once per difficulty combo and seed (no AL loop), evaluate everywhere.
+
+    Every combo x seed split holds ``difficulty_n`` examples, so all of them
+    train in one lockstep :func:`classifier.fit_many` call.
+    """
     if config.difficulty_n is None:
         raise ConfigError("difficulty_n must be set for split experiments", key="difficulty_split.n")
     context = context or prepare_context(config)
     pool, val, tests = context.data.pool, context.data.val, context.data.tests
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
 
+    combos = [(combo, seed) for combo in config.difficulty_combos for seed in config.seeds]
+    rows = np.stack([
+        pool.positions(sorted(build_difficulty_split(
+            context.pool_datamap, combo, config.difficulty_n,
+            derive_seed(config.data_seed, "split-sample", combo, seed),
+        )))
+        for combo, seed in combos
+    ])
+    tcfgs = [replace(config.training, rng_seed=derive_seed(config.data_seed, "split-fit", combo, seed))
+             for combo, seed in combos]
+    models = clf.fit_many(ccfg, pool.X[rows], pool.y[rows], val=val, tcfgs=tcfgs)
+
     summaries = []
-    for combo in config.difficulty_combos:
+    for c, combo in enumerate(config.difficulty_combos):
         per_test: dict[str, list[float]] = {name: [] for name in ["val", *tests]}
-        for seed in config.seeds:
-            ids = build_difficulty_split(
-                context.pool_datamap, combo, config.difficulty_n,
-                derive_seed(config.data_seed, "split-sample", combo, seed),
-            )
-            tcfg = replace(config.training, rng_seed=derive_seed(config.data_seed, "split-fit", combo, seed))
-            rows = pool.positions(sorted(ids))
-            model = clf.fit(ccfg, (pool.X[rows], pool.y[rows]), val=val, tcfg=tcfg)
+        for model in models[c * len(config.seeds):(c + 1) * len(config.seeds)]:
+            if isinstance(model, Exception):
+                raise model
             per_test["val"].append(model.accuracy(val, val.labels_array()) if len(val) else float("nan"))
             for name, ds in tests.items():
                 per_test[name].append(model.accuracy(ds, ds.labels_array()))

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartal.classifier import (
     Classifier,
     ClassifierConfig,
     TrainConfig,
     fit,
+    fit_many,
     init_weights,
     load_checkpoint,
+    _forward,
     loss_and_gradients,
     save_checkpoint,
+    softmax,
 )
 from cartal.errors import DivergenceError
 
@@ -152,6 +159,106 @@ def test_early_stopping_respects_patience():
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     model = fit(config, (X, y), val=(X, y), tcfg=TrainConfig(max_epochs=200, patience=3, rng_seed=0))
     assert model.history["epochs"] < 200
+    curve = model.history["val_curve"]
+    assert model.history["stopped_early"]
+    assert model.history["best_epoch"] == curve.index(max(curve)) + 1
+    assert model.history["epochs"] - model.history["best_epoch"] == 3
+
+
+def test_history_without_validation_has_no_best_epoch():
+    X, y = _blobs(20, seed=3)
+    config = ClassifierConfig(2, (4,), 2, dropout_rate=0.0)
+    h = fit(config, (X, y), tcfg=TrainConfig(max_epochs=4, batch_size=16, rng_seed=0)).history
+    assert (h["epochs"], h["steps"], h["best_epoch"], h["stopped_early"]) == (4, 12, None, False)
+    assert h["best_val_accuracy"] is None and h["val_curve"] == []
+
+
+# --- lockstep training ------------------------------------------------------------
+
+def _reference_fit(config, X, y, val_X, val_y, tcfg):
+    """Plain per-run SGD, the reference for the lockstep engine: per epoch one
+    permutation, then one mask draw per hidden layer and step."""
+    rng = np.random.default_rng(tcfg.rng_seed)
+    weights = init_weights(config, rng)
+    model = Classifier(config, weights)
+    p, n = config.dropout_rate, X.shape[0]
+    best_acc, best, stale, curve, step = -1.0, None, 0, [], 0
+    for epoch in range(tcfg.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, tcfg.batch_size):
+            idx = order[start:start + tcfg.batch_size]
+            masks = model._draw_masks(rng, idx.size) if p > 0 else None
+            loss, grads = loss_and_gradients(config, weights, X[idx], y[idx], masks)
+            if not np.isfinite(loss):
+                raise DivergenceError("non-finite training loss", step=step)
+            for (W, b), (dW, db) in zip(weights, grads):
+                W -= tcfg.learning_rate * dW
+                b -= tcfg.learning_rate * db
+            step += 1
+        if val_X.shape[0]:
+            acc = model.accuracy(val_X, val_y)
+            curve.append(acc)
+            if acc > best_acc:
+                best_acc, best, stale = acc, [(W.copy(), b.copy()) for W, b in weights], 0
+            else:
+                stale += 1
+                if stale >= tcfg.patience:
+                    break
+    return (best or weights), {"epochs": epoch + 1, "steps": step, "val_curve": curve}
+
+
+def _same_weights(a, b):
+    return all((W1 == W2).all() and (b1 == b2).all() for (W1, b1), (W2, b2) in zip(a, b))
+
+
+@given(
+    R=st.integers(1, 6), batch=st.integers(1, 12), full=st.integers(0, 4), rem=st.integers(0, 11),
+    d=st.integers(1, 4), C=st.integers(2, 4), hidden=st.lists(st.integers(1, 9), min_size=1, max_size=2),
+    dropout=st.sampled_from([0.0, 0.3]), activation=st.sampled_from(["relu", "tanh"]),
+    patience=st.integers(1, 3), n_val=st.sampled_from([0, 9]), seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hidden, dropout,
+                                                   activation, patience, n_val, seed):
+    n = max(1, batch * full + rem % batch)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((R, n, d))
+    y = rng.integers(0, C, size=(R, n))
+    val_X, val_y = rng.standard_normal((n_val, d)), rng.integers(0, C, size=n_val)
+    config = ClassifierConfig(d, tuple(hidden), C, dropout_rate=dropout, activation=activation)
+    tcfgs = [TrainConfig(batch_size=batch, max_epochs=8, patience=patience, rng_seed=seed + r)
+             for r in range(R)]
+    many = fit_many(config, X, y, val=(val_X, val_y), tcfgs=tcfgs)
+    for r in range(R):
+        single = fit(config, (X[r], y[r]), val=(val_X, val_y), tcfg=tcfgs[r])
+        ref_weights, ref_history = _reference_fit(config, X[r], y[r], val_X, val_y, tcfgs[r])
+        assert _same_weights(many[r].weights, ref_weights)
+        assert _same_weights(single.weights, ref_weights)
+        assert many[r].history == single.history
+        assert {k: single.history[k] for k in ref_history} == ref_history
+
+
+def test_diverging_run_fails_alone_in_lockstep():
+    X, y = _blobs(25, sep=2.0, seed=2)
+    stacked = np.stack([X, X * 1e150, -X])
+    labels = np.stack([y, y, y])
+    config = ClassifierConfig(2, (8,), 2, dropout_rate=0.3)
+    tcfgs = [TrainConfig(max_epochs=3, rng_seed=s) for s in (1, 2, 3)]
+    with np.errstate(all="ignore"):
+        many = fit_many(config, stacked, labels, val=(X, y), tcfgs=tcfgs)
+    assert isinstance(many[1], DivergenceError) and many[1].step is not None
+    for r in (0, 2):
+        alone = fit(config, (stacked[r], y), val=(X, y), tcfg=tcfgs[r])
+        assert _same_weights(many[r].weights, alone.weights)
+        assert many[r].history == alone.history
+
+
+def test_fit_many_rejects_runs_that_differ_beyond_their_seed():
+    X, y = _blobs(10, seed=0)
+    config = ClassifierConfig(2, (4,), 2)
+    with pytest.raises(ValueError, match="rng_seed"):
+        fit_many(config, np.stack([X, X]), np.stack([y, y]),
+                 tcfgs=[TrainConfig(rng_seed=0), TrainConfig(learning_rate=0.5, rng_seed=1)])
 
 
 # --- inference -------------------------------------------------------------------
@@ -210,6 +317,19 @@ def test_mc_fixed_seed_reproducible_and_varying_on_trained_net():
         assert (ma == mb).all()
     spread = np.stack(a).std(axis=0)
     assert spread.max() > 0.0
+
+
+def test_mc_equals_full_forward_pass_per_sample():
+    rng = np.random.default_rng(5)
+    for hidden in ((6,), (6, 5)):
+        config = ClassifierConfig(3, hidden, 3, dropout_rate=0.4, activation="tanh")
+        model = Classifier(config, init_weights(config, rng))
+        X = rng.standard_normal((40, 3))
+        mask_rng = np.random.default_rng(21)
+        expected = [softmax(_forward(model.weights, X, "tanh", model._draw_masks(mask_rng, 40))[0])
+                    for _ in range(3)]
+        got = model.mc_predict_proba(X, T=3, rng_seed=21)
+        assert all((g == e).all() for g, e in zip(got, expected))
 
 
 def test_mc_rejects_zero_samples():
@@ -271,6 +391,34 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"magic": "NOPE", "layers": []}')
     with pytest.raises(ValueError, match="CARTAL1"):
+        load_checkpoint(path)
+
+
+def _corrupt_layer_count(payload):
+    payload["layers"].pop()
+
+
+def _corrupt_shape(payload):
+    payload["layers"][1]["shape"] = [4, 2]
+
+
+def _corrupt_weight_count(payload):
+    payload["layers"][0]["W"].pop()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_corrupt_layer_count, "1 layers, expected 2"),
+    (_corrupt_shape, r"layer 1 has shape \[4, 2\], expected \[5, 2\]"),
+    (_corrupt_weight_count, "layer 0 holds 9 weights"),
+])
+def test_checkpoint_rejects_corrupt_layers(tmp_path, corrupt, message):
+    config = ClassifierConfig(2, (5,), 2)
+    path = tmp_path / "model.json"
+    save_checkpoint(Classifier(config, init_weights(config, np.random.default_rng(0))), path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
 

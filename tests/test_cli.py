@@ -9,7 +9,7 @@ import pytest
 
 import cartal.experiment as exp
 from cartal.cli import main
-from cartal.config import config_to_dict, parse_config
+from cartal.config import config_to_dict, parse_config, parse_config_dict
 
 from conftest import tiny_config
 
@@ -146,14 +146,14 @@ def test_run_is_byte_deterministic(tmp_path):
 
 def test_run_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
-    real = exp.run_al
+    real = exp._al_round
 
-    def flaky(config, strategy, seed, context=None, scores_dir=None):
-        if strategy == "mcme" and seed == 1:
+    def flaky(config, run, *args):
+        if run.strategy == "mcme" and run.seed == 1:
             raise RuntimeError("injected")
-        return real(config, strategy, seed, context, scores_dir)
+        return real(config, run, *args)
 
-    monkeypatch.setattr(exp, "run_al", flaky)
+    monkeypatch.setattr(exp, "_al_round", flaky)
     out = tmp_path / "exp"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert "FAILED mcme/seed 1" in capsys.readouterr().err
@@ -248,6 +248,16 @@ def test_unknown_log_level_is_rejected_listing_valid_ones(tmp_path, capsys, monk
     assert "CARTAL_LOG" in err and "'verbose'" in err
     assert "error, warn, info, debug" in err
     assert not (tmp_path / "data").exists()
+
+
+def test_cartography_default_is_the_same_from_a_dict_and_the_dataclass():
+    raw = config_to_dict(tiny_config())
+    del raw["cartography_training"]
+    raw["training"].update(learning_rate=0.05, batch_size=16)
+    parsed = parse_config_dict(raw)
+    direct = tiny_config(training=parsed.training, cartography_training=None)
+    assert parsed.cartography_training == direct.cartography_training
+    assert (direct.cartography_training.learning_rate, direct.cartography_training.batch_size) == (0.05, 16)
 
 
 def test_ablate_records_the_single_default_fraction(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import cartal.acquisition as acquisition
 import cartal.experiment as exp
 from cartal.acquisition import score_pool
+from cartal.cartography import build_difficulty_split
+from cartal.classifier import fit
 from cartal.errors import CapacityError, ConfigError
 from cartal.experiment import (
     ExperimentConfig,
@@ -116,13 +119,13 @@ def test_run_al_is_deterministic(ctx):
 def test_fit_count_is_rounds_plus_one(ctx, monkeypatch):
     config, context = ctx
     calls = []
-    real_fit = exp.clf.fit
+    real_fit = exp.clf.fit_many
 
     def counting_fit(*args, **kwargs):
         calls.append(1)
         return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(exp.clf, "fit", counting_fit)
+    monkeypatch.setattr(exp.clf, "fit_many", counting_fit)
     run_al(config, "random", seed=3, context=context)
     assert len(calls) == config.rounds + 1
 
@@ -192,14 +195,14 @@ def test_single_run_has_zero_std():
 
 def test_suite_survives_single_run_failure(ctx, monkeypatch):
     config, context = ctx
-    real = exp.run_al
+    real = exp._al_round
 
-    def flaky(cfg, strategy, seed, context=None, scores_dir=None):
-        if strategy == "mcme" and seed == 2:
+    def flaky(cfg, run, *args):
+        if run.strategy == "mcme" and run.seed == 2:
             raise RuntimeError("synthetic failure")
-        return real(cfg, strategy, seed, context, scores_dir)
+        return real(cfg, run, *args)
 
-    monkeypatch.setattr(exp, "run_al", flaky)
+    monkeypatch.setattr(exp, "_al_round", flaky)
     suite = run_suite(config, context)
     assert len(suite.failures) == 1
     assert suite.failures[0].strategy == "mcme" and suite.failures[0].seed == 2
@@ -207,13 +210,41 @@ def test_suite_survives_single_run_failure(ctx, monkeypatch):
     assert mcme.accuracies["clean"][2] == len(config.seeds) - 1
 
 
-def test_parallel_suite_matches_sequential(ctx):
+def test_parallel_suite_matches_sequential(ctx, suite):
     config, context = ctx
-    fast = ExperimentConfig(**{**config.__dict__, "seeds": (1,), "strategies": ("random",)})
-    seq = run_suite(fast, context)
-    par = run_suite(fast, context, parallel=2)
-    assert seq.summaries == par.summaries
-    assert [r.round_logs for r in seq.results] == [r.round_logs for r in par.results]
+    assert len(config.strategies) >= 2 and len(config.seeds) >= 2  # two groups of R=2
+    par = run_suite(config, context, parallel=2)
+    assert suite.summaries == par.summaries
+    assert [r.round_logs for r in suite.results] == [r.round_logs for r in par.results]
+    assert [r.profile for r in suite.results] == [r.profile for r in par.results]
+
+
+def test_lockstep_suite_matches_separate_runs(ctx, suite):
+    config, context = ctx
+    for r in suite.results:
+        alone = run_al(config, r.strategy, r.seed, context)
+        assert r.round_logs == alone.round_logs
+        assert r.profile == alone.profile
+        assert r.final_model.history == alone.final_model.history
+        for (W1, b1), (W2, b2) in zip(r.final_model.weights, alone.final_model.weights):
+            assert (W1 == W2).all() and (b1 == b2).all()
+
+
+def test_difficulty_split_matches_separate_fits(ctx):
+    config, context = ctx
+    cfg = ExperimentConfig(**{**config.__dict__, "difficulty_n": 8, "difficulty_combos": ("EM", "EMHI")})
+    pool, val = context.data.pool, context.data.val
+    ccfg = cfg.classifier_config(pool.feature_dim, pool.num_classes)
+    [em, _] = run_difficulty_split(cfg, context)
+    accs = []
+    for seed in cfg.seeds:
+        ids = build_difficulty_split(context.pool_datamap, "EM", 8,
+                                     exp.derive_seed(cfg.data_seed, "split-sample", "EM", seed))
+        rows = pool.positions(sorted(ids))
+        tcfg = replace(cfg.training, rng_seed=exp.derive_seed(cfg.data_seed, "split-fit", "EM", seed))
+        model = fit(ccfg, (pool.X[rows], pool.y[rows]), val=val, tcfg=tcfg)
+        accs.append(model.accuracy(val, val.labels_array()))
+    assert em.accuracies["val"] == (float(np.mean(accs)), float(np.std(accs)), len(accs))
 
 
 # --- ablation -----------------------------------------------------------------------
