@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -427,13 +427,7 @@ def save_checkpoint(model: Classifier, path) -> None:
     """Write a versioned JSON checkpoint (magic header, shapes, row-major weights)."""
     payload = {
         "magic": CHECKPOINT_MAGIC,
-        "config": {
-            "input_dim": model.config.input_dim,
-            "hidden_dims": list(model.config.hidden_dims),
-            "num_classes": model.config.num_classes,
-            "dropout_rate": model.config.dropout_rate,
-            "activation": model.config.activation,
-        },
+        "config": asdict(model.config),
         "layers": [
             {"shape": list(W.shape), "W": W.ravel().tolist(), "b": b.tolist()}
             for W, b in model.weights
@@ -446,23 +440,26 @@ def save_checkpoint(model: Classifier, path) -> None:
 def load_checkpoint(path) -> Classifier:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("magic") != CHECKPOINT_MAGIC:
+    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    cfg = payload["config"]
-    config = ClassifierConfig(
-        input_dim=cfg["input_dim"],
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        num_classes=cfg["num_classes"],
-        dropout_rate=cfg["dropout_rate"],
-        activation=cfg["activation"],
-    )
+    cfg = payload.get("config")
+    keys = sorted(cfg) if isinstance(cfg, dict) else cfg
+    expected = sorted(f.name for f in fields(ClassifierConfig))
+    if keys != expected:
+        raise ValueError(f"{path}: checkpoint config keys are {keys}, expected {expected}")
+    try:
+        config = ClassifierConfig(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
     dims = (config.input_dim, *config.hidden_dims, config.num_classes)
-    layers = payload["layers"]
+    layers = payload.get("layers", [])
     if len(layers) != len(dims) - 1:
         raise ValueError(f"{path}: {len(layers)} layers, expected {len(dims) - 1} "
                          f"for hidden_dims {list(config.hidden_dims)}")
     weights = []
     for l, (layer, shape) in enumerate(zip(layers, zip(dims[:-1], dims[1:]))):
+        if not isinstance(layer, dict) or sorted(layer) != ["W", "b", "shape"]:
+            raise ValueError(f"{path}: layer {l} must hold exactly shape, W and b")
         if tuple(layer["shape"]) != shape:
             raise ValueError(f"{path}: layer {l} has shape {layer['shape']}, expected {list(shape)}")
         if len(layer["W"]) != shape[0] * shape[1] or len(layer["b"]) != shape[1]:

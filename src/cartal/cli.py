@@ -15,12 +15,12 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import classifier as clf
 from .config import config_to_dict, parse_config
 from .errors import CartalError, ConfigError
 from .experiment import (
-    ablation_fraction,
     build_experiment_data,
     prepare_context,
     run_ablated_suite,
@@ -56,8 +56,6 @@ def _write_config_copy(config, out_dir):
 
 
 def _apply_overrides(config, args):
-    from dataclasses import replace
-
     updates = {}
     if getattr(args, "strategies", None):
         updates["strategies"] = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
@@ -106,14 +104,17 @@ def cmd_run(args) -> int:
     write_suite_artifacts(suite, context, args.out)
     write_pool_datamap(context, args.out)
     write_manifest(args.out)
+    return _report_suite(suite, "runs")
+
+
+def _report_suite(suite, label) -> int:
+    """Print each strategy's test accuracies, then any failed runs (exit code 2)."""
     for s in suite.summaries:
         for test_set, (mean, std, n) in s.accuracies.items():
-            print(f"{s.strategy:>8s} {test_set:>12s}: {mean:.4f} ± {std:.4f} ({n} runs)")
-    if suite.failures:
-        for f in suite.failures:
-            print(f"FAILED {f.strategy}/seed {f.seed}: {f.error}", file=sys.stderr)
-        return 2
-    return 0
+            print(f"{s.strategy:>8s} {test_set:>12s}: {mean:.4f} ± {std:.4f} ({n} {label})")
+    for f in suite.failures:
+        print(f"FAILED {f.strategy}/seed {f.seed}: {f.error}", file=sys.stderr)
+    return 2 if suite.failures else 0
 
 
 def cmd_ablate(args) -> int:
@@ -125,15 +126,8 @@ def cmd_ablate(args) -> int:
         _write_config_copy(config, args.out)
     write_suite_artifacts(suite, context, args.out, prefix="ablated_")
     write_pool_datamap(context, args.out)
-    write_manifest(args.out, {"ablation_fraction": ablation_fraction(config)})
-    for s in suite.summaries:
-        for test_set, (mean, std, n) in s.accuracies.items():
-            print(f"{s.strategy:>8s} {test_set:>12s}: {mean:.4f} ± {std:.4f} ({n} runs, ablated)")
-    if suite.failures:
-        for f in suite.failures:
-            print(f"FAILED {f.strategy}/seed {f.seed}: {f.error}", file=sys.stderr)
-        return 2
-    return 0
+    write_manifest(args.out, {"ablation_fraction": config.ablation_fraction})
+    return _report_suite(suite, "runs, ablated")
 
 
 def cmd_splits(args) -> int:

@@ -1,161 +1,122 @@
 """Experiment config files: strict JSON with explicit keys.
 
-Unknown keys are hard errors (they are almost always typos in sweep scripts),
-reported with their dotted path. ``config_to_dict`` inverts ``parse_config``
-so a resolved copy can be written next to experiment outputs and re-read.
+Parsing and serializing both walk one layout table, JSON key to dataclass
+field; every type and default comes from the dataclasses themselves. Unknown
+keys, missing required keys and values of the wrong JSON type are hard errors
+(they are almost always typos in sweep scripts), reported with their dotted
+path. ``config_to_dict`` inverts ``parse_config`` so a resolved copy can be
+written next to experiment outputs and re-read.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
-from .acquisition import DalConfig
-from .cartography import DifficultyThresholds
 from .classifier import TrainConfig
 from .errors import ConfigError
 from .experiment import ExperimentConfig, TestSetSpec, cartography_defaults
-from .pool import SyntheticSourceSpec
 
 __all__ = ["parse_config", "parse_config_dict", "config_to_dict"]
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        key = f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0]
-        raise ConfigError("unknown key", key=key)
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError("missing required key", key=f"{path}.{key}")
-    return d[key]
+# JSON key -> dataclass field, or -> the layout of a JSON section. A dataclass
+# not listed here is laid out as its fields, under their own names.
+_LAYOUT = {
+    ExperimentConfig: {
+        "data": {**_same("synthetic_sources"), "files": "source_files", "format": "file_format",
+                 **_same("per_source_cap", "val_fraction"), "seed": "data_seed"},
+        **_same("test_sets"),
+        "al": _same("seed_size", "k", "rounds", "strategies", "seeds", "mc_samples"),
+        "classifier": _same("hidden_dims", "dropout_rate", "activation"),
+        **_same("training", "cartography_training", "dal", "thresholds"),
+        "ablation": {"fraction": "ablation_fraction"},
+        "difficulty_split": {"combos": "difficulty_combos", "n": "difficulty_n"},
+        **_same("dump_scores"),
+    },
+    TestSetSpec: {**_same("name", "synthetic_sources", "files"), "format": "file_format"},
+    # rng_seed is derived per fit, never configured
+    TrainConfig: _same("learning_rate", "batch_size", "max_epochs", "patience", "eval_interval"),
+}
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number",
+               bool: "boolean", type(None): "null"}
+
+_type_hints = cache(get_type_hints)  # called only with the few config dataclasses
 
 
-def _source_spec(d: dict, path: str) -> SyntheticSourceSpec:
-    _check_keys(d, {"name", "n", "class_centroids", "noise_scale", "label_flip_rate",
-                    "centroid_overlap"}, path)
-    centroids = _require(d, "class_centroids", path)
+def _layout(cls) -> dict:
+    return _LAYOUT.get(cls) or _same(*(f.name for f in fields(cls)))
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _expect(value, tp: type, path: str):
+    if type(value) is not tp:
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ConfigError(f"expected {_JSON_TYPES[tp]}, got {got}", key=path or None)
+    return value
+
+
+def _coerce(tp, value, path: str):
+    """``value`` as the annotated type ``tp``: bool, int, float (JSON integers
+    accepted), str, ``tuple[X, ...]``, ``X | None`` or a dataclass."""
+    args = get_args(tp)
+    if type(None) in args:
+        return None if value is None else _coerce(args[0], value, path)
+    if get_origin(tp) is tuple:
+        return tuple(_coerce(args[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(_expect(value, list, path)))
+    if is_dataclass(tp):
+        return _parse(tp, value, path)
+    if tp is float and type(value) is int:
+        return float(value)
+    return _expect(value, tp, path)
+
+
+def _parse(cls, raw, path: str, base=None):
+    """Dataclass ``cls`` from the JSON object ``raw`` found at ``path``.
+
+    Fields left unset keep their values in ``base`` or, without a base, their
+    dataclass defaults; a field without a default is a required key.
+    """
+    hints, kwargs = _type_hints(cls), {}
+
+    def walk(layout: dict, obj, where: str):
+        for key, value in _expect(obj, dict, where).items():
+            at = _join(where, key)
+            if key not in layout:
+                raise ConfigError("unknown key", key=at)
+            if isinstance(layout[key], dict):
+                walk(layout[key], value, at)
+            else:
+                kwargs[layout[key]] = _coerce(hints[layout[key]], value, at)
+
+    walk(_layout(cls), raw, path)
+    if base is None:
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
+                raise ConfigError("missing required key", key=_join(path, f.name))
     try:
-        return SyntheticSourceSpec(
-            name=str(_require(d, "name", path)),
-            n=int(_require(d, "n", path)),
-            class_centroids=tuple(tuple(float(v) for v in c) for c in centroids),
-            noise_scale=float(d.get("noise_scale", 1.0)),
-            label_flip_rate=float(d.get("label_flip_rate", 0.0)),
-            centroid_overlap=float(d.get("centroid_overlap", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), key=path) from exc
-
-
-def _test_spec(d: dict, path: str) -> TestSetSpec:
-    _check_keys(d, {"name", "synthetic_sources", "files", "format"}, path)
-    name = str(_require(d, "name", path))
-    sources = tuple(
-        _source_spec(s, f"{path}.synthetic_sources[{i}]")
-        for i, s in enumerate(d.get("synthetic_sources", []))
-    )
-    files = tuple(str(f) for f in d.get("files", []))
-    if not sources and not files:
-        raise ConfigError("test set needs synthetic_sources or files", key=path)
-    return TestSetSpec(name=name, synthetic_sources=sources, files=files,
-                       file_format=str(d.get("format", "jsonl")))
-
-
-def _train_config(d: dict, path: str, base: TrainConfig) -> TrainConfig:
-    _check_keys(d, {"learning_rate", "batch_size", "max_epochs", "patience",
-                    "eval_interval"}, path)
-    try:
-        return TrainConfig(
-            learning_rate=float(d.get("learning_rate", base.learning_rate)),
-            batch_size=int(d.get("batch_size", base.batch_size)),
-            max_epochs=int(d.get("max_epochs", base.max_epochs)),
-            patience=int(d.get("patience", base.patience)),
-            eval_interval=float(d.get("eval_interval", base.eval_interval)),
-            rng_seed=base.rng_seed,
-        )
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc), key=path) from exc
+        raise ConfigError(str(exc), key=path or None) from exc
 
 
 def parse_config_dict(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, {"data", "test_sets", "al", "classifier", "training",
-                      "cartography_training", "dal", "thresholds", "ablation",
-                      "difficulty_split", "dump_scores"}, "")
-
-    data = raw.get("data", {})
-    _check_keys(data, {"synthetic_sources", "files", "format", "per_source_cap",
-                       "val_fraction", "seed"}, "data")
-    sources = tuple(
-        _source_spec(s, f"data.synthetic_sources[{i}]")
-        for i, s in enumerate(data.get("synthetic_sources", []))
-    )
-    test_sets = tuple(
-        _test_spec(t, f"test_sets[{i}]") for i, t in enumerate(raw.get("test_sets", []))
-    )
-
-    al = raw.get("al", {})
-    _check_keys(al, {"seed_size", "k", "rounds", "strategies", "seeds", "mc_samples"}, "al")
-
-    cls = raw.get("classifier", {})
-    _check_keys(cls, {"hidden_dims", "dropout_rate", "activation"}, "classifier")
-
-    training = _train_config(raw.get("training", {}), "training", TrainConfig())
-    carto = _train_config(raw.get("cartography_training", {}), "cartography_training",
-                           cartography_defaults(training))
-
-    dal = raw.get("dal", {})
-    _check_keys(dal, {"learning_rate", "epochs", "hidden_dim"}, "dal")
-
-    thr = raw.get("thresholds", {})
-    _check_keys(thr, {"impossible_max", "hard_max", "medium_max"}, "thresholds")
-
-    abl = raw.get("ablation", {})
-    _check_keys(abl, {"fraction"}, "ablation")
-
-    split = raw.get("difficulty_split", {})
-    _check_keys(split, {"combos", "n"}, "difficulty_split")
-
-    try:
-        thresholds = DifficultyThresholds(
-            impossible_max=float(thr.get("impossible_max", 0.25)),
-            hard_max=float(thr.get("hard_max", 0.5)),
-            medium_max=float(thr.get("medium_max", 0.75)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="thresholds") from exc
-
-    return ExperimentConfig(
-        synthetic_sources=sources,
-        source_files=tuple(str(f) for f in data.get("files", [])),
-        file_format=str(data.get("format", "jsonl")),
-        per_source_cap=int(data.get("per_source_cap", 20000)),
-        val_fraction=float(data.get("val_fraction", 0.1)),
-        data_seed=int(data.get("seed", 11)),
-        test_sets=test_sets,
-        seed_size=int(al.get("seed_size", 500)),
-        k=int(al.get("k", 500)),
-        rounds=int(al.get("rounds", 7)),
-        strategies=tuple(str(s) for s in al.get("strategies", ["random", "mcme", "bald", "dal"])),
-        seeds=tuple(int(s) for s in al.get("seeds", [1, 2, 3, 4, 5])),
-        hidden_dims=tuple(int(h) for h in cls.get("hidden_dims", [32, 32])),
-        dropout_rate=float(cls.get("dropout_rate", 0.3)),
-        activation=str(cls.get("activation", "relu")),
-        training=training,
-        cartography_training=carto,
-        mc_samples=int(al.get("mc_samples", 4)),
-        dal=DalConfig(
-            learning_rate=float(dal.get("learning_rate", 0.1)),
-            epochs=int(dal.get("epochs", 200)),
-            hidden_dim=None if dal.get("hidden_dim") is None else int(dal["hidden_dim"]),
-        ),
-        thresholds=thresholds,
-        ablation_fraction=None if abl.get("fraction") is None else float(abl["fraction"]),
-        difficulty_combos=tuple(str(c) for c in split.get("combos", ["EM", "EMH", "MH", "HI", "EMHI"])),
-        difficulty_n=None if split.get("n") is None else int(split["n"]),
-        dump_scores=bool(raw.get("dump_scores", False)),
-    )
+    config = _parse(ExperimentConfig, raw, "")
+    # Unset cartography keys follow the training section, as in ExperimentConfig.
+    return replace(config, cartography_training=_parse(
+        TrainConfig, raw.get("cartography_training", {}), "cartography_training",
+        base=cartography_defaults(config.training)))
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -169,74 +130,16 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_dict(raw)
 
 
-def _spec_dict(s: SyntheticSourceSpec) -> dict:
-    return {
-        "name": s.name,
-        "n": s.n,
-        "class_centroids": [list(c) for c in s.class_centroids],
-        "noise_scale": s.noise_scale,
-        "label_flip_rate": s.label_flip_rate,
-        "centroid_overlap": s.centroid_overlap,
-    }
+def _dump(value):
+    if is_dataclass(value):
+        return _dump_section(_layout(type(value)), value)
+    return [_dump(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _dump_section(layout: dict, obj) -> dict:
+    return {key: _dump_section(field, obj) if isinstance(field, dict) else _dump(getattr(obj, field))
+            for key, field in layout.items()}
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "data": {
-            "synthetic_sources": [_spec_dict(s) for s in config.synthetic_sources],
-            "files": list(config.source_files),
-            "format": config.file_format,
-            "per_source_cap": config.per_source_cap,
-            "val_fraction": config.val_fraction,
-            "seed": config.data_seed,
-        },
-        "test_sets": [
-            {
-                "name": t.name,
-                "synthetic_sources": [_spec_dict(s) for s in t.synthetic_sources],
-                "files": list(t.files),
-                "format": t.file_format,
-            }
-            for t in config.test_sets
-        ],
-        "al": {
-            "seed_size": config.seed_size,
-            "k": config.k,
-            "rounds": config.rounds,
-            "strategies": list(config.strategies),
-            "seeds": list(config.seeds),
-            "mc_samples": config.mc_samples,
-        },
-        "classifier": {
-            "hidden_dims": list(config.hidden_dims),
-            "dropout_rate": config.dropout_rate,
-            "activation": config.activation,
-        },
-        "training": {
-            "learning_rate": config.training.learning_rate,
-            "batch_size": config.training.batch_size,
-            "max_epochs": config.training.max_epochs,
-            "patience": config.training.patience,
-            "eval_interval": config.training.eval_interval,
-        },
-        "cartography_training": {
-            "learning_rate": config.cartography_training.learning_rate,
-            "batch_size": config.cartography_training.batch_size,
-            "max_epochs": config.cartography_training.max_epochs,
-            "patience": config.cartography_training.patience,
-            "eval_interval": config.cartography_training.eval_interval,
-        },
-        "dal": {
-            "learning_rate": config.dal.learning_rate,
-            "epochs": config.dal.epochs,
-            "hidden_dim": config.dal.hidden_dim,
-        },
-        "thresholds": {
-            "impossible_max": config.thresholds.impossible_max,
-            "hard_max": config.thresholds.hard_max,
-            "medium_max": config.thresholds.medium_max,
-        },
-        "ablation": {"fraction": config.ablation_fraction},
-        "difficulty_split": {"combos": list(config.difficulty_combos), "n": config.difficulty_n},
-        "dump_scores": config.dump_scores,
-    }
+    return _dump(config)

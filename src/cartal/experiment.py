@@ -55,8 +55,6 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ABLATION_FRACTION = 0.25
-
 __all__ = [
     "ExperimentConfig",
     "TestSetSpec",
@@ -87,6 +85,10 @@ class TestSetSpec:
     synthetic_sources: tuple[SyntheticSourceSpec, ...] = ()
     files: tuple[str, ...] = ()
     file_format: str = "jsonl"
+
+    def __post_init__(self):
+        if not self.synthetic_sources and not self.files:
+            raise ValueError("test set needs synthetic_sources or files")
 
 
 def cartography_defaults(training: clf.TrainConfig) -> clf.TrainConfig:
@@ -122,7 +124,7 @@ class ExperimentConfig:
     dal: DalConfig = field(default_factory=DalConfig)
     # diagnostics
     thresholds: DifficultyThresholds = field(default_factory=DifficultyThresholds)
-    ablation_fraction: float | None = None
+    ablation_fraction: float = 0.25
     difficulty_combos: tuple[str, ...] = ("EM", "EMH", "MH", "HI", "EMHI")
     difficulty_n: int | None = None
     dump_scores: bool = False
@@ -138,6 +140,10 @@ class ExperimentConfig:
             raise ConfigError("seed_size must be >= 0", key="al.seed_size")
         if not self.seeds:
             raise ConfigError("need at least one seed", key="al.seeds")
+        if self.mc_samples < 1:
+            raise ConfigError("mc_samples must be >= 1", key="al.mc_samples")
+        if self.mc_samples < 2 and "bald" in self.strategies:
+            raise ConfigError("BALD needs mc_samples >= 2", key="al.mc_samples")
         if not self.synthetic_sources and not self.source_files:
             raise ConfigError("no data: set synthetic_sources or source_files", key="data")
         for s in self.strategies:
@@ -526,11 +532,6 @@ def run_suite(config: ExperimentConfig, context: RunContext | None = None,
     return SuiteResult(_aggregate(config, results), results, failures)
 
 
-def ablation_fraction(config: ExperimentConfig) -> float:
-    """The configured outlier-ablation fraction, or the default when unset."""
-    return DEFAULT_ABLATION_FRACTION if config.ablation_fraction is None else config.ablation_fraction
-
-
 def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = None,
                       parallel: int = 1) -> tuple[SuiteResult, RunContext]:
     """Filter the pool's per-source bottom conf*var fraction, then run a suite.
@@ -539,9 +540,8 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = Non
     reference and difficulty authority for the ablated runs.
     """
     context = context or prepare_context(config)
-    fraction = ablation_fraction(config)
     pool = context.data.pool
-    retained = ablate_hard_to_learn(context.pool_datamap, pool.source_of(), fraction)
+    retained = ablate_hard_to_learn(context.pool_datamap, pool.source_of(), config.ablation_fraction)
     filtered = pool.subset(sorted(retained), name="pool-ablated")
     logger.info("ablation keeps %d of %d pool examples", len(filtered), len(pool))
     ablated_ctx = RunContext(

@@ -406,17 +406,38 @@ def _corrupt_weight_count(payload):
     payload["layers"][0]["W"].pop()
 
 
+def _corrupt_missing_config_key(payload):
+    del payload["config"]["num_classes"]
+
+
+def _corrupt_unknown_config_key(payload):
+    payload["config"]["depth"] = 2
+
+
+def _corrupt_layer_keys(payload):
+    del payload["layers"][0]["b"]
+
+
+def _corrupt_to_list(payload):
+    return [payload]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_corrupt_layer_count, "1 layers, expected 2"),
     (_corrupt_shape, r"layer 1 has shape \[4, 2\], expected \[5, 2\]"),
     (_corrupt_weight_count, "layer 0 holds 9 weights"),
+    (_corrupt_missing_config_key, r"model.json: checkpoint config keys are \['activation', "
+                                  r"'dropout_rate', 'hidden_dims', 'input_dim'\], expected"),
+    (_corrupt_unknown_config_key, r"model.json: checkpoint config keys are \[.*'depth'"),
+    (_corrupt_layer_keys, "layer 0 must hold exactly shape, W and b"),
+    (_corrupt_to_list, "not a CARTAL1 checkpoint: .*model.json"),
 ])
 def test_checkpoint_rejects_corrupt_layers(tmp_path, corrupt, message):
     config = ClassifierConfig(2, (5,), 2)
     path = tmp_path / "model.json"
     save_checkpoint(Classifier(config, init_weights(config, np.random.default_rng(0))), path)
     payload = json.loads(path.read_text())
-    corrupt(payload)
+    payload = corrupt(payload) or payload
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)

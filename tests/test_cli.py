@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 import cartal.experiment as exp
 from cartal.cli import main
 from cartal.config import config_to_dict, parse_config, parse_config_dict
+from cartal.errors import ConfigError
 
 from conftest import tiny_config
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, config=None, mutate=None, name="config.json"):
@@ -197,6 +202,16 @@ def test_stratify_consumes_saved_models(run_dir):
     assert len(lines) > 1
 
 
+def test_stratify_names_a_malformed_checkpoint(tmp_path, capsys):
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    (out / "models" / "random_seed1.json").write_text("[]")
+    assert main(["stratify", "--exp", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "random_seed1.json" in err and "Traceback" not in err
+
+
 # --- report ----------------------------------------------------------------------
 
 def test_report_without_paired_suite(run_dir):
@@ -258,14 +273,62 @@ def test_cartography_default_is_the_same_from_a_dict_and_the_dataclass():
     direct = tiny_config(training=parsed.training, cartography_training=None)
     assert parsed.cartography_training == direct.cartography_training
     assert (direct.cartography_training.learning_rate, direct.cartography_training.batch_size) == (0.05, 16)
+    # a partial section still takes its unset keys from the training section
+    raw["cartography_training"] = {"max_epochs": 9}
+    partial = parse_config_dict(raw).cartography_training
+    assert partial == replace(direct.cartography_training, max_epochs=9)
 
 
 def test_ablate_records_the_single_default_fraction(tmp_path):
     config = tiny_config(strategies=("random",), seeds=(1,))
-    assert config.ablation_fraction is None
+    assert config.ablation_fraction == 0.25
     cfg = write_config(tmp_path, config)
     out = tmp_path / "exp"
     assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["ablation_fraction"] == exp.DEFAULT_ABLATION_FRACTION == 0.25
-    assert exp.ablation_fraction(parse_config(cfg)) == exp.DEFAULT_ABLATION_FRACTION
+    assert manifest["ablation_fraction"] == 0.25
+    assert parse_config(cfg).ablation_fraction == 0.25
+
+
+# --- config parsing ---------------------------------------------------------------
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))))
+def test_shipped_config_round_trips_with_types(path):
+    with open(path) as fh:
+        raw = json.load(fh)
+    # json.dumps tells 0 from 0.0 and 1 from true, which == does not
+    assert json.dumps(config_to_dict(parse_config(path)), sort_keys=True) == json.dumps(raw, sort_keys=True)
+
+
+def _set(section, key, value):
+    return lambda raw: (raw[section] if section else raw).update({key: value})
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (_set(None, "dump_scores", "false"), "dump_scores"),
+    (_set("classifier", "hidden_dims", "32"), "classifier.hidden_dims"),
+    (_set("al", "k", 2.7), "al.k"),
+    (_set("al", "seeds", [1.9]), "al.seeds[0]"),
+    (_set("al", "seed_size", True), "al.seed_size"),
+    (_set(None, "al", 5), "al"),
+    (lambda raw: raw["data"]["synthetic_sources"][1].update(nosie_scale=1.0),
+     "data.synthetic_sources[1].nosie_scale"),
+    (lambda raw: raw["data"]["synthetic_sources"][0].pop("class_centroids"),
+     "data.synthetic_sources[0].class_centroids"),
+    (_set("training", "rng_seed", 3), "training.rng_seed"),
+    (lambda raw: raw["test_sets"][0].update(synthetic_sources=[]), "test_sets[0]"),
+    (_set("thresholds", "hard_max", 0.9), "thresholds"),
+    (_set("al", "mc_samples", 0), "al.mc_samples"),
+    (lambda raw: raw["al"].update(strategies=["bald"], mc_samples=1), "al.mc_samples"),
+])
+def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
+    raw = config_to_dict(tiny_config())
+    mutate(raw)
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(raw)
+    assert info.value.key == key
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
