@@ -98,12 +98,9 @@ def score_bald(mc) -> list[AcquisitionScore]:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, never overflowing."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | None = None,
@@ -136,7 +133,9 @@ def _dal(embeddings_labelled, embeddings_unlabelled, dal_cfg, rng_seed) -> np.nd
         w = np.zeros(Xb.shape[1])
         for _ in range(cfg.epochs):
             p = _sigmoid(Xb @ w)
-            w -= cfg.learning_rate * (Xb.T @ (p - t)) / n
+            # a fixed-order sum over the rows: BLAS would split it across
+            # threads, and its bits would depend on their number
+            w -= cfg.learning_rate * np.einsum("ij,i->j", Xb, p - t) / n
         probs = _sigmoid(Xb[A.shape[0]:] @ w)
     else:
         rng = np.random.default_rng(rng_seed)

@@ -437,6 +437,10 @@ def save_checkpoint(model: Classifier, path) -> None:
         json.dump(payload, fh)
 
 
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
+
+
 def load_checkpoint(path) -> Classifier:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -460,8 +464,10 @@ def load_checkpoint(path) -> Classifier:
     for l, (layer, shape) in enumerate(zip(layers, zip(dims[:-1], dims[1:]))):
         if not isinstance(layer, dict) or sorted(layer) != ["W", "b", "shape"]:
             raise ValueError(f"{path}: layer {l} must hold exactly shape, W and b")
-        if tuple(layer["shape"]) != shape:
+        if layer["shape"] != list(shape):
             raise ValueError(f"{path}: layer {l} has shape {layer['shape']}, expected {list(shape)}")
+        if not (_is_number_list(layer["W"]) and _is_number_list(layer["b"])):
+            raise ValueError(f"{path}: layer {l} W and b must be lists of numbers")
         if len(layer["W"]) != shape[0] * shape[1] or len(layer["b"]) != shape[1]:
             raise ValueError(f"{path}: layer {l} holds {len(layer['W'])} weights and "
                              f"{len(layer['b'])} biases, expected {shape[0] * shape[1]} and {shape[1]}")

@@ -231,6 +231,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _setup_logging()
+        if getattr(args, "parallel", 1) < 1:
+            raise ConfigError(f"must be >= 1, got {args.parallel}", key="--parallel")
         return args.func(args)
     except (CartalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

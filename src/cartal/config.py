@@ -107,6 +107,8 @@ def _parse(cls, raw, path: str, base=None):
                 raise ConfigError("missing required key", key=_join(path, f.name))
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except ConfigError as exc:  # keyed within the object: prefix the object's path
+        raise ConfigError(exc.reason, key=_join(path, exc.key) if exc.key else path or None) from exc
     except ValueError as exc:
         raise ConfigError(str(exc), key=path or None) from exc
 

@@ -26,9 +26,11 @@ class SchemaError(CartalError):
 
 
 class ConfigError(CartalError):
-    """An experiment configuration is invalid. Carries the key path."""
+    """An experiment configuration is invalid. Carries the key path and the
+    message without it (``reason``)."""
 
     def __init__(self, message: str, key: str | None = None):
+        self.reason = message
         if key is not None:
             message = f"{key}: {message}"
         super().__init__(message)

@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -507,23 +510,81 @@ def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSu
     return summaries
 
 
+# The thread-count variables of OpenBLAS, OpenMP and MKL, read when a process
+# loads its BLAS.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1, then restore the environment exactly.
+
+    A process started meanwhile computes with one BLAS thread, so P workers
+    use P cores instead of oversubscribing them.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _init_worker(log_level: int) -> None:
+    """Log in a spawned worker at its parent's level."""
+    logging.basicConfig(level=log_level, format="%(levelname)s %(name)s: %(message)s")
+
+
+def _run_groups(jobs: list) -> list[list]:
+    """Run each lockstep group in a spawned worker process of its own.
+
+    Workers start from a fresh interpreter with one BLAS thread each. A
+    group whose worker dies becomes one :class:`RunFailure` per run it held;
+    the other groups complete.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    level = logging.getLogger().getEffectiveLevel()
+    with ExitStack() as stack:
+        executors = [stack.enter_context(ProcessPoolExecutor(
+            max_workers=1, mp_context=spawn, initializer=_init_worker, initargs=(level,)))
+            for _ in jobs]
+        with _one_blas_thread():  # submit starts the worker
+            futures = [ex.submit(_run_group, job) for ex, job in zip(executors, jobs)]
+        outcomes = []
+        for future, (_, specs, _, _) in zip(futures, jobs):
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool as exc:
+                logger.error("worker of runs %s died: %s", specs, exc)
+                outcomes.append([RunFailure(s, sd, f"{type(exc).__name__}: {exc}") for s, sd in specs])
+        return outcomes
+
+
 def run_suite(config: ExperimentConfig, context: RunContext | None = None,
               parallel: int = 1, scores_dir=None) -> SuiteResult:
     """Cross-product of strategies x seeds; failures are recorded, not fatal.
 
     The runs advance in lockstep (see :func:`_run_lockstep`). With
     ``parallel`` P > 1 they are dealt round-robin into P lockstep groups,
-    one worker process each; the outcome is the same bytes in the same order.
+    one spawned worker process each (see :func:`_run_groups`); the outcome
+    is the same bytes in the same order. A script that calls this with
+    P > 1 must guard its entry point with ``if __name__ == "__main__":``,
+    because spawned workers import the main module.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     context = context or prepare_context(config)
     specs = [(s, sd) for s in config.strategies for sd in config.seeds]
     groups = min(parallel, len(specs))
     if groups > 1:
         jobs = [(config, specs[g::groups], context, scores_dir) for g in range(groups)]
         outcomes = [None] * len(specs)
-        with ProcessPoolExecutor(max_workers=groups) as pool_exec:
-            for g, part in enumerate(pool_exec.map(_run_group, jobs)):
-                outcomes[g::groups] = part
+        for g, part in enumerate(_run_groups(jobs)):
+            outcomes[g::groups] = part
     else:
         outcomes = _run_group((config, specs, context, scores_dir))
 

@@ -275,17 +275,19 @@ class SyntheticSourceSpec:
     centroid_overlap: float = 0.0
 
     def __post_init__(self):
+        # keyed by field: the config parser prefixes the source's JSON path
         if not 0.0 <= self.label_flip_rate <= 1.0:
-            raise ConfigError("label_flip_rate must lie in [0, 1]", key=f"{self.name}.label_flip_rate")
+            raise ConfigError(f"must lie in [0, 1] (source {self.name!r})", key="label_flip_rate")
         if self.noise_scale <= 0:
-            raise ConfigError("noise_scale must be > 0", key=f"{self.name}.noise_scale")
+            raise ConfigError(f"must be > 0 (source {self.name!r})", key="noise_scale")
         if not 0.0 <= self.centroid_overlap < 1.0:
-            raise ConfigError("centroid_overlap must lie in [0, 1)", key=f"{self.name}.centroid_overlap")
+            raise ConfigError(f"must lie in [0, 1) (source {self.name!r})", key="centroid_overlap")
         if self.n < 0:
-            raise ConfigError("n must be >= 0", key=f"{self.name}.n")
+            raise ConfigError(f"must be >= 0 (source {self.name!r})", key="n")
         dims = {len(c) for c in self.class_centroids}
         if len(dims) > 1:
-            raise ConfigError("class_centroids must share one dimension", key=f"{self.name}.class_centroids")
+            raise ConfigError(f"centroids must share one dimension (source {self.name!r})",
+                              key="class_centroids")
 
     @property
     def num_classes(self) -> int:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cartal
 from cartal.acquisition import (
     AcquisitionScore,
     DalConfig,
@@ -17,6 +21,7 @@ from cartal.acquisition import (
     score_dal,
     score_mcme,
     select_batch,
+    _sigmoid,
 )
 from cartal.pool import Dataset, Example, PoolState
 
@@ -213,6 +218,61 @@ def test_dal_hidden_layer_variant_is_deterministic():
     b = [s.score for s in score_dal(lab, unl, cfg, rng_seed=9)]
     assert a == b
     assert np.mean(a) > 0.6
+
+
+# A DAL round at pool scale: 4k labelled and 56k unlabelled embeddings, as
+# in a 54k-pool run. Prints the SHA-256 of the score bytes per discriminator.
+_DAL_SCORE_DIGESTS = """
+import hashlib
+import numpy as np
+from cartal.acquisition import DalConfig, _dal
+rng = np.random.default_rng(3)
+lab = np.maximum(rng.standard_normal((4000, 32)), 0.0)
+unl = np.maximum(rng.standard_normal((56000, 32)) + 0.1, 0.0)
+for cfg in (DalConfig(epochs=5), DalConfig(epochs=5, hidden_dim=16)):
+    print(hashlib.sha256(_dal(lab, unl, cfg, 7).tobytes()).hexdigest())
+"""
+
+
+def _dal_digests(blas_threads: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(cartal.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads, "OMP_NUM_THREADS": blas_threads,
+           "MKL_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _DAL_SCORE_DIGESTS], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.split()
+
+
+def test_dal_scores_do_not_depend_on_blas_threads():
+    # a spawned --parallel worker computes with one BLAS thread, a sequential
+    # run with as many as it finds: both must give the same bytes
+    linear, hidden = zip(_dal_digests("1"), _dal_digests("2"))
+    assert linear[0] == linear[1], "linear discriminator"
+    assert hidden[0] == hidden[1], "hidden_dim=16 discriminator"
+
+
+def _sigmoid_masked(x):
+    """The earlier two-branch sigmoid, the reference for the bits."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_equal_the_two_branch_formula():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, tiny, -tiny, 1e-310, -1e-310,
+                      np.finfo(float).max, -np.finfo(float).max, 709.78, -709.78, 36.7, -36.7])
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges, rng.uniform(-800, 800, 50_000), rng.standard_normal(50_000) * 5,
+                        np.linspace(-50, 50, 10_001)])
+    with np.errstate(over="ignore"):
+        got, want = _sigmoid(x), _sigmoid_masked(x)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()
 
 
 # --- select_batch ---------------------------------------------------------------

@@ -422,6 +422,18 @@ def _corrupt_to_list(payload):
     return [payload]
 
 
+def _corrupt_weights_to_number(payload):
+    payload["layers"][0]["W"] = 3
+
+
+def _corrupt_bias_entry(payload):
+    payload["layers"][1]["b"][0] = "0.5"
+
+
+def _corrupt_shape_to_number(payload):
+    payload["layers"][0]["shape"] = 10
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_corrupt_layer_count, "1 layers, expected 2"),
     (_corrupt_shape, r"layer 1 has shape \[4, 2\], expected \[5, 2\]"),
@@ -431,6 +443,9 @@ def _corrupt_to_list(payload):
     (_corrupt_unknown_config_key, r"model.json: checkpoint config keys are \[.*'depth'"),
     (_corrupt_layer_keys, "layer 0 must hold exactly shape, W and b"),
     (_corrupt_to_list, "not a CARTAL1 checkpoint: .*model.json"),
+    (_corrupt_weights_to_number, "model.json: layer 0 W and b must be lists of numbers"),
+    (_corrupt_bias_entry, "model.json: layer 1 W and b must be lists of numbers"),
+    (_corrupt_shape_to_number, r"model.json: layer 0 has shape 10, expected \[2, 5\]"),
 ])
 def test_checkpoint_rejects_corrupt_layers(tmp_path, corrupt, message):
     config = ClassifierConfig(2, (5,), 2)

@@ -168,6 +168,42 @@ def test_run_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "injected" in failures
 
 
+_real_run_group = exp._run_group
+
+
+def _die_holding_seed_2(args):
+    """A lockstep group whose worker process dies if it holds a seed-2 run."""
+    _, specs, _, _ = args
+    if any(seed == 2 for _, seed in specs):
+        os._exit(1)
+    return _real_run_group(args)
+
+
+def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
+    # spawn pickles the patched function by reference, so the worker runs it
+    monkeypatch.setattr(exp, "_run_group", _die_holding_seed_2)
+    cfg = write_config(tmp_path)  # random, mcme x seeds 1, 2: groups hold seed 1 and seed 2
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out), "--parallel", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED random/seed 2: BrokenProcessPool: " in err
+    assert "FAILED mcme/seed 2: BrokenProcessPool: " in err
+    rounds = (out / "rounds.csv").read_text().strip().splitlines()
+    assert {tuple(row.split(",")[:2]) for row in rounds[1:]} == {("random", "1"), ("mcme", "1")}
+    failures = (out / "failures.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:2] for row in failures] == [["random", "2"], ["mcme", "2"]]
+    assert all(",BrokenProcessPool: " in row for row in failures)
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_parallel_below_one_is_a_usage_error(tmp_path, capsys, command, parallel):
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x"), "--parallel", parallel]) == 1
+    assert capsys.readouterr().err == f"error: --parallel: must be >= 1, got {parallel}\n"
+    assert not (tmp_path / "x").exists()
+
+
 # --- ablate / splits / stratify -----------------------------------------------
 
 def test_ablate_writes_paired_artifacts(tmp_path):
@@ -318,6 +354,12 @@ def _set(section, key, value):
     (_set("training", "rng_seed", 3), "training.rng_seed"),
     (lambda raw: raw["test_sets"][0].update(synthetic_sources=[]), "test_sets[0]"),
     (_set("thresholds", "hard_max", 0.9), "thresholds"),
+    (lambda raw: raw["data"]["synthetic_sources"][1].update(noise_scale=0),
+     "data.synthetic_sources[1].noise_scale"),
+    (lambda raw: raw["data"]["synthetic_sources"][2].update(label_flip_rate=1.5),
+     "data.synthetic_sources[2].label_flip_rate"),
+    (lambda raw: raw["test_sets"][0]["synthetic_sources"][2].update(noise_scale=-1.0),
+     "test_sets[0].synthetic_sources[2].noise_scale"),
     (_set("al", "mc_samples", 0), "al.mc_samples"),
     (lambda raw: raw["al"].update(strategies=["bald"], mc_samples=1), "al.mc_samples"),
 ])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +219,52 @@ def test_parallel_suite_matches_sequential(ctx, suite):
     assert suite.summaries == par.summaries
     assert [r.round_logs for r in suite.results] == [r.round_logs for r in par.results]
     assert [r.profile for r in suite.results] == [r.profile for r in par.results]
+
+
+def _report_thread_env(args):
+    """Stands in for a lockstep group: fails each run with the worker's BLAS
+    thread variables as its error text."""
+    _, specs, _, _ = args
+    seen = " ".join(f"{var}={os.environ.get(var)}" for var in exp._BLAS_THREAD_VARS)
+    return [exp.RunFailure(strategy, seed, seen) for strategy, seed in specs]
+
+
+def test_parallel_workers_get_one_blas_thread_and_parent_env_is_kept(ctx, monkeypatch):
+    config, context = ctx
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    before = dict(os.environ)
+    monkeypatch.setattr(exp, "_run_group", _report_thread_env)
+    suite = run_suite(config, context, parallel=2)
+    assert dict(os.environ) == before
+    assert len(suite.failures) == len(config.strategies) * len(config.seeds)
+    assert {f.error for f in suite.failures} == {
+        "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"}
+
+
+def _log_its_runs(args):
+    """Stands in for a lockstep group: logs the runs it holds at info level."""
+    _, specs, _, _ = args
+    logging.getLogger("cartal.experiment").info("group holds %s", specs)
+    return [exp.RunFailure(strategy, seed, "") for strategy, seed in specs]
+
+
+def test_parallel_workers_log_at_the_parent_level(ctx, monkeypatch, caplog, capfd):
+    config, context = ctx
+    caplog.set_level(logging.INFO)
+    monkeypatch.setattr(exp, "_run_group", _log_its_runs)
+    run_suite(config, context, parallel=2)
+    err = capfd.readouterr().err  # the workers write to the inherited stderr
+    assert "INFO cartal.experiment: group holds [('random', 1), ('mcme', 1)]" in err
+    assert "INFO cartal.experiment: group holds [('random', 2), ('mcme', 2)]" in err
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_parallel_below_one_is_rejected(ctx, parallel):
+    config, context = ctx
+    with pytest.raises(ValueError, match=f"parallel must be >= 1, got {parallel}"):
+        run_suite(config, context, parallel=parallel)
 
 
 def test_lockstep_suite_matches_separate_runs(ctx, suite):
