@@ -1,8 +1,9 @@
 """Desk-scale pool-based active learning with dataset-cartography diagnostics."""
 
+from types import ModuleType as _ModuleType
+
 from .acquisition import (
     STRATEGIES,
-    AcquisitionScore,
     DalConfig,
     predictive_entropy,
     score_bald,
@@ -11,14 +12,12 @@ from .acquisition import (
     select_batch,
 )
 from .cartography import (
-    DatamapEntry,
+    Datamap,
     DifficultyThresholds,
-    DynamicsTrace,
     ablate_hard_to_learn,
     acquisition_by_difficulty,
     build_difficulty_split,
     compute_datamap,
-    run_cartography,
 )
 from .classifier import (
     Classifier,
@@ -57,7 +56,6 @@ from .metrics import (
 )
 from .pool import (
     Dataset,
-    Example,
     PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
@@ -68,5 +66,9 @@ from .pool import (
     split_dataset,
     transfer,
 )
+
+# every name imported above; the submodules they come from are not part of it
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

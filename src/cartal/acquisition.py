@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "STRATEGIES",
-    "AcquisitionScore",
     "DalConfig",
     "entropy_rows",
     "predictive_entropy",
@@ -26,14 +25,6 @@ __all__ = [
 STRATEGIES = ("random", "mcme", "bald", "dal")
 
 DEFAULT_MC_SAMPLES = 4
-
-
-@dataclass(frozen=True)
-class AcquisitionScore:
-    """Score for one example; higher means more desirable to acquire."""
-
-    example_id: int
-    score: float
 
 
 @dataclass(frozen=True)
@@ -64,37 +55,25 @@ def predictive_entropy(p) -> float:
     return float(entropy_rows(p.reshape(1, -1))[0])
 
 
-def _stack_mc(mc) -> np.ndarray:
-    mats = [np.asarray(m, dtype=float) for m in mc]
-    if not mats:
-        raise ValueError("empty Monte-Carlo sample list")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ValueError(f"MC matrices disagree in shape: {m.shape} vs {shape}")
-    return np.stack(mats)
+def score_mcme(stack) -> np.ndarray:
+    """Entropy of the mean predictive distribution over the MC samples.
+
+    ``stack`` is (T, n, C): T Monte-Carlo probability matrices.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or len(stack) < 1:
+        raise ValueError(f"expected a (T, n, C) stack of MC samples, got shape {stack.shape}")
+    return entropy_rows(stack.mean(axis=0))
 
 
-def _as_scores(values: np.ndarray) -> list[AcquisitionScore]:
-    return [AcquisitionScore(i, s) for i, s in enumerate(values.tolist())]
-
-
-def _bald(stack: np.ndarray) -> np.ndarray:
-    if stack.shape[0] < 2:
-        raise ValueError("BALD needs at least 2 MC samples")
+def score_bald(stack) -> np.ndarray:
+    """Mutual information H(mean_t p_t) - mean_t H(p_t), clamped at 0, over a (T, n, C) stack."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or len(stack) < 2:
+        raise ValueError(f"BALD needs a (T, n, C) stack of at least 2 MC samples, got shape {stack.shape}")
     total = entropy_rows(stack.mean(axis=0))
     expected = np.stack([entropy_rows(m) for m in stack]).mean(axis=0)
     return np.maximum(total - expected, 0.0)
-
-
-def score_mcme(mc) -> list[AcquisitionScore]:
-    """Entropy of the mean predictive distribution over the MC samples."""
-    return _as_scores(entropy_rows(_stack_mc(mc).mean(axis=0)))
-
-
-def score_bald(mc) -> list[AcquisitionScore]:
-    """Mutual information H(mean_t p_t) - mean_t H(p_t), clamped at 0."""
-    return _as_scores(_bald(_stack_mc(mc)))
 
 
 def _sigmoid(x):
@@ -104,18 +83,14 @@ def _sigmoid(x):
 
 
 def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | None = None,
-              rng_seed: int = 0) -> list[AcquisitionScore]:
+              rng_seed: int = 0) -> np.ndarray:
     """Train a labelled-vs-unlabelled discriminator on embeddings.
 
     Targets are labelled -> 0, unlabelled -> 1; the score of an unlabelled
     example is the discriminator's probability that it is unlabelled, i.e.
-    how distinguishable it is from the current training set.
+    how distinguishable it is from the current training set. :func:`score_pool`
+    calls it by its module-level name, at which perfbench's tracer times it.
     """
-    return _as_scores(_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg, rng_seed))
-
-
-def _dal(embeddings_labelled, embeddings_unlabelled, dal_cfg, rng_seed) -> np.ndarray:
-    """Array form of :func:`score_dal`."""
     cfg = dal_cfg or DalConfig()
     A = np.asarray(embeddings_labelled, dtype=float)
     B = np.asarray(embeddings_unlabelled, dtype=float)
@@ -178,10 +153,10 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     X = state.universe.X
     X_u = X[~state.labelled_mask]
     if strategy in ("mcme", "bald"):
-        stack = _stack_mc(model.mc_predict_proba(X_u, mc_samples, rng_seed))
-        return entropy_rows(stack.mean(axis=0)) if strategy == "mcme" else _bald(stack)
+        stack = model.mc_predict_proba(X_u, mc_samples, rng_seed)
+        return score_mcme(stack) if strategy == "mcme" else score_bald(stack)
     X_l = X[state.labelled_mask]
-    return _dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed)
+    return score_dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed)
 
 
 def select_batch(strategy, state, model, k, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,

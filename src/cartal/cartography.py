@@ -2,33 +2,31 @@
 
 A datamap summarizes, per example, the mean gold-label confidence across
 training snapshots, its population standard deviation (variability), and how
-often the model predicted the right label. Mean confidence is banded into four
-difficulty classes; bands are upper-inclusive, so a mean of exactly 0.25 is
-still "impossible".
+often the model predicted the right label (Swayamdipta et al. 2020, Dataset
+Cartography). Mean confidence is banded into four difficulty classes; bands
+are upper-inclusive, so a mean of exactly 0.25 is still "impossible".
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classifier as clf
 from .errors import CapacityError, InsufficientDynamicsError
+from .pool import _positions
 
 __all__ = [
     "DIFFICULTIES",
     "DynamicsTrace",
     "TraceMatrix",
-    "DatamapEntry",
+    "Datamap",
     "DifficultyThresholds",
     "CartographyResult",
-    "classify_difficulty",
     "compute_datamap",
-    "run_cartography",
     "run_cartography_full",
     "ablate_hard_to_learn",
     "build_difficulty_split",
@@ -43,18 +41,38 @@ _LETTER = {"E": "easy", "M": "medium", "H": "hard", "I": "impossible"}
 
 @dataclass(frozen=True)
 class DynamicsTrace:
+    """One example's row of a :class:`TraceMatrix`."""
+
     example_id: int
     confidences: tuple[float, ...]
     correct_flags: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class DatamapEntry:
-    example_id: int
-    mean_confidence: float
-    variability: float
-    correctness: float
-    difficulty: str
+@dataclass(frozen=True, eq=False)
+class Datamap:
+    """Per-example cartography statistics as columns; row i is example ``ids[i]``.
+
+    ``ids`` strictly increase, and ``difficulty`` holds codes into
+    :data:`DIFFICULTIES`.
+    """
+
+    ids: np.ndarray
+    mean_confidence: np.ndarray
+    variability: np.ndarray
+    correctness: np.ndarray
+    difficulty: np.ndarray
+
+    def __post_init__(self):
+        if (np.diff(self.ids) <= 0).any():
+            raise ValueError("datamap ids must be strictly increasing")
+
+    def rows(self, ids, what) -> np.ndarray:
+        """Row positions of ``ids``; a ValueError names the ``what`` the datamap lacks."""
+        ids = np.fromiter(ids, dtype=np.int64)
+        pos = _positions(self.ids, ids)
+        if (pos < 0).any():
+            raise ValueError(f"{what} missing from the datamap: {ids[pos < 0][:10].tolist()}")
+        return pos
 
 
 @dataclass(frozen=True)
@@ -70,21 +88,12 @@ class DifficultyThresholds:
             )
 
 
-def classify_difficulty(mean_confidence: float, thresholds: DifficultyThresholds) -> str:
-    if mean_confidence <= thresholds.impossible_max:
-        return "impossible"
-    if mean_confidence <= thresholds.hard_max:
-        return "hard"
-    if mean_confidence <= thresholds.medium_max:
-        return "medium"
-    return "easy"
-
-
-class TraceMatrix(Sequence):
+class TraceMatrix:
     """Dynamics of many examples as row-major (N, T) arrays.
 
-    Row i holds the T snapshots of example ``ids[i]``; indexing gives that
-    row as a :class:`DynamicsTrace`.
+    Row i holds the T snapshots of example ``ids[i]``. Indexing gives that
+    row as a :class:`DynamicsTrace`; the program does not use that, and it
+    stays because perfbench's tracer reads ``traces[0].confidences``.
     """
 
     def __init__(self, ids, confidences: np.ndarray, correct: np.ndarray):
@@ -98,38 +107,28 @@ class TraceMatrix(Sequence):
                              tuple(self.correct[i].tolist()))
 
 
-def compute_datamap(traces, thresholds: DifficultyThresholds | None = None) -> list[DatamapEntry]:
-    """Mean/population-std/correctness per trace, banded into difficulties.
+def compute_datamap(traces: TraceMatrix, thresholds: DifficultyThresholds | None = None) -> Datamap:
+    """Mean, population std and correctness of each row of the (N, T)
+    dynamics matrix, banded into difficulties.
 
-    ``traces`` is a :class:`TraceMatrix` or a sequence of equally long
-    :class:`DynamicsTrace`. Reducing each row of the row-major (N, T) matrix
-    gives the same bits as reducing each trace on its own.
+    One ``searchsorted`` over the three thresholds with ``side="left"`` puts
+    a mean equal to a threshold in the band below it (bands are
+    upper-inclusive). perfbench's tracer times calls to it by this name.
     """
     thresholds = thresholds or DifficultyThresholds()
-    if not isinstance(traces, TraceMatrix):
-        traces = list(traces)
-        if not traces:
-            return []
-        for tr in traces:
-            if len(tr.confidences) == 0 or len(tr.correct_flags) == 0:
-                raise ValueError(f"empty dynamics trace for example {tr.example_id}")
-            if not len(tr.confidences) == len(tr.correct_flags) == len(traces[0].confidences):
-                raise ValueError(f"trace length mismatch for example {tr.example_id}")
-        traces = TraceMatrix([tr.example_id for tr in traces],
-                             np.array([tr.confidences for tr in traces], dtype=float),
-                             np.array([tr.correct_flags for tr in traces], dtype=bool))
-    means = traces.confidences.mean(axis=1).tolist()
-    return [
-        DatamapEntry(i, mean, variability, correctness, classify_difficulty(mean, thresholds))
-        for i, mean, variability, correctness in zip(
-            traces.ids.tolist(), means, traces.confidences.std(axis=1).tolist(),
-            traces.correct.mean(axis=1).tolist())
-    ]
+    if traces.confidences.shape[1] == 0:
+        raise ValueError(f"empty dynamics traces for examples {traces.ids[:10].tolist()}")
+    mean = traces.confidences.mean(axis=1)
+    edges = [thresholds.impossible_max, thresholds.hard_max, thresholds.medium_max]
+    # the count of edges below the mean (an equal edge not counted): 0 is impossible, 3 easy
+    difficulty = len(edges) - np.searchsorted(edges, mean, side="left")
+    return Datamap(traces.ids, mean, traces.confidences.std(axis=1), traces.correct.mean(axis=1),
+                   difficulty)
 
 
 @dataclass
 class CartographyResult:
-    entries: list[DatamapEntry]
+    entries: Datamap
     model: clf.Classifier
     traces: TraceMatrix
 
@@ -142,7 +141,7 @@ def run_cartography_full(pool, probe, config, tcfg, val=None,
     a test set (stratified testing). The fitted model is returned alongside
     the datamap so callers can reuse it as an output-uncertainty reference.
     """
-    gold = probe.labels_array()
+    gold = probe.y
     probe_confidences: list[np.ndarray] = []
     probe_correct: list[np.ndarray] = []
 
@@ -160,45 +159,34 @@ def run_cartography_full(pool, probe, config, tcfg, val=None,
     return CartographyResult(compute_datamap(traces, thresholds), model, traces)
 
 
-def run_cartography(pool, probe, config, tcfg, val=None, thresholds=None) -> list[DatamapEntry]:
-    return run_cartography_full(pool, probe, config, tcfg, val, thresholds).entries
-
-
-def ablate_hard_to_learn(datamap, sources, fraction: float) -> set[int]:
+def ablate_hard_to_learn(datamap: Datamap, dataset, fraction: float) -> np.ndarray:
     """Drop the per-source bottom fraction by confidence*variability product.
 
-    Returns the retained id set. Filtering is per source, so equal-sized
+    Returns the retained ids, ascending. Ties in the product break toward the
+    smaller id. Filtering is per source of ``dataset``, so equal-sized
     sources stay equal-sized after ablation.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1): {fraction}")
-    by_source: dict[str, list[DatamapEntry]] = {}
-    for entry in datamap:
-        src = sources.get(entry.example_id)
-        if src is None:
-            raise ValueError(f"no source known for example {entry.example_id}")
-        by_source.setdefault(src, []).append(entry)
-
-    retained: set[int] = set()
-    for src, entries in by_source.items():
-        entries.sort(key=lambda e: (e.mean_confidence * e.variability, e.example_id))
-        n_drop = math.floor(fraction * len(entries))
-        retained.update(e.example_id for e in entries[n_drop:])
-    return retained
+    pos = dataset.positions(datamap.ids)
+    if (pos < 0).any():
+        raise ValueError(f"no source known for examples {datamap.ids[pos < 0][:10].tolist()}")
+    codes = dataset.source_codes[pos]
+    product = datamap.mean_confidence * datamap.variability
+    retained = [datamap.ids[:0]]
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        order = rows[np.lexsort((datamap.ids[rows], product[rows]))]
+        retained.append(datamap.ids[order[math.floor(fraction * rows.size):]])
+    return np.sort(np.concatenate(retained))
 
 
-def _normalize_combo(combo):
-    if isinstance(combo, str):
-        names = []
-        for ch in combo:
-            if ch.upper() not in _LETTER:
-                raise ValueError(f"unknown difficulty letter {ch!r} in combo {combo!r}")
-            names.append(_LETTER[ch.upper()])
-    else:
-        names = [str(c).lower() for c in combo]
-        for name in names:
-            if name not in DIFFICULTIES:
-                raise ValueError(f"unknown difficulty {name!r}")
+def _normalize_combo(combo: str):
+    names = []
+    for ch in combo:
+        if ch.upper() not in _LETTER:
+            raise ValueError(f"unknown difficulty letter {ch!r} in combo {combo!r}")
+        names.append(_LETTER[ch.upper()])
     if not names:
         raise ValueError("combo must name at least one difficulty class")
     if len(set(names)) != len(names):
@@ -206,53 +194,43 @@ def _normalize_combo(combo):
     return names
 
 
-def build_difficulty_split(datamap, combo, n: int, rng_seed: int) -> set[int]:
-    """Sample n ids in equal proportion from the requested difficulty classes."""
+def build_difficulty_split(datamap: Datamap, combo: str, n: int, rng_seed: int) -> np.ndarray:
+    """Sample n ids in equal proportion from the difficulty classes named by
+    the letters of ``combo`` (E, M, H, I); ascending."""
     names = _normalize_combo(combo)
     if n % len(names) != 0:
         raise ValueError(f"n={n} is not divisible by the {len(names)} classes in the combo")
     per_class = n // len(names)
-    pools = {name: sorted(e.example_id for e in datamap if e.difficulty == name) for name in names}
-    for name in names:
-        if len(pools[name]) < per_class:
+    pools = [datamap.ids[datamap.difficulty == DIFFICULTIES.index(name)] for name in names]
+    for name, ids in zip(names, pools):
+        if ids.size < per_class:
             raise CapacityError(
-                f"difficulty class {name!r} holds {len(pools[name])} examples, need {per_class}"
+                f"difficulty class {name!r} holds {ids.size} examples, need {per_class}"
             )
     rng = np.random.default_rng(rng_seed)
-    chosen: set[int] = set()
-    for name in names:
-        ids = np.array(pools[name], dtype=np.int64)
-        picked = rng.choice(ids.size, size=per_class, replace=False)
-        chosen.update(int(ids[i]) for i in picked)
-    return chosen
+    return np.sort(np.concatenate([ids[rng.choice(ids.size, size=per_class, replace=False)]
+                                   for ids in pools]))
 
 
-def acquisition_by_difficulty(round_logs, datamap) -> list[dict[str, int]]:
+def acquisition_by_difficulty(round_logs, datamap: Datamap) -> list[dict[str, int]]:
     """Count acquired ids per difficulty class for each round, in order."""
-    difficulty_of = {e.example_id: e.difficulty for e in datamap}
     out = []
     for log in round_logs:
-        ids = getattr(log, "acquired_ids", log)
-        counts = {name: 0 for name in DIFFICULTIES}
-        for i in ids:
-            try:
-                counts[difficulty_of[i]] += 1
-            except KeyError:
-                raise ValueError(f"acquired example {i} missing from the datamap") from None
-        out.append(counts)
+        rows = datamap.rows(getattr(log, "acquired_ids", log), "acquired examples")
+        counts = np.bincount(datamap.difficulty[rows], minlength=len(DIFFICULTIES))
+        out.append(dict(zip(DIFFICULTIES, counts.tolist())))
     return out
 
 
-def write_datamap_csv(datamap, sources, path) -> None:
+def write_datamap_csv(datamap: Datamap, dataset, path) -> None:
+    """One row per datamap example, by id, with its source in ``dataset`` ("" if absent)."""
+    pos = dataset.positions(datamap.ids)
+    codes = np.where(pos >= 0, dataset.source_codes[pos], -1).tolist()
+    names = (*dataset.source_names, "")  # code -1 reads the trailing ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "source", "mean_confidence", "variability", "correctness", "difficulty"])
-        for e in sorted(datamap, key=lambda e: e.example_id):
-            writer.writerow([
-                e.example_id,
-                sources.get(e.example_id, ""),
-                f"{e.mean_confidence:.6g}",
-                f"{e.variability:.6g}",
-                f"{e.correctness:.6g}",
-                e.difficulty,
-            ])
+        for i, code, conf, var, corr, band in zip(
+                datamap.ids.tolist(), codes, datamap.mean_confidence.tolist(),
+                datamap.variability.tolist(), datamap.correctness.tolist(), datamap.difficulty.tolist()):
+            writer.writerow([i, names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]])

@@ -73,14 +73,16 @@ def cmd_generate(args) -> int:
     for spec in config.synthetic_sources:
         ds = generate_synthetic_source(spec, derive_seed(config.data_seed, "source", spec.name))
         path = os.path.join(args.out, f"{spec.name}.jsonl")
+        bounds = ds.token_indptr.tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            for e in ds.examples:
+            for i, x, label, a, b in zip(ds.ids.tolist(), ds.X.tolist(), ds.y.tolist(),
+                                         bounds[:-1], bounds[1:]):
                 fh.write(json.dumps({
-                    "id": e.id,
-                    "source": e.source,
-                    "features": [float(v) for v in e.features],
-                    "tokens": list(e.tokens),
-                    "label": e.label,
+                    "id": i,
+                    "source": spec.name,
+                    "features": x,
+                    "tokens": [ds.vocab[t] for t in ds.token_indices[a:b].tolist()],
+                    "label": label,
                 }) + "\n")
         manifest["sources"][spec.name] = {
             "file": os.path.basename(path),
@@ -228,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         _setup_logging()
         if getattr(args, "parallel", 1) < 1:

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# perfbench's tracer wraps the functions imported here by name, in this module
 from . import classifier as clf
 from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, score_pool, select_batch
 from .cartography import (
-    DatamapEntry,
+    Datamap,
     DifficultyThresholds,
     ablate_hard_to_learn,
     build_difficulty_split,
@@ -178,7 +179,7 @@ class RunContext:
 
     data: ExperimentData
     reference_model: clf.Classifier
-    pool_datamap: list[DatamapEntry]
+    pool_datamap: Datamap
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,10 @@ def _harmonize_classes(sources: list[Dataset]) -> list[Dataset]:
     # per-file label inference can undercount classes a small file never saw
     C = max(s.num_classes for s in sources)
     return [
-        s if s.num_classes == C else Dataset(s.name, s.examples, C, s.metadata)
+        s if s.num_classes == C else Dataset(
+            s.name, C, s.metadata, ids=s.ids, X=s.X, y=s.y, source_codes=s.source_codes,
+            source_names=s.source_names, token_indptr=s.token_indptr,
+            token_indices=s.token_indices, vocab=s.vocab)
         for s in sources
     ]
 
@@ -285,7 +289,7 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     pool = build_multi_source_pool(
         rests, config.per_source_cap, derive_seed(config.data_seed, "pool")
     )
-    val = concat_datasets(helds, "val") if helds else Dataset("val", [], pool.num_classes)
+    val = concat_datasets(helds, "val")
     tests = {t.name: build_test_set(t, config.data_seed) for t in config.test_sets}
     return ExperimentData(pool=pool, val=val, tests=tests)
 
@@ -345,7 +349,7 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
     """One run's round after its fit: score, select, profile, transfer."""
     pool, val = context.data.pool, context.data.val
     state = run.state
-    val_acc = model.accuracy(val, val.labels_array()) if len(val) else float("nan")
+    val_acc = model.accuracy(val, val.y) if len(val) else float("nan")
 
     select_seed = derive_seed(run.run_seed, rnd, "select")
     scores = None
@@ -377,7 +381,7 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
             per_source_counts=pool.source_counts(picked),
             metrics=m,
             val_accuracy=val_acc,
-            labelled_size=len(state.labelled),
+            labelled_size=int(np.count_nonzero(state.labelled_mask)),
         )
     )
     logger.info("%s/seed %s round %d: val_acc=%.4f", run.strategy, run.seed, rnd, val_acc)
@@ -388,8 +392,8 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
     """Evaluate a run's final refit everywhere and profile its labelled set."""
     pool, val, tests = context.data.pool, context.data.val, context.data.tests
     labelled = np.flatnonzero(run.state.labelled_mask)
-    final_val = final_model.accuracy(val, val.labels_array()) if len(val) else float("nan")
-    test_acc = {name: final_model.accuracy(ds, ds.labels_array()) for name, ds in tests.items()}
+    final_val = final_model.accuracy(val, val.y) if len(val) else float("nan")
+    test_acc = {name: final_model.accuracy(ds, ds.y) for name, ds in tests.items()}
     profile = RunProfile(
         input_diversity=input_diversity(tokens_of(pool, labelled),
                                         tokens_of(pool, ~run.state.labelled_mask)),
@@ -465,6 +469,7 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
     The final model is refit from scratch on the complete labelled set after
     the last transfer and evaluated on the validation set and every test set.
     This is the suite's lockstep path with a single run; its error is raised.
+    ``run_suite`` does not go through it; perfbench's tracer wraps it by this name.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
@@ -602,8 +607,8 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = Non
     """
     context = context or prepare_context(config)
     pool = context.data.pool
-    retained = ablate_hard_to_learn(context.pool_datamap, pool.source_of(), config.ablation_fraction)
-    filtered = pool.subset(sorted(retained), name="pool-ablated")
+    retained = ablate_hard_to_learn(context.pool_datamap, pool, config.ablation_fraction)
+    filtered = pool.subset(retained, name="pool-ablated")
     logger.info("ablation keeps %d of %d pool examples", len(filtered), len(pool))
     ablated_ctx = RunContext(
         data=ExperimentData(pool=filtered, val=context.data.val, tests=context.data.tests),
@@ -628,10 +633,10 @@ def run_difficulty_split(config: ExperimentConfig,
 
     combos = [(combo, seed) for combo in config.difficulty_combos for seed in config.seeds]
     rows = np.stack([
-        pool.positions(sorted(build_difficulty_split(
+        pool.positions(build_difficulty_split(
             context.pool_datamap, combo, config.difficulty_n,
             derive_seed(config.data_seed, "split-sample", combo, seed),
-        )))
+        ))
         for combo, seed in combos
     ])
     tcfgs = [replace(config.training, rng_seed=derive_seed(config.data_seed, "split-fit", combo, seed))
@@ -644,9 +649,9 @@ def run_difficulty_split(config: ExperimentConfig,
         for model in models[c * len(config.seeds):(c + 1) * len(config.seeds)]:
             if isinstance(model, Exception):
                 raise model
-            per_test["val"].append(model.accuracy(val, val.labels_array()) if len(val) else float("nan"))
+            per_test["val"].append(model.accuracy(val, val.y) if len(val) else float("nan"))
             for name, ds in tests.items():
-                per_test[name].append(model.accuracy(ds, ds.labels_array()))
+                per_test[name].append(model.accuracy(ds, ds.y))
         acc = {
             name: (float(np.mean(v)), float(np.std(v)), len(v)) for name, v in per_test.items()
         }
@@ -796,6 +801,4 @@ def write_manifest(out_dir, extra: dict | None = None) -> None:
 
 
 def write_pool_datamap(context: RunContext, out_dir) -> None:
-    write_datamap_csv(
-        context.pool_datamap, context.data.pool.source_of(), os.path.join(out_dir, "datamap.csv")
-    )
+    write_datamap_csv(context.pool_datamap, context.data.pool, os.path.join(out_dir, "datamap.csv"))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import entropy_rows
+from .cartography import DIFFICULTIES, Datamap
 from .pool import Dataset
 
 logger = logging.getLogger(__name__)
@@ -46,39 +47,20 @@ class StratifiedResult:
     overall: float
 
 
-def tokens_of(examples, rows=None):
-    """Union of token sets; examples without tokens contribute nothing.
-
-    Given a :class:`Dataset` and ``rows`` (positions or a boolean mask), the
-    union comes back as a presence vector over the dataset's vocabulary.
-    """
-    if rows is None:
-        tokens: set[str] = set()
-        missing = 0
-        for e in examples:
-            if e.tokens:
-                tokens.update(e.tokens)
-            else:
-                missing += 1
-    else:
-        tokens, missing = examples.token_presence(rows)
+def tokens_of(dataset: Dataset, rows) -> np.ndarray:
+    """Presence vector over ``dataset.vocab`` of the tokens in ``rows``
+    (positions or a boolean mask); rows without tokens contribute nothing."""
+    tokens, missing = dataset.token_presence(rows)
     if missing:
         logger.warning("%d examples carry no tokens; they do not affect input diversity", missing)
     return tokens
 
 
-def input_diversity(acquired_tokens, remainder_tokens) -> float:
-    """Jaccard similarity of the two token sets; two empty sets give 0.
-
-    The sets may also be presence vectors over one vocabulary (see :func:`tokens_of`).
-    """
-    if isinstance(acquired_tokens, np.ndarray):
-        shared = np.count_nonzero(acquired_tokens & remainder_tokens)
-        union = np.count_nonzero(acquired_tokens | remainder_tokens)
-    else:
-        V = set(acquired_tokens)
-        Vp = set(remainder_tokens)
-        shared, union = len(V & Vp), len(V | Vp)
+def input_diversity(acquired_tokens: np.ndarray, remainder_tokens: np.ndarray) -> float:
+    """Jaccard similarity of two token sets given as presence vectors over one
+    vocabulary (see :func:`tokens_of`); two empty sets give 0."""
+    shared = np.count_nonzero(acquired_tokens & remainder_tokens)
+    union = np.count_nonzero(acquired_tokens | remainder_tokens)
     return shared / union if union else 0.0
 
 
@@ -90,18 +72,8 @@ def output_uncertainty(reference_model, acquired) -> float:
     return float(entropy_rows(probs).mean())
 
 
-def class_distribution(acquired, num_classes=None) -> tuple[float, ...]:
-    """Fraction of each gold label among the acquired examples.
-
-    ``acquired`` is a Dataset or an array of gold labels.
-    """
-    if isinstance(acquired, Dataset):
-        labels = acquired.labels_array()
-        num_classes = num_classes or acquired.num_classes
-    else:
-        labels = acquired
-        if num_classes is None:
-            raise ValueError("num_classes required when acquired is not a Dataset")
+def class_distribution(labels: np.ndarray, num_classes: int) -> tuple[float, ...]:
+    """Fraction of each gold label among the acquired examples' ``labels``."""
     if labels.size == 0:
         raise ValueError("acquired set is empty")
     counts = np.bincount(labels, minlength=num_classes)
@@ -125,22 +97,15 @@ def acquisition_factor(batch_ids, pool_before) -> dict[str, float]:
     return {s: counts[s] / (pos.size * share) for s, share in shares.items()}
 
 
-def stratified_accuracy(model, test: Dataset, test_datamap) -> StratifiedResult:
+def stratified_accuracy(model, test: Dataset, test_datamap: Datamap) -> StratifiedResult:
     """Argmax accuracy per difficulty class of the test examples, plus overall."""
-    difficulty_of = {e.example_id: e.difficulty for e in test_datamap}
-    ids = test.ids.tolist()
-    missing = [i for i in ids if i not in difficulty_of]
-    if missing:
-        raise ValueError(f"test ids missing from the datamap: {missing[:10]}")
-    preds = model.predict(test)
-    gold = test.labels_array()
-    correct = preds == gold
-
-    counts: dict[str, int] = {}
-    hits: dict[str, int] = {}
-    for i, hit in zip(ids, correct.tolist()):
-        d = difficulty_of[i]
-        counts[d] = counts.get(d, 0) + 1
-        hits[d] = hits.get(d, 0) + int(hit)
-    accuracies = {d: hits[d] / counts[d] for d in counts}
-    return StratifiedResult(accuracies=accuracies, counts=counts, overall=float(correct.mean()))
+    bands = test_datamap.difficulty[test_datamap.rows(test.ids, "test ids")]
+    correct = model.predict(test) == test.y
+    counts = np.bincount(bands, minlength=len(DIFFICULTIES)).tolist()
+    hits = np.bincount(bands, weights=correct, minlength=len(DIFFICULTIES)).tolist()
+    present = [d for d in range(len(DIFFICULTIES)) if counts[d]]
+    return StratifiedResult(
+        accuracies={DIFFICULTIES[d]: hits[d] / counts[d] for d in present},
+        counts={DIFFICULTIES[d]: counts[d] for d in present},
+        overall=float(correct.mean()),
+    )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +32,26 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Example:
-    """One data point: feature vector, gold label, and its source tag."""
+    """One data point: feature vector, gold label, and its source tag.
+
+    The program holds data as :class:`Dataset` columns; this record type stays
+    for :attr:`Dataset.examples`, which perfbench's checks read.
+    """
 
     id: int
     source: str
     features: np.ndarray
     label: int
     tokens: tuple[str, ...] = ()
+
+
+def _positions(sorted_ids, ids) -> np.ndarray:
+    """Positions of ``ids`` in the ascending array ``sorted_ids``; -1 where an id is absent."""
+    ids = np.fromiter(ids, dtype=np.int64)
+    pos = np.searchsorted(sorted_ids, ids)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == ids[found]
+    return np.where(found, pos, -1)
 
 
 def _recode(codes, names):
@@ -53,49 +65,19 @@ def _recode(codes, names):
 class Dataset:
     """Ordered, validated collection of examples with a shared schema, held as columns.
 
-    Columns: ``ids`` (strictly increasing), ``X`` (n x feature_dim), ``y``,
-    ``source_codes`` into ``source_names`` (the present sources, in
-    first-appearance order), and each row's tokens as the CSR pair
-    ``token_indptr``/``token_indices`` into ``vocab``. ``examples`` and
-    :meth:`by_id` are per-example views built on first use.
+    Columns (keyword arguments of the constructor): ``ids`` (strictly
+    increasing), ``X`` (n x feature_dim), ``y``, ``source_codes`` into
+    ``source_names``, and each row's tokens as the CSR pair
+    ``token_indptr``/``token_indices`` into ``vocab``. Sources and vocabulary
+    are narrowed to those present, in first-appearance order.
 
     ``metadata`` carries bookkeeping that is not part of the schema proper:
     ``flipped_ids`` (planted label noise), ``true_labels`` (pre-flip labels
     for flipped ids) and ``provenance`` (pooled id -> (source, original id)).
     """
 
-    def __init__(self, name, examples, num_classes, metadata=None):
-        examples = tuple(examples)
-        dim = int(examples[0].features.shape[0]) if examples else 0
-        for e in examples:
-            if e.features.shape != (dim,):
-                raise SchemaError(
-                    f"dataset {name!r}: example {e.id} has feature dim "
-                    f"{e.features.shape[0]}, expected {dim}"
-                )
-        sources: dict[str, int] = {}
-        vocab: dict[str, int] = {}
-        codes = [sources.setdefault(e.source, len(sources)) for e in examples]
-        tokens = [vocab.setdefault(t, len(vocab)) for e in examples for t in e.tokens]
-        self._set_columns(
-            name, num_classes, metadata,
-            ids=np.array([e.id for e in examples], dtype=np.int64),
-            X=np.stack([e.features for e in examples]).astype(float) if examples else np.zeros((0, 0)),
-            y=np.array([e.label for e in examples], dtype=np.int64),
-            source_codes=np.array(codes, dtype=np.int64), source_names=tuple(sources),
-            token_indptr=np.cumsum([0] + [len(e.tokens) for e in examples]),
-            token_indices=np.array(tokens, dtype=np.int64), vocab=tuple(vocab),
-        )
-
-    @classmethod
-    def from_columns(cls, name, num_classes, metadata=None, **columns) -> "Dataset":
-        """Dataset over ready columns (the keyword names of the class docstring)."""
-        ds = cls.__new__(cls)
-        ds._set_columns(name, num_classes, metadata, **columns)
-        return ds
-
-    def _set_columns(self, name, num_classes, metadata, *, ids, X, y, source_codes, source_names,
-                     token_indptr, token_indices, vocab):
+    def __init__(self, name, num_classes, metadata=None, *, ids, X, y, source_codes, source_names,
+                 token_indptr, token_indices, vocab):
         self.name = str(name)
         self.num_classes = int(num_classes)
         self.metadata: dict = dict(metadata or {})
@@ -133,6 +115,8 @@ class Dataset:
 
     @property
     def examples(self) -> tuple[Example, ...]:
+        """Per-example view, built on first use. The program does not use it;
+        it stays because perfbench's checks read it."""
         if self._examples is None:
             bounds = self.token_indptr.tolist()
             tokens = [self.vocab[t] for t in self.token_indices.tolist()]
@@ -144,6 +128,7 @@ class Dataset:
         return self._examples
 
     def by_id(self, example_id: int) -> Example:
+        """The :class:`Example` of one id; stays because perfbench's tracer counts its calls."""
         [pos] = self.positions([example_id])
         if pos < 0:
             raise KeyError(example_id)
@@ -151,20 +136,7 @@ class Dataset:
 
     def positions(self, ids) -> np.ndarray:
         """Row positions of ``ids`` (any iterable of ints); -1 where an id is absent."""
-        ids = np.fromiter(ids, dtype=np.int64)
-        pos = np.searchsorted(self.ids, ids)
-        found = pos < len(self.ids)
-        found[found] = self.ids[pos[found]] == ids[found]
-        return np.where(found, pos, -1)
-
-    def features_matrix(self) -> np.ndarray:
-        return self.X
-
-    def labels_array(self) -> np.ndarray:
-        return self.y
-
-    def source_of(self) -> dict[int, str]:
-        return dict(zip(self.ids.tolist(), (self.source_names[c] for c in self.source_codes.tolist())))
+        return _positions(self.ids, ids)
 
     def source_counts(self, rows) -> dict[str, int]:
         """Rows per source among ``rows`` (positions or a boolean mask); every source is listed."""
@@ -185,7 +157,7 @@ class Dataset:
         lengths = np.diff(self.token_indptr)[pos]
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         token_pos = np.repeat(self.token_indptr[pos] - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return Dataset.from_columns(
+        return Dataset(
             name or self.name, self.num_classes, metadata,
             ids=self.ids[pos], X=self.X[pos], y=self.y[pos],
             source_codes=self.source_codes[pos], source_names=self.source_names,
@@ -214,35 +186,11 @@ class Dataset:
 
 
 class PoolState:
-    """Disjoint labelled/unlabelled partition of a backing dataset.
+    """Disjoint labelled/unlabelled partition of a backing dataset: one
+    boolean mask over the dataset's rows, True where labelled."""
 
-    The state is one boolean mask over the dataset's rows; ``labelled`` and
-    ``unlabelled`` are frozenset views of it, built on first use.
-    """
-
-    def __init__(self, labelled, unlabelled, universe: Dataset):
-        labelled, unlabelled = frozenset(labelled), frozenset(unlabelled)
-        if labelled & unlabelled:
-            raise StateError(f"labelled/unlabelled overlap: {sorted(labelled & unlabelled)[:10]}")
-        stray = (labelled | unlabelled).symmetric_difference(universe.ids.tolist())
-        if stray:
-            raise StateError(f"ids outside the universe or on neither side: {sorted(stray)[:10]}")
-        self.labelled_mask, self.universe = np.isin(universe.ids, list(labelled)), universe
-        self.__dict__.update(labelled=labelled, unlabelled=unlabelled)  # pre-filled cached views
-
-    @classmethod
-    def from_mask(cls, labelled_mask: np.ndarray, universe: Dataset) -> "PoolState":
-        state = cls.__new__(cls)
-        state.labelled_mask, state.universe = labelled_mask, universe
-        return state
-
-    @cached_property
-    def labelled(self) -> frozenset[int]:
-        return frozenset(self.universe.ids[self.labelled_mask].tolist())
-
-    @cached_property
-    def unlabelled(self) -> frozenset[int]:
-        return frozenset(self.universe.ids[~self.labelled_mask].tolist())
+    def __init__(self, labelled_mask: np.ndarray, universe: Dataset):
+        self.labelled_mask, self.universe = labelled_mask, universe
 
     def locate_unlabelled(self, ids) -> tuple[np.ndarray, list[int]]:
         """Positions of the distinct ``ids``, and those of them not in the unlabelled pool."""
@@ -284,6 +232,8 @@ class SyntheticSourceSpec:
             raise ConfigError(f"must lie in [0, 1) (source {self.name!r})", key="centroid_overlap")
         if self.n < 0:
             raise ConfigError(f"must be >= 0 (source {self.name!r})", key="n")
+        if len(self.class_centroids) < 2:
+            raise ConfigError(f"need at least 2 classes (source {self.name!r})", key="class_centroids")
         dims = {len(c) for c in self.class_centroids}
         if len(dims) > 1:
             raise ConfigError(f"centroids must share one dimension (source {self.name!r})",
@@ -295,7 +245,7 @@ class SyntheticSourceSpec:
 
     @property
     def feature_dim(self) -> int:
-        return len(self.class_centroids[0]) if self.class_centroids else 0
+        return len(self.class_centroids[0])
 
 
 def _feature_tokens(feats: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -317,8 +267,6 @@ def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Datas
     their label replaced with a uniformly random *different* class. Flipped
     ids and their original labels land in the dataset metadata.
     """
-    if spec.num_classes < 2:
-        raise ConfigError("need at least 2 classes", key=f"{spec.name}.class_centroids")
     rng = np.random.default_rng(rng_seed)
     centroids = np.asarray(spec.class_centroids, dtype=float)
     mean = centroids.mean(axis=0)
@@ -340,7 +288,7 @@ def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Datas
         "flipped_ids": [int(i) for i in flip_ids],
         "true_labels": {int(i): int(gold[i]) for i in flip_ids},
     }
-    return Dataset.from_columns(
+    return Dataset(
         spec.name, C, metadata,
         ids=np.arange(n, dtype=np.int64), X=feats, y=labels.astype(np.int64),
         source_codes=np.zeros(n, dtype=np.int64), source_names=(spec.name,),
@@ -419,7 +367,8 @@ def load_dataset(path, format="jsonl", name=None, num_classes=None,
         with open(embeddings_path, "r", encoding="utf-8") as fh:
             side_features = {int(k): v for k, v in json.load(fh).items()}
 
-    examples = []
+    name = name or str(path)
+    rows = []
     for rec in records:
         lineno = rec.get("_line")
         if not rec.get("features") and side_features is not None:
@@ -434,23 +383,32 @@ def load_dataset(path, format="jsonl", name=None, num_classes=None,
                 raise ParseError(f"record missing field {key!r}", line=lineno)
         try:
             feats = np.asarray(rec["features"], dtype=float)
-            ex = Example(
-                id=int(rec["id"]),
-                source=str(rec["source"]),
-                features=feats,
-                label=int(rec["label"]),
-                tokens=tuple(str(t) for t in rec.get("tokens", ()) or ()),
-            )
+            rows.append((int(rec["id"]), str(rec["source"]), feats, int(rec["label"]),
+                         tuple(str(t) for t in rec.get("tokens", ()) or ())))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed record: {exc}", line=lineno) from exc
-        if ex.features.ndim != 1:
+        if feats.ndim != 1:
             raise ParseError("features must be a flat vector", line=lineno)
-        examples.append(ex)
 
+    ids, sources, features, labels, tokens = zip(*rows) if rows else ((),) * 5
+    for i, f in zip(ids, features):
+        if f.shape != features[0].shape:
+            raise SchemaError(f"dataset {name!r}: example {i} has feature dim {f.shape[0]}, "
+                              f"expected {features[0].shape[0]}")
     if num_classes is None:
-        num_classes = max((e.label for e in examples), default=-1) + 1
-        num_classes = max(num_classes, 1)
-    return Dataset(name or str(path), examples, num_classes)
+        num_classes = max(max(labels, default=-1) + 1, 1)
+    source_index: dict[str, int] = {}
+    vocab: dict[str, int] = {}
+    codes = [source_index.setdefault(s, len(source_index)) for s in sources]
+    token_ids = [vocab.setdefault(t, len(vocab)) for row in tokens for t in row]
+    return Dataset(
+        name, num_classes,
+        ids=np.array(ids, dtype=np.int64),
+        X=np.stack(features) if features else np.zeros((0, 0)), y=np.array(labels, dtype=np.int64),
+        source_codes=np.array(codes, dtype=np.int64), source_names=tuple(source_index),
+        token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
+        token_indices=np.array(token_ids, dtype=np.int64), vocab=tuple(vocab),
+    )
 
 
 def _check_schemas_match(sources):
@@ -484,12 +442,12 @@ def _merge_sources(sources, positions_per_source, name) -> Dataset:
             true_labels[start + i] = src_true.get(old_ids[i], int(part.y[i]))
         start += len(part)
 
-    # Each part's codes shift past the earlier parts' names; from_columns merges repeated names.
+    # Each part's codes shift past the earlier parts' names; Dataset merges repeated names.
     name_starts = np.cumsum([0] + [len(p.source_names) for p in parts])
     vocab_starts = np.cumsum([0] + [len(p.vocab) for p in parts])
     token_counts = np.concatenate([np.diff(p.token_indptr) for p in parts])
     metadata = {"provenance": provenance, "flipped_ids": flipped, "true_labels": true_labels}
-    return Dataset.from_columns(
+    return Dataset(
         name, sources[0].num_classes, metadata,
         ids=np.arange(start, dtype=np.int64),
         X=np.concatenate([p.X for p in parts]), y=np.concatenate([p.y for p in parts]),
@@ -548,7 +506,7 @@ def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:
     rng = np.random.default_rng(rng_seed)
     labelled = np.zeros(len(pool), dtype=bool)
     labelled[rng.choice(len(pool), size=seed_size, replace=False)] = True
-    return PoolState.from_mask(labelled, pool)
+    return PoolState(labelled, pool)
 
 
 def transfer(state: PoolState, batch_ids) -> PoolState:
@@ -560,4 +518,4 @@ def transfer(state: PoolState, batch_ids) -> PoolState:
         )
     labelled = state.labelled_mask.copy()
     labelled[pos] = True
-    return PoolState.from_mask(labelled, state.universe)
+    return PoolState(labelled, state.universe)

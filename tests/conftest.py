@@ -5,7 +5,48 @@ import pytest
 
 from cartal.classifier import TrainConfig
 from cartal.experiment import ExperimentConfig, TestSetSpec
-from cartal.pool import SyntheticSourceSpec
+from cartal.pool import Dataset, SyntheticSourceSpec
+
+
+def make_dataset(X, y, sources=None, tokens=None, ids=None, num_classes=None, name="t"):
+    """A Dataset from per-row values: an (n, d) feature matrix, labels, source
+    names (default: one source named ``name``), token tuples (default: none)
+    and ids (default: 0..n-1)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    sources = list(sources) if sources is not None else [name] * len(y)
+    tokens = list(tokens) if tokens is not None else [()] * len(y)
+    names = list(dict.fromkeys(sources))
+    vocab = list(dict.fromkeys(t for row in tokens for t in row))
+    return Dataset(
+        name, num_classes if num_classes is not None else int(y.max(initial=0)) + 1,
+        ids=np.arange(len(y)) if ids is None else np.asarray(ids, dtype=np.int64), X=X, y=y,
+        source_codes=np.array([names.index(s) for s in sources], dtype=np.int64),
+        source_names=tuple(names), token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
+        token_indices=np.array([vocab.index(t) for row in tokens for t in row], dtype=np.int64),
+        vocab=tuple(vocab),
+    )
+
+
+def logistic_regression_irls(X, y, C=1.0, tol=1e-10, max_iter=100):
+    """Binary logistic regression fit by Newton's method (IRLS), numpy only.
+
+    Minimizes the summed log-loss plus ||w||^2 / (2C) with an unpenalized
+    intercept, scikit-learn's default objective at C=1. Returns (w, b).
+    """
+    Xb = np.hstack([X, np.ones((len(X), 1))])
+    beta = np.zeros(Xb.shape[1])
+    penalty = np.full(Xb.shape[1], 1.0 / C)
+    penalty[-1] = 0.0
+    for _ in range(max_iter):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (Xb @ beta)))  # the logistic function, without overflow
+        gradient = Xb.T @ (p - y) + penalty * beta
+        hessian = (Xb * (p * (1.0 - p))[:, None]).T @ Xb + np.diag(penalty)
+        step = np.linalg.solve(hessian, gradient)
+        beta -= step
+        if np.abs(step).max() < tol:
+            return beta[:-1], beta[-1]
+    raise RuntimeError(f"IRLS did not converge in {max_iter} iterations")
 
 
 def three_source_specs(n=120, d=2, flip_source="gamma", flip=0.3, scale=3.0):

@@ -20,8 +20,9 @@ import pytest
 import cartal.classifier as clf
 from cartal.acquisition import predictive_entropy, score_bald, score_mcme, select_batch
 from cartal.cartography import (
+    DIFFICULTIES,
     DifficultyThresholds,
-    DynamicsTrace,
+    TraceMatrix,
     ablate_hard_to_learn,
     acquisition_by_difficulty,
     build_difficulty_split,
@@ -41,8 +42,6 @@ from cartal.experiment import (
 )
 from cartal.metrics import acquisition_factor, input_diversity, stratified_accuracy
 from cartal.pool import (
-    Dataset,
-    Example,
     PoolState,
     load_dataset,
     seed_split,
@@ -50,7 +49,7 @@ from cartal.pool import (
 )
 from cartal.seeding import derive_seed
 
-from conftest import tiny_config
+from conftest import make_dataset, tiny_config
 
 BENCHMARK_PATH = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 BENCHMARK = parse_config(BENCHMARK_PATH)
@@ -91,7 +90,8 @@ def test_criterion_1_formula_oracles():
         T = int(rng.integers(1, 9))
         n = int(rng.integers(1, 6))
         C = int(rng.integers(2, 6))
-        mc = [m / m.sum(axis=1, keepdims=True) for m in rng.random((T, n, C)) + 1e-12]
+        raw = rng.random((T, n, C)) + 1e-12
+        mc = raw / raw.sum(axis=2, keepdims=True)
 
         for i in range(n):
             worst = max(worst, abs(predictive_entropy(mc[0][i]) - entropy_oracle(mc[0][i])))
@@ -99,14 +99,14 @@ def test_criterion_1_formula_oracles():
         mcme = score_mcme(mc)
         for i in range(n):
             mean = [sum(mc[t][i, c] for t in range(T)) / T for c in range(C)]
-            worst = max(worst, abs(mcme[i].score - entropy_oracle(mean)))
+            worst = max(worst, abs(mcme[i] - entropy_oracle(mean)))
             checks += 1
         if T >= 2:
             bald = score_bald(mc)
             for i in range(n):
                 mean = [sum(mc[t][i, c] for t in range(T)) / T for c in range(C)]
                 expected = sum(entropy_oracle(mc[t][i]) for t in range(T)) / T
-                worst = max(worst, abs(bald[i].score - max(entropy_oracle(mean) - expected, 0.0)))
+                worst = max(worst, abs(bald[i] - max(entropy_oracle(mean) - expected, 0.0)))
                 checks += 1
 
     alphabet = list("abcdefghij")
@@ -115,14 +115,15 @@ def test_criterion_1_formula_oracles():
         Vp = {alphabet[i] for i in rng.choice(10, size=rng.integers(0, 8), replace=False)}
         union = V | Vp
         oracle = (len(V & Vp) / len(union)) if union else 0.0
-        worst = max(worst, abs(input_diversity(V, Vp) - oracle))
+        presence = np.isin(alphabet, list(V)), np.isin(alphabet, list(Vp))
+        worst = max(worst, abs(input_diversity(*presence) - oracle))
         checks += 1
 
     for _ in range(250):
         n_pool = int(rng.integers(6, 40))
         sources = [("A", "B", "C")[i] for i in rng.integers(0, 3, size=n_pool)]
-        examples = [Example(i, sources[i], np.zeros(1), 0) for i in range(n_pool)]
-        state = PoolState(frozenset(), frozenset(range(n_pool)), Dataset("p", examples, 2))
+        pool = make_dataset(np.zeros((n_pool, 1)), np.zeros(n_pool), sources=sources, num_classes=2)
+        state = PoolState(np.zeros(n_pool, dtype=bool), pool)
         batch = {int(i) for i in rng.choice(n_pool, size=int(rng.integers(1, n_pool)), replace=False)}
         factors = acquisition_factor(batch, state)
         counts = {s: 0 for s in set(sources)}
@@ -138,10 +139,10 @@ def test_criterion_1_formula_oracles():
         n_snap = int(rng.integers(1, 9))
         confs = [float(c) for c in rng.random(n_snap)]
         flags = [bool(b) for b in rng.random(n_snap) > 0.5]
-        [entry] = compute_datamap([DynamicsTrace(0, tuple(confs), tuple(flags))])
-        worst = max(worst, abs(entry.mean_confidence - statistics.fmean(confs)))
-        worst = max(worst, abs(entry.variability - statistics.pstdev(confs)))
-        worst = max(worst, abs(entry.correctness - sum(flags) / n_snap))
+        dm = compute_datamap(TraceMatrix([0], np.array([confs]), np.array([flags])))
+        worst = max(worst, abs(dm.mean_confidence[0] - statistics.fmean(confs)))
+        worst = max(worst, abs(dm.variability[0] - statistics.pstdev(confs)))
+        worst = max(worst, abs(dm.correctness[0] - sum(flags) / n_snap))
         checks += 3
 
     elapsed = time.perf_counter() - start
@@ -205,14 +206,19 @@ def test_criterion_3_default_run_bookkeeping(context):
     initial = set(result.labelled_ids) - acquired_union
     assert len(initial) == 500
 
-    state = PoolState(frozenset(initial), frozenset(pool.ids) - frozenset(initial), pool)
+    def sides(state):
+        return (set(pool.ids[state.labelled_mask].tolist()),
+                set(pool.ids[~state.labelled_mask].tolist()))
+
+    state = PoolState(np.isin(pool.ids, list(initial)), pool)
     for i, log in enumerate(result.round_logs, start=1):
         state = transfer(state, log.acquired_ids)  # transfer enforces disjointness
-        assert not state.labelled & state.unlabelled
-        assert len(state.labelled) == 500 + i * 500 == log.labelled_size
+        labelled, unlabelled = sides(state)
+        assert not labelled & unlabelled
+        assert len(labelled) == 500 + i * 500 == log.labelled_size
     ok = (len(result.labelled_ids) == 4000
-          and state.labelled == set(result.labelled_ids)
-          and len(state.labelled) + len(state.unlabelled) == len(pool))
+          and labelled == set(result.labelled_ids)
+          and len(labelled) + len(unlabelled) == len(pool))
     report(3, ok, f"7 rounds replayed, final |D_train|={len(result.labelled_ids)}, "
                   "disjointness held after every transfer")
 
@@ -302,8 +308,8 @@ def test_criterion_7_difficulty_split_ordering(context):
                 derive_seed(BENCHMARK.data_seed, "split-sample", combo, seed))
             tcfg = replace(BENCHMARK.training,
                            rng_seed=derive_seed(BENCHMARK.data_seed, "split-fit", combo, seed))
-            model = fit(ccfg, pool.subset(sorted(ids)), val=context.data.val, tcfg=tcfg)
-            accs.append(model.accuracy(clean, clean.labels_array()))
+            model = fit(ccfg, pool.subset(ids), val=context.data.val, tcfg=tcfg)
+            accs.append(model.accuracy(clean, clean.y))
         per_combo[combo] = accs
     hi_worst_everywhere = all(
         min(per_combo, key=lambda c: per_combo[c][i]) == "HI"
@@ -329,7 +335,7 @@ def test_criterion_8_stratified_consistency(context, suite):
         carto = run_cartography_full(insitu, insitu, ccfg, tcfg, val=context.data.val)
         if first_entries is None:
             first_entries = carto.entries
-        dm = {e.example_id: e.difficulty for e in carto.entries}
+        dm = dict(zip(carto.entries.ids.tolist(), (DIFFICULTIES[d] for d in carto.entries.difficulty)))
         flipped = set(insitu.metadata["flipped_ids"])
         rates.append(
             sum(1 for i in flipped if dm[i] in ("hard", "impossible")) / len(flipped))
@@ -359,20 +365,20 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks.append(("empty file", len(load_dataset(empty)) == 0))
 
     # k = |pool| exhausts the unlabelled set
-    examples = [Example(i, "s", np.array([float(i), 0.0]), i % 2) for i in range(30)]
-    pool = Dataset("p", examples, 2)
+    pool = make_dataset(np.stack([np.arange(30.0), np.zeros(30)], axis=1), np.arange(30) % 2)
     state = seed_split(pool, 10, rng_seed=0)
+    unlabelled = set(pool.ids[~state.labelled_mask].tolist())
     model = fit(ClassifierConfig(2, (4,), 2, dropout_rate=0.3),
-                pool.subset(sorted(state.labelled)),
+                pool.subset(pool.ids[state.labelled_mask]),
                 tcfg=TrainConfig(max_epochs=2, rng_seed=0))
-    batch = select_batch("mcme", state, model, len(state.unlabelled), rng_seed=0)
-    checks.append(("k equals pool", batch == state.unlabelled))
+    batch = select_batch("mcme", state, model, len(unlabelled), rng_seed=0)
+    checks.append(("k equals pool", batch == unlabelled))
 
     # fraction-0 ablation keeps everything
-    traces = [DynamicsTrace(i, (0.5, 0.7), (True, False)) for i in range(12)]
-    datamap = compute_datamap(traces)
-    retained = ablate_hard_to_learn(datamap, {i: "s" for i in range(12)}, 0.0)
-    checks.append(("fraction-0 ablation", retained == set(range(12))))
+    datamap = compute_datamap(TraceMatrix(np.arange(12), np.tile([0.5, 0.7], (12, 1)),
+                                          np.tile([True, False], (12, 1))))
+    retained = ablate_hard_to_learn(datamap, make_dataset(np.zeros((12, 1)), np.zeros(12)), 0.0)
+    checks.append(("fraction-0 ablation", retained.tolist() == list(range(12))))
 
     # dropout-0 MC sampling equals deterministic inference
     det_cfg = ClassifierConfig(2, (4,), 2, dropout_rate=0.0)
@@ -401,7 +407,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
 
     checks.append(("oversize seed_split", raises(ValueError, lambda: seed_split(pool, 31, 0))))
     checks.append(("transfer labelled id", raises(
-        StateError, lambda: transfer(state, {next(iter(state.labelled))}))))
+        StateError, lambda: transfer(state, {int(pool.ids[state.labelled_mask][0])}))))
     checks.append(("T=0 MC", raises(ValueError, lambda: det_model.mc_predict_proba(X, 0, 0))))
     checks.append(("k too large", raises(
         ValueError, lambda: select_batch("random", state, None, 1000, 0))))
@@ -413,10 +419,12 @@ def test_criterion_9_degenerate_inputs(tmp_path):
         ValueError, lambda: build_difficulty_split(datamap, "EM", 3, 0))))
     checks.append(("split capacity", raises(
         CapacityError, lambda: build_difficulty_split(datamap, "EM", 1000, 0))))
-    checks.append(("duplicate id", raises(SchemaError, lambda: Dataset(
-        "d", [Example(0, "s", np.zeros(1), 0), Example(0, "s", np.zeros(1), 0)], 2))))
-    checks.append(("dim mismatch names id", raises(SchemaError, lambda: Dataset(
-        "d", [Example(0, "s", np.zeros(4), 0), Example(1, "s", np.zeros(2), 0)], 2))))
+    checks.append(("duplicate id", raises(SchemaError, lambda: make_dataset(
+        np.zeros((2, 1)), [0, 0], ids=[0, 0], num_classes=2))))
+    mismatched = tmp_path / "mismatched.jsonl"
+    mismatched.write_text('{"id": 0, "source": "s", "features": [0, 0, 0, 0], "label": 0}\n'
+                          '{"id": 1, "source": "s", "features": [0, 0], "label": 0}\n')
+    checks.append(("dim mismatch names id", raises(SchemaError, lambda: load_dataset(mismatched))))
     checks.append(("rounds=0 config", raises(ConfigError, lambda: tiny_config(rounds=0))))
     checks.append(("bad strategy config", raises(
         ConfigError, lambda: tiny_config(strategies=("margin",)))))

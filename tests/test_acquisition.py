@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import cartal
 from cartal.acquisition import (
-    AcquisitionScore,
     DalConfig,
     predictive_entropy,
     score_bald,
@@ -23,7 +22,9 @@ from cartal.acquisition import (
     select_batch,
     _sigmoid,
 )
-from cartal.pool import Dataset, Example, PoolState
+from cartal.pool import PoolState
+
+from conftest import logistic_regression_irls, make_dataset
 
 
 # --- oracles: deliberately dumb loop implementations -----------------------
@@ -55,7 +56,7 @@ def bald_oracle(mc):
 
 def random_prob_matrices(rng, T, n, C):
     raw = rng.random((T, n, C)) + 1e-12
-    return [m / m.sum(axis=1, keepdims=True) for m in raw]
+    return raw / raw.sum(axis=2, keepdims=True)
 
 
 # --- predictive_entropy -----------------------------------------------------
@@ -97,27 +98,27 @@ def test_entropy_matches_oracle_on_random_vectors(seed):
 
 def test_mcme_with_single_sample_reduces_to_entropy():
     m = np.array([[0.7, 0.2, 0.1], [0.5, 0.25, 0.25]])
-    scores = score_mcme([m])
+    scores = score_mcme(m[None])
     for row, s in zip(m, scores):
-        assert s.score == pytest.approx(entropy_oracle(row), abs=1e-12)
+        assert s == pytest.approx(entropy_oracle(row), abs=1e-12)
 
 
 def test_mcme_mean_of_identical_samples_is_idempotent():
     m = np.array([[0.6, 0.3, 0.1]])
-    one = score_mcme([m])[0].score
-    two = score_mcme([m, m])[0].score
+    one = score_mcme(np.stack([m]))[0]
+    two = score_mcme(np.stack([m, m]))[0]
     assert one == pytest.approx(two, abs=1e-15)
 
 
 def test_mcme_disagreeing_one_hot_samples():
     a = np.array([[1.0, 0.0, 0.0]])
     b = np.array([[0.0, 1.0, 0.0]])
-    assert score_mcme([a, b])[0].score == pytest.approx(math.log(2), abs=1e-12)
+    assert score_mcme(np.stack([a, b]))[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_mcme_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
-        score_mcme([])
+        score_mcme(np.empty((0, 2, 3)))
     with pytest.raises(ValueError):
         score_mcme([np.ones((2, 3)) / 3, np.ones((3, 3)) / 3])
 
@@ -126,24 +127,24 @@ def test_mcme_rejects_empty_and_mismatched():
 
 def test_bald_zero_when_samples_agree():
     m = np.array([[0.5, 0.3, 0.2]])
-    scores = score_bald([m, m, m])
-    assert scores[0].score == 0.0
+    scores = score_bald(np.stack([m, m, m]))
+    assert scores[0] == 0.0
 
 
 def test_bald_maximal_disagreement():
     a = np.array([[1.0, 0.0, 0.0]])
     b = np.array([[0.0, 1.0, 0.0]])
-    assert score_bald([a, b])[0].score == pytest.approx(math.log(2), abs=1e-12)
+    assert score_bald(np.stack([a, b]))[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bald_aleatoric_only_case_is_zero():
     m = np.array([[0.5, 0.5, 0.0]])
-    assert score_bald([m, m])[0].score == pytest.approx(0.0, abs=1e-12)
+    assert score_bald(np.stack([m, m]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bald_requires_two_samples():
     with pytest.raises(ValueError):
-        score_bald([np.ones((1, 2)) / 2])
+        score_bald(np.ones((1, 1, 2)) / 2)
 
 
 @given(st.integers(0, 10_000))
@@ -159,9 +160,9 @@ def test_mc_scores_match_oracles_and_bald_below_mcme(seed):
     mcme_o = mcme_oracle(mc)
     bald_o = bald_oracle(mc)
     for i in range(n):
-        assert mcme[i].score == pytest.approx(mcme_o[i], abs=1e-9)
-        assert bald[i].score == pytest.approx(bald_o[i], abs=1e-9)
-        assert -1e-12 <= bald[i].score <= mcme[i].score + 1e-9
+        assert mcme[i] == pytest.approx(mcme_o[i], abs=1e-9)
+        assert bald[i] == pytest.approx(bald_o[i], abs=1e-9)
+        assert -1e-12 <= bald[i] <= mcme[i] + 1e-9
 
 
 # --- DAL ----------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_dal_identical_distributions_score_near_half():
         lab = rng.standard_normal((500, 4))
         unl = rng.standard_normal((500, 4))
         scores = score_dal(lab, unl, rng_seed=seed)
-        means.append(np.mean([s.score for s in scores]))
+        means.append(np.mean(scores))
     assert abs(np.mean(means) - 0.5) < 0.05
 
 
@@ -181,8 +182,7 @@ def test_dal_displaced_cluster_scores_high():
     rng = np.random.default_rng(3)
     lab = rng.standard_normal((300, 4))
     unl = rng.standard_normal((300, 4)) + 8.0
-    scores = score_dal(lab, unl)
-    values = np.array([s.score for s in scores])
+    values = score_dal(lab, unl)
     assert (values > 0.9).all()
     # verification against an independently fit logistic oracle
     sklearn = pytest.importorskip("sklearn.linear_model")
@@ -193,13 +193,23 @@ def test_dal_displaced_cluster_scores_high():
     assert (oracle_scores > 0.9).all()
 
 
+def test_dal_displaced_cluster_agrees_with_newton_oracle():
+    # the scikit-learn oracle above, as a numpy-only Newton (IRLS) fit
+    rng = np.random.default_rng(3)
+    lab = rng.standard_normal((300, 4))
+    unl = rng.standard_normal((300, 4)) + 8.0
+    assert (score_dal(lab, unl) > 0.9).all()
+    w, b = logistic_regression_irls(np.vstack([lab, unl]), np.r_[np.zeros(300), np.ones(300)])
+    assert (1.0 / (1.0 + np.exp(-(unl @ w + b))) > 0.9).all()
+
+
 def test_dal_duplicate_point_sits_near_boundary():
     rng = np.random.default_rng(11)
     lab = rng.standard_normal((500, 4))
     unl = rng.standard_normal((500, 4))
     unl[0] = lab[0]
     scores = score_dal(lab, unl)
-    assert abs(scores[0].score - 0.5) < 0.1
+    assert abs(scores[0] - 0.5) < 0.1
 
 
 def test_dal_rejects_empty_and_mismatched_widths():
@@ -214,9 +224,9 @@ def test_dal_hidden_layer_variant_is_deterministic():
     lab = rng.standard_normal((50, 3))
     unl = rng.standard_normal((50, 3)) + 2.0
     cfg = DalConfig(hidden_dim=8, epochs=100)
-    a = [s.score for s in score_dal(lab, unl, cfg, rng_seed=9)]
-    b = [s.score for s in score_dal(lab, unl, cfg, rng_seed=9)]
-    assert a == b
+    a = score_dal(lab, unl, cfg, rng_seed=9)
+    b = score_dal(lab, unl, cfg, rng_seed=9)
+    assert a.tobytes() == b.tobytes()
     assert np.mean(a) > 0.6
 
 
@@ -225,12 +235,12 @@ def test_dal_hidden_layer_variant_is_deterministic():
 _DAL_SCORE_DIGESTS = """
 import hashlib
 import numpy as np
-from cartal.acquisition import DalConfig, _dal
+from cartal.acquisition import DalConfig, score_dal
 rng = np.random.default_rng(3)
 lab = np.maximum(rng.standard_normal((4000, 32)), 0.0)
 unl = np.maximum(rng.standard_normal((56000, 32)) + 0.1, 0.0)
 for cfg in (DalConfig(epochs=5), DalConfig(epochs=5, hidden_dim=16)):
-    print(hashlib.sha256(_dal(lab, unl, cfg, 7).tobytes()).hexdigest())
+    print(hashlib.sha256(score_dal(lab, unl, cfg, 7).tobytes()).hexdigest())
 """
 
 
@@ -291,20 +301,24 @@ class _ScoredModel:
             p = np.full(self.C, spread / self.C)
             p[0] += 1.0 - spread
             rows.append(p)
-        return [np.array(rows)] * max(T, 2)
+        return np.stack([np.array(rows)] * max(T, 2))
 
     def embed(self, X):
         return np.asarray(X, dtype=float)
 
 
 def _pool_of(ids):
-    examples = [Example(i, "s", np.array([float(i)]), 0) for i in sorted(ids)]
-    return Dataset("p", examples, 3)
+    ids = sorted(ids)
+    return make_dataset(np.array(ids, dtype=float)[:, None], np.zeros(len(ids)), ids=ids, num_classes=3)
+
+
+def _all_unlabelled(ds):
+    return PoolState(np.zeros(len(ds), dtype=bool), ds)
 
 
 def test_select_batch_breaks_ties_by_lowest_id():
     ds = _pool_of([2, 5, 7])
-    state = PoolState(frozenset(), frozenset({2, 5, 7}), ds)
+    state = _all_unlabelled(ds)
     model = _ScoredModel({5: 0.9, 2: 0.9, 7: 0.1})
     picked = select_batch("mcme", state, model, 1, rng_seed=0)
     assert picked == {2}
@@ -312,16 +326,16 @@ def test_select_batch_breaks_ties_by_lowest_id():
 
 def test_select_batch_random_is_reproducible():
     ds = _pool_of(range(30))
-    state = PoolState(frozenset(), frozenset(range(30)), ds)
+    state = _all_unlabelled(ds)
     a = select_batch("random", state, None, 10, rng_seed=42)
     b = select_batch("random", state, None, 10, rng_seed=42)
     assert a == b
-    assert len(a) == 10 and a <= state.unlabelled
+    assert len(a) == 10 and a <= set(range(30))
 
 
 def test_select_batch_exhausts_pool_when_k_equals_size():
     ds = _pool_of(range(12))
-    state = PoolState(frozenset(), frozenset(range(12)), ds)
+    state = _all_unlabelled(ds)
     model = _ScoredModel({i: 0.5 for i in range(12)})
     for strategy in ("random", "mcme", "bald"):
         assert select_batch(strategy, state, model, 12, rng_seed=1) == set(range(12))
@@ -329,18 +343,14 @@ def test_select_batch_exhausts_pool_when_k_equals_size():
 
 def test_select_batch_rejects_oversized_k():
     ds = _pool_of(range(5))
-    state = PoolState(frozenset(), frozenset(range(5)), ds)
+    state = _all_unlabelled(ds)
     with pytest.raises(ValueError):
         select_batch("random", state, None, 6, rng_seed=0)
 
 
 def test_select_batch_rejects_unknown_strategy():
     ds = _pool_of(range(5))
-    state = PoolState(frozenset(), frozenset(range(5)), ds)
+    state = _all_unlabelled(ds)
     with pytest.raises(ValueError, match="random"):
         select_batch("margin", state, None, 2, rng_seed=0)
 
-
-def test_scores_are_finite_dataclass_records():
-    s = AcquisitionScore(3, 0.25)
-    assert s.example_id == 3 and s.score == 0.25

@@ -10,76 +10,107 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartal.cartography import (
-    DatamapEntry,
+    DIFFICULTIES,
+    Datamap,
     DifficultyThresholds,
     DynamicsTrace,
     TraceMatrix,
     ablate_hard_to_learn,
     acquisition_by_difficulty,
     build_difficulty_split,
-    classify_difficulty,
     compute_datamap,
-    run_cartography,
     run_cartography_full,
     write_datamap_csv,
 )
 from cartal.classifier import ClassifierConfig, TrainConfig
 from cartal.errors import CapacityError, InsufficientDynamicsError
-from cartal.pool import Dataset, Example
+
+from conftest import make_dataset
 
 
-def _trace(i, confs, flags=None):
-    flags = flags if flags is not None else [c > 0.5 for c in confs]
-    return DynamicsTrace(i, tuple(confs), tuple(flags))
+def classify_difficulty(mean_confidence, thresholds):
+    """Per-example banding, the reference for the searchsorted bands."""
+    if mean_confidence <= thresholds.impossible_max:
+        return "impossible"
+    if mean_confidence <= thresholds.hard_max:
+        return "hard"
+    if mean_confidence <= thresholds.medium_max:
+        return "medium"
+    return "easy"
 
 
-def _entry(i, mean, var=0.1, difficulty=None):
-    difficulty = difficulty or classify_difficulty(mean, DifficultyThresholds())
-    return DatamapEntry(i, mean, var, 1.0, difficulty)
+def _datamap_of(confs, flags=None):
+    """Datamap of one trace per row of ``confs``, ids 0..n-1."""
+    confs = np.atleast_2d(np.asarray(confs, dtype=float))
+    flags = confs > 0.5 if flags is None else np.atleast_2d(np.asarray(flags, dtype=bool))
+    return compute_datamap(TraceMatrix(np.arange(len(confs)), confs, flags))
+
+
+def _bands(means):
+    dm = _datamap_of(np.asarray(means, dtype=float)[:, None])
+    return [DIFFICULTIES[d] for d in dm.difficulty]
+
+
+def _datamap(means, variability=0.1, ids=None):
+    """Hand-built datamap: the given means and variabilities, correctness 1."""
+    means = np.asarray(means, dtype=float)
+    thr = DifficultyThresholds()
+    return Datamap(
+        np.arange(len(means)) if ids is None else np.asarray(ids, dtype=np.int64), means,
+        np.broadcast_to(np.asarray(variability, dtype=float), means.shape), np.ones(len(means)),
+        np.array([DIFFICULTIES.index(classify_difficulty(m, thr)) for m in means], dtype=np.int64))
 
 
 # --- compute_datamap --------------------------------------------------------
 
 def test_constant_trace_is_easy_with_zero_variability():
-    [e] = compute_datamap([_trace(0, [0.9, 0.9, 0.9])])
-    assert e.mean_confidence == pytest.approx(0.9)
-    assert e.variability == 0.0
-    assert e.difficulty == "easy"
+    dm = _datamap_of([0.9, 0.9, 0.9])
+    assert dm.mean_confidence[0] == pytest.approx(0.9)
+    assert dm.variability[0] == 0.0
+    assert DIFFICULTIES[dm.difficulty[0]] == "easy"
 
 
 def test_two_point_trace_boundary_falls_in_hard_band():
-    [e] = compute_datamap([_trace(1, [0.2, 0.8])])
-    assert e.mean_confidence == pytest.approx(0.5)
-    assert e.variability == pytest.approx(0.3)
-    assert e.difficulty == "hard"
+    dm = _datamap_of([0.2, 0.8])
+    assert dm.mean_confidence[0] == pytest.approx(0.5)
+    assert dm.variability[0] == pytest.approx(0.3)
+    assert DIFFICULTIES[dm.difficulty[0]] == "hard"
 
 
 def test_low_confidence_never_correct_is_impossible():
-    [e] = compute_datamap([_trace(2, [0.1, 0.1], [False, False])])
-    assert e.difficulty == "impossible"
-    assert e.correctness == 0.0
+    dm = _datamap_of([0.1, 0.1], [False, False])
+    assert DIFFICULTIES[dm.difficulty[0]] == "impossible"
+    assert dm.correctness[0] == 0.0
 
 
 def test_band_boundaries_are_upper_inclusive():
-    thr = DifficultyThresholds()
-    assert classify_difficulty(0.25, thr) == "impossible"
-    assert classify_difficulty(0.25 + 1e-12, thr) == "hard"
-    assert classify_difficulty(0.5, thr) == "hard"
-    assert classify_difficulty(0.75, thr) == "medium"
-    assert classify_difficulty(0.76, thr) == "easy"
+    assert _bands([0.25, 0.25 + 1e-12, 0.5, 0.75, 0.76]) == [
+        "impossible", "hard", "hard", "medium", "easy"]
 
 
 def test_band_ordering_is_monotone_in_confidence():
     thr = DifficultyThresholds()
     rank = {"impossible": 0, "hard": 1, "medium": 2, "easy": 3}
     grid = np.linspace(0, 1, 101)
-    ranks = [rank[classify_difficulty(p, thr)] for p in grid]
+    ranks = [rank[band] for band in _bands(grid)]
     assert ranks == sorted(ranks)
+    assert _bands(grid) == [classify_difficulty(p, thr) for p in grid]
+
+
+@given(st.lists(st.floats(0, 1), max_size=40),
+       st.sampled_from([DifficultyThresholds(), DifficultyThresholds(0.1, 0.2, 0.3),
+                        DifficultyThresholds(0.25, 0.3, 0.9)]))
+@settings(max_examples=80, deadline=None)
+def test_searchsorted_bands_match_per_example_banding(means, thr):
+    means = np.array(means + [thr.impossible_max, thr.hard_max, thr.medium_max])
+    dm = compute_datamap(TraceMatrix(np.arange(means.size), means[:, None],
+                                     np.ones((means.size, 1), dtype=bool)), thr)
+    assert [DIFFICULTIES[d] for d in dm.difficulty] == [classify_difficulty(m, thr) for m in means]
 
 
 def test_empty_trace_is_rejected_with_id():
     with pytest.raises(ValueError, match="7"):
-        compute_datamap([DynamicsTrace(7, (), ())])
+        compute_datamap(TraceMatrix([7], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool)))
 
 
 def test_thresholds_validate_ordering():
@@ -94,33 +125,29 @@ def test_datamap_matches_mean_std_oracle(seed):
     n_snap = int(rng.integers(1, 9))
     confs = [float(c) for c in rng.random(n_snap)]
     flags = [bool(f) for f in rng.random(n_snap) > 0.5]
-    [e] = compute_datamap([DynamicsTrace(0, tuple(confs), tuple(flags))])
-    assert e.mean_confidence == pytest.approx(statistics.fmean(confs), abs=1e-12)
-    assert e.variability == pytest.approx(statistics.pstdev(confs), abs=1e-12)
-    assert e.correctness == pytest.approx(sum(flags) / n_snap, abs=1e-12)
-    assert (e.variability == 0.0) == (len(set(confs)) == 1)
+    dm = _datamap_of(confs, flags)
+    assert dm.mean_confidence[0] == pytest.approx(statistics.fmean(confs), abs=1e-12)
+    assert dm.variability[0] == pytest.approx(statistics.pstdev(confs), abs=1e-12)
+    assert dm.correctness[0] == pytest.approx(sum(flags) / n_snap, abs=1e-12)
+    assert (dm.variability[0] == 0.0) == (len(set(confs)) == 1)
 
 
 def test_difficulty_classes_partition_the_datamap():
     rng = np.random.default_rng(1)
-    traces = [_trace(i, list(rng.random(4))) for i in range(200)]
-    entries = compute_datamap(traces)
+    dm = _datamap_of(rng.random((200, 4)))
     counts = {d: 0 for d in ("easy", "medium", "hard", "impossible")}
-    for e in entries:
-        counts[e.difficulty] += 1
-    assert sum(counts.values()) == len(entries) == 200
+    for code in dm.difficulty.tolist():
+        counts[DIFFICULTIES[code]] += 1
+    assert sum(counts.values()) == len(dm.ids) == 200
 
 
 # --- run_cartography ----------------------------------------------------------
 
 def _toy_pool(n=64, seed=0, constant_label=None):
     rng = np.random.default_rng(seed)
-    examples = []
-    for i in range(n):
-        label = constant_label if constant_label is not None else i % 2
-        feats = rng.standard_normal(2) + (np.array([4.0, 0.0]) if label else np.zeros(2))
-        examples.append(Example(i, "s", feats, label))
-    return Dataset("toy", examples, 2)
+    labels = np.full(n, constant_label) if constant_label is not None else np.arange(n) % 2
+    feats = rng.standard_normal((n, 2)) + np.where(labels[:, None] > 0, [4.0, 0.0], 0.0)
+    return make_dataset(feats, labels, num_classes=2, name="toy")
 
 
 def test_snapshot_count_three_epochs_half_interval():
@@ -135,9 +162,9 @@ def test_constant_label_pool_is_all_easy():
     pool = _toy_pool(constant_label=1)
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     tcfg = TrainConfig(max_epochs=4, eval_interval=0.5, rng_seed=0)
-    entries = run_cartography(pool, pool, cfg, tcfg)
-    assert all(e.difficulty == "easy" for e in entries)
-    assert all(e.mean_confidence > 0.75 for e in entries)
+    dm = run_cartography_full(pool, pool, cfg, tcfg).entries
+    assert (dm.difficulty == DIFFICULTIES.index("easy")).all()
+    assert (dm.mean_confidence > 0.75).all()
 
 
 def test_insufficient_snapshots_raise():
@@ -145,89 +172,95 @@ def test_insufficient_snapshots_raise():
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     tcfg = TrainConfig(max_epochs=1, eval_interval=1.0, rng_seed=0)
     with pytest.raises(InsufficientDynamicsError):
-        run_cartography(pool, pool, cfg, tcfg)
+        run_cartography_full(pool, pool, cfg, tcfg)
 
 
 # --- ablation ---------------------------------------------------------------------
 
+def _sourced(sources, ids=None):
+    """A dataset that only carries each id's source."""
+    return make_dataset(np.zeros((len(sources), 1)), np.zeros(len(sources)), sources=sources,
+                        ids=ids, num_classes=2)
+
+
 def test_ablate_drops_smallest_product():
-    entries = [
-        DatamapEntry(0, 0.2, 0.1, 0.0, "impossible"),   # product 0.02
-        DatamapEntry(1, 0.5, 0.2, 0.5, "hard"),         # 0.10
-        DatamapEntry(2, 0.8, 0.5, 1.0, "easy"),         # 0.40
-        DatamapEntry(3, 0.9, 0.6111, 1.0, "easy"),      # 0.55
-    ]
-    sources = {i: "s" for i in range(4)}
-    retained = ablate_hard_to_learn(entries, sources, 0.25)
-    assert retained == {1, 2, 3}
+    dm = _datamap([0.2, 0.5, 0.8, 0.9], [0.1, 0.2, 0.5, 0.6111])  # products 0.02, 0.10, 0.40, 0.55
+    retained = ablate_hard_to_learn(dm, _sourced(["s"] * 4), 0.25)
+    assert retained.tolist() == [1, 2, 3]
 
 
 def test_ablate_fraction_zero_is_identity():
-    entries = [_entry(i, 0.5) for i in range(10)]
-    retained = ablate_hard_to_learn(entries, {i: "s" for i in range(10)}, 0.0)
-    assert retained == set(range(10))
+    retained = ablate_hard_to_learn(_datamap([0.5] * 10), _sourced(["s"] * 10), 0.0)
+    assert retained.tolist() == list(range(10))
 
 
 def test_ablate_filters_each_source_separately():
-    entries = [DatamapEntry(i, 0.1 * (i + 1), 0.1, 0.5, "hard") for i in range(8)]
-    sources = {i: ("A" if i < 4 else "B") for i in range(8)}
-    retained = ablate_hard_to_learn(entries, sources, 0.25)
-    dropped = set(range(8)) - retained
+    dm = _datamap([0.1 * (i + 1) for i in range(8)])
+    sources = ["A"] * 4 + ["B"] * 4
+    retained = ablate_hard_to_learn(dm, _sourced(sources), 0.25)
+    dropped = set(range(8)) - set(retained.tolist())
     assert len(dropped) == 2
     assert {sources[i] for i in dropped} == {"A", "B"}
 
 
 def test_ablate_retention_arithmetic():
     rng = np.random.default_rng(4)
-    entries = [
-        DatamapEntry(i, float(rng.random()), float(rng.random()), 0.5, "hard")
-        for i in range(37)
-    ]
-    sources = {i: ("A" if i % 3 else "B") for i in range(37)}
+    dm = _datamap(rng.random(37), rng.random(37))
+    sources = ["A" if i % 3 else "B" for i in range(37)]
     for fraction in (0.0, 0.1, 0.25, 0.5, 0.9):
-        retained = ablate_hard_to_learn(entries, sources, fraction)
+        retained = ablate_hard_to_learn(dm, _sourced(sources), fraction)
         expected = sum(
             n - int(np.floor(fraction * n))
-            for n in (sum(1 for s in sources.values() if s == name) for name in ("A", "B"))
+            for n in (sum(1 for s in sources if s == name) for name in ("A", "B"))
         )
         assert len(retained) == expected
 
 
 def test_ablate_rejects_unknown_source_and_bad_fraction():
-    entries = [_entry(0, 0.5)]
+    dm = _datamap([0.5])
     with pytest.raises(ValueError):
-        ablate_hard_to_learn(entries, {}, 0.25)
+        ablate_hard_to_learn(dm, _sourced(["s"], ids=[5]), 0.25)
     with pytest.raises(ValueError):
-        ablate_hard_to_learn(entries, {0: "s"}, 1.0)
+        ablate_hard_to_learn(dm, _sourced(["s"]), 1.0)
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.0, 0.1, 0.3]),
+                          st.sampled_from("ABC")), min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]))
+@settings(max_examples=80, deadline=None)
+def test_ablate_matches_per_example_sort(rows, fraction):
+    # the per-example algorithm: per source, sort (product, id) and drop the head
+    by_source = {}
+    for i, (conf, var, source) in enumerate(rows):
+        by_source.setdefault(source, []).append((conf * var, i))
+    expected = set()
+    for entries in by_source.values():
+        entries.sort()
+        expected.update(i for _, i in entries[int(np.floor(fraction * len(entries))):])
+    conf, var, sources = zip(*rows)
+    retained = ablate_hard_to_learn(_datamap(conf, var), _sourced(sources), fraction)
+    assert retained.tolist() == sorted(expected)
 
 
 # --- difficulty splits ---------------------------------------------------------------
 
 def _mixed_datamap(per_class=50):
-    means = {"easy": 0.9, "medium": 0.6, "hard": 0.4, "impossible": 0.1}
-    entries = []
-    i = 0
-    for name, mean in means.items():
-        for _ in range(per_class):
-            entries.append(_entry(i, mean))
-            i += 1
-    return entries
+    return _datamap(np.repeat([0.9, 0.6, 0.4, 0.1], per_class))  # easy, medium, hard, impossible
 
 
 def test_split_em_takes_equal_shares():
     dm = _mixed_datamap(per_class=2000)
     ids = build_difficulty_split(dm, "EM", 4000, rng_seed=0)
     assert len(ids) == 4000
-    by_diff = {e.example_id: e.difficulty for e in dm}
+    by_diff = dict(zip(dm.ids.tolist(), (DIFFICULTIES[d] for d in dm.difficulty)))
     counts = {}
-    for i in ids:
+    for i in ids.tolist():
         counts[by_diff[i]] = counts.get(by_diff[i], 0) + 1
     assert counts == {"easy": 2000, "medium": 2000}
 
 
 def test_split_exhausts_tiny_classes():
-    entries = [_entry(0, 0.4), _entry(1, 0.1)]
-    assert build_difficulty_split(entries, "HI", 2, rng_seed=0) == {0, 1}
+    assert build_difficulty_split(_datamap([0.4, 0.1]), "HI", 2, rng_seed=0).tolist() == [0, 1]
 
 
 def test_split_emhi_takes_quarter_each():
@@ -252,29 +285,50 @@ def test_split_rejects_bad_combo():
         build_difficulty_split(dm, "EQ", 2, rng_seed=0)
 
 
+@given(st.lists(st.sampled_from([0.9, 0.6, 0.4, 0.1]), min_size=8, max_size=60),
+       st.sampled_from(["EM", "HI", "EMH", "MH", "EMHI"]), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_split_matches_per_example_sampling(means, combo, seed):
+    # the per-example algorithm: each class's ids in order, then one draw per class
+    dm = _datamap(means, ids=np.arange(len(means)) * 3)
+    names = [{"E": "easy", "M": "medium", "H": "hard", "I": "impossible"}[ch] for ch in combo]
+    pools = {name: sorted(int(i) for i, d in zip(dm.ids, dm.difficulty) if DIFFICULTIES[d] == name)
+             for name in names}
+    per_class = min(len(p) for p in pools.values())
+    if per_class == 0:
+        return
+    rng = np.random.default_rng(seed)
+    expected = set()
+    for name in names:
+        ids = np.array(pools[name], dtype=np.int64)
+        expected.update(int(ids[i]) for i in rng.choice(ids.size, size=per_class, replace=False))
+    picked = build_difficulty_split(dm, combo, per_class * len(names), seed)
+    assert picked.tolist() == sorted(expected)
+
+
 # --- acquisition by difficulty ----------------------------------------------------------
 
 def test_acquisition_by_difficulty_counts():
-    dm = [_entry(0, 0.9), _entry(1, 0.9), _entry(2, 0.9), _entry(3, 0.4)]
+    dm = _datamap([0.9, 0.9, 0.9, 0.4])
     out = acquisition_by_difficulty([[0, 1, 2, 3]], dm)
     assert out == [{"easy": 3, "medium": 0, "hard": 1, "impossible": 0}]
 
 
 def test_acquisition_by_difficulty_empty_rounds():
-    assert acquisition_by_difficulty([], []) == []
+    assert acquisition_by_difficulty([], _datamap([])) == []
 
 
 def test_acquisition_by_difficulty_missing_id():
     with pytest.raises(ValueError):
-        acquisition_by_difficulty([[5]], [_entry(0, 0.9)])
+        acquisition_by_difficulty([[5]], _datamap([0.9]))
 
 
 # --- CSV ------------------------------------------------------------------------------
 
 def test_datamap_csv_roundtrip(tmp_path):
-    entries = [_entry(0, 0.9, 0.05), _entry(1, 0.3, 0.2)]
+    dm = _datamap([0.9, 0.3], [0.05, 0.2])
     path = tmp_path / "datamap.csv"
-    write_datamap_csv(entries, {0: "A", 1: "B"}, path)
+    write_datamap_csv(dm, _sourced(["A", "B"]), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,source,mean_confidence,variability,correctness,difficulty"
     assert lines[1].startswith("0,A,0.9")
@@ -290,10 +344,9 @@ def test_matrix_datamap_equals_per_trace_numpy_bit_for_bit(seed):
     flags = rng.random((n, T)) > 0.5
     matrix = TraceMatrix(np.arange(n), conf, flags)
     traces = [DynamicsTrace(i, tuple(conf[i].tolist()), tuple(flags[i].tolist())) for i in range(n)]
-    entries = compute_datamap(matrix)
-    for e, tr in zip(entries, traces):
-        assert e.mean_confidence == float(np.mean(tr.confidences))
-        assert e.variability == float(np.std(tr.confidences))
-        assert e.correctness == float(np.mean(tr.correct_flags))
-    assert compute_datamap(traces) == entries
+    dm = compute_datamap(matrix)
+    for r, tr in enumerate(traces):
+        assert dm.mean_confidence[r] == float(np.mean(tr.confidences))
+        assert dm.variability[r] == float(np.std(tr.confidences))
+        assert dm.correctness[r] == float(np.mean(tr.correct_flags))
     assert list(matrix) == traces

@@ -24,6 +24,8 @@ from cartal.classifier import (
 )
 from cartal.errors import DivergenceError
 
+from conftest import logistic_regression_irls
+
 
 def _blobs(n_per_class, d=2, sep=4.0, seed=0, C=2):
     rng = np.random.default_rng(seed)
@@ -108,6 +110,16 @@ def test_fit_separates_linearly_separable_blobs():
     sklearn = pytest.importorskip("sklearn.linear_model")
     oracle = sklearn.LogisticRegression(max_iter=1000).fit(X, y)
     assert oracle.score(X, y) >= 0.99
+
+
+def test_fit_on_blobs_agrees_with_newton_oracle():
+    # the scikit-learn oracle above, as a numpy-only Newton (IRLS) fit
+    X, y = _blobs(100, sep=5.0, seed=1)
+    config = ClassifierConfig(2, (16,), 2, dropout_rate=0.0)
+    model = fit(config, (X, y), val=(X, y), tcfg=TrainConfig(rng_seed=3, max_epochs=20))
+    assert model.accuracy(X, y) >= 0.99
+    w, b = logistic_regression_irls(X, y)
+    assert ((X @ w + b > 0) == y).mean() >= 0.99
 
 
 def test_fit_is_bitwise_deterministic():

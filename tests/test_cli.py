@@ -206,6 +206,13 @@ def test_parallel_below_one_is_a_usage_error(tmp_path, capsys, command, parallel
 
 # --- ablate / splits / stratify -----------------------------------------------
 
+def test_usage_error_exits_one_and_help_zero(capsys):
+    # 2 is the exit code of a partial run failure; a usage error is 1
+    assert main(["run", "--config", "x.json"]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert main(["run", "--help"]) == 0
+
+
 def test_ablate_writes_paired_artifacts(tmp_path):
     cfg = write_config(tmp_path, tiny_config(strategies=("mcme",), seeds=(1,)))
     out = tmp_path / "exp"
@@ -360,6 +367,8 @@ def _set(section, key, value):
      "data.synthetic_sources[2].label_flip_rate"),
     (lambda raw: raw["test_sets"][0]["synthetic_sources"][2].update(noise_scale=-1.0),
      "test_sets[0].synthetic_sources[2].noise_scale"),
+    (lambda raw: raw["data"]["synthetic_sources"][1].update(class_centroids=[[0.0, 1.0]]),
+     "data.synthetic_sources[1].class_centroids"),
     (_set("al", "mc_samples", 0), "al.mc_samples"),
     (lambda raw: raw["al"].update(strategies=["bald"], mc_samples=1), "al.mc_samples"),
 ])

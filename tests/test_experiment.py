@@ -13,7 +13,7 @@ import pytest
 import cartal.acquisition as acquisition
 import cartal.experiment as exp
 from cartal.acquisition import score_pool
-from cartal.cartography import build_difficulty_split
+from cartal.cartography import DIFFICULTIES, build_difficulty_split
 from cartal.classifier import fit
 from cartal.errors import CapacityError, ConfigError
 from cartal.experiment import (
@@ -94,7 +94,7 @@ def test_replaying_round_logs_reconstructs_final_state(one_run):
                        exp.derive_seed(exp.derive_seed("run", "mcme", 1), "split"))
     for log in result.round_logs:
         state = transfer(state, log.acquired_ids)
-    assert state.labelled == set(result.labelled_ids)
+    assert context.data.pool.ids[state.labelled_mask].tolist() == sorted(result.labelled_ids)
 
 
 def test_round_metrics_are_recorded(one_run):
@@ -288,10 +288,10 @@ def test_difficulty_split_matches_separate_fits(ctx):
     for seed in cfg.seeds:
         ids = build_difficulty_split(context.pool_datamap, "EM", 8,
                                      exp.derive_seed(cfg.data_seed, "split-sample", "EM", seed))
-        rows = pool.positions(sorted(ids))
+        rows = pool.positions(ids)
         tcfg = replace(cfg.training, rng_seed=exp.derive_seed(cfg.data_seed, "split-fit", "EM", seed))
         model = fit(ccfg, (pool.X[rows], pool.y[rows]), val=val, tcfg=tcfg)
-        accs.append(model.accuracy(val, val.labels_array()))
+        accs.append(model.accuracy(val, val.y))
     assert em.accuracies["val"] == (float(np.mean(accs)), float(np.std(accs)), len(accs))
 
 
@@ -354,9 +354,9 @@ def test_random_over_easy_pool_acquires_mostly_easy():
     )
     context = prepare_context(config)
     composition = {}
-    for e in context.pool_datamap:
-        composition[e.difficulty] = composition.get(e.difficulty, 0) + 1
-    assert composition.get("easy", 0) > len(context.pool_datamap) / 2
+    for code in context.pool_datamap.difficulty.tolist():
+        composition[DIFFICULTIES[code]] = composition.get(DIFFICULTIES[code], 0) + 1
+    assert composition.get("easy", 0) > len(context.pool_datamap.ids) / 2
     result = run_al(config, "random", 1, context)
     for counts in acquisition_by_difficulty(result.round_logs, context.pool_datamap):
         assert counts["easy"] == max(counts.values())

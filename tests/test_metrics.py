@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartal.cartography import DatamapEntry
+from cartal.cartography import DIFFICULTIES, Datamap
 from cartal.classifier import Classifier, ClassifierConfig
 from cartal.metrics import (
     acquisition_factor,
@@ -19,7 +19,9 @@ from cartal.metrics import (
     stratified_accuracy,
     tokens_of,
 )
-from cartal.pool import Dataset, Example, PoolState
+from cartal.pool import PoolState
+
+from conftest import make_dataset
 
 
 def _zero_weight_model(d=2, C=3):
@@ -29,46 +31,53 @@ def _zero_weight_model(d=2, C=3):
 
 
 def _dataset(labels, sources=None, d=2, C=3, tokens=None):
-    sources = sources or ["s"] * len(labels)
-    examples = [
-        Example(i, sources[i], np.zeros(d), labels[i],
-                tuple(tokens[i]) if tokens else ())
-        for i in range(len(labels))
-    ]
-    return Dataset("t", examples, C)
+    return make_dataset(np.zeros((len(labels), d)), labels, sources=sources, tokens=tokens,
+                        num_classes=C)
+
+
+def _jaccard(a, b):
+    """input_diversity of two token sets, as presence vectors over their union."""
+    vocab = sorted(set(a) | set(b))
+    return input_diversity(np.isin(vocab, list(a)), np.isin(vocab, list(b)))
+
+
+def _token_set(ds, rows):
+    """The tokens of ``rows``, collected row by row."""
+    bounds = ds.token_indptr
+    return {ds.vocab[t] for r in rows for t in ds.token_indices[bounds[r]:bounds[r + 1]]}
 
 
 # --- input diversity ---------------------------------------------------------
 
 def test_jaccard_half_overlap():
-    assert input_diversity({"a", "b", "c"}, {"b", "c", "d"}) == 0.5
+    assert _jaccard({"a", "b", "c"}, {"b", "c", "d"}) == 0.5
 
 
 def test_jaccard_identical_sets():
-    assert input_diversity({"x", "y"}, {"x", "y"}) == 1.0
+    assert _jaccard({"x", "y"}, {"x", "y"}) == 1.0
 
 
 def test_jaccard_disjoint_sets():
-    assert input_diversity({"a"}, {"b"}) == 0.0
+    assert _jaccard({"a"}, {"b"}) == 0.0
 
 
 def test_jaccard_both_empty_defined_as_zero():
-    assert input_diversity(set(), set()) == 0.0
+    assert _jaccard(set(), set()) == 0.0
 
 
 @given(st.sets(st.text(max_size=3), max_size=8), st.sets(st.text(max_size=3), max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_jaccard_symmetric_and_bounded(a, b):
-    j = input_diversity(a, b)
-    assert j == input_diversity(b, a)
+    j = _jaccard(a, b)
+    assert j == _jaccard(b, a)
     assert 0.0 <= j <= 1.0
 
 
 def test_tokens_of_skips_tokenless(caplog):
     ds = _dataset([0, 1], tokens=[["a", "b"], []])
     with caplog.at_level("WARNING"):
-        toks = tokens_of(ds.examples)
-    assert toks == {"a", "b"}
+        toks = tokens_of(ds, np.arange(2))
+    assert {ds.vocab[i] for i in np.flatnonzero(toks)} == {"a", "b"}
     assert "no tokens" in caplog.text
 
 
@@ -112,38 +121,35 @@ def test_output_uncertainty_permutation_invariant():
                (rng.standard_normal((4, 3)), rng.standard_normal(3))]
     model = Classifier(cfg, weights)
     X = rng.standard_normal((10, 2))
-    examples = [Example(i, "s", X[i], 0) for i in range(10)]
-    fwd = output_uncertainty(model, Dataset("a", examples, 3))
-    rev = output_uncertainty(model, list(reversed(examples)))
+    fwd = output_uncertainty(model, make_dataset(X, np.zeros(10), num_classes=3))
+    rev = output_uncertainty(model, X[::-1])
     assert fwd == pytest.approx(rev, abs=1e-12)
 
 
 # --- class distribution ----------------------------------------------------------
 
 def test_class_distribution_counts():
-    assert class_distribution(_dataset([0, 0, 1, 2])) == (0.5, 0.25, 0.25)
+    assert class_distribution(np.array([0, 0, 1, 2]), 3) == (0.5, 0.25, 0.25)
 
 
 def test_class_distribution_single_class():
-    assert class_distribution(_dataset([1, 1, 1])) == (0.0, 1.0, 0.0)
+    assert class_distribution(np.array([1, 1, 1]), 3) == (0.0, 1.0, 0.0)
 
 
 def test_class_distribution_uniform():
-    ds = _dataset([0, 1, 2] * 100)
-    assert class_distribution(ds) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    assert class_distribution(np.array([0, 1, 2] * 100), 3) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 def test_class_distribution_rejects_empty():
     with pytest.raises(ValueError):
-        class_distribution(_dataset([]))
+        class_distribution(np.array([], dtype=np.int64), 3)
 
 
 # --- acquisition factor ------------------------------------------------------------
 
-def _pool_state(sources):
-    examples = [Example(i, s, np.zeros(1), 0) for i, s in enumerate(sources)]
-    ds = Dataset("p", examples, 2)
-    return PoolState(frozenset(), frozenset(range(len(sources))), ds)
+def _pool_state(sources, labelled=()):
+    ds = make_dataset(np.zeros((len(sources), 1)), np.zeros(len(sources)), sources=sources, num_classes=2)
+    return PoolState(np.isin(ds.ids, list(labelled)), ds)
 
 
 def test_acquisition_factor_two_sources():
@@ -192,10 +198,9 @@ class _FixedModel:
 
 
 def _datamap_for(ds, difficulties):
-    return [
-        DatamapEntry(e.id, 0.5, 0.1, 1.0, difficulties[i])
-        for i, e in enumerate(ds.examples)
-    ]
+    n = len(difficulties)
+    return Datamap(ds.ids[:n], np.full(n, 0.5), np.full(n, 0.1), np.ones(n),
+                   np.array([DIFFICULTIES.index(d) for d in difficulties], dtype=np.int64))
 
 
 def test_perfect_model_scores_one_everywhere():
@@ -229,7 +234,7 @@ def test_overall_is_count_weighted_mean():
 
 def test_stratified_rejects_missing_datamap_entry():
     ds = _dataset([0, 1])
-    dm = _datamap_for(ds, ["easy", "easy"])[:1]
+    dm = _datamap_for(ds, ["easy"])  # the second test id is missing
     with pytest.raises(ValueError):
         stratified_accuracy(_FixedModel([0, 1]), ds, dm)
 
@@ -242,9 +247,9 @@ def test_csr_jaccard_matches_set_formula(token_lists, data):
     ds = _dataset([0] * len(token_lists), tokens=token_lists)
     acquired = np.array(data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))))
     positions = np.flatnonzero(acquired)
-    a = [ds.examples[i] for i in positions]
-    b = [ds.examples[i] for i in np.flatnonzero(~acquired)]
-    expected = input_diversity(tokens_of(a), tokens_of(b))
+    a = _token_set(ds, positions)
+    b = _token_set(ds, np.flatnonzero(~acquired))
+    expected = len(a & b) / len(a | b) if a | b else 0.0
     assert input_diversity(tokens_of(ds, positions), tokens_of(ds, ~acquired)) == expected
 
 
@@ -253,7 +258,7 @@ def test_csr_tokens_warn_about_tokenless_rows(caplog):
     with caplog.at_level("WARNING"):
         present = tokens_of(ds, np.arange(3))
     assert "2 examples carry no tokens" in caplog.text
-    assert {ds.vocab[i] for i in np.flatnonzero(present)} == tokens_of(ds.examples)
+    assert {ds.vocab[i] for i in np.flatnonzero(present)} == _token_set(ds, range(3))
 
 
 @given(st.lists(st.sampled_from("ABC"), min_size=2, max_size=40), st.data())
@@ -263,8 +268,7 @@ def test_bincount_factors_match_per_id_counts(sources, data):
     labelled = data.draw(st.sets(st.sampled_from(sorted(ids)), max_size=len(sources) - 1))
     unlabelled = sorted(ids - labelled)
     batch = data.draw(st.sets(st.sampled_from(unlabelled), min_size=1))
-    examples = [Example(i, s, np.zeros(1), 0) for i, s in enumerate(sources)]
-    state = PoolState(labelled, ids - labelled, Dataset("p", examples, 2))
+    state = _pool_state(sources, labelled)
 
     in_pool = {s: sum(sources[i] == s for i in unlabelled) for s in set(sources)}
     in_batch = {s: sum(sources[i] == s for i in batch) for s in set(sources)}

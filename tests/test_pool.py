@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from cartal.errors import ConfigError, ParseError, SchemaError, StateError
 from cartal.pool import (
-    Dataset,
-    Example,
     PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
@@ -24,6 +22,8 @@ from cartal.pool import (
 )
 from cartal.pool import _feature_tokens
 
+from conftest import make_dataset
+
 CENTROIDS_2D = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))
 
 
@@ -33,8 +33,17 @@ def _spec(name="src", n=100, flip=0.0, **kw):
 
 
 def _tiny_dataset(n, source="s", d=1, C=3):
-    examples = [Example(i, source, np.zeros(d), i % C) for i in range(n)]
-    return Dataset(source, examples, C)
+    return make_dataset(np.zeros((n, d)), np.arange(n) % C, num_classes=C, name=source)
+
+
+def _sides(state):
+    """The labelled and the unlabelled ids of a state, as sets."""
+    ids = state.universe.ids
+    return set(ids[state.labelled_mask].tolist()), set(ids[~state.labelled_mask].tolist())
+
+
+def _state(labelled, pool):
+    return PoolState(np.isin(pool.ids, list(labelled)), pool)
 
 
 # --- load_dataset -------------------------------------------------------------
@@ -164,10 +173,9 @@ def test_flip_rate_zero_flips_nothing():
 
 def test_generation_empty_and_bad_configs():
     assert len(generate_synthetic_source(_spec(n=0), rng_seed=0)) == 0
-    with pytest.raises(ConfigError):
-        generate_synthetic_source(
-            SyntheticSourceSpec("x", 10, ((0.0, 0.0),)), rng_seed=0
-        )
+    with pytest.raises(ConfigError) as info:
+        SyntheticSourceSpec("x", 10, ((0.0, 0.0),))
+    assert info.value.key == "class_centroids"
     with pytest.raises(ConfigError):
         _spec(flip=1.5)
     with pytest.raises(ConfigError):
@@ -188,7 +196,7 @@ def test_tokens_quantize_to_one_decimal():
 def test_centroid_overlap_shrinks_spread():
     far = generate_synthetic_source(_spec(n=400), rng_seed=5)
     near = generate_synthetic_source(_spec(n=400, centroid_overlap=0.9), rng_seed=5)
-    assert near.features_matrix().std() < far.features_matrix().std()
+    assert near.X.std() < far.X.std()
 
 
 # --- build_multi_source_pool --------------------------------------------------------
@@ -256,7 +264,7 @@ def test_pool_rejects_schema_mismatch():
     b = _tiny_dataset(10, "B", d=3)
     with pytest.raises(SchemaError):
         build_multi_source_pool([a, b], per_source_cap=5, rng_seed=0)
-    c = Dataset("C", [Example(0, "C", np.zeros(2), 0)], num_classes=2)
+    c = make_dataset(np.zeros((1, 2)), [0], num_classes=2, name="C")
     with pytest.raises(SchemaError):
         build_multi_source_pool([a, c], per_source_cap=5, rng_seed=0)
 
@@ -266,17 +274,18 @@ def test_pool_rejects_schema_mismatch():
 def test_seed_split_sizes():
     pool = _tiny_dataset(600)
     state = seed_split(pool, 50, rng_seed=0)
-    assert len(state.labelled) == 50
-    assert len(state.unlabelled) == 550
-    assert not state.labelled & state.unlabelled
+    labelled, unlabelled = _sides(state)
+    assert len(labelled) == 50
+    assert len(unlabelled) == 550
+    assert not labelled & unlabelled
 
 
 def test_seed_split_empty_and_exhaustive():
     pool = _tiny_dataset(10)
     cold = seed_split(pool, 0, rng_seed=0)
-    assert cold.labelled == frozenset()
+    assert _sides(cold)[0] == set()
     full = seed_split(pool, 10, rng_seed=0)
-    assert full.unlabelled == frozenset()
+    assert _sides(full)[1] == set()
 
 
 def test_seed_split_rejects_oversize():
@@ -286,17 +295,16 @@ def test_seed_split_rejects_oversize():
 
 def test_transfer_set_algebra():
     pool = _tiny_dataset(3)
-    state = PoolState(frozenset({1}), frozenset({2, 0}), pool)
+    state = _state({1}, pool)
     new = transfer(state, {2})
-    assert new.labelled == {1, 2}
-    assert new.unlabelled == {0}
+    assert _sides(new) == ({1, 2}, {0})
     # original state is unchanged
-    assert state.labelled == {1}
+    assert _sides(state)[0] == {1}
 
 
 def test_transfer_rejects_already_labelled():
     pool = _tiny_dataset(3)
-    state = PoolState(frozenset({1}), frozenset({0, 2}), pool)
+    state = _state({1}, pool)
     with pytest.raises(StateError, match="1"):
         transfer(state, {1})
 
@@ -305,9 +313,9 @@ def test_seed_then_seven_transfers_reach_4k():
     pool = _tiny_dataset(4200)
     state = seed_split(pool, 500, rng_seed=0)
     for _ in range(7):
-        batch = sorted(state.unlabelled)[:500]
+        batch = pool.ids[~state.labelled_mask][:500]
         state = transfer(state, batch)
-    assert len(state.labelled) == 4000
+    assert np.count_nonzero(state.labelled_mask) == 4000
 
 
 @given(st.integers(0, 1000))
@@ -318,21 +326,15 @@ def test_pool_state_invariants_under_random_transfers(seed):
     state = seed_split(pool, int(rng.integers(0, 20)), int(rng.integers(0, 100)))
     total = len(pool)
     for _ in range(3):
-        if not state.unlabelled:
+        labelled, unlabelled = _sides(state)
+        if not unlabelled:
             break
-        size = int(rng.integers(1, len(state.unlabelled) + 1))
-        batch = rng.choice(sorted(state.unlabelled), size=size, replace=False)
+        size = int(rng.integers(1, len(unlabelled) + 1))
+        batch = rng.choice(sorted(unlabelled), size=size, replace=False)
         state = transfer(state, batch)
-        assert not state.labelled & state.unlabelled
-        assert len(state.labelled) + len(state.unlabelled) == total
-
-
-def test_state_rejects_overlap_and_strays():
-    pool = _tiny_dataset(3)
-    with pytest.raises(StateError):
-        PoolState(frozenset({0}), frozenset({0, 1}), pool)
-    with pytest.raises(StateError):
-        PoolState(frozenset({5}), frozenset(), pool)
+        labelled, unlabelled = _sides(state)
+        assert not labelled & unlabelled
+        assert len(labelled) + len(unlabelled) == total
 
 
 # --- split_dataset ----------------------------------------------------------------
@@ -348,9 +350,9 @@ def test_split_dataset_holds_out_fraction():
 
 def test_dataset_validation():
     with pytest.raises(SchemaError, match="label"):
-        Dataset("x", [Example(0, "s", np.zeros(1), 5)], num_classes=3)
+        make_dataset(np.zeros((1, 1)), [5], num_classes=3)
     with pytest.raises(SchemaError, match="non-increasing"):
-        Dataset("x", [Example(1, "s", np.zeros(1), 0), Example(0, "s", np.zeros(1), 0)], 2)
+        make_dataset(np.zeros((2, 1)), [0, 0], ids=[1, 0], num_classes=2)
 
 
 # --- array kernels against per-example references ------------------------------------
@@ -370,15 +372,14 @@ def test_feature_tokens_match_python_rounding(values, d):
 
 @given(st.sets(st.integers(0, 300), min_size=1, max_size=30), st.data())
 @settings(max_examples=80, deadline=None)
-def test_mask_state_round_trips_frozensets(ids, data):
-    ds = Dataset("p", [Example(i, "s", np.zeros(1), 0) for i in sorted(ids)], 2)
-    labelled = frozenset(data.draw(st.sets(st.sampled_from(sorted(ids)))))
-    unlabelled = frozenset(ids) - labelled
-    state = PoolState(labelled, unlabelled, ds)
-    rebuilt = PoolState.from_mask(state.labelled_mask.copy(), ds)
-    assert (rebuilt.labelled, rebuilt.unlabelled) == (labelled, unlabelled)
-    assert ds.ids[~rebuilt.labelled_mask].tolist() == sorted(unlabelled)
+def test_mask_state_transfer_matches_set_algebra(ids, data):
+    ds = make_dataset(np.zeros((len(ids), 1)), np.zeros(len(ids)), ids=sorted(ids), num_classes=2)
+    labelled = set(data.draw(st.sets(st.sampled_from(sorted(ids)))))
+    unlabelled = ids - labelled
+    state = _state(labelled, ds)
+    assert _sides(state) == (labelled, unlabelled)
+    assert ds.ids[~state.labelled_mask].tolist() == sorted(unlabelled)
     batch = data.draw(st.sets(st.sampled_from(sorted(unlabelled)))) if unlabelled else set()
-    moved = transfer(rebuilt, batch)
-    assert (moved.labelled, moved.unlabelled) == (labelled | batch, unlabelled - batch)
-    assert rebuilt.labelled == labelled  # transfer leaves its input alone
+    moved = transfer(state, batch)
+    assert _sides(moved) == (labelled | batch, unlabelled - batch)
+    assert _sides(state)[0] == labelled  # transfer leaves its input alone
