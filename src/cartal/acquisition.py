@@ -159,14 +159,13 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     return score_dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed)
 
 
-def select_batch(strategy, state, model, k, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
-                 dal_cfg=None, scores=None) -> set[int]:
+def select_batch(strategy, state, scores, k, rng_seed) -> set[int]:
     """Pick k unlabelled ids: uniform for random, top-k by score otherwise.
 
-    ``scores``, when given, is :func:`score_pool`'s result for the same
-    state and seed and is used instead of scoring the pool again. Score ties
-    break toward the smaller example id, which makes selection invariant to
-    the iteration order of the pool.
+    ``scores`` is :func:`score_pool`'s result for the same state; random
+    ignores it and draws from ``rng_seed``. Score ties break toward the smaller
+    example id, which makes selection invariant to the iteration order of the
+    pool.
     """
     _check_strategy(strategy)
     ids = state.universe.ids[~state.labelled_mask]
@@ -177,8 +176,9 @@ def select_batch(strategy, state, model, k, rng_seed, mc_samples=DEFAULT_MC_SAMP
     if strategy == "random":
         rng = np.random.default_rng(rng_seed)
         return set(ids[rng.choice(ids.size, size=k, replace=False)].tolist())
-    if scores is None:
-        scores = score_pool(strategy, state, model, rng_seed, mc_samples, dal_cfg)
+    if scores is None or len(scores) != ids.size:
+        raise ValueError(f"{strategy} needs {ids.size} scores, one per unlabelled example; "
+                         f"got {'none' if scores is None else len(scores)}")
     if not np.isfinite(scores).all():
         raise ValueError("non-finite acquisition score")
     order = np.lexsort((ids, -scores))

@@ -87,7 +87,7 @@ def cmd_generate(args) -> int:
         manifest["sources"][spec.name] = {
             "file": os.path.basename(path),
             "n": len(ds),
-            "flipped_ids": ds.metadata.get("flipped_ids", []),
+            "flipped_ids": ds.ids[ds.flipped].tolist(),
         }
         print(f"wrote {path} ({len(ds)} examples)")
     manifest["created_unix"] = time.time()

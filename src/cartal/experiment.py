@@ -9,6 +9,7 @@ including across worker processes.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import logging
@@ -22,9 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# perfbench's tracer wraps the functions imported here by name, in this module
+# perfbench's tracer wraps the functions imported here by name, in this module,
+# and score_pool where _al_round looks it up, in the acquisition module
+from . import acquisition
 from . import classifier as clf
-from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, score_pool, select_batch
+from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, select_batch
 from .cartography import (
     Datamap,
     DifficultyThresholds,
@@ -239,13 +242,10 @@ class SuiteResult:
 def _harmonize_classes(sources: list[Dataset]) -> list[Dataset]:
     # per-file label inference can undercount classes a small file never saw
     C = max(s.num_classes for s in sources)
-    return [
-        s if s.num_classes == C else Dataset(
-            s.name, C, s.metadata, ids=s.ids, X=s.X, y=s.y, source_codes=s.source_codes,
-            source_names=s.source_names, token_indptr=s.token_indptr,
-            token_indices=s.token_indices, vocab=s.vocab)
-        for s in sources
-    ]
+    copies = [copy.copy(s) for s in sources]  # the columns are shared, not copied
+    for s in copies:
+        s.num_classes = C  # labels below a source's own count lie below C too
+    return copies
 
 
 def _load_sources(config: ExperimentConfig) -> list[Dataset]:
@@ -352,15 +352,11 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
     val_acc = model.accuracy(val, val.y) if len(val) else float("nan")
 
     select_seed = derive_seed(run.run_seed, rnd, "select")
-    scores = None
-    if scores_dir is not None and run.strategy != "random":
-        scores = score_pool(run.strategy, state, model, select_seed,
-                            mc_samples=config.mc_samples, dal_cfg=config.dal)
+    scores = acquisition.score_pool(run.strategy, state, model, select_seed,
+                                    mc_samples=config.mc_samples, dal_cfg=config.dal)
+    if scores_dir is not None and scores is not None:
         _dump_scores(scores_dir, run.strategy, run.seed, rnd, state, scores)
-    batch = select_batch(
-        run.strategy, state, model, config.k, select_seed,
-        mc_samples=config.mc_samples, dal_cfg=config.dal, scores=scores,
-    )
+    batch = select_batch(run.strategy, state, scores, config.k, select_seed)
     picked = pool.positions(sorted(batch))
     remainder = ~state.labelled_mask
     remainder[picked] = False
@@ -663,7 +659,7 @@ def run_difficulty_split(config: ExperimentConfig,
 
 def run_stratified(config: ExperimentConfig, data: ExperimentData,
                    models: dict[tuple[str, int], clf.Classifier],
-                   carto_seed: int | None = None) -> list[dict]:
+                   carto_seed: int = 0) -> list[dict]:
     """Difficulty-stratified test accuracy for a set of final models.
 
     A fresh cartography model is trained on each *test set* to classify its
@@ -675,7 +671,7 @@ def run_stratified(config: ExperimentConfig, data: ExperimentData,
         ccfg = config.classifier_config(test_ds.feature_dim, test_ds.num_classes)
         tcfg = replace(
             config.cartography_training,
-            rng_seed=derive_seed(config.data_seed, "stratify", name, carto_seed or 0),
+            rng_seed=derive_seed(config.data_seed, "stratify", name, carto_seed),
         )
         carto = run_cartography_full(
             test_ds, test_ds, ccfg, tcfg, val=data.val, thresholds=config.thresholds
@@ -762,7 +758,7 @@ def write_stratified_csv(rows: list[dict], path) -> None:
 
 
 def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
-                          prefix: str = "", save_models: bool = True) -> None:
+                          prefix: str = "") -> None:
     """Write rounds/summary/profile CSVs (and model checkpoints) for a suite.
 
     ``prefix`` distinguishes suite variants in one directory, e.g.
@@ -781,13 +777,12 @@ def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
             writer.writerow(["strategy", "seed", "error"])
             for f in suite.failures:
                 writer.writerow([f.strategy, f.seed, f.error])
-    if save_models:
-        model_dir = os.path.join(out_dir, "models")
-        os.makedirs(model_dir, exist_ok=True)
-        for r in suite.results:
-            clf.save_checkpoint(
-                r.final_model, os.path.join(model_dir, f"{prefix}{r.strategy}_seed{r.seed}.json")
-            )
+    model_dir = os.path.join(out_dir, "models")
+    os.makedirs(model_dir, exist_ok=True)
+    for r in suite.results:
+        clf.save_checkpoint(
+            r.final_model, os.path.join(model_dir, f"{prefix}{r.strategy}_seed{r.seed}.json")
+        )
 
 
 def write_manifest(out_dir, extra: dict | None = None) -> None:

@@ -67,45 +67,57 @@ class Dataset:
 
     Columns (keyword arguments of the constructor): ``ids`` (strictly
     increasing), ``X`` (n x feature_dim), ``y``, ``source_codes`` into
-    ``source_names``, and each row's tokens as the CSR pair
-    ``token_indptr``/``token_indices`` into ``vocab``. Sources and vocabulary
-    are narrowed to those present, in first-appearance order.
-
-    ``metadata`` carries bookkeeping that is not part of the schema proper:
-    ``flipped_ids`` (planted label noise), ``true_labels`` (pre-flip labels
-    for flipped ids) and ``provenance`` (pooled id -> (source, original id)).
+    ``source_names``, each row's tokens as the CSR pair
+    ``token_indptr``/``token_indices`` into ``vocab``, and ``flipped``, True
+    on rows whose label was flipped as planted noise (default: none). The name
+    tables may list names no row uses: row operations keep their parent's, and
+    only pooling (:func:`_merge_sources`) narrows and reconciles them.
     """
 
-    def __init__(self, name, num_classes, metadata=None, *, ids, X, y, source_codes, source_names,
-                 token_indptr, token_indices, vocab):
+    def __init__(self, name, num_classes, *, ids, X, y, source_codes, source_names,
+                 token_indptr, token_indices, vocab, flipped=None):
         self.name = str(name)
         self.num_classes = int(num_classes)
-        self.metadata: dict = dict(metadata or {})
         self.ids, self.X, self.y = ids, X, y
-        self.source_codes, self.source_names = _recode(source_codes, source_names)
-        self.token_indices, self.vocab = _recode(token_indices, vocab)
-        self.token_indptr = token_indptr
-        self.feature_dim = int(X.shape[1])
+        self.source_codes, self.source_names = source_codes, source_names
+        self.token_indptr, self.token_indices, self.vocab = token_indptr, token_indices, vocab
+        self.flipped = np.zeros(len(ids), dtype=bool) if flipped is None else flipped
         self._examples: tuple[Example, ...] | None = None
         self._validate()
+        self.feature_dim = int(X.shape[1])
 
     def _validate(self):
+        def fail(message):
+            raise SchemaError(f"dataset {self.name!r}: {message}")
+
+        n = len(self.ids)
+        if self.X.ndim != 2 or len(self.X) != n:
+            fail(f"X has shape {self.X.shape}, expected {n} rows")
+        for column in ("y", "source_codes", "flipped"):
+            if len(getattr(self, column)) != n:
+                fail(f"{column} has {len(getattr(self, column))} entries for {n} ids")
+        indptr = self.token_indptr
+        if (len(indptr) != n + 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+                or indptr[-1] != len(self.token_indices)):
+            fail(f"token_indptr must rise from 0 to {len(self.token_indices)} in {n + 1} entries")
+        for what, codes, names in (("source code", self.source_codes, self.source_names),
+                                   ("token index", self.token_indices, self.vocab)):
+            bad = (codes < 0) | (codes >= len(names))
+            if bad.any():
+                fail(f"{what} {codes[bad][0]} outside [0, {len(names)})")
         if self.num_classes < 1:
-            raise SchemaError(f"dataset {self.name!r}: num_classes must be >= 1")
+            fail("num_classes must be >= 1")
         if (self.ids < 0).any():
-            raise SchemaError(f"dataset {self.name!r}: negative id {self.ids[self.ids < 0][0]}")
+            fail(f"negative id {self.ids[self.ids < 0][0]}")
         steps = np.diff(self.ids)
         if (steps <= 0).any():
             at = int(np.argmax(steps <= 0))
             kind = "duplicate" if steps[at] == 0 else "non-increasing"
-            raise SchemaError(f"dataset {self.name!r}: {kind} id {self.ids[at + 1]}")
+            fail(f"{kind} id {self.ids[at + 1]}")
         bad = (self.y < 0) | (self.y >= self.num_classes)
         if bad.any():
             at = int(np.argmax(bad))
-            raise SchemaError(
-                f"dataset {self.name!r}: example {self.ids[at]} has label {self.y[at]} "
-                f"outside [0, {self.num_classes})"
-            )
+            fail(f"example {self.ids[at]} has label {self.y[at]} outside [0, {self.num_classes})")
 
     def __getstate__(self):
         return {**self.__dict__, "_examples": None}  # views are rebuilt, not shipped
@@ -134,6 +146,12 @@ class Dataset:
             raise KeyError(example_id)
         return self.examples[pos]
 
+    @property
+    def metadata(self) -> dict:
+        """``{"flipped_ids": [...]}``, the ids of the :attr:`flipped` rows. The
+        program reads the column; this view stays because perfbench's checks read it."""
+        return {"flipped_ids": self.ids[self.flipped].tolist()}
+
     def positions(self, ids) -> np.ndarray:
         """Row positions of ``ids`` (any iterable of ints); -1 where an id is absent."""
         return _positions(self.ids, ids)
@@ -152,14 +170,14 @@ class Dataset:
         counts = np.bincount(self.token_indices[np.repeat(take, lengths)], minlength=len(self.vocab))
         return counts > 0, int(np.count_nonzero(take & (lengths == 0)))
 
-    def _take(self, pos, name=None, metadata=None) -> "Dataset":
-        """New dataset of the rows at ``pos`` (ascending positions)."""
+    def _take(self, pos, name=None) -> "Dataset":
+        """New dataset of the rows at ``pos`` (ascending positions), under this dataset's name tables."""
         lengths = np.diff(self.token_indptr)[pos]
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         token_pos = np.repeat(self.token_indptr[pos] - indptr[:-1], lengths) + np.arange(indptr[-1])
         return Dataset(
-            name or self.name, self.num_classes, metadata,
-            ids=self.ids[pos], X=self.X[pos], y=self.y[pos],
+            name or self.name, self.num_classes,
+            ids=self.ids[pos], X=self.X[pos], y=self.y[pos], flipped=self.flipped[pos],
             source_codes=self.source_codes[pos], source_names=self.source_names,
             token_indptr=indptr, token_indices=self.token_indices[token_pos], vocab=self.vocab,
         )
@@ -170,19 +188,7 @@ class Dataset:
         pos = self.positions(wanted_ids)
         if (pos < 0).any():
             raise ValueError(f"unknown ids in subset request: {wanted_ids[pos < 0][:10].tolist()}")
-        wanted = set(wanted_ids.tolist())
-        meta = {}
-        if "flipped_ids" in self.metadata:
-            meta["flipped_ids"] = sorted(set(self.metadata["flipped_ids"]) & wanted)
-        if "true_labels" in self.metadata:
-            meta["true_labels"] = {
-                i: lab for i, lab in self.metadata["true_labels"].items() if i in wanted
-            }
-        if "provenance" in self.metadata:
-            meta["provenance"] = {
-                i: prov for i, prov in self.metadata["provenance"].items() if i in wanted
-            }
-        return self._take(pos, name, meta)
+        return self._take(pos, name)
 
 
 class PoolState:
@@ -264,8 +270,8 @@ def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Datas
     """Draw ``spec.n`` examples around class centroids, then plant label flips.
 
     Exactly ``round(label_flip_rate * n)`` examples, chosen by shuffling, get
-    their label replaced with a uniformly random *different* class. Flipped
-    ids and their original labels land in the dataset metadata.
+    their label replaced with a uniformly random *different* class; the
+    dataset's ``flipped`` column marks them.
     """
     rng = np.random.default_rng(rng_seed)
     centroids = np.asarray(spec.class_centroids, dtype=float)
@@ -282,15 +288,13 @@ def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Datas
     # Shift by a nonzero offset mod C so the flipped label always differs.
     offsets = rng.integers(1, C, size=n_flip)
     labels[flip_ids] = (gold[flip_ids] + offsets) % C
+    flipped = np.zeros(n, dtype=bool)
+    flipped[flip_ids] = True
 
     token_ids, vocab = _feature_tokens(feats)
-    metadata = {
-        "flipped_ids": [int(i) for i in flip_ids],
-        "true_labels": {int(i): int(gold[i]) for i in flip_ids},
-    }
     return Dataset(
-        spec.name, C, metadata,
-        ids=np.arange(n, dtype=np.int64), X=feats, y=labels.astype(np.int64),
+        spec.name, C,
+        ids=np.arange(n, dtype=np.int64), X=feats, y=labels.astype(np.int64), flipped=flipped,
         source_codes=np.zeros(n, dtype=np.int64), source_names=(spec.name,),
         token_indptr=np.arange(n + 1, dtype=np.int64) * d, token_indices=token_ids.ravel(), vocab=vocab,
     )
@@ -346,14 +350,12 @@ def _parse_csv(path) -> list[dict]:
     return records
 
 
-def load_dataset(path, format="jsonl", name=None, num_classes=None,
-                 embeddings_path=None) -> Dataset:
+def load_dataset(path, format="jsonl") -> Dataset:
     """Read a JSONL or CSV dataset file and validate all invariants.
 
-    ``num_classes`` defaults to ``max(label) + 1`` over the file. Records must
-    carry id, source, features and label; order is preserved. Records without
-    inline features (token-only subsets) may take them from a side embedding
-    file: a JSON object mapping id to a feature vector.
+    The dataset is named by its path, and ``num_classes`` is ``max(label) + 1``
+    over the file. Records must carry id, source, features and label; order is
+    preserved.
     """
     if format == "jsonl":
         records = _parse_jsonl(path)
@@ -362,22 +364,10 @@ def load_dataset(path, format="jsonl", name=None, num_classes=None,
     else:
         raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
-    side_features = None
-    if embeddings_path is not None:
-        with open(embeddings_path, "r", encoding="utf-8") as fh:
-            side_features = {int(k): v for k, v in json.load(fh).items()}
-
-    name = name or str(path)
+    name = str(path)
     rows = []
     for rec in records:
         lineno = rec.get("_line")
-        if not rec.get("features") and side_features is not None:
-            try:
-                rec["features"] = side_features[int(rec["id"])]
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(
-                    f"no embedding for id {rec.get('id')!r} in {embeddings_path}", line=lineno
-                ) from None
         for key in ("id", "source", "features", "label"):
             if key not in rec:
                 raise ParseError(f"record missing field {key!r}", line=lineno)
@@ -395,8 +385,7 @@ def load_dataset(path, format="jsonl", name=None, num_classes=None,
         if f.shape != features[0].shape:
             raise SchemaError(f"dataset {name!r}: example {i} has feature dim {f.shape[0]}, "
                               f"expected {features[0].shape[0]}")
-    if num_classes is None:
-        num_classes = max(max(labels, default=-1) + 1, 1)
+    num_classes = max(max(labels, default=-1) + 1, 1)
     source_index: dict[str, int] = {}
     vocab: dict[str, int] = {}
     codes = [source_index.setdefault(s, len(source_index)) for s in sources]
@@ -426,44 +415,36 @@ def _check_schemas_match(sources):
 
 
 def _merge_sources(sources, positions_per_source, name) -> Dataset:
-    """Re-id and merge picked rows, carrying provenance and flip metadata."""
+    """Re-id and merge picked rows. The only place that reconciles name tables:
+    sources and vocabulary are narrowed to those present, in first-appearance order."""
     parts = [src._take(np.asarray(pos, dtype=np.int64))
              for src, pos in zip(sources, positions_per_source)]
-    provenance: dict[int, tuple[str, int]] = {}
-    flipped: list[int] = []
-    true_labels: dict[int, int] = {}
-    start = 0
-    for src, part in zip(sources, parts):
-        old_ids = part.ids.tolist()
-        provenance.update((start + i, (src.name, old)) for i, old in enumerate(old_ids))
-        src_true = src.metadata.get("true_labels", {})
-        for i in np.flatnonzero(np.isin(part.ids, src.metadata.get("flipped_ids", []))).tolist():
-            flipped.append(start + i)
-            true_labels[start + i] = src_true.get(old_ids[i], int(part.y[i]))
-        start += len(part)
-
-    # Each part's codes shift past the earlier parts' names; Dataset merges repeated names.
+    # Each part's codes shift past the earlier parts' names; _recode merges repeated names.
     name_starts = np.cumsum([0] + [len(p.source_names) for p in parts])
     vocab_starts = np.cumsum([0] + [len(p.vocab) for p in parts])
     token_counts = np.concatenate([np.diff(p.token_indptr) for p in parts])
-    metadata = {"provenance": provenance, "flipped_ids": flipped, "true_labels": true_labels}
+    source_codes, source_names = _recode(
+        np.concatenate([p.source_codes + o for p, o in zip(parts, name_starts)]),
+        sum((p.source_names for p in parts), ()))
+    token_indices, vocab = _recode(
+        np.concatenate([p.token_indices + o for p, o in zip(parts, vocab_starts)]),
+        sum((p.vocab for p in parts), ()))
     return Dataset(
-        name, sources[0].num_classes, metadata,
-        ids=np.arange(start, dtype=np.int64),
+        name, sources[0].num_classes,
+        ids=np.arange(len(token_counts), dtype=np.int64),
         X=np.concatenate([p.X for p in parts]), y=np.concatenate([p.y for p in parts]),
-        source_codes=np.concatenate([p.source_codes + o for p, o in zip(parts, name_starts)]),
-        source_names=sum((p.source_names for p in parts), ()),
+        flipped=np.concatenate([p.flipped for p in parts]),
+        source_codes=source_codes, source_names=source_names,
         token_indptr=np.concatenate(([0], np.cumsum(token_counts))),
-        token_indices=np.concatenate([p.token_indices + o for p, o in zip(parts, vocab_starts)]),
-        vocab=sum((p.vocab for p in parts), ()),
+        token_indices=token_indices, vocab=vocab,
     )
 
 
 def build_multi_source_pool(sources, per_source_cap, rng_seed) -> Dataset:
     """Down-sample every source to min(minority size, cap) and pool them.
 
-    Ids are re-assigned contiguously; a provenance map (new id -> (source,
-    original id)) and merged flipped-id metadata are kept on the result.
+    Ids are re-assigned contiguously, in source order; every row keeps its
+    source name and its ``flipped`` mark.
     """
     sources = list(sources)
     if not sources:
@@ -492,9 +473,8 @@ def split_dataset(dataset: Dataset, fraction: float, rng_seed: int):
     n_hold = round(fraction * len(dataset))
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(dataset))
-    held = dataset.ids[np.sort(order[:n_hold])]
-    rest = dataset.ids[np.sort(order[n_hold:])]
-    return dataset.subset(rest), dataset.subset(held, name=f"{dataset.name}-held")
+    return (dataset._take(np.sort(order[n_hold:])),
+            dataset._take(np.sort(order[:n_hold]), name=f"{dataset.name}-held"))
 
 
 def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cartal.classifier as clf
-from cartal.acquisition import predictive_entropy, score_bald, score_mcme, select_batch
+from cartal.acquisition import predictive_entropy, score_bald, score_mcme, score_pool, select_batch
 from cartal.cartography import (
     DIFFICULTIES,
     DifficultyThresholds,
@@ -336,7 +336,7 @@ def test_criterion_8_stratified_consistency(context, suite):
         if first_entries is None:
             first_entries = carto.entries
         dm = dict(zip(carto.entries.ids.tolist(), (DIFFICULTIES[d] for d in carto.entries.difficulty)))
-        flipped = set(insitu.metadata["flipped_ids"])
+        flipped = set(insitu.ids[insitu.flipped].tolist())
         rates.append(
             sum(1 for i in flipped if dm[i] in ("hard", "impossible")) / len(flipped))
     flip_rate = float(np.mean(rates))
@@ -371,7 +371,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     model = fit(ClassifierConfig(2, (4,), 2, dropout_rate=0.3),
                 pool.subset(pool.ids[state.labelled_mask]),
                 tcfg=TrainConfig(max_epochs=2, rng_seed=0))
-    batch = select_batch("mcme", state, model, len(unlabelled), rng_seed=0)
+    batch = select_batch("mcme", state, score_pool("mcme", state, model, 0), len(unlabelled), 0)
     checks.append(("k equals pool", batch == unlabelled))
 
     # fraction-0 ablation keeps everything

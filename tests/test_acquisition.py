@@ -19,6 +19,7 @@ from cartal.acquisition import (
     score_bald,
     score_dal,
     score_mcme,
+    score_pool,
     select_batch,
     _sigmoid,
 )
@@ -320,7 +321,7 @@ def test_select_batch_breaks_ties_by_lowest_id():
     ds = _pool_of([2, 5, 7])
     state = _all_unlabelled(ds)
     model = _ScoredModel({5: 0.9, 2: 0.9, 7: 0.1})
-    picked = select_batch("mcme", state, model, 1, rng_seed=0)
+    picked = select_batch("mcme", state, score_pool("mcme", state, model, 0), 1, rng_seed=0)
     assert picked == {2}
 
 
@@ -338,7 +339,8 @@ def test_select_batch_exhausts_pool_when_k_equals_size():
     state = _all_unlabelled(ds)
     model = _ScoredModel({i: 0.5 for i in range(12)})
     for strategy in ("random", "mcme", "bald"):
-        assert select_batch(strategy, state, model, 12, rng_seed=1) == set(range(12))
+        scores = score_pool(strategy, state, model, 1)
+        assert select_batch(strategy, state, scores, 12, rng_seed=1) == set(range(12))
 
 
 def test_select_batch_rejects_oversized_k():
@@ -354,3 +356,9 @@ def test_select_batch_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="random"):
         select_batch("margin", state, None, 2, rng_seed=0)
 
+
+@pytest.mark.parametrize("scores", [None, np.zeros(4), np.zeros(6)], ids=["none", "short", "long"])
+def test_select_batch_rejects_scores_not_one_per_unlabelled_id(scores):
+    state = _all_unlabelled(_pool_of(range(5)))
+    with pytest.raises(ValueError, match="5 scores"):
+        select_batch("mcme", state, scores, 2, rng_seed=0)

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from cartal.errors import ConfigError, ParseError, SchemaError, StateError
 from cartal.pool import (
+    Dataset,
     PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
+    concat_datasets,
     generate_synthetic_source,
     load_dataset,
     seed_split,
@@ -123,24 +125,6 @@ def test_load_unknown_format_rejected(tmp_path):
         load_dataset(tmp_path / "x", format="parquet")
 
 
-def test_load_token_only_records_with_side_embeddings(tmp_path):
-    data = tmp_path / "d.jsonl"
-    data.write_text(
-        '{"id": 0, "source": "a", "tokens": ["x"], "label": 0}\n'
-        '{"id": 1, "source": "a", "tokens": ["y"], "label": 1}\n'
-    )
-    side = tmp_path / "emb.json"
-    side.write_text(json.dumps({"0": [1.0, 2.0], "1": [3.0, 4.0]}))
-    ds = load_dataset(data, embeddings_path=side)
-    assert ds.examples[1].features.tolist() == [3.0, 4.0]
-    assert ds.examples[0].tokens == ("x",)
-
-    missing = tmp_path / "partial.json"
-    missing.write_text(json.dumps({"0": [1.0, 2.0]}))
-    with pytest.raises(ParseError, match="id 1"):
-        load_dataset(data, embeddings_path=missing)
-
-
 # --- generate_synthetic_source ---------------------------------------------------
 
 def test_generation_is_deterministic():
@@ -150,25 +134,46 @@ def test_generation_is_deterministic():
     for ea, eb in zip(a.examples, b.examples):
         assert (ea.features == eb.features).all()
         assert ea.label == eb.label and ea.tokens == eb.tokens
-    assert a.metadata == b.metadata
+    assert (a.flipped == b.flipped).all()
 
 
 def test_flip_count_is_exact():
     ds = generate_synthetic_source(_spec(n=1000, flip=0.3), rng_seed=7)
-    assert len(ds.metadata["flipped_ids"]) == 300
+    assert np.count_nonzero(ds.flipped) == 300
+
+
+def _labels_differ_exactly_where_flipped(rate, n, seed):
+    # features and gold labels are drawn before the flips, so rate 0 gives the gold labels
+    ds = generate_synthetic_source(_spec(n=n, flip=rate), rng_seed=seed)
+    gold = generate_synthetic_source(_spec(n=n), rng_seed=seed)
+    assert (ds.X == gold.X).all()
+    assert ((ds.y != gold.y) == ds.flipped).all()
+    return ds
 
 
 def test_flip_rate_one_flips_everything():
-    ds = generate_synthetic_source(_spec(n=100, flip=1.0), rng_seed=3)
-    true = ds.metadata["true_labels"]
-    assert len(true) == 100
-    for e in ds.examples:
-        assert e.label != true[e.id]
+    ds = _labels_differ_exactly_where_flipped(1.0, 100, 3)
+    assert ds.flipped.all()
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+def test_labels_differ_from_gold_exactly_where_flipped(rate):
+    ds = _labels_differ_exactly_where_flipped(rate, 200, 11)
+    assert np.count_nonzero(ds.flipped) == round(rate * 200)
 
 
 def test_flip_rate_zero_flips_nothing():
     ds = generate_synthetic_source(_spec(n=50), rng_seed=1)
-    assert ds.metadata["flipped_ids"] == []
+    assert not ds.flipped.any()
+    assert ds.metadata == {"flipped_ids": []}
+
+
+def test_metadata_is_a_read_only_view_of_flipped():
+    ds = generate_synthetic_source(_spec(n=50, flip=0.2), rng_seed=1)
+    assert ds.metadata == {"flipped_ids": np.flatnonzero(ds.flipped).tolist()}
+    assert len(ds.metadata["flipped_ids"]) == 10
+    with pytest.raises(AttributeError):
+        ds.metadata = {}
 
 
 def test_generation_empty_and_bad_configs():
@@ -226,37 +231,65 @@ def test_pool_single_source_cap():
     assert len(pool) == 20
 
 
-def test_pool_ids_contiguous_with_provenance():
+def _source_of_rows(ds):
+    return [ds.source_names[c] for c in ds.source_codes.tolist()]
+
+
+def test_pool_ids_contiguous_in_source_order():
     sources = [_tiny_dataset(10, "A"), _tiny_dataset(10, "B")]
     pool = build_multi_source_pool(sources, per_source_cap=5, rng_seed=1)
     assert pool.ids.tolist() == list(range(10))
-    prov = pool.metadata["provenance"]
-    assert set(prov) == set(range(10))
-    assert all(prov[i][0] == ("A" if i < 5 else "B") for i in range(10))
+    assert _source_of_rows(pool) == ["A"] * 5 + ["B"] * 5
 
 
 def test_pool_carries_flipped_metadata_through():
     flipped_src = generate_synthetic_source(_spec("noisy", n=40, flip=0.5), rng_seed=2)
     clean_src = generate_synthetic_source(_spec("clean", n=40), rng_seed=3)
     pool = build_multi_source_pool([clean_src, flipped_src], per_source_cap=30, rng_seed=4)
-    flipped = set(pool.metadata["flipped_ids"])
-    assert flipped
-    prov = pool.metadata["provenance"]
-    assert all(prov[i][0] == "noisy" for i in flipped)
-    orig_flipped = set(flipped_src.metadata["flipped_ids"])
-    for i in flipped:
-        assert prov[i][1] in orig_flipped
+    assert pool.flipped.any()
+    assert pool.source_names == ("clean", "noisy")
+    assert (pool.source_codes[pool.flipped] == 1).all()
+    # pooled ids are reassigned, so a pooled row is found in its source by its features
+    src_flipped = dict(zip(map(tuple, flipped_src.X.tolist()), flipped_src.flipped.tolist()))
+    for x in pool.X[pool.flipped].tolist():
+        assert src_flipped[tuple(x)]
 
 
 def test_concat_keeps_unequal_sources_whole():
-    from cartal.pool import concat_datasets
-
     a = _tiny_dataset(25, "A")
-    b = _tiny_dataset(7, "B")
+    b = make_dataset(np.arange(7.0)[:, None] + 100.0, np.arange(7) % 3, num_classes=3, name="B")
     merged = concat_datasets([a, b], "both")
     assert len(merged) == 32
     assert merged.ids.tolist() == list(range(32))
-    assert merged.metadata["provenance"][30] == ("B", 5)
+    assert _source_of_rows(merged)[30] == "B" and merged.X[30].tolist() == b.X[5].tolist()
+
+
+def _flipped_by_row(*datasets):
+    """Each row's flipped mark, keyed by its source name and feature row."""
+    return {(name, tuple(x)): f for ds in datasets
+            for name, x, f in zip(_source_of_rows(ds), ds.X.tolist(), ds.flipped.tolist())}
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.2, 0.5, 1.0])),
+                min_size=1, max_size=3),
+       st.integers(0, 2**16), st.data())
+@settings(max_examples=40, deadline=None)
+def test_flipped_stays_aligned_with_its_rows(shapes, seed, data):
+    sources = [generate_synthetic_source(_spec(f"s{j}", n=n, flip=rate), rng_seed=seed + j)
+               for j, (n, rate) in enumerate(shapes)]
+    for src in sources:
+        # subset and split_dataset keep ids, so the parent's row is found by id
+        wanted = data.draw(st.sets(st.sampled_from(src.ids.tolist()))) if len(src) else set()
+        children = [src.subset(wanted), *split_dataset(src, 0.3, seed)]
+        children.append(children[0].subset(children[0].ids[::2]))
+        for child in children:
+            assert (child.flipped == src.flipped[src.positions(child.ids)]).all()
+    # pooling reassigns ids, so the source row is found by its features
+    by_row = _flipped_by_row(*sources)
+    cap = data.draw(st.integers(0, 40))
+    for merged in (build_multi_source_pool(sources, cap, seed), concat_datasets(sources, "all")):
+        assert _flipped_by_row(merged).items() <= by_row.items()
+        assert len(_flipped_by_row(merged)) == len(merged)
 
 
 def test_pool_rejects_schema_mismatch():
@@ -353,6 +386,36 @@ def test_dataset_validation():
         make_dataset(np.zeros((1, 1)), [5], num_classes=3)
     with pytest.raises(SchemaError, match="non-increasing"):
         make_dataset(np.zeros((2, 1)), [0, 0], ids=[1, 0], num_classes=2)
+
+
+def _columns(n=3):
+    """Valid columns of an n-row dataset with two sources and a three-token vocabulary."""
+    return dict(ids=np.arange(n), X=np.zeros((n, 4)), y=np.zeros(n, dtype=np.int64),
+                source_codes=np.arange(n) % 2, source_names=("a", "b"),
+                token_indptr=np.arange(n + 1), token_indices=np.arange(n) % 3, vocab=("x", "y", "z"))
+
+
+@pytest.mark.parametrize("column, value", [
+    ("X", np.zeros((2, 4))),
+    ("X", np.zeros(3)),
+    ("y", np.zeros(4, dtype=np.int64)),
+    ("source_codes", np.zeros(2, dtype=np.int64)),
+    ("flipped", np.zeros(2, dtype=bool)),
+    ("token_indptr", np.arange(3)),
+    ("token_indptr", np.array([1, 1, 2, 3])),
+    ("token_indptr", np.array([0, 2, 1, 3])),
+    ("token_indptr", np.array([0, 1, 2, 2])),
+    ("source_codes", np.array([0, -1, 1])),
+    ("source_codes", np.array([0, 2, 1])),
+    ("token_indices", np.array([0, -1, 2])),
+    ("token_indices", np.array([0, 3, 2])),
+], ids=["X-rows", "X-1d", "y-length", "codes-length", "flipped-length", "indptr-length",
+        "indptr-start", "indptr-decreasing", "indptr-end", "code-negative", "code-too-large",
+        "token-negative", "token-too-large"])
+def test_dataset_rejects_malformed_columns(column, value):
+    Dataset("ok", 2, **_columns())
+    with pytest.raises(SchemaError, match="dataset 'bad'"):
+        Dataset("bad", 2, **{**_columns(), column: value})
 
 
 # --- array kernels against per-example references ------------------------------------
