@@ -104,20 +104,22 @@ def _activate(z, activation, out=None):
     return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
-def _forward(weights, X, activation, masks=None):
+def _forward(weights, X, activation, masks=None, out=None):
     """Forward pass; returns logits and per-layer caches for backprop.
 
     ``masks`` are pre-scaled inverted-dropout masks, one per hidden layer, or
     None for deterministic inference. Weights may be stacked: W of shape
     (R, fan_in, fan_out) and b of shape (R, fan_out) run R networks at once,
-    each slice through the same matmul a single network makes.
+    each slice through the same matmul a single network makes. ``out`` may
+    hold one array per layer to take that layer's output: repeated passes
+    over many rows then skip allocating and faulting in fresh activations.
     """
     h = X
     caches = []
     n_hidden = len(weights) - 1
     for l in range(n_hidden):
         W, b = weights[l]
-        z = h @ W
+        z = h @ W if out is None else np.matmul(h, W, out=out[l])
         z += b[..., None, :]
         a = _activate(z, activation, out=z)
         m = masks[l] if masks is not None else None
@@ -125,15 +127,21 @@ def _forward(weights, X, activation, masks=None):
         caches.append((h, a, m))
         h = h_out
     W, b = weights[-1]
-    logits = h @ W
+    logits = h @ W if out is None else np.matmul(h, W, out=out[-1])
     logits += b[..., None, :]
     caches.append((h, None, None))
     return logits, caches
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # The row max as one np.maximum per class: a reduction along the short
+    # class axis loops once per row (3 ms against under 0.5 ms on 54k x 3
+    # classes). Max is exact, so the bits are those of logits.max(axis=-1).
+    top = logits[..., :1]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c:c + 1])
+    shifted = logits - top
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softmax(logits):
@@ -144,23 +152,35 @@ def softmax(logits):
 def loss_and_gradients(config, weights, X, y, masks=None):
     """Mean cross-entropy and its analytic gradients for every layer.
 
-    This is the single gradient path used by training; tests compare it
-    against central finite differences of the returned loss. With stacked
-    weights, X (R, n, d) and y (R, n), the loss is one value per network.
+    This is the single gradient path: training calls the arithmetic below it,
+    :func:`_gradients`, with its own buffers. Tests compare it against central
+    finite differences of the returned loss. With stacked weights, X (R, n, d)
+    and y (R, n), the loss is one value per network.
     """
+    gold = y[..., None] == np.arange(weights[-1][0].shape[-1])
+    lead = np.broadcast_shapes(X.shape[:-2], weights[0][0].shape[:-2])
+    grads = [(np.empty(lead + W.shape[-2:]), np.empty(lead + b.shape[-1:])) for W, b in weights]
+    total = _gradients(config, weights, X, gold, masks, grads)
+    return -(total / X.shape[-2]), grads
+
+
+def _gradients(config, weights, X, gold, masks, grads):
+    """:func:`loss_and_gradients` with the gold labels given one-hot (bool,
+    shaped like the logits) and each gradient written into ``grads``, a
+    (dW, db) pair of arrays per layer. Returns the gold log-probabilities
+    summed per network, which is minus the loss times the batch size."""
     n = X.shape[-2]
     logits, caches = _forward(weights, X, config.activation, masks)
     logp = _log_softmax(logits)
-    gold = y[..., None] == np.arange(logp.shape[-1])
-    loss = -logp[gold].reshape(y.shape).mean(axis=-1)
+    total = np.add.reduce(logp[gold].reshape(gold.shape[:-1]), axis=-1)
 
     dlogits = np.exp(logp)
     dlogits -= gold
     dlogits /= n
 
-    grads = [None] * len(weights)
     h_last = caches[-1][0]
-    grads[-1] = (h_last.swapaxes(-1, -2) @ dlogits, dlogits.sum(axis=-2))
+    np.matmul(h_last.swapaxes(-1, -2), dlogits, out=grads[-1][0])
+    np.add.reduce(dlogits, axis=-2, out=grads[-1][1])
     dh = dlogits @ weights[-1][0].swapaxes(-1, -2)
     for l in range(len(weights) - 2, -1, -1):
         h_in, a, m = caches[l]
@@ -171,10 +191,11 @@ def loss_and_gradients(config, weights, X, y, masks=None):
         else:
             slope = a * a
             dh *= np.subtract(1.0, slope, out=slope)
-        grads[l] = (h_in.swapaxes(-1, -2) @ dh, dh.sum(axis=-2))
+        np.matmul(h_in.swapaxes(-1, -2), dh, out=grads[l][0])
+        np.add.reduce(dh, axis=-2, out=grads[l][1])
         if l > 0:
             dh = dh @ weights[l][0].swapaxes(-1, -2)
-    return loss, grads
+    return total
 
 
 @dataclass
@@ -249,6 +270,19 @@ def _snapshot_steps(max_epochs, eval_interval, steps_per_epoch):
     return [math.ceil(j * eval_interval * steps_per_epoch - 1e-9) for j in range(1, count + 1)]
 
 
+def _layer_views(flat, config):
+    """Per-layer (W, b) views of stacked parameters held flat, one run per row
+    of ``flat``: each layer's W (fan_in x fan_out, row-major), then its b."""
+    dims = (config.input_dim, *config.hidden_dims, config.num_classes)
+    views, at = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        W = flat[:, at:at + fan_in * fan_out].reshape(len(flat), fan_in, fan_out)
+        at += fan_in * fan_out
+        views.append((W, flat[:, at:at + fan_out]))
+        at += fan_out
+    return views
+
+
 # Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit:
 # 2^16 doubles keep the draw buffer and its masks near 1 MB even when one
 # epoch covers a whole pool, where a whole-epoch draw would take tens of MB.
@@ -315,13 +349,21 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
     probe_X, probe_y = _as_xy(probe) if probe is not None else (None, None)
 
     rngs = [np.random.default_rng(t.rng_seed) for t in tcfgs]
-    inits = [init_weights(config, rng) for rng in rngs]
-    weights = [(np.stack([w[l][0] for w in inits]), np.stack([w[l][1] for w in inits]))
-               for l in range(len(inits[0]))]
+    # All runs' parameters in one (R, P) buffer and their gradients in
+    # another, each layer a view: one call pair updates every parameter.
+    flat = np.stack([np.concatenate([a.ravel() for layer in init_weights(config, rng) for a in layer])
+                     for rng in rngs])
+    grad = np.empty_like(flat)
+    weights, grads = _layer_views(flat, config), _layer_views(grad, config)
+    gold = y[..., None] == np.arange(config.num_classes)
+    lr = tcfg.learning_rate
     B = tcfg.batch_size
     steps_per_epoch = math.ceil(n / B)
     snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch) if dynamics_sink else []
     next_snap = 0
+    probe_out = None
+    if dynamics_sink is not None:  # the probe's activations, rewritten by every snapshot
+        probe_out = [np.empty((1, len(probe_X), h)) for h in (*config.hidden_dims, config.num_classes)]
     p = config.dropout_rate
     width = sum(config.hidden_dims)
 
@@ -350,7 +392,7 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
     for epoch in range(tcfg.max_epochs):
         rows = np.arange(live.size)[:, None]
         order = np.stack([rngs[r].permutation(n) for r in live])
-        Xe, ye = X[rows, order], y[rows, order]
+        Xe, gold_e = X[rows, order], gold[rows, order]
         chunk_steps = max(1, _MASK_CHUNK // (live.size * B * width))
         for s in range(steps_per_epoch):
             lo, hi = s * B, min(n, (s + 1) * B)
@@ -367,24 +409,23 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
                 for h in config.hidden_dims:
                     masks.append(drawn[:, at:at + (hi - lo) * h].reshape(live.size, hi - lo, h))
                     at += (hi - lo) * h
-            loss, grads = loss_and_gradients(config, weights, Xe[:, lo:hi], ye[:, lo:hi], masks)
-            ok = np.isfinite(loss)
-            if not ok.all():
+            total = _gradients(config, weights, Xe[:, lo:hi], gold_e[:, lo:hi], masks, grads)
+            if not all(map(math.isfinite, total.tolist())):  # cheaper than isfinite(...).all() at small R
+                ok = np.isfinite(total)
                 for r in live[~ok]:
                     results[r] = DivergenceError("non-finite training loss", step=step)
-                weights = [(W[ok], b[ok]) for W, b in weights]
-                grads = [(dW[ok], db[ok]) for dW, db in grads]
-                X, y, Xe, ye, live = X[ok], y[ok], Xe[ok], ye[ok], live[ok]
+                flat, grad = flat[ok], grad[ok]
+                weights, grads = _layer_views(flat, config), _layer_views(grad, config)
+                X, gold, Xe, gold_e, live = X[ok], gold[ok], Xe[ok], gold_e[ok], live[ok]
                 if p > 0:
                     drawn = drawn[ok]
                 if not live.size:
                     break
-            for (W, b), (dW, db) in zip(weights, grads):
-                W -= tcfg.learning_rate * dW
-                b -= tcfg.learning_rate * db
+            grad *= lr  # then flat -= grad: the bits of W -= lr * dW
+            flat -= grad
             step += 1
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
-                logits, _ = _forward(weights, probe_X, config.activation)
+                logits, _ = _forward(weights, probe_X, config.activation, out=probe_out)
                 probs = softmax(logits[0])
                 gold_p = probs[np.arange(probe_X.shape[0]), probe_y]
                 dynamics_sink(step, gold_p, np.argmax(probs, axis=1))
@@ -407,8 +448,9 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
         if done.any():
             finish(np.flatnonzero(done), epoch + 1, True)
             keep = ~done
-            weights = [(W[keep], b[keep]) for W, b in weights]
-            X, y, live = X[keep], y[keep], live[keep]
+            flat, grad = flat[keep], grad[keep]
+            weights, grads = _layer_views(flat, config), _layer_views(grad, config)
+            X, gold, live = X[keep], gold[keep], live[keep]
             if not live.size:
                 break
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,11 @@ def _positions(sorted_ids, ids) -> np.ndarray:
 
 def _recode(codes, names):
     """Codes into the distinct ``names`` that occur, listed in order of first occurrence."""
-    present, first = np.unique(codes, return_index=True)
-    distinct = tuple(dict.fromkeys(names[c] for c in present[np.argsort(first)]))
+    # each code's first position; codes index the short names, so no sort is needed
+    first = np.full(len(names), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    present = np.flatnonzero(first < len(codes))
+    distinct = tuple(dict.fromkeys(names[c] for c in present[np.argsort(first[present])].tolist()))
     index = {name: i for i, name in enumerate(distinct)}
     return np.array([index.get(name, -1) for name in names], dtype=np.int64)[codes], distinct
 
@@ -118,6 +122,9 @@ class Dataset:
         if bad.any():
             at = int(np.argmax(bad))
             fail(f"example {self.ids[at]} has label {self.y[at]} outside [0, {self.num_classes})")
+        finite = np.isfinite(self.X)
+        if not finite.all():
+            fail(f"example {self.ids[np.argmin(finite.all(axis=1))]} has a non-finite feature")
 
     def __getstate__(self):
         return {**self.__dict__, "_examples": None}  # views are rebuilt, not shipped
@@ -232,8 +239,8 @@ class SyntheticSourceSpec:
         # keyed by field: the config parser prefixes the source's JSON path
         if not 0.0 <= self.label_flip_rate <= 1.0:
             raise ConfigError(f"must lie in [0, 1] (source {self.name!r})", key="label_flip_rate")
-        if self.noise_scale <= 0:
-            raise ConfigError(f"must be > 0 (source {self.name!r})", key="noise_scale")
+        if not 0 < self.noise_scale < math.inf:  # also false for NaN
+            raise ConfigError(f"must be finite and > 0 (source {self.name!r})", key="noise_scale")
         if not 0.0 <= self.centroid_overlap < 1.0:
             raise ConfigError(f"must lie in [0, 1) (source {self.name!r})", key="centroid_overlap")
         if self.n < 0:
@@ -243,6 +250,9 @@ class SyntheticSourceSpec:
         dims = {len(c) for c in self.class_centroids}
         if len(dims) > 1:
             raise ConfigError(f"centroids must share one dimension (source {self.name!r})",
+                              key="class_centroids")
+        if not all(math.isfinite(v) for c in self.class_centroids for v in c):
+            raise ConfigError(f"centroid entries must be finite (source {self.name!r})",
                               key="class_centroids")
 
     @property
@@ -257,11 +267,19 @@ class SyntheticSourceSpec:
 def _feature_tokens(feats: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """Token ids of ``f"f{j}={round(v, 1):.1f}"`` per feature, and their vocabulary.
 
-    Keys are integer tenths, which also folds "-0.0" into "0.0".
+    Keys are integer tenths, which also folds "-0.0" into "0.0". They are
+    ``rint(v * 10)`` wherever ``v * 10`` lies more than 1e-5 from a .5 tie and
+    below 2^31 in magnitude, so its rounding error (under 2^-21) cannot cross a
+    tie; elsewhere (and for NaN or inf) Python's ``round(v, 1)`` decides.
     """
     n, d = feats.shape
-    tenths = np.rint(np.array([round(v, 1) for v in feats.ravel().tolist()]) * 10.0).astype(np.int64)
-    distinct, token_ids = np.unique(tenths * d + np.tile(np.arange(d), n), return_inverse=True)
+    scaled = feats.ravel() * 10.0
+    tenths = np.rint(scaled)
+    far = (np.abs(np.abs(scaled - tenths) - 0.5) > 1e-5) & (np.abs(scaled) < 2.0 ** 31)
+    near = np.flatnonzero(~far)
+    tenths[near] = np.rint(np.array([round(v, 1) for v in feats.ravel()[near].tolist()]) * 10.0)
+    distinct, token_ids = np.unique(tenths.astype(np.int64) * d + np.tile(np.arange(d), n),
+                                    return_inverse=True)
     vocab = tuple(f"f{k % d}={(k // d) / 10:.1f}" for k in distinct.tolist())
     return token_ids.reshape(n, d), vocab
 

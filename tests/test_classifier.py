@@ -259,6 +259,9 @@ def test_diverging_run_fails_alone_in_lockstep():
     with np.errstate(all="ignore"):
         many = fit_many(config, stacked, labels, val=(X, y), tcfgs=tcfgs)
     assert isinstance(many[1], DivergenceError) and many[1].step is not None
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as alone:
+        _reference_fit(config, stacked[1], y, X, y, tcfgs[1])
+    assert many[1].step == alone.value.step
     for r in (0, 2):
         alone = fit(config, (stacked[r], y), val=(X, y), tcfg=tcfgs[r])
         assert _same_weights(many[r].weights, alone.weights)

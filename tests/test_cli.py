@@ -371,6 +371,10 @@ def _set(section, key, value):
      "data.synthetic_sources[1].class_centroids"),
     (_set("al", "mc_samples", 0), "al.mc_samples"),
     (lambda raw: raw["al"].update(strategies=["bald"], mc_samples=1), "al.mc_samples"),
+    (lambda raw: raw["data"]["synthetic_sources"][0].update(noise_scale=float("inf")),
+     "data.synthetic_sources[0].noise_scale"),
+    (lambda raw: raw["data"]["synthetic_sources"][2]["class_centroids"][1].__setitem__(0, float("nan")),
+     "data.synthetic_sources[2].class_centroids"),
 ])
 def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
     raw = config_to_dict(tiny_config())

@@ -22,7 +22,7 @@ from cartal.pool import (
     split_dataset,
     transfer,
 )
-from cartal.pool import _feature_tokens
+from cartal.pool import _feature_tokens, _recode
 
 from conftest import make_dataset
 
@@ -174,6 +174,36 @@ def test_metadata_is_a_read_only_view_of_flipped():
     assert len(ds.metadata["flipped_ids"]) == 10
     with pytest.raises(AttributeError):
         ds.metadata = {}
+
+
+def test_load_rejects_non_finite_features(tmp_path):
+    for features in ([float("nan"), 1.0], [float("inf"), 0.0]):
+        path = tmp_path / "d.jsonl"
+        rows = [{"id": 4, "source": "a", "features": [0.0, 1.0], "label": 0},
+                {"id": 7, "source": "a", "features": features, "label": 1}]
+        path.write_text("\n".join(json.dumps(r) for r in rows))  # writes NaN / Infinity
+        with pytest.raises(SchemaError, match="example 7 has a non-finite feature"):
+            load_dataset(path)
+
+
+def test_dataset_rejects_non_finite_features():
+    X = np.zeros((3, 4))
+    X[2, 1] = -np.inf
+    X[1, 3] = np.nan
+    with pytest.raises(SchemaError, match="dataset 'bad': example 1 has a non-finite feature"):
+        Dataset("bad", 2, **{**_columns(), "X": X})
+
+
+@pytest.mark.parametrize("kw, key", [
+    ({"noise_scale": float("inf")}, "noise_scale"),
+    ({"noise_scale": float("nan")}, "noise_scale"),
+    ({"class_centroids": ((0.0, 0.0), (float("inf"), 1.0))}, "class_centroids"),
+    ({"class_centroids": ((0.0, float("nan")), (3.0, 1.0))}, "class_centroids"),
+])
+def test_source_spec_rejects_non_finite_numbers(kw, key):
+    with pytest.raises(ConfigError) as info:
+        SyntheticSourceSpec(**{"name": "src", "n": 10, "class_centroids": CENTROIDS_2D, **kw})
+    assert info.value.key == key
 
 
 def test_generation_empty_and_bad_configs():
@@ -420,17 +450,33 @@ def test_dataset_rejects_malformed_columns(column, value):
 
 # --- array kernels against per-example references ------------------------------------
 
-_values = st.one_of(st.floats(-60, 60, allow_nan=False),
-                    st.integers(-1200, 1200).map(lambda k: k / 20))  # exact and near ties
+_values = st.one_of(
+    st.floats(-60, 60, allow_nan=False),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(-20_000_000, 20_000_000).map(lambda k: k / 20),  # twentieths: exact and near ties
+    st.builds(lambda k, eps: (2 * k + 1) / 20 + eps,  # within 1e-9 of a tie
+              st.integers(-20_000_000, 20_000_000), st.floats(-1e-9, 1e-9)),
+    st.sampled_from([0.05, -0.05, 0.25, -0.35, 2.45, -2.45, 0.0, -0.0, -0.04]),  # -0.0, -0.04 read "0.0"
+)
 
 
 @given(st.lists(_values, min_size=1, max_size=24), st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_feature_tokens_match_python_rounding(values, d):
     feats = np.tile(np.array(values, dtype=float)[:, None], (1, d))
     token_ids, vocab = _feature_tokens(feats)
     expected = [[f"f{j}={round(float(v), 1) + 0.0:.1f}" for j, v in enumerate(row)] for row in feats]
     assert [[vocab[t] for t in row] for row in token_ids.tolist()] == expected
+
+
+@given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_recode_matches_first_occurrence_reference(names, data):
+    codes = data.draw(st.lists(st.integers(0, len(names) - 1), max_size=40))
+    recoded, distinct = _recode(np.array(codes, dtype=np.int64), tuple(names))
+    expected = tuple(dict.fromkeys(names[c] for c in codes))  # repeated names merge
+    assert distinct == expected
+    assert [distinct[c] for c in recoded.tolist()] == [names[c] for c in codes]
 
 
 @given(st.sets(st.integers(0, 300), min_size=1, max_size=30), st.data())
