@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "STRATEGIES",
     "DalConfig",
@@ -34,6 +36,15 @@ class DalConfig:
     learning_rate: float = 0.1
     epochs: int = 200
     hidden_dim: int | None = None
+
+    def __post_init__(self):
+        # keyed by field: the config parser prefixes "dal"
+        if not self.learning_rate > 0:  # also false for NaN
+            raise ConfigError("must be > 0", key="learning_rate")
+        if self.epochs < 1:
+            raise ConfigError("must be >= 1", key="epochs")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ConfigError("must be >= 1 or null", key="hidden_dim")
 
 
 def entropy_rows(P: np.ndarray) -> np.ndarray:

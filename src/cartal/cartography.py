@@ -9,7 +9,6 @@ are upper-inclusive, so a mean of exactly 0.25 is still "impossible".
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 from . import classifier as clf
 from .errors import CapacityError, InsufficientDynamicsError
 from .pool import _positions
+from .reporting import write_table
 
 __all__ = [
     "DIFFICULTIES",
@@ -227,10 +227,9 @@ def write_datamap_csv(datamap: Datamap, dataset, path) -> None:
     pos = dataset.positions(datamap.ids)
     codes = np.where(pos >= 0, dataset.source_codes[pos], -1).tolist()
     names = (*dataset.source_names, "")  # code -1 reads the trailing ""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "source", "mean_confidence", "variability", "correctness", "difficulty"])
+    write_table(path, ["id", "source", "mean_confidence", "variability", "correctness", "difficulty"], (
+        [i, names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]]
         for i, code, conf, var, corr, band in zip(
-                datamap.ids.tolist(), codes, datamap.mean_confidence.tolist(),
-                datamap.variability.tolist(), datamap.correctness.tolist(), datamap.difficulty.tolist()):
-            writer.writerow([i, names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]])
+            datamap.ids.tolist(), codes, datamap.mean_confidence.tolist(),
+            datamap.variability.tolist(), datamap.correctness.tolist(), datamap.difficulty.tolist())
+    ))

@@ -42,8 +42,8 @@ class ClassifierConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        if not self.hidden_dims:
-            raise ValueError("hidden_dims must be non-empty")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError(f"hidden_dims must be one or more widths >= 1: {self.hidden_dims}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1): {self.dropout_rate}")
         if self.activation not in ("relu", "tanh"):

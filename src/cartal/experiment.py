@@ -10,12 +10,12 @@ including across worker processes.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import logging
 import multiprocessing
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
@@ -38,7 +38,6 @@ from .cartography import (
 )
 from .errors import CapacityError, ConfigError
 from .metrics import (
-    RoundMetrics,
     acquisition_factor,
     class_distribution,
     input_diversity,
@@ -58,6 +57,7 @@ from .pool import (
     split_dataset,
     transfer,
 )
+from .reporting import write_table
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -96,6 +96,15 @@ class TestSetSpec:
     def __post_init__(self):
         if not self.synthetic_sources and not self.files:
             raise ValueError("test set needs synthetic_sources or files")
+        _require_unique([s.name for s in self.synthetic_sources], "synthetic_sources")
+
+
+def _require_unique(values, key: str) -> None:
+    """Reject a config list that repeats an entry: each entry names one run,
+    source or test set, and a repeat would silently double or hide it."""
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"repeated entries: {', '.join(map(str, repeated))}", key=key)
 
 
 def cartography_defaults(training: clf.TrainConfig) -> clf.TrainConfig:
@@ -158,6 +167,17 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown strategy {s!r}; valid: {', '.join(STRATEGIES)}", key="al.strategies"
                 )
+        _require_unique(self.strategies, "al.strategies")
+        _require_unique(self.seeds, "al.seeds")
+        _require_unique([s.name for s in self.synthetic_sources], "data.synthetic_sources")
+        _require_unique([t.name for t in self.test_sets], "test_sets")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigError("need at least one hidden layer, each of width >= 1",
+                              key="classifier.hidden_dims")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError("must lie in [0, 1)", key="data.val_fraction")
+        if not 0.0 <= self.ablation_fraction < 1.0:
+            raise ConfigError("must lie in [0, 1)", key="ablation.fraction")
 
     def classifier_config(self, input_dim: int, num_classes: int) -> clf.ClassifierConfig:
         return clf.ClassifierConfig(
@@ -186,24 +206,29 @@ class RunContext:
 
 
 @dataclass(frozen=True)
+class RunProfile:
+    """Acquisition profile of a set of pool examples: a round's batch, or a
+    run's final labelled set."""
+
+    input_diversity: float
+    output_uncertainty: float
+    class_distribution: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class RoundLog:
+    """One round of one run: the batch it acquired, its profile, and the val
+    accuracy of the model that chose it."""
+
     strategy: str
     seed: int
     round: int
     acquired_ids: tuple[int, ...]
     per_source_counts: dict[str, int]
-    metrics: RoundMetrics
+    profile: RunProfile
+    acquisition_factor: dict[str, float]
     val_accuracy: float
     labelled_size: int
-
-
-@dataclass(frozen=True)
-class RunProfile:
-    """End-of-run profile of the full acquired training set."""
-
-    input_diversity: float
-    output_uncertainty: float
-    class_distribution: tuple[float, ...]
 
 
 @dataclass
@@ -309,15 +334,12 @@ def prepare_context(config: ExperimentConfig, data: ExperimentData | None = None
 
 def _dump_scores(scores_dir, strategy, seed, rnd, state, scores):
     os.makedirs(scores_dir, exist_ok=True)
-    path = os.path.join(scores_dir, f"{strategy}_seed{seed}_round{rnd}.csv")
     pool = state.universe
     pos = np.flatnonzero(~state.labelled_mask)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "source", "score"])
-        codes = pool.source_codes[pos].tolist()
-        for i, code, score in zip(pool.ids[pos].tolist(), codes, scores.tolist()):
-            writer.writerow([i, pool.source_names[code], _fmt(score)])
+    sources = [pool.source_names[code] for code in pool.source_codes[pos].tolist()]
+    path = os.path.join(scores_dir, f"{strategy}_seed{seed}_round{rnd}.csv")
+    write_table(path, ["id", "source", "score"],
+                zip(pool.ids[pos].tolist(), sources, map(_fmt, scores.tolist())))
 
 
 @dataclass
@@ -344,12 +366,33 @@ def _start_run(config: ExperimentConfig, run: _Run, pool: Dataset) -> None:
     run.state = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
 
 
+def _val_accuracy(model: clf.Classifier) -> float:
+    """Val accuracy of a fit's returned weights, as its history recorded it;
+    NaN without a val set."""
+    acc = model.history["best_val_accuracy"]
+    return float("nan") if acc is None else acc
+
+
+def _profile(context: RunContext, rows, rest) -> RunProfile:
+    """Profile the pool examples at ``rows`` against the unlabelled ``rest``.
+
+    The metric functions are looked up in this module, where perfbench's
+    tracer patches them.
+    """
+    pool = context.data.pool
+    return RunProfile(
+        input_diversity=input_diversity(tokens_of(pool, rows), tokens_of(pool, rest)),
+        output_uncertainty=output_uncertainty(context.reference_model, pool.X[rows]),
+        class_distribution=class_distribution(pool.y[rows], pool.num_classes),
+    )
+
+
 def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: int,
               context: RunContext, scores_dir=None) -> None:
     """One run's round after its fit: score, select, profile, transfer."""
-    pool, val = context.data.pool, context.data.val
+    pool = context.data.pool
     state = run.state
-    val_acc = model.accuracy(val, val.y) if len(val) else float("nan")
+    val_acc = _val_accuracy(model)
 
     select_seed = derive_seed(run.run_seed, rnd, "select")
     scores = acquisition.score_pool(run.strategy, state, model, select_seed,
@@ -360,13 +403,8 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
     picked = pool.positions(sorted(batch))
     remainder = ~state.labelled_mask
     remainder[picked] = False
-    m = RoundMetrics(
-        round=rnd,
-        input_diversity=input_diversity(tokens_of(pool, picked), tokens_of(pool, remainder)),
-        output_uncertainty=output_uncertainty(context.reference_model, pool.X[picked]),
-        class_distribution=class_distribution(pool.y[picked], pool.num_classes),
-        acquisition_factor=acquisition_factor(batch, state),
-    )
+    profile = _profile(context, picked, remainder)
+    factor = acquisition_factor(batch, state)
     run.state = state = transfer(state, batch)
     run.round_logs.append(
         RoundLog(
@@ -375,7 +413,8 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
             round=rnd,
             acquired_ids=tuple(pool.ids[picked].tolist()),
             per_source_counts=pool.source_counts(picked),
-            metrics=m,
+            profile=profile,
+            acquisition_factor=factor,
             val_accuracy=val_acc,
             labelled_size=int(np.count_nonzero(state.labelled_mask)),
         )
@@ -386,24 +425,16 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
 def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier,
                 context: RunContext) -> None:
     """Evaluate a run's final refit everywhere and profile its labelled set."""
-    pool, val, tests = context.data.pool, context.data.val, context.data.tests
+    pool, tests = context.data.pool, context.data.tests
     labelled = np.flatnonzero(run.state.labelled_mask)
-    final_val = final_model.accuracy(val, val.y) if len(val) else float("nan")
-    test_acc = {name: final_model.accuracy(ds, ds.y) for name, ds in tests.items()}
-    profile = RunProfile(
-        input_diversity=input_diversity(tokens_of(pool, labelled),
-                                        tokens_of(pool, ~run.state.labelled_mask)),
-        output_uncertainty=output_uncertainty(context.reference_model, pool.X[labelled]),
-        class_distribution=class_distribution(pool.y[labelled], pool.num_classes),
-    )
     run.result = RunResult(
         strategy=run.strategy,
         seed=run.seed,
         round_logs=run.round_logs,
         final_model=final_model,
-        final_val_accuracy=final_val,
-        test_accuracies=test_acc,
-        profile=profile,
+        final_val_accuracy=_val_accuracy(final_model),
+        test_accuracies={name: final_model.accuracy(ds, ds.y) for name, ds in tests.items()},
+        profile=_profile(context, labelled, ~run.state.labelled_mask),
         labelled_ids=tuple(pool.ids[labelled].tolist()),
     )
 
@@ -490,25 +521,25 @@ def _run_group(args) -> list:
     return out
 
 
+def _summary(name: str, names, accuracies: list[dict[str, float]], size: int) -> RunSummary:
+    """Mean, std and count over runs of each of ``names`` in the runs'
+    ``accuracies``; NaN, NaN, 0 where there are no runs."""
+    acc = {}
+    for key in names:
+        v = np.array([a[key] for a in accuracies])
+        if len(v):
+            acc[key] = (float(v.mean()), float(v.std()), len(v))
+        else:
+            acc[key] = (float("nan"), float("nan"), 0)
+    return RunSummary(strategy=name, accuracies=acc, final_labelled_size=size)
+
+
 def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSummary]:
-    summaries = []
+    names = ["val"] + [t.name for t in config.test_sets]
     final_size = config.seed_size + config.rounds * config.k
-    for strategy in config.strategies:
-        runs = [r for r in results if r.strategy == strategy]
-        acc: dict[str, tuple[float, float, int]] = {}
-        names = ["val"] + [t.name for t in config.test_sets]
-        for name in names:
-            vals = [
-                r.final_val_accuracy if name == "val" else r.test_accuracies[name]
-                for r in runs
-            ]
-            if vals:
-                arr = np.array(vals)
-                acc[name] = (float(arr.mean()), float(arr.std()), len(vals))
-            else:
-                acc[name] = (float("nan"), float("nan"), 0)
-        summaries.append(RunSummary(strategy=strategy, accuracies=acc, final_labelled_size=final_size))
-    return summaries
+    return [_summary(strategy, names, [{"val": r.final_val_accuracy, **r.test_accuracies}
+                                       for r in results if r.strategy == strategy], final_size)
+            for strategy in config.strategies]
 
 
 # The thread-count variables of OpenBLAS, OpenMP and MKL, read when a process
@@ -639,22 +670,15 @@ def run_difficulty_split(config: ExperimentConfig,
              for combo, seed in combos]
     models = clf.fit_many(ccfg, pool.X[rows], pool.y[rows], val=val, tcfgs=tcfgs)
 
-    summaries = []
-    for c, combo in enumerate(config.difficulty_combos):
-        per_test: dict[str, list[float]] = {name: [] for name in ["val", *tests]}
-        for model in models[c * len(config.seeds):(c + 1) * len(config.seeds)]:
-            if isinstance(model, Exception):
-                raise model
-            per_test["val"].append(model.accuracy(val, val.y) if len(val) else float("nan"))
-            for name, ds in tests.items():
-                per_test[name].append(model.accuracy(ds, ds.y))
-        acc = {
-            name: (float(np.mean(v)), float(np.std(v)), len(v)) for name, v in per_test.items()
-        }
-        summaries.append(
-            RunSummary(strategy=combo, accuracies=acc, final_labelled_size=config.difficulty_n)
-        )
-    return summaries
+    accuracies = []
+    for model in models:
+        if isinstance(model, Exception):
+            raise model
+        accuracies.append({"val": _val_accuracy(model),
+                           **{name: model.accuracy(ds, ds.y) for name, ds in tests.items()}})
+    S = len(config.seeds)
+    return [_summary(combo, ["val", *tests], accuracies[c * S:(c + 1) * S], config.difficulty_n)
+            for c, combo in enumerate(config.difficulty_combos)]
 
 
 def run_stratified(config: ExperimentConfig, data: ExperimentData,
@@ -699,6 +723,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _profile_cells(profile: RunProfile) -> list[str]:
+    return [_fmt(profile.input_diversity), _fmt(profile.output_uncertainty),
+            *map(_fmt, profile.class_distribution)]
+
+
 def write_rounds_csv(results: list[RunResult], pool: Dataset, path) -> None:
     sources = pool.source_names
     C = pool.num_classes
@@ -709,52 +738,34 @@ def write_rounds_csv(results: list[RunResult], pool: Dataset, path) -> None:
         + [f"class_{c}" for c in range(C)]
         + [f"factor_{s}" for s in sources]
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in results:
-            for log in r.round_logs:
-                writer.writerow(
-                    [log.strategy, log.seed, log.round, log.labelled_size, _fmt(log.val_accuracy)]
-                    + [log.per_source_counts.get(s, 0) for s in sources]
-                    + [_fmt(log.metrics.input_diversity), _fmt(log.metrics.output_uncertainty)]
-                    + [_fmt(f) for f in log.metrics.class_distribution]
-                    + [_fmt(log.metrics.acquisition_factor.get(s, 0.0)) for s in sources]
-                )
+    write_table(path, header, (
+        [log.strategy, log.seed, log.round, log.labelled_size, _fmt(log.val_accuracy)]
+        + [log.per_source_counts.get(s, 0) for s in sources]
+        + _profile_cells(log.profile)
+        + [_fmt(log.acquisition_factor.get(s, 0.0)) for s in sources]
+        for r in results for log in r.round_logs
+    ))
 
 
 def write_summary_csv(summaries: list[RunSummary], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "test_set", "mean", "std", "runs"])
-        for s in summaries:
-            for test_set, (mean, std, n) in s.accuracies.items():
-                writer.writerow([s.strategy, test_set, _fmt(mean), _fmt(std), n])
+    write_table(path, ["strategy", "test_set", "mean", "std", "runs"], (
+        [s.strategy, test_set, _fmt(mean), _fmt(std), n]
+        for s in summaries for test_set, (mean, std, n) in s.accuracies.items()
+    ))
 
 
 def write_profile_csv(results: list[RunResult], num_classes: int, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["strategy", "seed", "input_diversity", "output_uncertainty"]
-            + [f"class_{c}" for c in range(num_classes)]
-        )
-        for r in results:
-            writer.writerow(
-                [r.strategy, r.seed, _fmt(r.profile.input_diversity), _fmt(r.profile.output_uncertainty)]
-                + [_fmt(f) for f in r.profile.class_distribution]
-            )
+    header = ["strategy", "seed", "input_diversity", "output_uncertainty"]
+    header += [f"class_{c}" for c in range(num_classes)]
+    write_table(path, header, ([r.strategy, r.seed, *_profile_cells(r.profile)] for r in results))
 
 
 def write_stratified_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "seed", "test_set", "difficulty", "count", "accuracy"])
-        for row in rows:
-            writer.writerow([
-                row["strategy"], row["seed"], row["test_set"], row["difficulty"],
-                row["count"], _fmt(row["accuracy"]),
-            ])
+    write_table(path, ["strategy", "seed", "test_set", "difficulty", "count", "accuracy"], (
+        [row["strategy"], row["seed"], row["test_set"], row["difficulty"], row["count"],
+         _fmt(row["accuracy"])]
+        for row in rows
+    ))
 
 
 def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
@@ -772,11 +783,8 @@ def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
         suite.results, context.data.pool.num_classes, os.path.join(out_dir, f"profile{suffix}.csv")
     )
     if suite.failures:
-        with open(os.path.join(out_dir, f"failures{suffix}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "seed", "error"])
-            for f in suite.failures:
-                writer.writerow([f.strategy, f.seed, f.error])
+        write_table(os.path.join(out_dir, f"failures{suffix}.csv"), ["strategy", "seed", "error"],
+                    ([f.strategy, f.seed, f.error] for f in suite.failures))
     model_dir = os.path.join(out_dir, "models")
     os.makedirs(model_dir, exist_ok=True)
     for r in suite.results:

@@ -7,7 +7,7 @@ All functions are pure; the experiment layer decides when to call them
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .pool import Dataset
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "RoundMetrics",
     "StratifiedResult",
     "tokens_of",
     "input_diversity",
@@ -27,15 +26,6 @@ __all__ = [
     "acquisition_factor",
     "stratified_accuracy",
 ]
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    round: int
-    input_diversity: float
-    output_uncertainty: float
-    class_distribution: tuple[float, ...]
-    acquisition_factor: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -270,10 +270,17 @@ def _feature_tokens(feats: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     Keys are integer tenths, which also folds "-0.0" into "0.0". They are
     ``rint(v * 10)`` wherever ``v * 10`` lies more than 1e-5 from a .5 tie and
     below 2^31 in magnitude, so its rounding error (under 2^-21) cannot cross a
-    tie; elsewhere (and for NaN or inf) Python's ``round(v, 1)`` decides.
+    tie; elsewhere Python's ``round(v, 1)`` decides. A value that is not finite,
+    or too large for an int64 key, raises :class:`SchemaError`.
     """
     n, d = feats.shape
     scaled = feats.ravel() * 10.0
+    # keys are tenths * d + feature index, in int64; also true for NaN and inf
+    beyond = ~(np.abs(scaled) < 2.0 ** 62 / d)
+    if beyond.any():
+        at = int(np.argmax(beyond))
+        raise SchemaError(f"feature f{at % d} value {feats.ravel()[at]!r} is not finite or too large "
+                          f"for its token key (|value| < {2.0 ** 62 / d / 10:.3g})")
     tenths = np.rint(scaled)
     far = (np.abs(np.abs(scaled - tenths) - 0.5) > 1e-5) & (np.abs(scaled) < 2.0 ** 31)
     near = np.flatnonzero(~far)

@@ -12,7 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 
-__all__ = ["render_report"]
+__all__ = ["render_report", "write_table"]
 
 
 def _read_csv(path) -> list[dict]:
@@ -22,7 +22,10 @@ def _read_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _write_table(path, header, rows, fmt):
+def write_table(path, header, rows, fmt="csv"):
+    """Write ``header`` then ``rows`` to ``path`` as UTF-8 CSV or as a markdown
+    table (``fmt="md"``); returns ``path``. Every CSV cartal writes goes
+    through here."""
     if fmt == "md":
         def cell(c):
             # pipes inside cells (the "ablated | original" scheme) must not
@@ -42,113 +45,66 @@ def _write_table(path, header, rows, fmt):
     return path
 
 
-def _mean(values):
-    return float(np.mean([float(v) for v in values]))
+def _pivot(rows, index, column, cell):
+    """One line per distinct value of the ``index`` columns, led by that value,
+    and one cell per distinct value of ``column``, both in order of first
+    appearance; ``cell`` renders the rows of a line and column (``[]`` where
+    there are none). Returns the ``column`` values and the lines."""
+    columns, lines = {}, {}
+    for row in rows:
+        columns.setdefault(row[column], None)
+        lines.setdefault(tuple(row[k] for k in index), defaultdict(list))[row[column]].append(row)
+    return list(columns), [[*key, *(cell(cells[c]) for c in columns)] for key, cells in lines.items()]
+
+
+def _mean_of(field):
+    """A cell: the mean of ``field`` over the cell's rows, "" without rows."""
+    return lambda rows: f"{np.mean([float(r[field]) for r in rows]):.4f}" if rows else ""
+
+
+def _mean_std(rows, missing):
+    """A cell: the last row's ``mean ± std``, ``missing`` without rows."""
+    return f"{float(rows[-1]['mean']):.4f} ± {float(rows[-1]['std']):.4f}" if rows else missing
 
 
 def _learning_curve(rounds_rows):
-    by_cell = defaultdict(list)
-    strategies, rounds = [], []
-    for row in rounds_rows:
-        s, r = row["strategy"], int(row["round"])
-        if s not in strategies:
-            strategies.append(s)
-        if r not in rounds:
-            rounds.append(r)
-        by_cell[(s, r)].append(row["val_acc"])
-    rounds.sort()
-    header = ["round"] + strategies
-    table = [
-        [r] + [f"{_mean(by_cell[(s, r)]):.4f}" if by_cell[(s, r)] else "" for s in strategies]
-        for r in rounds
-    ]
-    return header, table
+    strategies, table = _pivot(rounds_rows, ["round"], "strategy", _mean_of("val_acc"))
+    return ["round", *strategies], table
 
 
 def _profile_table(profile_rows):
     class_cols = [c for c in profile_rows[0] if c.startswith("class_")] if profile_rows else []
-    by_strategy = defaultdict(list)
-    order = []
-    for row in profile_rows:
-        if row["strategy"] not in order:
-            order.append(row["strategy"])
-        by_strategy[row["strategy"]].append(row)
     header = ["strategy", "input_diversity", "output_uncertainty"] + class_cols
-    table = []
-    for s in order:
-        rows = by_strategy[s]
-        table.append(
-            [s, f"{_mean([r['input_diversity'] for r in rows]):.4f}",
-             f"{_mean([r['output_uncertainty'] for r in rows]):.4f}"]
-            + [f"{_mean([r[c] for r in rows]):.4f}" for c in class_cols]
-        )
-    return header, table
+    by_strategy = defaultdict(list)
+    for row in profile_rows:
+        by_strategy[row["strategy"]].append(row)
+    return header, [[s, *(_mean_of(c)(rows) for c in header[1:])] for s, rows in by_strategy.items()]
 
 
 def _paired_table(ablated_rows, original_rows):
-    orig = {(r["strategy"], r["test_set"]): r for r in original_rows}
-    strategies, test_sets = [], []
-    for r in ablated_rows:
-        if r["strategy"] not in strategies:
-            strategies.append(r["strategy"])
-        if r["test_set"] not in test_sets:
-            test_sets.append(r["test_set"])
-    header = ["strategy"] + test_sets
-    table = []
-    for s in strategies:
-        cells = [s]
-        abl = {r["test_set"]: r for r in ablated_rows if r["strategy"] == s}
-        for t in test_sets:
-            a = abl.get(t)
-            o = orig.get((s, t))
-            a_txt = f"{float(a['mean']):.4f} ± {float(a['std']):.4f}" if a else "-"
-            o_txt = f"{float(o['mean']):.4f} ± {float(o['std']):.4f}" if o else "-"
-            cells.append(f"{a_txt} | {o_txt}")
-        table.append(cells)
-    return header, table
+    # the ablated rows set the lines and columns; the original rows join their cells
+    strategies = {r["strategy"] for r in ablated_rows}
+    test_sets = {r["test_set"] for r in ablated_rows}
+    rows = [{**r, "suite": "ablated"} for r in ablated_rows] + [
+        {**r, "suite": "original"} for r in original_rows
+        if r["strategy"] in strategies and r["test_set"] in test_sets]
+
+    def cell(rows):
+        return " | ".join(_mean_std([r for r in rows if r["suite"] == suite], "-")
+                          for suite in ("ablated", "original"))
+
+    columns, table = _pivot(rows, ["strategy"], "test_set", cell)
+    return ["strategy", *columns], table
 
 
 def _stratified_table(strat_rows):
-    strategies = []
-    for r in strat_rows:
-        if r["strategy"] not in strategies:
-            strategies.append(r["strategy"])
-    cells = defaultdict(list)
-    keys = []
-    for r in strat_rows:
-        key = (r["test_set"], r["difficulty"])
-        if key not in keys:
-            keys.append(key)
-        cells[(r["test_set"], r["difficulty"], r["strategy"])].append(r["accuracy"])
-    header = ["test_set", "difficulty"] + strategies
-    table = []
-    for test_set, difficulty in keys:
-        row = [test_set, difficulty]
-        for s in strategies:
-            vals = cells[(test_set, difficulty, s)]
-            row.append(f"{_mean(vals):.4f}" if vals else "")
-        table.append(row)
-    return header, table
+    strategies, table = _pivot(strat_rows, ["test_set", "difficulty"], "strategy", _mean_of("accuracy"))
+    return ["test_set", "difficulty", *strategies], table
 
 
 def _splits_table(split_rows):
-    combos, test_sets = [], []
-    by_cell = {}
-    for r in split_rows:
-        if r["strategy"] not in combos:
-            combos.append(r["strategy"])
-        if r["test_set"] not in test_sets:
-            test_sets.append(r["test_set"])
-        by_cell[(r["strategy"], r["test_set"])] = r
-    header = ["combo"] + test_sets
-    table = []
-    for c in combos:
-        row = [c]
-        for t in test_sets:
-            r = by_cell.get((c, t))
-            row.append(f"{float(r['mean']):.4f} ± {float(r['std']):.4f}" if r else "")
-        table.append(row)
-    return header, table
+    test_sets, table = _pivot(split_rows, ["strategy"], "test_set", lambda rows: _mean_std(rows, ""))
+    return ["combo", *test_sets], table
 
 
 def render_report(exp_dir, fmt: str = "csv") -> list[str]:
@@ -160,36 +116,19 @@ def render_report(exp_dir, fmt: str = "csv") -> list[str]:
     """
     if fmt not in ("csv", "md"):
         raise ValueError(f"format must be 'csv' or 'md': {fmt!r}")
-    ext = fmt
     rounds_rows = _read_csv(os.path.join(exp_dir, "rounds.csv"))
     summary_rows = _read_csv(os.path.join(exp_dir, "summary.csv"))
-    written = []
 
-    header, table = _learning_curve(rounds_rows)
-    written.append(_write_table(os.path.join(exp_dir, f"report_learning_curve.{ext}"),
-                                header, table, fmt))
+    def optional(name):
+        path = os.path.join(exp_dir, name)
+        return _read_csv(path) if os.path.exists(path) else None
 
-    profile_path = os.path.join(exp_dir, "profile.csv")
-    if os.path.exists(profile_path):
-        header, table = _profile_table(_read_csv(profile_path))
-        written.append(_write_table(os.path.join(exp_dir, f"report_profile.{ext}"),
-                                    header, table, fmt))
-
-    ablated_path = os.path.join(exp_dir, "summary_ablated.csv")
-    if os.path.exists(ablated_path):
-        header, table = _paired_table(_read_csv(ablated_path), summary_rows)
-        written.append(_write_table(os.path.join(exp_dir, f"report_paired.{ext}"),
-                                    header, table, fmt))
-
-    strat_path = os.path.join(exp_dir, "stratified.csv")
-    if os.path.exists(strat_path):
-        header, table = _stratified_table(_read_csv(strat_path))
-        written.append(_write_table(os.path.join(exp_dir, f"report_stratified.{ext}"),
-                                    header, table, fmt))
-
-    splits_path = os.path.join(exp_dir, "splits.csv")
-    if os.path.exists(splits_path):
-        header, table = _splits_table(_read_csv(splits_path))
-        written.append(_write_table(os.path.join(exp_dir, f"report_splits.{ext}"),
-                                    header, table, fmt))
-    return written
+    tables = [  # (report name, input rows or None, table of the rows)
+        ("learning_curve", rounds_rows, _learning_curve),
+        ("profile", optional("profile.csv"), _profile_table),
+        ("paired", optional("summary_ablated.csv"), lambda rows: _paired_table(rows, summary_rows)),
+        ("stratified", optional("stratified.csv"), _stratified_table),
+        ("splits", optional("splits.csv"), _splits_table),
+    ]
+    return [write_table(os.path.join(exp_dir, f"report_{name}.{fmt}"), *table(rows), fmt)
+            for name, rows, table in tables if rows is not None]

@@ -262,7 +262,7 @@ def test_criterion_5_outlier_acquisition(context, suite):
         if r.strategy != "random":
             continue
         for log in r.round_logs:
-            for s, f in log.metrics.acquisition_factor.items():
+            for s, f in log.acquisition_factor.items():
                 factors.setdefault(s, []).append(f)
     factor_means = {s: float(np.mean(v)) for s, v in factors.items()}
     factors_ok = all(0.85 <= f <= 1.15 for f in factor_means.values())

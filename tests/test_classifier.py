@@ -491,3 +491,23 @@ def test_dynamics_sink_requires_probe():
     config = ClassifierConfig(2, (4,), 2)
     with pytest.raises(ValueError):
         fit(config, (X, y), dynamics_sink=lambda *a: None)
+
+
+def test_best_val_accuracy_is_the_accuracy_of_the_returned_weights():
+    """The experiment layer reads a fit's val accuracy from its history instead
+    of evaluating again, for early-stopped runs, full runs and runs that train
+    beside a diverged one."""
+    X, y = _blobs(40, sep=1.5, seed=5)
+    val_X, val_y = _blobs(30, sep=1.5, seed=6)
+    config = ClassifierConfig(2, (8,), 2, dropout_rate=0.3)
+    stopped = fit(config, (X, y), val=(val_X, val_y),
+                  tcfg=TrainConfig(max_epochs=200, patience=2, rng_seed=1))
+    full = fit(config, (X, y), val=(val_X, val_y), tcfg=TrainConfig(max_epochs=8, patience=9, rng_seed=1))
+    with np.errstate(all="ignore"):
+        beside = fit_many(config, np.stack([X, X * 1e150]), np.stack([y, y]), val=(val_X, val_y),
+                          tcfgs=[TrainConfig(max_epochs=6, rng_seed=s) for s in (1, 2)])
+    assert stopped.history["stopped_early"] and not full.history["stopped_early"]
+    assert full.history["best_epoch"] < full.history["epochs"]  # the best weights were restored
+    assert isinstance(beside[1], DivergenceError)
+    for model in (stopped, full, beside[0]):
+        assert model.history["best_val_accuracy"] == model.accuracy(val_X, val_y)

@@ -387,3 +387,42 @@ def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+
+
+def _same_name_as_first_source(sources):
+    return lambda raw: sources(raw)[1].update(name=sources(raw)[0]["name"])
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (_set("al", "strategies", ["random", "mcme", "random"]), "al.strategies"),
+    (_set("al", "seeds", [1, 1]), "al.seeds"),
+    (lambda raw: raw["test_sets"].append(dict(raw["test_sets"][0])), "test_sets"),
+    (_same_name_as_first_source(lambda raw: raw["data"]["synthetic_sources"]), "data.synthetic_sources"),
+    (_same_name_as_first_source(lambda raw: raw["test_sets"][0]["synthetic_sources"]),
+     "test_sets[0].synthetic_sources"),
+    (_set("dal", "hidden_dim", 0), "dal.hidden_dim"),
+    (_set("dal", "epochs", 0), "dal.epochs"),
+    (_set("dal", "learning_rate", 0.0), "dal.learning_rate"),
+    (_set("classifier", "hidden_dims", [0]), "classifier.hidden_dims"),
+    (_set("classifier", "hidden_dims", [8, -2]), "classifier.hidden_dims"),
+    (_set("classifier", "hidden_dims", []), "classifier.hidden_dims"),
+    (_set("ablation", "fraction", 1.0), "ablation.fraction"),
+    (_set("ablation", "fraction", -0.25), "ablation.fraction"),
+    (_set("data", "val_fraction", 1.0), "data.val_fraction"),
+    (_set("data", "val_fraction", -0.1), "data.val_fraction"),
+])
+def test_repeat_or_late_failing_value_names_its_key(tmp_path, capsys, mutate, key):
+    """Repeats would silently double or hide runs, sources and test sets; the
+    other values used to fail only when the step that uses them ran."""
+    test_wrong_input_names_its_key(tmp_path, capsys, mutate, key)
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--strategies", "random,random", "al.strategies"),
+    ("--seeds", "2,1,2", "al.seeds"),
+])
+def test_repeated_override_names_its_key(tmp_path, capsys, flag, value, key):
+    cfg = write_config(tmp_path, tiny_config())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: repeated entries: ") and "Traceback" not in err

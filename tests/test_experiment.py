@@ -103,7 +103,7 @@ def test_round_metrics_are_recorded(one_run):
     config, context, result = one_run
     C = context.data.pool.num_classes
     for log in result.round_logs:
-        m = log.metrics
+        m = log.profile
         assert 0.0 <= m.input_diversity <= 1.0
         assert 0.0 <= m.output_uncertainty <= math.log(C) + 1e-9
         assert sum(m.class_distribution) == pytest.approx(1.0)

@@ -492,3 +492,16 @@ def test_mask_state_transfer_matches_set_algebra(ids, data):
     moved = transfer(state, batch)
     assert _sides(moved) == (labelled | batch, unlabelled - batch)
     assert _sides(state)[0] == labelled  # transfer leaves its input alone
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 2.4e17, -2.4e17])
+def test_feature_tokens_reject_values_beyond_the_key_range(value):
+    _feature_tokens(np.array([[1e17, -1e17]]))  # within range: keys up to 2^62 / d tenths
+    with pytest.raises(SchemaError, match="f1 value .* token key"):
+        _feature_tokens(np.array([[0.5, value]]))
+
+
+def test_huge_noise_scale_is_a_named_error_not_one_token():
+    spec = SyntheticSourceSpec("wide", 5, ((0.0, 0.0), (1.0, 1.0)), noise_scale=1e300)
+    with pytest.raises(SchemaError, match="token key"):
+        generate_synthetic_source(spec, 0)
