@@ -99,31 +99,38 @@ def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | N
 
     Targets are labelled -> 0, unlabelled -> 1; the score of an unlabelled
     example is the discriminator's probability that it is unlabelled, i.e.
-    how distinguishable it is from the current training set. :func:`score_pool`
-    calls it by its module-level name, at which perfbench's tracer times it.
+    how distinguishable it is from the current training set.
     """
-    cfg = dal_cfg or DalConfig()
     A = np.asarray(embeddings_labelled, dtype=float)
     B = np.asarray(embeddings_unlabelled, dtype=float)
     if A.size == 0 or B.size == 0:
         raise ValueError("both embedding matrices must be non-empty")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"embedding widths differ: {A.shape[1]} vs {B.shape[1]}")
+    Xb = np.ones((len(A) + len(B), A.shape[1] + 1))
+    Xb[:len(A), :-1] = A
+    Xb[len(A):, :-1] = B
+    return _dal(Xb, len(A), dal_cfg or DalConfig(), rng_seed)
 
-    X = np.vstack([A, B])
-    t = np.concatenate([np.zeros(A.shape[0]), np.ones(B.shape[0])])
-    n = X.shape[0]
 
+def _dal(Xb, n_labelled, cfg: DalConfig, rng_seed):
+    """:func:`score_dal`'s discriminator on its design matrix ``Xb``: the
+    labelled rows, then the unlabelled rows, each its embedding followed by
+    a bias column of ones."""
+    n = Xb.shape[0]
+    if not 0 < n_labelled < n:
+        raise ValueError("both embedding matrices must be non-empty")
+    t = np.concatenate([np.zeros(n_labelled), np.ones(n - n_labelled)])
     if cfg.hidden_dim is None:
-        Xb = np.hstack([X, np.ones((n, 1))])
         w = np.zeros(Xb.shape[1])
         for _ in range(cfg.epochs):
             p = _sigmoid(Xb @ w)
             # a fixed-order sum over the rows: BLAS would split it across
             # threads, and its bits would depend on their number
             w -= cfg.learning_rate * np.einsum("ij,i->j", Xb, p - t) / n
-        probs = _sigmoid(Xb[A.shape[0]:] @ w)
+        probs = _sigmoid(Xb[n_labelled:] @ w)
     else:
+        X, B = Xb[:, :-1], Xb[n_labelled:, :-1]
         rng = np.random.default_rng(rng_seed)
         lim1 = np.sqrt(6.0 / X.shape[1])
         W1 = rng.uniform(-lim1, lim1, size=(X.shape[1], cfg.hidden_dim))
@@ -166,8 +173,12 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     if strategy in ("mcme", "bald"):
         stack = model.mc_predict_proba(X_u, mc_samples, rng_seed)
         return score_mcme(stack) if strategy == "mcme" else score_bald(stack)
-    X_l = X[state.labelled_mask]
-    return score_dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed)
+    # each embedding straight into its row block of the discriminator's input
+    n_l = len(X) - len(X_u)
+    Xb = np.ones((len(X), model.config.hidden_dims[-1] + 1))
+    model.embed(X[state.labelled_mask], out=Xb[:n_l, :-1])
+    model.embed(X_u, out=Xb[n_l:, :-1])
+    return _dal(Xb, n_l, dal_cfg or DalConfig(), rng_seed)
 
 
 def select_batch(strategy, state, scores, k, rng_seed) -> set[int]:

@@ -9,6 +9,7 @@ are upper-inclusive, so a mean of exactly 0.25 is still "impossible".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -223,13 +224,15 @@ def acquisition_by_difficulty(round_logs, datamap: Datamap) -> list[dict[str, in
 
 
 def write_datamap_csv(datamap: Datamap, dataset, path) -> None:
-    """One row per datamap example, by id, with its source in ``dataset`` ("" if absent)."""
+    """One row per datamap example, by id, with its source in ``dataset`` ("" if absent);
+    formatted a block of rows at a time, so no column becomes a pool-long list."""
     pos = dataset.positions(datamap.ids)
-    codes = np.where(pos >= 0, dataset.source_codes[pos], -1).tolist()
+    codes = np.where(pos >= 0, dataset.source_codes[pos], -1)
     names = (*dataset.source_names, "")  # code -1 reads the trailing ""
+    columns = (datamap.ids, codes, datamap.mean_confidence, datamap.variability,
+               datamap.correctness, datamap.difficulty)
+    blocks = (zip(*(c[lo:lo + 4096].tolist() for c in columns)) for lo in range(0, codes.size, 4096))
     write_table(path, ["id", "source", "mean_confidence", "variability", "correctness", "difficulty"], (
         [i, names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]]
-        for i, code, conf, var, corr, band in zip(
-            datamap.ids.tolist(), codes, datamap.mean_confidence.tolist(),
-            datamap.variability.tolist(), datamap.correctness.tolist(), datamap.difficulty.tolist())
+        for i, code, conf, var, corr, band in itertools.chain.from_iterable(blocks)
     ))

@@ -218,8 +218,10 @@ class Classifier:
     def mc_predict_proba(self, xs, T: int, rng_seed: int) -> np.ndarray:
         """T stochastic forward passes with fresh inverted-dropout masks, stacked (T, n, C).
 
-        The first hidden layer's activations do not depend on the masks, so
-        they are computed once and each pass starts from them.
+        Every pass writes each hidden layer into one reused (n, width) array
+        and masks it in place, drawing the mask in row chunks: the chunks take
+        the generator's numbers in the order one (n, width) draw would, so a
+        pass holds no full-size mask or uniform draw.
         """
         if T < 1:
             raise ValueError(f"T must be >= 1: {T}")
@@ -229,25 +231,38 @@ class Classifier:
         if p == 0.0:
             logits, _ = _forward(self.weights, X, act)
             return np.repeat(softmax(logits)[None], T, axis=0)
-        W, b = self.weights[0]
-        first = _activate(X @ W + b, act)
         rng = np.random.default_rng(rng_seed)
-        out = np.empty((T, X.shape[0], self.config.num_classes))
+        n = X.shape[0]
+        hidden = [np.empty((n, h)) for h in self.config.hidden_dims]
+        out = np.empty((T, n, self.config.num_classes))
         for t in range(T):
-            masks = self._draw_masks(rng, X.shape[0])
-            # [0] drops the backprop caches now, before the next pass draws its masks
-            out[t] = softmax(_forward(self.weights[1:], first * masks[0], act, masks[1:])[0])
+            h = X
+            for (W, b), z in zip(self.weights, hidden):
+                np.matmul(h, W, out=z)
+                z += b
+                _activate(z, act, out=z)
+                rows = max(1, _MASK_CHUNK // z.shape[1])
+                for lo in range(0, n, rows):
+                    chunk = z[lo:lo + rows]
+                    chunk *= (rng.random(chunk.shape) >= p) / (1.0 - p)
+                h = z
+            W, b = self.weights[-1]
+            out[t] = softmax(h @ W + b)
         return out
 
-    def embed(self, xs) -> np.ndarray:
+    def embed(self, xs, out=None) -> np.ndarray:
         """Penultimate-layer activations, deterministic; width = last hidden dim.
 
-        DAL scores on these; perfbench's tracer times calls to it by this name.
+        ``out`` (n, width), which may be a view, takes the result. DAL scores
+        on these; perfbench's tracer times calls to it by this name.
         """
         X = _as_features(xs, self.config.input_dim)
         h = X
-        for W, b in self.weights[:-1]:
-            h = _activate(h @ W + b, self.config.activation)
+        last = len(self.weights) - 2
+        for l, (W, b) in enumerate(self.weights[:-1]):
+            h = np.matmul(h, W, out=out if l == last else None)
+            h += b
+            _activate(h, self.config.activation, out=h)
         return h
 
     def accuracy(self, xs, y) -> float:
@@ -255,13 +270,6 @@ class Classifier:
         if y.size == 0:
             raise ValueError("cannot score an empty example set")
         return float((self.predict(xs) == y).mean())
-
-    def _draw_masks(self, rng, batch_size):
-        p = self.config.dropout_rate
-        return [
-            (rng.random((batch_size, h)) >= p) / (1.0 - p)
-            for h in self.config.hidden_dims
-        ]
 
 
 def _snapshot_steps(max_epochs, eval_interval, steps_per_epoch):
@@ -283,9 +291,10 @@ def _layer_views(flat, config):
     return views
 
 
-# Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit:
-# 2^16 doubles keep the draw buffer and its masks near 1 MB even when one
-# epoch covers a whole pool, where a whole-epoch draw would take tens of MB.
+# Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit
+# or one layer's row chunk of an MC pass: 2^16 doubles keep the draw buffer
+# and its masks near 1 MB even when one epoch or pass covers a whole pool,
+# where a whole-epoch draw would take tens of MB.
 _MASK_CHUNK = 1 << 16
 
 

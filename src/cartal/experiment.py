@@ -97,10 +97,11 @@ class TestSetSpec:
         if not self.synthetic_sources and not self.files:
             raise ValueError("test set needs synthetic_sources or files")
         _require_unique([s.name for s in self.synthetic_sources], "synthetic_sources")
+        _require_unique(self.files, "files")
 
 
 def _require_unique(values, key: str) -> None:
-    """Reject a config list that repeats an entry: each entry names one run,
+    """Reject a config list that repeats an entry: each entry names one run, file,
     source or test set, and a repeat would silently double or hide it."""
     repeated = [v for v, n in Counter(values).items() if n > 1]
     if repeated:
@@ -170,6 +171,7 @@ class ExperimentConfig:
         _require_unique(self.strategies, "al.strategies")
         _require_unique(self.seeds, "al.seeds")
         _require_unique([s.name for s in self.synthetic_sources], "data.synthetic_sources")
+        _require_unique(self.source_files, "data.files")
         _require_unique([t.name for t in self.test_sets], "test_sets")
         if not self.hidden_dims or min(self.hidden_dims) < 1:
             raise ConfigError("need at least one hidden layer, each of width >= 1",
@@ -442,12 +444,15 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
 def _advance(runs: list[_Run], outcomes, step) -> None:
     """Call ``step(run, outcome)`` for each run; a run that fails drops out.
 
-    An outcome that is an exception (a diverged fit) fails its run.
+    An outcome that is an exception (a diverged fit) fails its run as it
+    stands: one exception may be the outcome of every run of a fit, and
+    raising it again would grow its traceback once per run.
     """
     for run, outcome in zip(runs, outcomes):
+        if isinstance(outcome, Exception):
+            run.error = outcome
+            continue
         try:
-            if isinstance(outcome, Exception):
-                raise outcome
             step(run, outcome)
         except Exception as exc:  # a suite must survive the failure of one run
             run.error = exc

@@ -23,6 +23,7 @@ from cartal.acquisition import (
     select_batch,
     _sigmoid,
 )
+from cartal.classifier import Classifier, ClassifierConfig, init_weights
 from cartal.pool import PoolState
 
 from conftest import logistic_regression_irls, make_dataset
@@ -261,6 +262,21 @@ def test_dal_scores_do_not_depend_on_blas_threads():
     linear, hidden = zip(_dal_digests("1"), _dal_digests("2"))
     assert linear[0] == linear[1], "linear discriminator"
     assert hidden[0] == hidden[1], "hidden_dim=16 discriminator"
+
+
+@pytest.mark.parametrize("dal_cfg", [DalConfig(epochs=20), DalConfig(epochs=20, hidden_dim=8)])
+def test_score_pool_dal_equals_score_dal_on_embeddings(dal_cfg):
+    # score_pool embeds straight into the row blocks of one design matrix;
+    # the bits must be those of the public two-array entry
+    rng = np.random.default_rng(12)
+    config = ClassifierConfig(5, (16, 12), 3)
+    model = Classifier(config, init_weights(config, rng))
+    ds = make_dataset(rng.standard_normal((6000, 5)), rng.integers(0, 3, 6000))
+    state = PoolState(rng.random(6000) < 0.15, ds)
+    X_l, X_u = ds.X[state.labelled_mask], ds.X[~state.labelled_mask]
+    want = score_dal(model.embed(X_l), model.embed(X_u), dal_cfg, rng_seed=4)
+    got = score_pool("dal", state, model, 4, dal_cfg=dal_cfg)
+    assert got.tobytes() == want.tobytes()
 
 
 def _sigmoid_masked(x):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartal.classifier import (
+    _MASK_CHUNK,
     Classifier,
     ClassifierConfig,
     TrainConfig,
@@ -187,6 +189,16 @@ def test_history_without_validation_has_no_best_epoch():
 
 # --- lockstep training ------------------------------------------------------------
 
+def _draw_masks(model, rng, batch_size):
+    """One whole-array inverted-dropout mask per hidden layer, drawn layer by
+    layer: the draw order both the lockstep engine and MC inference keep."""
+    p = model.config.dropout_rate
+    return [
+        (rng.random((batch_size, h)) >= p) / (1.0 - p)
+        for h in model.config.hidden_dims
+    ]
+
+
 def _reference_fit(config, X, y, val_X, val_y, tcfg):
     """Plain per-run SGD, the reference for the lockstep engine: per epoch one
     permutation, then one mask draw per hidden layer and step."""
@@ -199,7 +211,7 @@ def _reference_fit(config, X, y, val_X, val_y, tcfg):
         order = rng.permutation(n)
         for start in range(0, n, tcfg.batch_size):
             idx = order[start:start + tcfg.batch_size]
-            masks = model._draw_masks(rng, idx.size) if p > 0 else None
+            masks = _draw_masks(model, rng, idx.size) if p > 0 else None
             loss, grads = loss_and_gradients(config, weights, X[idx], y[idx], masks)
             if not np.isfinite(loss):
                 raise DivergenceError("non-finite training loss", step=step)
@@ -341,10 +353,44 @@ def test_mc_equals_full_forward_pass_per_sample():
         model = Classifier(config, init_weights(config, rng))
         X = rng.standard_normal((40, 3))
         mask_rng = np.random.default_rng(21)
-        expected = [softmax(_forward(model.weights, X, "tanh", model._draw_masks(mask_rng, 40))[0])
+        expected = [softmax(_forward(model.weights, X, "tanh", _draw_masks(model, mask_rng, 40))[0])
                     for _ in range(3)]
         got = model.mc_predict_proba(X, T=3, rng_seed=21)
         assert all((g == e).all() for g, e in zip(got, expected))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(48,), (48, 40)])
+def test_mc_over_several_mask_chunks_equals_whole_array_masks(activation, hidden):
+    # more rows than one chunk of every layer's mask, the last chunk ragged
+    rng = np.random.default_rng(6)
+    config = ClassifierConfig(4, hidden, 3, dropout_rate=0.3, activation=activation)
+    model = Classifier(config, init_weights(config, rng))
+    n = 2 * (_MASK_CHUNK // min(hidden)) + 37
+    assert all(n % (_MASK_CHUNK // h) for h in hidden)
+    X = rng.standard_normal((n, 4))
+    mask_rng = np.random.default_rng(13)
+    expected = np.stack([softmax(_forward(model.weights, X, activation, _draw_masks(model, mask_rng, n))[0])
+                         for _ in range(3)])
+    assert model.mc_predict_proba(X, T=3, rng_seed=13).tobytes() == expected.tobytes()
+
+
+def test_mc_call_holds_its_hidden_buffers_and_output_only():
+    # a pass reuses one (n, width) array per hidden layer and draws its masks
+    # in chunks, so the traced peak is those arrays and the (T, n, C) output
+    rng = np.random.default_rng(3)
+    config = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
+    model = Classifier(config, init_weights(config, rng))
+    n, T = 20_000, 4
+    X = rng.standard_normal((n, 10))
+    tracemalloc.start()
+    try:
+        model.mc_predict_proba(X, T=T, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (n * sum(config.hidden_dims) + T * n * config.num_classes) * 8
+    assert peak <= 1.25 * held, (peak, held)
 
 
 def test_mc_rejects_zero_samples():
@@ -385,6 +431,19 @@ def test_embed_shape_purity_and_relu_range():
     assert E.shape == (11, 6)
     assert (E >= 0).all()
     assert (E == model.embed(X)).all()
+
+
+def test_embed_into_a_view_equals_embed():
+    rng = np.random.default_rng(10)
+    for hidden in ((6,), (7, 6)):
+        config = ClassifierConfig(5, hidden, 3, activation="tanh")
+        model = Classifier(config, init_weights(config, rng))
+        X = rng.standard_normal((11, 5))
+        design = np.full((14, 8), np.nan)
+        view = design[2:13, 1:7]
+        assert model.embed(X, out=view) is view
+        assert view.tobytes() == model.embed(X).tobytes()
+        assert np.isnan(design[:2]).all() and np.isnan(design[:, [0, 7]]).all()
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):

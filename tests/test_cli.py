@@ -400,6 +400,8 @@ def _same_name_as_first_source(sources):
     (_same_name_as_first_source(lambda raw: raw["data"]["synthetic_sources"]), "data.synthetic_sources"),
     (_same_name_as_first_source(lambda raw: raw["test_sets"][0]["synthetic_sources"]),
      "test_sets[0].synthetic_sources"),
+    (_set("data", "files", ["a.jsonl", "b.jsonl", "a.jsonl"]), "data.files"),
+    (lambda raw: raw["test_sets"][0].update(files=["t.jsonl", "t.jsonl"]), "test_sets[0].files"),
     (_set("dal", "hidden_dim", 0), "dal.hidden_dim"),
     (_set("dal", "epochs", 0), "dal.epochs"),
     (_set("dal", "learning_rate", 0.0), "dal.learning_rate"),
@@ -412,7 +414,7 @@ def _same_name_as_first_source(sources):
     (_set("data", "val_fraction", -0.1), "data.val_fraction"),
 ])
 def test_repeat_or_late_failing_value_names_its_key(tmp_path, capsys, mutate, key):
-    """Repeats would silently double or hide runs, sources and test sets; the
+    """Repeats would silently double or hide runs, files, sources and test sets; the
     other values used to fail only when the step that uses them ran."""
     test_wrong_input_names_its_key(tmp_path, capsys, mutate, key)
 

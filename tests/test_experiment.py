@@ -15,6 +15,7 @@ import cartal.experiment as exp
 from cartal.acquisition import score_pool
 from cartal.cartography import DIFFICULTIES, build_difficulty_split
 from cartal.classifier import fit
+from cartal.config import parse_config
 from cartal.errors import CapacityError, ConfigError
 from cartal.experiment import (
     ExperimentConfig,
@@ -212,6 +213,21 @@ def test_suite_survives_single_run_failure(ctx, monkeypatch):
     assert suite.failures[0].strategy == "mcme" and suite.failures[0].seed == 2
     mcme = next(s for s in suite.summaries if s.strategy == "mcme")
     assert mcme.accuracies["clean"][2] == len(config.seeds) - 1
+
+
+def test_failed_lockstep_fit_logs_one_plain_traceback_per_run(caplog):
+    # one exception fails every run of the fit; recording it on each run must
+    # not raise it again, which would grow its traceback once per run
+    config = replace(parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                               "quickstart.json")), seed_size=0)
+    caplog.set_level(logging.ERROR, logger="cartal.experiment")
+    suite = run_suite(config)
+    assert len(suite.failures) == len(config.strategies) * len(config.seeds)
+    tracebacks = [logging.Formatter().formatException(r.exc_info) for r in caplog.records if r.exc_info]
+    assert len(tracebacks) == len(suite.failures)
+    for text in tracebacks:
+        assert "Previous line repeated" not in text and "raise outcome" not in text
+        assert text.endswith("ValueError: training set is empty")
 
 
 def test_parallel_suite_matches_sequential(ctx, suite):
