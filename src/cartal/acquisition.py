@@ -169,15 +169,15 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     if strategy == "random":
         return None
     X = state.universe.X
-    X_u = X[~state.labelled_mask]
+    unlabelled = np.flatnonzero(~state.labelled_mask)
     if strategy in ("mcme", "bald"):
-        stack = model.mc_predict_proba(X_u, mc_samples, rng_seed)
+        stack = model.mc_predict_proba(X, mc_samples, rng_seed, rows=unlabelled)
         return score_mcme(stack) if strategy == "mcme" else score_bald(stack)
-    # each embedding straight into its row block of the discriminator's input
-    n_l = len(X) - len(X_u)
+    # each embedding straight from the pool's rows into its row block of the discriminator's input
+    n_l = len(X) - len(unlabelled)
     Xb = np.ones((len(X), model.config.hidden_dims[-1] + 1))
-    model.embed(X[state.labelled_mask], out=Xb[:n_l, :-1])
-    model.embed(X_u, out=Xb[n_l:, :-1])
+    model.embed(X, out=Xb[:n_l, :-1], rows=np.flatnonzero(state.labelled_mask))
+    model.embed(X, out=Xb[n_l:, :-1], rows=unlabelled)
     return _dal(Xb, n_l, dal_cfg or DalConfig(), rng_seed)
 
 

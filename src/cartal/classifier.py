@@ -9,6 +9,7 @@ finite differences.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -104,22 +105,21 @@ def _activate(z, activation, out=None):
     return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
-def _forward(weights, X, activation, masks=None, out=None):
-    """Forward pass; returns logits and per-layer caches for backprop.
+def _forward(weights, X, activation, masks=None):
+    """Forward pass for training; returns logits and per-layer caches for backprop.
 
     ``masks`` are pre-scaled inverted-dropout masks, one per hidden layer, or
-    None for deterministic inference. Weights may be stacked: W of shape
+    None for deterministic passes. Weights may be stacked: W of shape
     (R, fan_in, fan_out) and b of shape (R, fan_out) run R networks at once,
-    each slice through the same matmul a single network makes. ``out`` may
-    hold one array per layer to take that layer's output: repeated passes
-    over many rows then skip allocating and faulting in fresh activations.
+    each slice through the same matmul a single network makes. Inference
+    runs through :func:`_last_hidden` instead, which holds less.
     """
     h = X
     caches = []
     n_hidden = len(weights) - 1
     for l in range(n_hidden):
         W, b = weights[l]
-        z = h @ W if out is None else np.matmul(h, W, out=out[l])
+        z = h @ W
         z += b[..., None, :]
         a = _activate(z, activation, out=z)
         m = masks[l] if masks is not None else None
@@ -127,10 +127,47 @@ def _forward(weights, X, activation, masks=None, out=None):
         caches.append((h, a, m))
         h = h_out
     W, b = weights[-1]
-    logits = h @ W if out is None else np.matmul(h, W, out=out[-1])
+    logits = h @ W
     logits += b[..., None, :]
     caches.append((h, None, None))
     return logits, caches
+
+
+# Rows per block of an inference pass. Hidden layers of the shipped widths
+# keep the bits of one whole-array matmul; a matmul whose width leaves 1-4
+# after a multiple of 8, such as a 3-class output layer, can change its bits
+# with the row count, so the output layer runs whole-array (README
+# "Determinism"). 2,048 rows kept pool54k's peak RSS 4 MB below 8,192-row
+# blocks: a threaded matmul faults in BLAS packing buffer by its rows.
+_BLOCK_ROWS = 2048
+
+
+def _last_hidden(weights, X, activation, rows=None, out=None, dropout=None):
+    """The last hidden layer of the network ``weights`` over ``X``, or over
+    ``X[rows]`` when row positions are given, one block of rows at a time.
+
+    Only the result, (n, last width), is held at full size: it is written
+    into ``out`` when given, which may be a view. Every other layer exists
+    for one block at a time. ``dropout`` is (p, streams) for an MC pass:
+    ``streams[l]`` is a generator at the start of layer l's whole-layer mask
+    draw, so masking the blocks in row order takes its uniforms in the order
+    one whole-layer draw does.
+    """
+    n = len(X) if rows is None else len(rows)
+    if out is None:
+        out = np.empty((n, weights[-2][0].shape[1]))
+    last = len(weights) - 2
+    for lo in range(0, n, _BLOCK_ROWS):
+        h = X[lo:lo + _BLOCK_ROWS] if rows is None else X[rows[lo:lo + _BLOCK_ROWS]]
+        for l, (W, b) in enumerate(weights[:-1]):
+            z = np.matmul(h, W, out=out[lo:lo + _BLOCK_ROWS] if l == last else None)
+            z += b
+            _activate(z, activation, out=z)
+            if dropout is not None:
+                p, streams = dropout
+                z *= (streams[l].random(z.shape) >= p) / (1.0 - p)
+            h = z
+    return out
 
 
 def _log_softmax(logits):
@@ -209,61 +246,54 @@ class Classifier:
     def predict_proba(self, xs) -> np.ndarray:
         """Deterministic class probabilities (dropout off), rows sum to 1."""
         X = _as_features(xs, self.config.input_dim)
-        logits, _ = _forward(self.weights, X, self.config.activation)
-        return softmax(logits)
+        W, b = self.weights[-1]
+        return softmax(_last_hidden(self.weights, X, self.config.activation) @ W + b)
 
     def predict(self, xs) -> np.ndarray:
         return np.argmax(self.predict_proba(xs), axis=1)
 
-    def mc_predict_proba(self, xs, T: int, rng_seed: int) -> np.ndarray:
+    def mc_predict_proba(self, xs, T: int, rng_seed: int, rows=None) -> np.ndarray:
         """T stochastic forward passes with fresh inverted-dropout masks, stacked (T, n, C).
 
-        Every pass writes each hidden layer into one reused (n, width) array
-        and masks it in place, drawing the mask in row chunks: the chunks take
-        the generator's numbers in the order one (n, width) draw would, so a
-        pass holds no full-size mask or uniform draw.
+        ``rows``, row positions into ``xs``, scores ``xs[rows]`` without
+        copying it. Every pass rewrites one (n, last width) array and runs
+        the other hidden layers a block of rows at a time. The masks are
+        those of whole-layer draws from one generator, pass by pass and layer
+        by layer: each layer draws from its own copy of the stream, advanced
+        to where that layer's draw begins.
         """
         if T < 1:
             raise ValueError(f"T must be >= 1: {T}")
         X = _as_features(xs, self.config.input_dim)
         act = self.config.activation
         p = self.config.dropout_rate
+        W, b = self.weights[-1]
         if p == 0.0:
-            logits, _ = _forward(self.weights, X, act)
-            return np.repeat(softmax(logits)[None], T, axis=0)
+            return np.repeat(softmax(_last_hidden(self.weights, X, act, rows) @ W + b)[None], T, axis=0)
         rng = np.random.default_rng(rng_seed)
-        n = X.shape[0]
-        hidden = [np.empty((n, h)) for h in self.config.hidden_dims]
+        n = len(X) if rows is None else len(rows)
+        h = np.empty((n, self.config.hidden_dims[-1]))
         out = np.empty((T, n, self.config.num_classes))
         for t in range(T):
-            h = X
-            for (W, b), z in zip(self.weights, hidden):
-                np.matmul(h, W, out=z)
-                z += b
-                _activate(z, act, out=z)
-                rows = max(1, _MASK_CHUNK // z.shape[1])
-                for lo in range(0, n, rows):
-                    chunk = z[lo:lo + rows]
-                    chunk *= (rng.random(chunk.shape) >= p) / (1.0 - p)
-                h = z
-            W, b = self.weights[-1]
+            streams, at = [], t * n * sum(self.config.hidden_dims)
+            for width in self.config.hidden_dims:
+                stream = copy.deepcopy(rng)
+                stream.bit_generator.advance(at)  # one 64-bit draw per uniform
+                streams.append(stream)
+                at += n * width
+            _last_hidden(self.weights, X, act, rows, out=h, dropout=(p, streams))
             out[t] = softmax(h @ W + b)
         return out
 
-    def embed(self, xs, out=None) -> np.ndarray:
+    def embed(self, xs, out=None, rows=None) -> np.ndarray:
         """Penultimate-layer activations, deterministic; width = last hidden dim.
 
-        ``out`` (n, width), which may be a view, takes the result. DAL scores
-        on these; perfbench's tracer times calls to it by this name.
+        ``out`` (n, width), which may be a view, takes the result; ``rows``,
+        row positions into ``xs``, embeds ``xs[rows]`` without copying it.
+        DAL scores on these; perfbench's tracer times calls to it by this name.
         """
         X = _as_features(xs, self.config.input_dim)
-        h = X
-        last = len(self.weights) - 2
-        for l, (W, b) in enumerate(self.weights[:-1]):
-            h = np.matmul(h, W, out=out if l == last else None)
-            h += b
-            _activate(h, self.config.activation, out=h)
-        return h
+        return _last_hidden(self.weights, X, self.config.activation, rows, out)
 
     def accuracy(self, xs, y) -> float:
         y = np.asarray(y, dtype=np.int64)
@@ -291,10 +321,9 @@ def _layer_views(flat, config):
     return views
 
 
-# Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit
-# or one layer's row chunk of an MC pass: 2^16 doubles keep the draw buffer
-# and its masks near 1 MB even when one epoch or pass covers a whole pool,
-# where a whole-epoch draw would take tens of MB.
+# Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit:
+# 2^16 doubles keep the draw buffer and its masks near 1 MB even when one
+# epoch covers a whole pool, where a whole-epoch draw would take tens of MB.
 _MASK_CHUNK = 1 << 16
 
 
@@ -370,9 +399,9 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
     steps_per_epoch = math.ceil(n / B)
     snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch) if dynamics_sink else []
     next_snap = 0
-    probe_out = None
-    if dynamics_sink is not None:  # the probe's activations, rewritten by every snapshot
-        probe_out = [np.empty((1, len(probe_X), h)) for h in (*config.hidden_dims, config.num_classes)]
+    probe_h = None
+    if dynamics_sink is not None:  # the probe's last hidden layer, rewritten by every snapshot
+        probe_h = np.empty((len(probe_X), config.hidden_dims[-1]))
     p = config.dropout_rate
     width = sum(config.hidden_dims)
 
@@ -434,8 +463,9 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
             flat -= grad
             step += 1
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
-                logits, _ = _forward(weights, probe_X, config.activation, out=probe_out)
-                probs = softmax(logits[0])
+                net = [(W[0], b[0]) for W, b in weights]
+                h = _last_hidden(net, probe_X, config.activation, out=probe_h)
+                probs = softmax(h @ net[-1][0] + net[-1][1])
                 gold_p = probs[np.arange(probe_X.shape[0]), probe_y]
                 dynamics_sink(step, gold_p, np.argmax(probs, axis=1))
                 next_snap += 1

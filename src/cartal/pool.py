@@ -378,8 +378,11 @@ def _parse_csv(path) -> list[dict]:
 def load_dataset(path, format="jsonl") -> Dataset:
     """Read a JSONL or CSV dataset file and validate all invariants.
 
-    The dataset is named by its path, and ``num_classes`` is ``max(label) + 1``
-    over the file. Records must carry id, source, features and label; order is
+    The dataset is named by the sorted distinct sources of its rows, joined
+    by "+" ("" for an empty file), so a one-source file gets its source's
+    name, as a synthetic source does, wherever the file lives; the val split
+    is seeded by that name. ``num_classes`` is ``max(label) + 1`` over the
+    file. Records must carry id, source, features and label; order is
     preserved.
     """
     if format == "jsonl":
@@ -389,7 +392,6 @@ def load_dataset(path, format="jsonl") -> Dataset:
     else:
         raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
-    name = str(path)
     rows = []
     for rec in records:
         lineno = rec.get("_line")
@@ -406,23 +408,27 @@ def load_dataset(path, format="jsonl") -> Dataset:
             raise ParseError("features must be a flat vector", line=lineno)
 
     ids, sources, features, labels, tokens = zip(*rows) if rows else ((),) * 5
+    name = "+".join(sorted(set(sources)))
     for i, f in zip(ids, features):
         if f.shape != features[0].shape:
-            raise SchemaError(f"dataset {name!r}: example {i} has feature dim {f.shape[0]}, "
+            raise SchemaError(f"{path}: example {i} has feature dim {f.shape[0]}, "
                               f"expected {features[0].shape[0]}")
     num_classes = max(max(labels, default=-1) + 1, 1)
     source_index: dict[str, int] = {}
     vocab: dict[str, int] = {}
     codes = [source_index.setdefault(s, len(source_index)) for s in sources]
     token_ids = [vocab.setdefault(t, len(vocab)) for row in tokens for t in row]
-    return Dataset(
-        name, num_classes,
-        ids=np.array(ids, dtype=np.int64),
-        X=np.stack(features) if features else np.zeros((0, 0)), y=np.array(labels, dtype=np.int64),
-        source_codes=np.array(codes, dtype=np.int64), source_names=tuple(source_index),
-        token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
-        token_indices=np.array(token_ids, dtype=np.int64), vocab=tuple(vocab),
-    )
+    try:
+        return Dataset(
+            name, num_classes,
+            ids=np.array(ids, dtype=np.int64),
+            X=np.stack(features) if features else np.zeros((0, 0)), y=np.array(labels, dtype=np.int64),
+            source_codes=np.array(codes, dtype=np.int64), source_names=tuple(source_index),
+            token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
+            token_indices=np.array(token_ids, dtype=np.int64), vocab=tuple(vocab),
+        )
+    except SchemaError as exc:  # name the file, which the dataset's name no longer does
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _check_schemas_match(sources):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cartal.classifier import TrainConfig
+from cartal.classifier import _BLOCK_ROWS, TrainConfig
 from cartal.experiment import ExperimentConfig, TestSetSpec
 from cartal.pool import Dataset, SyntheticSourceSpec
 
@@ -26,6 +26,13 @@ def make_dataset(X, y, sources=None, tokens=None, ids=None, num_classes=None, na
         token_indices=np.array([vocab.index(t) for row in tokens for t in row], dtype=np.int64),
         vocab=tuple(vocab),
     )
+
+
+def pass_allowance(n, num_classes, widest):
+    """Bytes an inference pass may hold beside its full-size arrays: the
+    output layer's logits and softmax temporaries, a few (n, C) arrays, and
+    one block of rows of the other layers with its dropout uniforms and mask."""
+    return (4 * n * num_classes + 3 * _BLOCK_ROWS * widest) * 8
 
 
 def logistic_regression_irls(X, y, C=1.0, tol=1e-10, max_iter=100):

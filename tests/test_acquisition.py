@@ -311,14 +311,14 @@ class _ScoredModel:
         self.entropy_by_id = entropy_by_id
         self.C = C
 
-    def mc_predict_proba(self, X, T, rng_seed):
-        rows = []
-        for x in X:
+    def mc_predict_proba(self, X, T, rng_seed, rows=None):
+        probs = []
+        for x in X if rows is None else X[rows]:
             spread = self.entropy_by_id[int(x[0])]
             p = np.full(self.C, spread / self.C)
             p[0] += 1.0 - spread
-            rows.append(p)
-        return np.stack([np.array(rows)] * max(T, 2))
+            probs.append(p)
+        return np.stack([np.array(probs)] * max(T, 2))
 
     def embed(self, X):
         return np.asarray(X, dtype=float)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from cartal.cartography import (
 from cartal.classifier import ClassifierConfig, TrainConfig
 from cartal.errors import CapacityError, InsufficientDynamicsError
 
-from conftest import make_dataset
+from conftest import make_dataset, pass_allowance
 
 
 def classify_difficulty(mean_confidence, thresholds):
@@ -165,6 +166,25 @@ def test_constant_label_pool_is_all_easy():
     dm = run_cartography_full(pool, pool, cfg, tcfg).entries
     assert (dm.difficulty == DIFFICULTIES.index("easy")).all()
     assert (dm.mean_confidence > 0.75).all()
+
+
+def test_snapshot_holds_the_last_hidden_layer_and_logits_only():
+    # a tiny pool and a large held-out probe, so the probe's snapshots set the peak
+    rng = np.random.default_rng(4)
+    n = 20_000
+    pool = make_dataset(rng.standard_normal((64, 10)), rng.integers(0, 3, 64), num_classes=3)
+    probe = make_dataset(rng.standard_normal((n, 10)), rng.integers(0, 3, n), num_classes=3)
+    cfg = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
+    tcfg = TrainConfig(max_epochs=1, eval_interval=0.5, rng_seed=0)
+    tracemalloc.start()
+    try:
+        result = run_cartography_full(pool, probe, cfg, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.traces.confidences.shape == (n, 2)
+    held = n * (cfg.hidden_dims[-1] + cfg.num_classes) * 8
+    assert peak <= held + pass_allowance(n, cfg.num_classes, 32), (peak, held)
 
 
 def test_insufficient_snapshots_raise():

@@ -71,21 +71,28 @@ def test_generated_files_loadable_as_experiment_input(tmp_path):
 
 
 def test_run_from_generated_files(tmp_path):
+    # a file's dataset is keyed by the sources of its rows, not by where the
+    # file lives, so runs from two directories write the synthetic run's bytes
     cfg = write_config(tmp_path)
-    data_dir = tmp_path / "data"
-    assert main(["generate", "--config", cfg, "--out", str(data_dir)]) == 0
+    overrides = ["--strategies", "random", "--seeds", "1"]
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "synthetic"), *overrides]) == 0
+    outs = [tmp_path / "synthetic"]
+    for where in ("data", "elsewhere/data"):
+        data_dir = tmp_path / where
+        assert main(["generate", "--config", cfg, "--out", str(data_dir)]) == 0
 
-    def to_files(raw):
-        raw["data"]["synthetic_sources"] = []
-        raw["data"]["files"] = [
-            str(data_dir / f"{name}.jsonl") for name in ("alpha", "beta", "gamma")
-        ]
+        def to_files(raw):
+            raw["data"]["synthetic_sources"] = []
+            raw["data"]["files"] = [
+                str(data_dir / f"{name}.jsonl") for name in ("alpha", "beta", "gamma")
+            ]
 
-    file_cfg = write_config(tmp_path, mutate=to_files, name="files.json")
-    out = tmp_path / "exp"
-    assert main(["run", "--config", file_cfg, "--out", str(out),
-                 "--strategies", "random", "--seeds", "1"]) == 0
-    assert (out / "summary.csv").exists()
+        file_cfg = write_config(tmp_path, mutate=to_files, name=f"files{len(outs)}.json")
+        outs.append(tmp_path / f"exp{len(outs)}")
+        assert main(["run", "--config", file_cfg, "--out", str(outs[-1]), *overrides]) == 0
+    for name in ("rounds.csv", "summary.csv", "profile.csv", "datamap.csv"):
+        synthetic, *from_files = [(out / name).read_bytes() for out in outs]
+        assert from_files == [synthetic, synthetic], name
 
 
 # --- run --------------------------------------------------------------------

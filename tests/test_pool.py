@@ -64,6 +64,7 @@ def test_load_jsonl_echoes_records(tmp_path):
     assert ds.num_classes == 3
     assert ds.examples[1].tokens == ("x", "y")
     assert ds.ids.tolist() == [0, 1, 5]
+    assert ds.name == "a+b"  # its sources, not its path
 
 
 def test_load_empty_file_is_valid(tmp_path):
@@ -71,6 +72,7 @@ def test_load_empty_file_is_valid(tmp_path):
     path.write_text("")
     ds = load_dataset(path)
     assert len(ds) == 0
+    assert ds.name == ""
 
 
 def test_load_rejects_inconsistent_feature_dim(tmp_path):
@@ -88,7 +90,7 @@ def test_load_rejects_duplicate_id(tmp_path):
     path = tmp_path / "d.jsonl"
     rows = [{"id": 3, "source": "a", "features": [1.0], "label": 0}] * 2
     path.write_text("\n".join(json.dumps(r) for r in rows))
-    with pytest.raises(SchemaError, match="duplicate"):
+    with pytest.raises(SchemaError, match="d.jsonl: .*duplicate"):
         load_dataset(path)
 
 
