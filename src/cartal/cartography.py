@@ -18,7 +18,7 @@ import numpy as np
 from . import classifier as clf
 from .errors import CapacityError, InsufficientDynamicsError
 from .pool import _positions
-from .reporting import write_table
+from .artifacts import write_table
 
 __all__ = [
     "DIFFICULTIES",

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .artifacts import reading, write_json
 from .errors import DivergenceError
 from .pool import Dataset
 
@@ -507,8 +508,7 @@ def save_checkpoint(model: Classifier, path) -> None:
             for W, b in model.weights
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def _is_number_list(value) -> bool:
@@ -516,7 +516,7 @@ def _is_number_list(value) -> bool:
 
 
 def load_checkpoint(path) -> Classifier:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")

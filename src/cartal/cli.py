@@ -9,14 +9,15 @@ Verbosity is controlled by the CARTAL_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import logging
 import os
+import shutil
 import sys
 import time
 from dataclasses import replace
 
+from . import artifacts
 from . import classifier as clf
 from .config import config_to_dict, parse_config
 from .errors import CartalError, ConfigError
@@ -50,11 +51,6 @@ def _setup_logging():
     logging.basicConfig(level=_LOG_LEVELS[level], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_config_copy(config, out_dir):
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-
-
 def _apply_overrides(config, args):
     updates = {}
     if getattr(args, "strategies", None):
@@ -72,9 +68,9 @@ def cmd_generate(args) -> int:
     manifest = {"sources": {}}
     for spec in config.synthetic_sources:
         ds = generate_synthetic_source(spec, derive_seed(config.data_seed, "source", spec.name))
-        path = os.path.join(args.out, f"{spec.name}.jsonl")
+        path = os.path.join(args.out, artifacts.source_file(spec.name))
         bounds = ds.token_indptr.tolist()
-        with open(path, "w", encoding="utf-8") as fh:
+        with artifacts.writing(path) as fh:
             for i, x, label, a, b in zip(ds.ids.tolist(), ds.X.tolist(), ds.y.tolist(),
                                          bounds[:-1], bounds[1:]):
                 fh.write(json.dumps({
@@ -91,84 +87,68 @@ def cmd_generate(args) -> int:
         }
         print(f"wrote {path} ({len(ds)} examples)")
     manifest["created_unix"] = time.time()
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    artifacts.write_json(os.path.join(args.out, artifacts.MANIFEST), manifest, indent=2)
     return 0
 
 
-def cmd_run(args) -> int:
-    config = _apply_overrides(parse_config(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
-    context = prepare_context(config)
-    scores_dir = os.path.join(args.out, "scores") if config.dump_scores else None
-    suite = run_suite(config, context, parallel=args.parallel, scores_dir=scores_dir)
-    _write_config_copy(config, args.out)
-    write_suite_artifacts(suite, context, args.out)
-    write_pool_datamap(context, args.out)
-    write_manifest(args.out)
-    return _report_suite(suite, "runs")
-
-
-def _report_suite(suite, label) -> int:
+def _report(summaries, failures, label) -> int:
     """Print each strategy's test accuracies, then any failed runs (exit code 2)."""
-    for s in suite.summaries:
-        for test_set, (mean, std, n) in s.accuracies.items():
-            print(f"{s.strategy:>8s} {test_set:>12s}: {mean:.4f} ± {std:.4f} ({n} {label})")
-    for f in suite.failures:
-        print(f"FAILED {f.strategy}/seed {f.seed}: {f.error}", file=sys.stderr)
-    return 2 if suite.failures else 0
-
-
-def cmd_ablate(args) -> int:
-    config = _apply_overrides(parse_config(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
-    context = prepare_context(config)
-    suite, _ = run_ablated_suite(config, context, parallel=args.parallel)
-    if not os.path.exists(os.path.join(args.out, "config.json")):
-        _write_config_copy(config, args.out)
-    write_suite_artifacts(suite, context, args.out, prefix="ablated_")
-    write_pool_datamap(context, args.out)
-    write_manifest(args.out, {"ablation_fraction": config.ablation_fraction})
-    return _report_suite(suite, "runs, ablated")
-
-
-def cmd_splits(args) -> int:
-    config = parse_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    context = prepare_context(config)
-    summaries = run_difficulty_split(config, context)
-    _write_config_copy(config, args.out)
-    write_summary_csv(summaries, os.path.join(args.out, "splits.csv"))
-    write_pool_datamap(context, args.out)
-    write_manifest(args.out)
     for s in summaries:
         for test_set, (mean, std, n) in s.accuracies.items():
-            print(f"{s.strategy:>6s} {test_set:>12s}: {mean:.4f} ± {std:.4f}")
-    return 0
+            print(f"{s.strategy:>8s} {test_set:>12s}: {mean:.4f} ± {std:.4f} ({n} {label})")
+    for f in failures:
+        print(f"FAILED {f.strategy}/seed {f.seed}: {f.error}", file=sys.stderr)
+    return 2 if failures else 0
 
 
-def _load_models(exp_dir):
-    models = {}
-    for path in sorted(glob.glob(os.path.join(exp_dir, "models", "*.json"))):
-        stem = os.path.splitext(os.path.basename(path))[0]
-        if "_seed" not in stem:
-            continue
-        strategy, seed_txt = stem.rsplit("_seed", 1)
-        models[(strategy, int(seed_txt))] = clf.load_checkpoint(path)
-    return models
+def _run(config, context, args):
+    scores_dir = os.path.join(args.out, artifacts.SCORES)
+    shutil.rmtree(scores_dir, ignore_errors=True)  # no score dump of an earlier run stays
+    suite = run_suite(config, context, parallel=args.parallel,
+                      scores_dir=scores_dir if config.dump_scores else None)
+    write_suite_artifacts(suite, context, args.out)
+    return _report(suite.summaries, suite.failures, "runs"), {}
+
+
+def _ablate(config, context, args):
+    suite, _ = run_ablated_suite(config, context, parallel=args.parallel)
+    write_suite_artifacts(suite, context, args.out, prefix=artifacts.ABLATED)
+    code = _report(suite.summaries, suite.failures, "runs, ablated")
+    return code, {"ablation_fraction": config.ablation_fraction}
+
+
+def _splits(config, context, args):
+    summaries = run_difficulty_split(config, context)
+    write_summary_csv(summaries, os.path.join(args.out, artifacts.SPLITS))
+    return _report(summaries, [], "seeds"), {}
+
+
+def cmd_experiment(args) -> int:
+    """``run``, ``ablate`` and ``splits``: fit cartography over the pool, run the
+    command's ``args.step``, which writes its tables and returns its exit code
+    and manifest fields, then write the resolved config, the pool's datamap
+    and the command's manifest entry."""
+    config = _apply_overrides(parse_config(args.config), args)
+    os.makedirs(args.out, exist_ok=True)
+    context = prepare_context(config)
+    code, extra = args.step(config, context, args)
+    artifacts.write_json(os.path.join(args.out, artifacts.CONFIG), config_to_dict(config),
+                         indent=2, sort_keys=True)
+    write_pool_datamap(context, args.out)
+    write_manifest(args.out, extra, command=args.command)
+    return code
 
 
 def cmd_stratify(args) -> int:
-    config_path = args.config or os.path.join(args.exp, "config.json")
-    config = parse_config(config_path)
+    config = parse_config(args.config or os.path.join(args.exp, artifacts.CONFIG))
     if not config.test_sets:
         raise ConfigError("stratified testing needs at least one test set", key="test_sets")
-    models = _load_models(args.exp)
+    models = {key: clf.load_checkpoint(path) for key, path in artifacts.checkpoints(args.exp).items()}
     if not models:
-        raise FileNotFoundError(f"no model checkpoints under {os.path.join(args.exp, 'models')}")
+        raise FileNotFoundError(f"no model checkpoints under {os.path.join(args.exp, artifacts.MODELS)}")
     data = build_experiment_data(config)
     rows = run_stratified(config, data, models, carto_seed=args.carto_seed)
-    out_path = os.path.join(args.exp, "stratified.csv")
+    out_path = os.path.join(args.exp, artifacts.STRATIFIED)
     write_stratified_csv(rows, out_path)
     print(f"wrote {out_path} ({len(rows)} rows, {len(models)} models)")
     return 0
@@ -193,30 +173,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("run", help="run the AL suite (strategies x seeds)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--strategies", help="comma-separated override, e.g. random,mcme")
-    p.add_argument("--seeds", help="comma-separated override, e.g. 1,2,3")
-    p.add_argument("--parallel", type=int, default=1)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("ablate", help="run the suite on the outlier-ablated pool")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--strategies")
-    p.add_argument("--seeds")
-    p.add_argument("--parallel", type=int, default=1)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("splits", help="train on difficulty-split training sets (no AL)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_splits)
+    for name, step, suite, text in (
+            ("run", _run, True, "run the AL suite (strategies x seeds)"),
+            ("ablate", _ablate, True, "run the suite on the outlier-ablated pool"),
+            ("splits", _splits, False, "train on difficulty-split training sets (no AL)")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        if suite:
+            p.add_argument("--strategies", help="comma-separated override, e.g. random,mcme")
+            p.add_argument("--seeds", help="comma-separated override, e.g. 1,2,3")
+            p.add_argument("--parallel", type=int, default=1)
+        p.set_defaults(func=cmd_experiment, step=step)
 
     p = sub.add_parser("stratify", help="difficulty-stratified test accuracy for saved models")
-    p.add_argument("--exp", required=True, help="experiment dir holding models/ and config.json")
-    p.add_argument("--config", help="config override (defaults to <exp>/config.json)")
+    p.add_argument("--exp", required=True, help="experiment dir of a run and/or ablate")
+    p.add_argument("--config", help=f"config override (defaults to <exp>/{artifacts.CONFIG})")
     p.add_argument("--carto-seed", type=int, default=0)
     p.set_defaults(func=cmd_stratify)
 

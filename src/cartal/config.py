@@ -15,6 +15,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
+from .artifacts import reading
 from .classifier import TrainConfig
 from .errors import ConfigError
 from .experiment import ExperimentConfig, TestSetSpec, cartography_defaults
@@ -123,7 +124,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with reading(path) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", key=str(path)) from exc

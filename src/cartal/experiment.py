@@ -9,8 +9,6 @@ including across worker processes.
 
 from __future__ import annotations
 
-import copy
-import json
 import logging
 import multiprocessing
 import os
@@ -25,7 +23,7 @@ import numpy as np
 
 # perfbench's tracer wraps the functions imported here by name, in this module,
 # and score_pool where _al_round looks it up, in the acquisition module
-from . import acquisition
+from . import acquisition, artifacts
 from . import classifier as clf
 from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, select_batch
 from .cartography import (
@@ -57,7 +55,7 @@ from .pool import (
     split_dataset,
     transfer,
 )
-from .reporting import write_table
+from .artifacts import write_table
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -266,37 +264,17 @@ class SuiteResult:
     failures: list[RunFailure]
 
 
-def _harmonize_classes(sources: list[Dataset]) -> list[Dataset]:
-    # per-file label inference can undercount classes a small file never saw
+def _sources(synthetic, files, file_format, data_seed, *tag) -> list[Dataset]:
+    """Generate the synthetic sources, each seeded by ``tag`` and its name, or
+    load the files, every one given the largest class count among them (a
+    small file's labels may never reach the last class)."""
+    if synthetic:
+        return [generate_synthetic_source(s, derive_seed(data_seed, *tag, s.name)) for s in synthetic]
+    sources = [load_dataset(path, file_format) for path in files]
     C = max(s.num_classes for s in sources)
-    copies = [copy.copy(s) for s in sources]  # the columns are shared, not copied
-    for s in copies:
-        s.num_classes = C  # labels below a source's own count lie below C too
-    return copies
-
-
-def _load_sources(config: ExperimentConfig) -> list[Dataset]:
-    if config.synthetic_sources:
-        return [
-            generate_synthetic_source(spec, derive_seed(config.data_seed, "source", spec.name))
-            for spec in config.synthetic_sources
-        ]
-    return _harmonize_classes(
-        [load_dataset(path, config.file_format) for path in config.source_files]
-    )
-
-
-def build_test_set(spec: TestSetSpec, data_seed: int) -> Dataset:
-    if spec.synthetic_sources:
-        sources = [
-            generate_synthetic_source(s, derive_seed(data_seed, "test", spec.name, s.name))
-            for s in spec.synthetic_sources
-        ]
-    else:
-        sources = _harmonize_classes(
-            [load_dataset(path, spec.file_format) for path in spec.files]
-        )
-    return concat_datasets(sources, spec.name)
+    for s in sources:
+        s.num_classes = C  # labels below a file's own count lie below C too
+    return sources
 
 
 def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
@@ -305,7 +283,8 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     Validation is held out from each source *before* pooling and never enters
     the unlabelled pool.
     """
-    sources = _load_sources(config)
+    sources = _sources(config.synthetic_sources, config.source_files, config.file_format,
+                       config.data_seed, "source")
     rests, helds = [], []
     for src in sources:
         rest, held = split_dataset(
@@ -317,7 +296,9 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
         rests, config.per_source_cap, derive_seed(config.data_seed, "pool")
     )
     val = concat_datasets(helds, "val")
-    tests = {t.name: build_test_set(t, config.data_seed) for t in config.test_sets}
+    tests = {t.name: concat_datasets(_sources(t.synthetic_sources, t.files, t.file_format,
+                                              config.data_seed, "test", t.name), t.name)
+             for t in config.test_sets}
     return ExperimentData(pool=pool, val=val, tests=tests)
 
 
@@ -339,7 +320,7 @@ def _dump_scores(scores_dir, strategy, seed, rnd, state, scores):
     pool = state.universe
     pos = np.flatnonzero(~state.labelled_mask)
     sources = [pool.source_names[code] for code in pool.source_codes[pos].tolist()]
-    path = os.path.join(scores_dir, f"{strategy}_seed{seed}_round{rnd}.csv")
+    path = os.path.join(scores_dir, artifacts.scores_table(strategy, seed, rnd))
     write_table(path, ["id", "source", "score"],
                 zip(pool.ids[pos].tolist(), sources, map(_fmt, scores.tolist())))
 
@@ -775,38 +756,37 @@ def write_stratified_csv(rows: list[dict], path) -> None:
 
 def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
                           prefix: str = "") -> None:
-    """Write rounds/summary/profile CSVs (and model checkpoints) for a suite.
+    """Write a suite's tables and model checkpoints, and remove the failures
+    table and the checkpoints that its variant's last suite left and this one
+    did not write. ``prefix`` names the variant (see :mod:`cartal.artifacts`),
+    e.g. "ablated_" for the ablated suite."""
+    def path(table):
+        return os.path.join(out_dir, artifacts.suite_table(table, prefix))
 
-    ``prefix`` distinguishes suite variants in one directory, e.g.
-    "ablated_" writes rounds_ablated.csv / summary_ablated.csv.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    suffix = f"_{prefix.rstrip('_')}" if prefix else ""
-    write_rounds_csv(suite.results, context.data.pool, os.path.join(out_dir, f"rounds{suffix}.csv"))
-    write_summary_csv(suite.summaries, os.path.join(out_dir, f"summary{suffix}.csv"))
-    write_profile_csv(
-        suite.results, context.data.pool.num_classes, os.path.join(out_dir, f"profile{suffix}.csv")
-    )
+    os.makedirs(os.path.join(out_dir, artifacts.MODELS), exist_ok=True)
+    write_rounds_csv(suite.results, context.data.pool, path("rounds"))
+    write_summary_csv(suite.summaries, path("summary"))
+    write_profile_csv(suite.results, context.data.pool.num_classes, path("profile"))
     if suite.failures:
-        write_table(os.path.join(out_dir, f"failures{suffix}.csv"), ["strategy", "seed", "error"],
+        write_table(path("failures"), ["strategy", "seed", "error"],
                     ([f.strategy, f.seed, f.error] for f in suite.failures))
-    model_dir = os.path.join(out_dir, "models")
-    os.makedirs(model_dir, exist_ok=True)
+    else:
+        artifacts.remove(path("failures"))
+    written = {(prefix + r.strategy, r.seed) for r in suite.results}
     for r in suite.results:
-        clf.save_checkpoint(
-            r.final_model, os.path.join(model_dir, f"{prefix}{r.strategy}_seed{r.seed}.json")
-        )
+        clf.save_checkpoint(r.final_model, artifacts.checkpoint(out_dir, prefix + r.strategy, r.seed))
+    for key, stale in artifacts.checkpoints(out_dir, prefix).items():
+        if key not in written:
+            artifacts.remove(stale)
 
 
-def write_manifest(out_dir, extra: dict | None = None) -> None:
-    manifest = {
+def write_manifest(out_dir, extra: dict | None = None, command: str = "run") -> None:
+    """Record ``command``'s entry in the directory's manifest; the other
+    commands' entries stay."""
+    artifacts.record_command(out_dir, command, {
         "final_eval": "refit on the full labelled set after the last transfer",
-        "created_unix": time.time(),
-    }
-    manifest.update(extra or {})
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        "created_unix": time.time(), **(extra or {})})
 
 
 def write_pool_datamap(context: RunContext, out_dir) -> None:
-    write_datamap_csv(context.pool_datamap, context.data.pool, os.path.join(out_dir, "datamap.csv"))
+    write_datamap_csv(context.pool_datamap, context.data.pool, os.path.join(out_dir, artifacts.DATAMAP))

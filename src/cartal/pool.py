@@ -376,7 +376,8 @@ def _parse_csv(path) -> list[dict]:
 
 
 def load_dataset(path, format="jsonl") -> Dataset:
-    """Read a JSONL or CSV dataset file and validate all invariants.
+    """Read a JSONL or CSV dataset file and validate all invariants; a
+    :class:`ParseError` or :class:`SchemaError` names the file.
 
     The dataset is named by the sorted distinct sources of its rows, joined
     by "+" ("" for an empty file), so a one-source file gets its source's
@@ -385,6 +386,14 @@ def load_dataset(path, format="jsonl") -> Dataset:
     file. Records must carry id, source, features and label; order is
     preserved.
     """
+    try:
+        return _read_dataset(path, format)
+    except (ParseError, SchemaError) as exc:  # name the file, which the dataset's name does not
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _read_dataset(path, format) -> Dataset:
     if format == "jsonl":
         records = _parse_jsonl(path)
     elif format == "csv":
@@ -411,24 +420,21 @@ def load_dataset(path, format="jsonl") -> Dataset:
     name = "+".join(sorted(set(sources)))
     for i, f in zip(ids, features):
         if f.shape != features[0].shape:
-            raise SchemaError(f"{path}: example {i} has feature dim {f.shape[0]}, "
+            raise SchemaError(f"example {i} has feature dim {f.shape[0]}, "
                               f"expected {features[0].shape[0]}")
     num_classes = max(max(labels, default=-1) + 1, 1)
     source_index: dict[str, int] = {}
     vocab: dict[str, int] = {}
     codes = [source_index.setdefault(s, len(source_index)) for s in sources]
     token_ids = [vocab.setdefault(t, len(vocab)) for row in tokens for t in row]
-    try:
-        return Dataset(
-            name, num_classes,
-            ids=np.array(ids, dtype=np.int64),
-            X=np.stack(features) if features else np.zeros((0, 0)), y=np.array(labels, dtype=np.int64),
-            source_codes=np.array(codes, dtype=np.int64), source_names=tuple(source_index),
-            token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
-            token_indices=np.array(token_ids, dtype=np.int64), vocab=tuple(vocab),
-        )
-    except SchemaError as exc:  # name the file, which the dataset's name no longer does
-        raise SchemaError(f"{path}: {exc}") from exc
+    return Dataset(
+        name, num_classes,
+        ids=np.array(ids, dtype=np.int64),
+        X=np.stack(features) if features else np.zeros((0, 0)), y=np.array(labels, dtype=np.int64),
+        source_codes=np.array(codes, dtype=np.int64), source_names=tuple(source_index),
+        token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
+        token_indices=np.array(token_ids, dtype=np.int64), vocab=tuple(vocab),
+    )
 
 
 def _check_schemas_match(sources):

@@ -6,43 +6,14 @@ without rerunning anything. Output is either CSV or pipe-delimited markdown.
 
 from __future__ import annotations
 
-import csv
 import os
 from collections import defaultdict
 
 import numpy as np
 
-__all__ = ["render_report", "write_table"]
+from .artifacts import ABLATED, SPLITS, STRATIFIED, read_table, report_table, suite_table, write_table
 
-
-def _read_csv(path) -> list[dict]:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing report input: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def write_table(path, header, rows, fmt="csv"):
-    """Write ``header`` then ``rows`` to ``path`` as UTF-8 CSV or as a markdown
-    table (``fmt="md"``); returns ``path``. Every CSV cartal writes goes
-    through here."""
-    if fmt == "md":
-        def cell(c):
-            # pipes inside cells (the "ablated | original" scheme) must not
-            # break the table
-            return str(c).replace("|", "\\|")
-
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("| " + " | ".join(cell(h) for h in header) + " |\n")
-            fh.write("|" + "|".join([" --- "] * len(header)) + "|\n")
-            for row in rows:
-                fh.write("| " + " | ".join(cell(c) for c in row) + " |\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    return path
+__all__ = ["render_report"]
 
 
 def _pivot(rows, index, column, cell):
@@ -110,25 +81,22 @@ def _splits_table(split_rows):
 def render_report(exp_dir, fmt: str = "csv") -> list[str]:
     """Render all applicable tables; returns the written file paths.
 
-    Requires rounds.csv and summary.csv. The paired ablated|original table
-    appears only when both suite variants are present, the stratified and
-    splits tables only when their CSVs exist.
+    Requires the suite's rounds and summary tables. The paired
+    ablated|original table appears only when the ablated suite's summary is
+    present, the stratified and splits tables only when their tables exist.
     """
     if fmt not in ("csv", "md"):
         raise ValueError(f"format must be 'csv' or 'md': {fmt!r}")
-    rounds_rows = _read_csv(os.path.join(exp_dir, "rounds.csv"))
-    summary_rows = _read_csv(os.path.join(exp_dir, "summary.csv"))
+    def read(name, required=False):
+        return read_table(os.path.join(exp_dir, name), required)
 
-    def optional(name):
-        path = os.path.join(exp_dir, name)
-        return _read_csv(path) if os.path.exists(path) else None
-
+    rounds_rows, summary_rows = read(suite_table("rounds"), True), read(suite_table("summary"), True)
     tables = [  # (report name, input rows or None, table of the rows)
         ("learning_curve", rounds_rows, _learning_curve),
-        ("profile", optional("profile.csv"), _profile_table),
-        ("paired", optional("summary_ablated.csv"), lambda rows: _paired_table(rows, summary_rows)),
-        ("stratified", optional("stratified.csv"), _stratified_table),
-        ("splits", optional("splits.csv"), _splits_table),
+        ("profile", read(suite_table("profile")), _profile_table),
+        ("paired", read(suite_table("summary", ABLATED)), lambda rows: _paired_table(rows, summary_rows)),
+        ("stratified", read(STRATIFIED), _stratified_table),
+        ("splits", read(SPLITS), _splits_table),
     ]
-    return [write_table(os.path.join(exp_dir, f"report_{name}.{fmt}"), *table(rows), fmt)
+    return [write_table(os.path.join(exp_dir, report_table(name, fmt)), *table(rows), fmt)
             for name, rows, table in tables if rows is not None]

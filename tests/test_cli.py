@@ -156,8 +156,7 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_run_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path)
+def _fail_mcme_seed_1(monkeypatch):
     real = exp._al_round
 
     def flaky(config, run, *args):
@@ -166,6 +165,11 @@ def test_run_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
         return real(config, run, *args)
 
     monkeypatch.setattr(exp, "_al_round", flaky)
+
+
+def test_run_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    _fail_mcme_seed_1(monkeypatch)
     out = tmp_path / "exp"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert "FAILED mcme/seed 1" in capsys.readouterr().err
@@ -173,6 +177,70 @@ def test_run_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert len(rounds) == 1 + 3 * 2  # three surviving runs
     failures = (out / "failures.csv").read_text()
     assert "injected" in failures
+
+
+def test_a_later_run_leaves_no_stale_artifacts(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)  # random, mcme x seeds 1, 2
+    out = tmp_path / "exp"
+    with monkeypatch.context() as patch:
+        _fail_mcme_seed_1(patch)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "injected" in (out / "failures.csv").read_text()
+    assert main(["run", "--config", cfg, "--out", str(out), "--seeds", "1"]) == 0
+    assert main(["stratify", "--exp", str(out)]) == 0
+    assert not (out / "failures.csv").exists()
+    assert sorted(os.listdir(out / "models")) == ["mcme_seed1.json", "random_seed1.json"]
+    rows = (out / "stratified.csv").read_text().strip().splitlines()[1:]
+    assert {tuple(row.split(",")[:2]) for row in rows} == {("random", "1"), ("mcme", "1")}
+    assert parse_config(out / "config.json").seeds == (1,)
+
+    # each suite variant replaces its own checkpoints and failures only
+    with monkeypatch.context() as patch:
+        _fail_mcme_seed_1(patch)
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+    ablated = {name: (out / "models" / name).read_bytes()
+               for name in os.listdir(out / "models") if name.startswith("ablated_")}
+    assert sorted(ablated) == ["ablated_mcme_seed2.json", "ablated_random_seed1.json",
+                               "ablated_random_seed2.json"]
+    assert main(["run", "--config", cfg, "--out", str(out), "--seeds", "1"]) == 0
+    assert "injected" in (out / "failures_ablated.csv").read_text()
+    assert not (out / "failures.csv").exists()
+    assert {name: (out / "models" / name).read_bytes()
+            for name in os.listdir(out / "models") if name.startswith("ablated_")} == ablated
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "failures_ablated.csv").exists()
+    assert len(os.listdir(out / "models")) == 2 + 4
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+def test_a_later_run_keeps_no_score_dump_of_an_earlier_one(tmp_path):
+    cfg = write_config(tmp_path, tiny_config(dump_scores=True))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "scores")) == [
+        f"mcme_seed{seed}_round{r}.csv" for seed in (1, 2) for r in (1, 2)]
+    assert main(["run", "--config", cfg, "--out", str(out), "--seeds", "1"]) == 0
+    assert sorted(os.listdir(out / "scores")) == ["mcme_seed1_round1.csv", "mcme_seed1_round2.csv"]
+    assert main(["run", "--config", write_config(tmp_path, name="plain.json"), "--out", str(out)]) == 0
+    assert not (out / "scores").exists()
+
+
+def test_a_malformed_data_file_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", cfg, "--out", str(data_dir)]) == 0
+    beta = data_dir / "beta.jsonl"
+    first, second, *_ = beta.read_text().splitlines()
+    beta.write_text(first + "\n" + second[:len(second) // 2] + "\n")  # truncated on its second line
+
+    def to_files(raw):
+        raw["data"]["synthetic_sources"] = []
+        raw["data"]["files"] = [str(data_dir / f"{name}.jsonl") for name in ("alpha", "beta", "gamma")]
+
+    file_cfg = write_config(tmp_path, mutate=to_files, name="files.json")
+    capsys.readouterr()
+    assert main(["run", "--config", file_cfg, "--out", str(tmp_path / "exp")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {beta}: line 2: invalid JSON")
 
 
 _real_run_group = exp._run_group
@@ -330,13 +398,17 @@ def test_cartography_default_is_the_same_from_a_dict_and_the_dataclass():
 
 
 def test_ablate_records_the_single_default_fraction(tmp_path):
-    config = tiny_config(strategies=("random",), seeds=(1,))
+    config = tiny_config(strategies=("random",), seeds=(1,), difficulty_n=8, difficulty_combos=("EMHI",))
     assert config.ablation_fraction == 0.25
     cfg = write_config(tmp_path, config)
     out = tmp_path / "exp"
     assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+    # a later command adds its own entry and keeps ablate's
+    assert main(["splits", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["ablation_fraction"] == 0.25
+    assert list(manifest) == ["ablate", "splits"]
+    assert manifest["ablate"]["ablation_fraction"] == 0.25
+    assert "ablation_fraction" not in manifest["splits"]
     assert parse_config(cfg).ablation_fraction == 0.25
 
 

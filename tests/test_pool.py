@@ -101,6 +101,14 @@ def test_load_reports_parse_error_with_line(tmp_path):
         load_dataset(path)
 
 
+def test_parse_error_names_the_file_and_keeps_its_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": 0, "source": "a", "features": [1.0], "label": 0}\n{"id": 1, "sour\n')
+    with pytest.raises(ParseError, match=r"d\.jsonl: line 2: invalid JSON") as info:
+        load_dataset(path)
+    assert info.value.line == 2
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": 0, "features": [1.0], "label": 0}\n')
