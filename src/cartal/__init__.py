@@ -2,6 +2,8 @@
 
 from types import ModuleType as _ModuleType
 
+from . import blas as _blas
+
 from .acquisition import (
     STRATEGIES,
     DalConfig,
@@ -66,6 +68,8 @@ from .pool import (
     split_dataset,
     transfer,
 )
+
+_blas.pin_one_thread()  # on the BLAS that numpy, imported above, has loaded
 
 # every name imported above; the submodules they come from are not part of it
 __all__ = [name for name, value in globals().items()

@@ -16,14 +16,14 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 # perfbench's tracer wraps the functions imported here by name, in this module,
 # and score_pool where _al_round looks it up, in the acquisition module
-from . import acquisition, artifacts
+from . import acquisition, artifacts, blas
 from . import classifier as clf
 from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, select_batch
 from .cartography import (
@@ -528,30 +528,6 @@ def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSu
             for strategy in config.strategies]
 
 
-# The thread-count variables of OpenBLAS, OpenMP and MKL, read when a process
-# loads its BLAS.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to 1, then restore the environment exactly.
-
-    A process started meanwhile computes with one BLAS thread, so P workers
-    use P cores instead of oversubscribing them.
-    """
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 def _init_worker(log_level: int) -> None:
     """Log in a spawned worker at its parent's level."""
     logging.basicConfig(level=log_level, format="%(levelname)s %(name)s: %(message)s")
@@ -560,7 +536,8 @@ def _init_worker(log_level: int) -> None:
 def _run_groups(jobs: list) -> list[list]:
     """Run each lockstep group in a spawned worker process of its own.
 
-    Workers start from a fresh interpreter with one BLAS thread each. A
+    Workers start from a fresh interpreter, which imports cartal and so
+    computes with one BLAS thread (:mod:`cartal.blas`). A
     group whose worker dies becomes one :class:`RunFailure` per run it held;
     the other groups complete.
     """
@@ -570,8 +547,7 @@ def _run_groups(jobs: list) -> list[list]:
         executors = [stack.enter_context(ProcessPoolExecutor(
             max_workers=1, mp_context=spawn, initializer=_init_worker, initargs=(level,)))
             for _ in jobs]
-        with _one_blas_thread():  # submit starts the worker
-            futures = [ex.submit(_run_group, job) for ex, job in zip(executors, jobs)]
+        futures = [ex.submit(_run_group, job) for ex, job in zip(executors, jobs)]
         outcomes = []
         for future, (_, specs, _, _) in zip(futures, jobs):
             try:
@@ -785,7 +761,7 @@ def write_manifest(out_dir, extra: dict | None = None, command: str = "run") -> 
     commands' entries stay."""
     artifacts.record_command(out_dir, command, {
         "final_eval": "refit on the full labelled set after the last transfer",
-        "created_unix": time.time(), **(extra or {})})
+        "created_unix": time.time(), "blas_threads": blas.threads(), **(extra or {})})
 
 
 def write_pool_datamap(context: RunContext, out_dir) -> None:

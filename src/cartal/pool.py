@@ -394,12 +394,13 @@ def load_dataset(path, format="jsonl") -> Dataset:
 
 
 def _read_dataset(path, format) -> Dataset:
-    if format == "jsonl":
-        records = _parse_jsonl(path)
-    elif format == "csv":
-        records = _parse_csv(path)
-    else:
+    parse = {"jsonl": _parse_jsonl, "csv": _parse_csv}.get(format)
+    if parse is None:
         raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+    try:
+        records = parse(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
 
     rows = []
     for rec in records:

@@ -8,9 +8,11 @@ import json
 import numpy as np
 import pytest
 
-from cartal import artifacts
+from cartal import artifacts, blas
 from cartal.classifier import Classifier, ClassifierConfig, init_weights, save_checkpoint
 from cartal.experiment import write_manifest
+
+from openblas_threads import openblas_threads
 
 
 def _rows_then_fail(n):
@@ -93,3 +95,12 @@ def test_checkpoints_invert_checkpoint_names_per_variant(tmp_path):
 def test_suite_tables_of_each_variant():
     assert artifacts.suite_table("rounds") == "rounds.csv"
     assert artifacts.suite_table("failures", artifacts.ABLATED) == "failures_ablated.csv"
+
+
+def test_each_manifest_entry_records_the_blas_thread_count(tmp_path):
+    for command in ("run", "ablate", "splits"):
+        write_manifest(tmp_path, command=command)
+    manifest = json.loads((tmp_path / artifacts.MANIFEST).read_text())
+    assert {entry["blas_threads"] for entry in manifest.values()} == {blas.threads()}
+    if openblas_threads() is not None:  # numpy's own OpenBLAS, which import cartal set to one thread
+        assert blas.threads() == 1

@@ -225,22 +225,35 @@ def test_a_later_run_keeps_no_score_dump_of_an_earlier_one(tmp_path):
     assert not (out / "scores").exists()
 
 
-def test_a_malformed_data_file_is_named(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+def _generated_files_config(tmp_path):
+    """The config of files generated from the tiny config's sources, and its
+    beta.jsonl."""
     data_dir = tmp_path / "data"
-    assert main(["generate", "--config", cfg, "--out", str(data_dir)]) == 0
-    beta = data_dir / "beta.jsonl"
-    first, second, *_ = beta.read_text().splitlines()
-    beta.write_text(first + "\n" + second[:len(second) // 2] + "\n")  # truncated on its second line
+    assert main(["generate", "--config", write_config(tmp_path), "--out", str(data_dir)]) == 0
 
     def to_files(raw):
         raw["data"]["synthetic_sources"] = []
         raw["data"]["files"] = [str(data_dir / f"{name}.jsonl") for name in ("alpha", "beta", "gamma")]
 
-    file_cfg = write_config(tmp_path, mutate=to_files, name="files.json")
+    return write_config(tmp_path, mutate=to_files, name="files.json"), data_dir / "beta.jsonl"
+
+
+def test_a_malformed_data_file_is_named(tmp_path, capsys):
+    file_cfg, beta = _generated_files_config(tmp_path)
+    first, second, *_ = beta.read_text().splitlines()
+    beta.write_text(first + "\n" + second[:len(second) // 2] + "\n")  # truncated on its second line
     capsys.readouterr()
     assert main(["run", "--config", file_cfg, "--out", str(tmp_path / "exp")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {beta}: line 2: invalid JSON")
+
+
+def test_a_data_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    file_cfg, beta = _generated_files_config(tmp_path)
+    beta.write_bytes(b"\xff\xfe\x00")
+    capsys.readouterr()
+    assert main(["run", "--config", file_cfg, "--out", str(tmp_path / "exp")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {beta}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 _real_run_group = exp._run_group

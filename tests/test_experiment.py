@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +36,7 @@ from cartal.experiment import (
 from cartal.pool import seed_split, transfer
 
 from conftest import tiny_config
+from openblas_threads import openblas_threads
 
 
 @pytest.fixture(scope="module")
@@ -239,26 +242,41 @@ def test_parallel_suite_matches_sequential(ctx, suite):
     assert [r.profile for r in suite.results] == [r.profile for r in par.results]
 
 
-def _report_thread_env(args):
-    """Stands in for a lockstep group: fails each run with the worker's BLAS
-    thread variables as its error text."""
+def _report_blas_threads(args):
+    """Stands in for a lockstep group: fails each run with the OpenBLAS
+    thread count in effect in its worker as the error text."""
     _, specs, _, _ = args
-    seen = " ".join(f"{var}={os.environ.get(var)}" for var in exp._BLAS_THREAD_VARS)
+    seen = str(openblas_threads())
     return [exp.RunFailure(strategy, seed, seen) for strategy, seed in specs]
 
 
 def test_parallel_workers_get_one_blas_thread_and_parent_env_is_kept(ctx, monkeypatch):
+    if openblas_threads() is None:
+        pytest.skip("numpy ships no OpenBLAS of its own")
     config, context = ctx
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # what a worker's OpenBLAS starts with
     before = dict(os.environ)
-    monkeypatch.setattr(exp, "_run_group", _report_thread_env)
+    monkeypatch.setattr(exp, "_run_group", _report_blas_threads)
     suite = run_suite(config, context, parallel=2)
     assert dict(os.environ) == before
     assert len(suite.failures) == len(config.strategies) * len(config.seeds)
-    assert {f.error for f in suite.failures} == {
-        "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"}
+    assert {f.error for f in suite.failures} == {"1"}
+
+
+def test_import_cartal_leaves_one_blas_thread():
+    if openblas_threads() is None:
+        pytest.skip("numpy ships no OpenBLAS of its own")
+    script = ("from openblas_threads import openblas_threads\n"
+              "before = openblas_threads()\n"
+              "import cartal, cartal.blas\n"
+              "print(before, openblas_threads(), cartal.blas.threads())\n")
+    src = os.path.dirname(os.path.dirname(exp.__file__))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["2", "1", "1"]
 
 
 def _log_its_runs(args):

@@ -109,6 +109,14 @@ def test_parse_error_names_the_file_and_keeps_its_line(tmp_path):
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, fmt):
+    path = tmp_path / f"d.{fmt}"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError, match=rf"d\.{fmt}: not UTF-8 text: 'utf-8' codec"):
+        load_dataset(path, format=fmt)
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": 0, "features": [1.0], "label": 0}\n')
