@@ -67,6 +67,7 @@ from .pool import (
     seed_split,
     split_dataset,
     transfer,
+    write_dataset,
 )
 
 _blas.pin_one_thread()  # on the BLAS that numpy, imported above, has loaded

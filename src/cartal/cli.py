@@ -9,7 +9,6 @@ Verbosity is controlled by the CARTAL_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import shutil
@@ -34,7 +33,7 @@ from .experiment import (
     write_suite_artifacts,
     write_summary_csv,
 )
-from .pool import generate_synthetic_source
+from .pool import generate_synthetic_source, write_dataset
 from .reporting import render_report
 from .seeding import derive_seed
 
@@ -56,7 +55,11 @@ def _apply_overrides(config, args):
     if getattr(args, "strategies", None):
         updates["strategies"] = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     if getattr(args, "seeds", None):
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        try:
+            updates["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        except ValueError as exc:
+            raise ConfigError(f"expected comma-separated integers, got {args.seeds!r}",
+                              key="--seeds") from exc
     return replace(config, **updates) if updates else config
 
 
@@ -68,18 +71,7 @@ def cmd_generate(args) -> int:
     manifest = {"sources": {}}
     for spec in config.synthetic_sources:
         ds = generate_synthetic_source(spec, derive_seed(config.data_seed, "source", spec.name))
-        path = os.path.join(args.out, artifacts.source_file(spec.name))
-        bounds = ds.token_indptr.tolist()
-        with artifacts.writing(path) as fh:
-            for i, x, label, a, b in zip(ds.ids.tolist(), ds.X.tolist(), ds.y.tolist(),
-                                         bounds[:-1], bounds[1:]):
-                fh.write(json.dumps({
-                    "id": i,
-                    "source": spec.name,
-                    "features": x,
-                    "tokens": [ds.vocab[t] for t in ds.token_indices[a:b].tolist()],
-                    "label": label,
-                }) + "\n")
+        path = write_dataset(ds, os.path.join(args.out, artifacts.source_file(spec.name)))
         manifest["sources"][spec.name] = {
             "file": os.path.basename(path),
             "n": len(ds),

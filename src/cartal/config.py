@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 from .artifacts import reading
 from .classifier import TrainConfig
 from .errors import ConfigError
-from .experiment import ExperimentConfig, TestSetSpec, cartography_defaults
+from .experiment import ExperimentConfig, cartography_defaults
 
 __all__ = ["parse_config", "parse_config_dict", "config_to_dict"]
 
@@ -31,7 +31,7 @@ def _same(*names: str) -> dict[str, str]:
 # not listed here is laid out as its fields, under their own names.
 _LAYOUT = {
     ExperimentConfig: {
-        "data": {**_same("synthetic_sources"), "files": "source_files", "format": "file_format",
+        "data": {**_same("synthetic_sources"), "files": "source_files",
                  **_same("per_source_cap", "val_fraction"), "seed": "data_seed"},
         **_same("test_sets"),
         "al": _same("seed_size", "k", "rounds", "strategies", "seeds", "mc_samples"),
@@ -41,7 +41,6 @@ _LAYOUT = {
         "difficulty_split": {"combos": "difficulty_combos", "n": "difficulty_n"},
         **_same("dump_scores"),
     },
-    TestSetSpec: {**_same("name", "synthetic_sources", "files"), "format": "file_format"},
     # rng_seed is derived per fit, never configured
     TrainConfig: _same("learning_rate", "batch_size", "max_epochs", "patience", "eval_interval"),
 }

@@ -29,6 +29,7 @@ from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, select_batch
 from .cartography import (
     Datamap,
     DifficultyThresholds,
+    _normalize_combo,
     ablate_hard_to_learn,
     build_difficulty_split,
     run_cartography_full,
@@ -89,7 +90,6 @@ class TestSetSpec:
     name: str
     synthetic_sources: tuple[SyntheticSourceSpec, ...] = ()
     files: tuple[str, ...] = ()
-    file_format: str = "jsonl"
 
     def __post_init__(self):
         if not self.synthetic_sources and not self.files:
@@ -118,7 +118,6 @@ class ExperimentConfig:
     # data
     synthetic_sources: tuple[SyntheticSourceSpec, ...] = ()
     source_files: tuple[str, ...] = ()
-    file_format: str = "jsonl"
     per_source_cap: int = 20000
     val_fraction: float = 0.1
     data_seed: int = 11
@@ -155,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError("seed_size must be >= 0", key="al.seed_size")
         if not self.seeds:
             raise ConfigError("need at least one seed", key="al.seeds")
+        if not self.strategies:
+            raise ConfigError("need at least one strategy", key="al.strategies")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be >= 1", key="al.mc_samples")
         if self.mc_samples < 2 and "bald" in self.strategies:
@@ -171,6 +172,7 @@ class ExperimentConfig:
         _require_unique([s.name for s in self.synthetic_sources], "data.synthetic_sources")
         _require_unique(self.source_files, "data.files")
         _require_unique([t.name for t in self.test_sets], "test_sets")
+        _require_unique(self.difficulty_combos, "difficulty_split.combos")
         if not self.hidden_dims or min(self.hidden_dims) < 1:
             raise ConfigError("need at least one hidden layer, each of width >= 1",
                               key="classifier.hidden_dims")
@@ -178,6 +180,16 @@ class ExperimentConfig:
             raise ConfigError("must lie in [0, 1)", key="data.val_fraction")
         if not 0.0 <= self.ablation_fraction < 1.0:
             raise ConfigError("must lie in [0, 1)", key="ablation.fraction")
+        if not self.difficulty_combos:
+            raise ConfigError("need at least one combo", key="difficulty_split.combos")
+        for combo in self.difficulty_combos:
+            try:
+                classes = len(_normalize_combo(combo))
+            except ValueError as exc:
+                raise ConfigError(str(exc), key="difficulty_split.combos") from exc
+            if self.difficulty_n is not None and (self.difficulty_n < 1 or self.difficulty_n % classes):
+                raise ConfigError(f"must be >= 1 and divisible by the {classes} classes of combo "
+                                  f"{combo!r}, got {self.difficulty_n}", key="difficulty_split.n")
 
     def classifier_config(self, input_dim: int, num_classes: int) -> clf.ClassifierConfig:
         return clf.ClassifierConfig(
@@ -264,13 +276,13 @@ class SuiteResult:
     failures: list[RunFailure]
 
 
-def _sources(synthetic, files, file_format, data_seed, *tag) -> list[Dataset]:
+def _sources(synthetic, files, data_seed, *tag) -> list[Dataset]:
     """Generate the synthetic sources, each seeded by ``tag`` and its name, or
     load the files, every one given the largest class count among them (a
     small file's labels may never reach the last class)."""
     if synthetic:
         return [generate_synthetic_source(s, derive_seed(data_seed, *tag, s.name)) for s in synthetic]
-    sources = [load_dataset(path, file_format) for path in files]
+    sources = [load_dataset(path) for path in files]
     C = max(s.num_classes for s in sources)
     for s in sources:
         s.num_classes = C  # labels below a file's own count lie below C too
@@ -283,8 +295,7 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     Validation is held out from each source *before* pooling and never enters
     the unlabelled pool.
     """
-    sources = _sources(config.synthetic_sources, config.source_files, config.file_format,
-                       config.data_seed, "source")
+    sources = _sources(config.synthetic_sources, config.source_files, config.data_seed, "source")
     rests, helds = [], []
     for src in sources:
         rest, held = split_dataset(
@@ -296,8 +307,8 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
         rests, config.per_source_cap, derive_seed(config.data_seed, "pool")
     )
     val = concat_datasets(helds, "val")
-    tests = {t.name: concat_datasets(_sources(t.synthetic_sources, t.files, t.file_format,
-                                              config.data_seed, "test", t.name), t.name)
+    tests = {t.name: concat_datasets(_sources(t.synthetic_sources, t.files, config.data_seed,
+                                              "test", t.name), t.name)
              for t in config.test_sets}
     return ExperimentData(pool=pool, val=val, tests=tests)
 

@@ -7,13 +7,13 @@ only ever advanced through :func:`transfer`.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import reading, writing
 from .errors import ConfigError, ParseError, SchemaError, StateError
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "PoolState",
     "SyntheticSourceSpec",
     "load_dataset",
+    "write_dataset",
     "generate_synthetic_source",
     "build_multi_source_pool",
     "concat_datasets",
@@ -317,123 +318,118 @@ def generate_synthetic_source(spec: SyntheticSourceSpec, rng_seed: int) -> Datas
     flipped[flip_ids] = True
 
     token_ids, vocab = _feature_tokens(feats)
+    # the vocabulary in order of first use, as the source's file loads it back
+    token_ids, vocab = _recode(token_ids.ravel(), vocab)
     return Dataset(
         spec.name, C,
         ids=np.arange(n, dtype=np.int64), X=feats, y=labels.astype(np.int64), flipped=flipped,
         source_codes=np.zeros(n, dtype=np.int64), source_names=(spec.name,),
-        token_indptr=np.arange(n + 1, dtype=np.int64) * d, token_indices=token_ids.ravel(), vocab=vocab,
+        token_indptr=np.arange(n + 1, dtype=np.int64) * d, token_indices=token_ids, vocab=vocab,
     )
 
 
-def _parse_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(rec, dict):
-                raise ParseError("record is not an object", line=lineno)
-            rec["_line"] = lineno
-            records.append(rec)
-    return records
+_NUMBERS = {int, float}  # exact types: a JSON true or false loads as bool, a subclass of int
 
 
-def _parse_csv(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return records
-        tok_cols = [i for i, h in enumerate(header) if h.startswith("tok")]
-        feat_cols = [i for i, h in enumerate(header) if h.startswith("f") and h[1:].isdigit()]
-        for col in ("id", "source", "label"):
-            if col not in header:
-                raise ParseError(f"missing required column {col!r}", line=1)
-        id_i, src_i, lab_i = header.index("id"), header.index("source"), header.index("label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rec = {
-                    "id": int(row[id_i]),
-                    "source": row[src_i],
-                    "label": int(row[lab_i]),
-                    "features": [float(row[c]) for c in feat_cols],
-                    "tokens": [row[c] for c in tok_cols if row[c]],
-                    "_line": lineno,
-                }
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"malformed row: {exc}", line=lineno) from exc
-            records.append(rec)
-    return records
+def _is_int64(value) -> bool:
+    return type(value) is int and -2 ** 63 <= value < 2 ** 63
 
 
-def load_dataset(path, format="jsonl") -> Dataset:
-    """Read a JSONL or CSV dataset file and validate all invariants; a
-    :class:`ParseError` or :class:`SchemaError` names the file.
+def _field(rec: dict, key: str, ok, what: str, lineno: int):
+    """``rec[key]``, which must be present and satisfy ``ok``; ``what`` names the type wanted."""
+    if key not in rec:
+        raise ParseError(f"record missing field {key!r}", line=lineno)
+    value = rec[key]
+    if not ok(value):
+        raise ParseError(f"field {key!r} must be {what}, got {value!r:.40}", line=lineno)
+    return value
+
+
+def write_dataset(ds: Dataset, path):
+    """Write ``ds`` to ``path`` as JSONL, one record per row, replacing the file
+    atomically; returns ``path``. Floats are written by ``repr``, so
+    :func:`load_dataset` gives back every column bit for bit, except that
+    ``flipped`` is not written and the name tables list only the names the
+    rows use, in order of first use."""
+    bounds = ds.token_indptr.tolist()
+    with writing(path) as fh:
+        for i, c, x, label, a, b in zip(ds.ids.tolist(), ds.source_codes.tolist(), ds.X.tolist(),
+                                        ds.y.tolist(), bounds[:-1], bounds[1:]):
+            fh.write(json.dumps({
+                "id": i,
+                "source": ds.source_names[c],
+                "features": x,
+                "tokens": [ds.vocab[t] for t in ds.token_indices[a:b].tolist()],
+                "label": label,
+            }) + "\n")
+    return path
+
+
+def load_dataset(path) -> Dataset:
+    """Read a JSONL dataset file written as :func:`write_dataset` writes it
+    and validate all invariants; a :class:`ParseError` (with its line) or
+    :class:`SchemaError` names the file.
 
     The dataset is named by the sorted distinct sources of its rows, joined
     by "+" ("" for an empty file), so a one-source file gets its source's
     name, as a synthetic source does, wherever the file lives; the val split
     is seeded by that name. ``num_classes`` is ``max(label) + 1`` over the
-    file. Records must carry id, source, features and label; order is
-    preserved.
+    file. Order is preserved.
     """
     try:
-        return _read_dataset(path, format)
+        with reading(path) as fh:
+            return _read_dataset(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except (ParseError, SchemaError) as exc:  # name the file, which the dataset's name does not
         exc.args = (f"{path}: {exc}",)
         raise
 
 
-def _read_dataset(path, format) -> Dataset:
-    parse = {"jsonl": _parse_jsonl, "csv": _parse_csv}.get(format)
-    if parse is None:
-        raise ValueError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
-    try:
-        records = parse(path)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}") from exc
-
-    rows = []
-    for rec in records:
-        lineno = rec.get("_line")
-        for key in ("id", "source", "features", "label"):
-            if key not in rec:
-                raise ParseError(f"record missing field {key!r}", line=lineno)
-        try:
-            feats = np.asarray(rec["features"], dtype=float)
-            rows.append((int(rec["id"]), str(rec["source"]), feats, int(rec["label"]),
-                         tuple(str(t) for t in rec.get("tokens", ()) or ())))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed record: {exc}", line=lineno) from exc
-        if feats.ndim != 1:
-            raise ParseError("features must be a flat vector", line=lineno)
-
-    ids, sources, features, labels, tokens = zip(*rows) if rows else ((),) * 5
-    name = "+".join(sorted(set(sources)))
-    for i, f in zip(ids, features):
-        if f.shape != features[0].shape:
-            raise SchemaError(f"example {i} has feature dim {f.shape[0]}, "
-                              f"expected {features[0].shape[0]}")
-    num_classes = max(max(labels, default=-1) + 1, 1)
-    source_index: dict[str, int] = {}
+def _read_dataset(lines) -> Dataset:
+    """One pass over the lines into plain lists, one array per column at the end."""
+    ids, labels, codes, features, token_ids, indptr = [], [], [], [], [], [0]
+    sources: dict[str, int] = {}
     vocab: dict[str, int] = {}
-    codes = [source_index.setdefault(s, len(source_index)) for s in sources]
-    token_ids = [vocab.setdefault(t, len(vocab)) for row in tokens for t in row]
+    dim = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
+        if type(rec) is not dict:
+            raise ParseError("record is not an object", line=lineno)
+        i = _field(rec, "id", _is_int64, "an int64 integer", lineno)
+        source = _field(rec, "source", lambda v: type(v) is str, "a string", lineno)
+        feats = _field(rec, "features", lambda v: type(v) is list and set(map(type, v)) <= _NUMBERS,
+                       "a flat list of numbers", lineno)
+        label = _field(rec, "label", _is_int64, "an int64 integer", lineno)
+        tokens = rec.get("tokens", [])
+        if type(tokens) is not list or not all(type(t) is str for t in tokens):
+            raise ParseError(f"field 'tokens' must be a list of strings, got {tokens!r:.40}",
+                             line=lineno)
+        dim = len(feats) if dim is None else dim
+        if len(feats) != dim:
+            raise SchemaError(f"example {i} has feature dim {len(feats)}, expected {dim}")
+        try:
+            features.extend(map(float, feats))
+        except OverflowError as exc:
+            raise ParseError("field 'features' holds a number beyond the float range",
+                             line=lineno) from exc
+        ids.append(i)
+        labels.append(label)
+        codes.append(sources.setdefault(source, len(sources)))
+        token_ids.extend(vocab.setdefault(t, len(vocab)) for t in tokens)
+        indptr.append(len(token_ids))
     return Dataset(
-        name, num_classes,
+        "+".join(sorted(sources)), max(max(labels, default=-1) + 1, 1),
         ids=np.array(ids, dtype=np.int64),
-        X=np.stack(features) if features else np.zeros((0, 0)), y=np.array(labels, dtype=np.int64),
-        source_codes=np.array(codes, dtype=np.int64), source_names=tuple(source_index),
-        token_indptr=np.cumsum([0] + [len(row) for row in tokens]),
+        X=np.array(features, dtype=float).reshape(len(ids), dim or 0),
+        y=np.array(labels, dtype=np.int64),
+        source_codes=np.array(codes, dtype=np.int64), source_names=tuple(sources),
+        token_indptr=np.array(indptr, dtype=np.int64),
         token_indices=np.array(token_ids, dtype=np.int64), vocab=tuple(vocab),
     )
 

@@ -256,6 +256,20 @@ def test_a_data_file_that_is_not_utf8_is_named(tmp_path, capsys):
         f"error: {beta}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("record", [
+    '{"id": %d, "source": "beta", "features": [0.5, 1.0], "label": 0}' % 2 ** 70,
+    '{"id": 0, "source": "beta", "features": [1%s, 1.0], "label": 0}' % ("0" * 399),
+])
+def test_an_integer_out_of_range_in_a_data_file_is_named(tmp_path, capsys, record):
+    """Such integers escaped as an uncaught OverflowError when the columns were built."""
+    file_cfg, beta = _generated_files_config(tmp_path)
+    beta.write_text(record + "\n")
+    capsys.readouterr()
+    assert main(["run", "--config", file_cfg, "--out", str(tmp_path / "exp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {beta}: line 1: field ") and "Traceback" not in err
+
+
 _real_run_group = exp._run_group
 
 
@@ -467,6 +481,9 @@ def _set(section, key, value):
      "data.synthetic_sources[0].noise_scale"),
     (lambda raw: raw["data"]["synthetic_sources"][2]["class_centroids"][1].__setitem__(0, float("nan")),
      "data.synthetic_sources[2].class_centroids"),
+    (_set("data", "format", "jsonl"), "data.format"),  # JSONL is the one data-file format
+    (lambda raw: raw["test_sets"][0].update(format="jsonl"), "test_sets[0].format"),
+    (_set("al", "strategies", []), "al.strategies"),
 ])
 def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
     raw = config_to_dict(tiny_config())
@@ -504,6 +521,13 @@ def _same_name_as_first_source(sources):
     (_set("ablation", "fraction", -0.25), "ablation.fraction"),
     (_set("data", "val_fraction", 1.0), "data.val_fraction"),
     (_set("data", "val_fraction", -0.1), "data.val_fraction"),
+    (_set("difficulty_split", "combos", ["EM", "EX"]), "difficulty_split.combos"),
+    (_set("difficulty_split", "combos", []), "difficulty_split.combos"),
+    (_set("difficulty_split", "combos", ["EME"]), "difficulty_split.combos"),
+    (_set("difficulty_split", "combos", ["HI", "EM", "HI"]), "difficulty_split.combos"),
+    (lambda raw: raw["difficulty_split"].update(combos=["EM", "EMH"], n=8), "difficulty_split.n"),
+    (_set("difficulty_split", "n", -3), "difficulty_split.n"),
+    (_set("difficulty_split", "n", 0), "difficulty_split.n"),
 ])
 def test_repeat_or_late_failing_value_names_its_key(tmp_path, capsys, mutate, key):
     """Repeats would silently double or hide runs, files, sources and test sets; the
@@ -520,3 +544,14 @@ def test_repeated_override_names_its_key(tmp_path, capsys, flag, value, key):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: repeated entries: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, key, reason", [
+    ("--strategies", ",", "al.strategies", "need at least one strategy"),
+    ("--seeds", ",", "al.seeds", "need at least one seed"),
+    ("--seeds", "1,a", "--seeds", "expected comma-separated integers, got '1,a'"),
+])
+def test_empty_or_malformed_override_names_its_key(tmp_path, capsys, flag, value, key, reason):
+    cfg = write_config(tmp_path, tiny_config())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {key}: {reason}\n"

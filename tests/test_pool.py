@@ -21,6 +21,7 @@ from cartal.pool import (
     seed_split,
     split_dataset,
     transfer,
+    write_dataset,
 )
 from cartal.pool import _feature_tokens, _recode
 
@@ -53,7 +54,7 @@ def _state(labelled, pool):
 def test_load_jsonl_echoes_records(tmp_path):
     path = tmp_path / "d.jsonl"
     rows = [
-        {"id": 0, "source": "a", "features": [1.0, 2.0], "label": 0},
+        {"id": 0, "source": "a", "features": [1, 2.0], "label": 0},  # JSON integers are numbers
         {"id": 1, "source": "a", "features": [0.5, -1.0], "tokens": ["x", "y"], "label": 2},
         {"id": 5, "source": "b", "features": [0.0, 0.0], "label": 1},
     ]
@@ -64,6 +65,7 @@ def test_load_jsonl_echoes_records(tmp_path):
     assert ds.num_classes == 3
     assert ds.examples[1].tokens == ("x", "y")
     assert ds.ids.tolist() == [0, 1, 5]
+    assert ds.X.tolist() == [[1.0, 2.0], [0.5, -1.0], [0.0, 0.0]]
     assert ds.name == "a+b"  # its sources, not its path
 
 
@@ -109,12 +111,12 @@ def test_parse_error_names_the_file_and_keeps_its_line(tmp_path):
     assert info.value.line == 2
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("fmt", ["jsonl"])
 def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, fmt):
     path = tmp_path / f"d.{fmt}"
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(ParseError, match=rf"d\.{fmt}: not UTF-8 text: 'utf-8' codec"):
-        load_dataset(path, format=fmt)
+        load_dataset(path)
 
 
 def test_load_rejects_missing_field(tmp_path):
@@ -124,23 +126,48 @@ def test_load_rejects_missing_field(tmp_path):
         load_dataset(path)
 
 
-def test_load_csv_variant(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text(
-        "id,source,label,tok0,tok1,f0,f1\n"
-        "0,a,1,alpha,beta,0.5,1.5\n"
-        "2,b,0,gamma,,-1.0,2.0\n"
-    )
-    ds = load_dataset(path, format="csv")
-    assert len(ds) == 2
-    assert ds.examples[0].tokens == ("alpha", "beta")
-    assert ds.examples[1].tokens == ("gamma",)
-    assert ds.examples[1].features.tolist() == [-1.0, 2.0]
+_RECORD = {"id": 1, "source": "a", "features": [0.5, 1.0], "tokens": ["x"], "label": 1}
 
 
-def test_load_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        load_dataset(tmp_path / "x", format="parquet")
+@pytest.mark.parametrize("field, value", [
+    ("label", "1.7"), ("label", "true"), ("label", '"1"'), ("label", str(2 ** 70)),
+    ("id", "2.9"), ("id", "false"), ("id", str(2 ** 70)), ("id", str(-2 ** 63 - 1)),
+    ("source", "5"), ("source", "null"),
+    ("features", '["0.5", "1e3"]'), ("features", "[true, false]"), ("features", "[[0.5, 1.0]]"),
+    ("features", '"0.5"'), ("features", "[0.5, null]"),
+    ("tokens", '"abc"'), ("tokens", "[1, 2]"), ("tokens", "null"),
+])
+def test_a_field_of_the_wrong_json_type_is_a_parse_error_naming_it(tmp_path, field, value):
+    """Values of the wrong type were coerced: a label 1.7 read as 1, tokens "abc"
+    as three tokens, number strings as features; now each names its field."""
+    path = tmp_path / "d.jsonl"
+    bad = json.dumps({**_RECORD, field: "<value>"}).replace('"<value>"', value)
+    path.write_text(json.dumps({**_RECORD, "id": 0}) + "\n" + bad + "\n")
+    with pytest.raises(ParseError, match=rf"d\.jsonl: line 2: field '{field}' must be ") as info:
+        load_dataset(path)
+    assert info.value.line == 2
+
+
+def test_written_source_loads_back_bit_for_bit(tmp_path):
+    src = generate_synthetic_source(_spec(name="alpha", n=300, flip=0.3), rng_seed=4)
+    ds = load_dataset(write_dataset(src, tmp_path / "alpha.jsonl"))
+    assert (ds.name, ds.num_classes, ds.feature_dim) == (src.name, src.num_classes, src.feature_dim)
+    assert ds.X.tobytes() == src.X.tobytes()
+    for column in ("ids", "y", "source_codes", "token_indptr", "token_indices"):
+        assert getattr(ds, column).dtype == np.int64
+        assert getattr(ds, column).tobytes() == getattr(src, column).tobytes(), column
+    assert ds.source_names == src.source_names and ds.vocab == src.vocab
+    assert not ds.flipped.any()  # the noise plan is not part of the data
+
+
+def test_writing_a_loaded_file_again_gives_the_same_bytes(tmp_path):
+    first = tmp_path / "first.jsonl"
+    first.write_text('{"id": 3, "source": "b", "features": [1e-310, -0.0], "label": 2}\n'
+                     '{"id": 9, "source": "a", "features": [0.1, 2], "tokens": ["x", "y", "x"], "label": 0}\n')
+    once = write_dataset(load_dataset(first), tmp_path / "once.jsonl")
+    twice = write_dataset(load_dataset(once), tmp_path / "twice.jsonl")
+    assert once.read_bytes() == twice.read_bytes()
+    assert load_dataset(once).X.tobytes() == load_dataset(first).X.tobytes()
 
 
 # --- generate_synthetic_source ---------------------------------------------------
