@@ -134,29 +134,20 @@ class CartographyResult:
     traces: TraceMatrix
 
 
-def run_cartography_full(pool, probe, config, tcfg, val=None,
-                         thresholds=None) -> CartographyResult:
-    """Fit a fresh model on the whole pool, probing dynamics every interval.
+def run_cartography_full(dataset, config, tcfg, val=None, thresholds=None) -> CartographyResult:
+    """Fit a fresh model on ``dataset`` and map its examples by the dynamics
+    of that fit, snapshotted every ``eval_interval`` of an epoch.
 
-    The probe may be the pool itself (strategy maps) or a held-out set such as
-    a test set (stratified testing). The fitted model is returned alongside
-    the datamap so callers can reuse it as an output-uncertainty reference.
+    The fitted model is returned alongside the datamap so callers can reuse
+    it as an output-uncertainty reference.
     """
-    gold = probe.y
-    probe_confidences: list[np.ndarray] = []
-    probe_correct: list[np.ndarray] = []
-
-    def sink(step, gold_probs, predictions):
-        probe_confidences.append(gold_probs.copy())
-        probe_correct.append(predictions == gold)
-
-    model = clf.fit(config, pool, val=val, tcfg=tcfg, dynamics_sink=sink, probe=probe)
-    if len(probe_confidences) < 2:
-        raise InsufficientDynamicsError(
-            f"collected {len(probe_confidences)} snapshots; need at least 2 "
-            "(shorten eval_interval or train longer)"
-        )
-    traces = TraceMatrix(probe.ids, np.stack(probe_confidences, axis=1), np.stack(probe_correct, axis=1))
+    dynamics: list = []
+    model = clf.fit(config, dataset, val=val, tcfg=tcfg, dynamics=dynamics)
+    if len(dynamics) < 2:
+        raise InsufficientDynamicsError(f"collected {len(dynamics)} snapshots; need at least 2 "
+                                        "(shorten eval_interval or train longer)")
+    confidences, correct = zip(*dynamics)
+    traces = TraceMatrix(dataset.ids, np.stack(confidences, axis=1), np.stack(correct, axis=1))
     return CartographyResult(compute_datamap(traces, thresholds), model, traces)
 
 

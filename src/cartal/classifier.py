@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .artifacts import reading, write_json
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .pool import Dataset
 
 CHECKPOINT_MAGIC = "CARTAL1"
@@ -44,12 +44,13 @@ class ClassifierConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        # keyed by field: an experiment config prefixes "classifier"
         if not self.hidden_dims or min(self.hidden_dims) < 1:
-            raise ValueError(f"hidden_dims must be one or more widths >= 1: {self.hidden_dims}")
+            raise ConfigError("need at least one hidden layer, each of width >= 1", key="hidden_dims")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1): {self.dropout_rate}")
+            raise ConfigError(f"must lie in [0, 1), got {self.dropout_rate}", key="dropout_rate")
         if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"activation must be 'relu' or 'tanh': {self.activation!r}")
+            raise ConfigError(f"must be 'relu' or 'tanh', got {self.activation!r}", key="activation")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
@@ -84,9 +85,7 @@ def _as_xy(data):
     if isinstance(data, Dataset):
         return data.X, data.y
     if isinstance(data, tuple) and len(data) == 2:
-        X = np.asarray(data[0], dtype=float)
-        y = np.asarray(data[1], dtype=np.int64)
-        return X, y
+        return np.asarray(data[0], dtype=float), np.asarray(data[1], dtype=np.int64)
     raise TypeError(f"expected a Dataset or an (X, y) pair, got {type(data).__name__}")
 
 
@@ -331,27 +330,22 @@ _MASK_CHUNK = 1 << 16
 
 
 def fit(config: ClassifierConfig, train, val=None, tcfg: TrainConfig | None = None,
-        dynamics_sink=None, probe=None) -> Classifier:
+        dynamics: list | None = None) -> Classifier:
     """Train a fresh model with mini-batch SGD and patience-based early stop.
 
     This is :func:`fit_many` for one run; a divergence raises its
     :class:`DivergenceError`. Early stopping tracks validation accuracy per
     epoch and restores the best weights seen; with an empty validation set
-    training runs all epochs. When ``dynamics_sink`` is given, every
-    ``eval_interval`` fraction of an epoch the sink is called with (global
-    step, gold-label probability per probe example, argmax prediction per
-    probe example), dropout disabled.
+    training runs all epochs. ``dynamics`` is as in :func:`fit_many`.
     """
     X, y = _as_xy(train)
-    [model] = fit_many(config, X[None], y[None], val, [tcfg or TrainConfig()],
-                       dynamics_sink=dynamics_sink, probe=probe)
+    [model] = fit_many(config, X[None], y[None], val, [tcfg or TrainConfig()], dynamics=dynamics)
     if isinstance(model, DivergenceError):
         raise model
     return model
 
 
-def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
-             dynamics_sink=None, probe=None) -> list:
+def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: list | None = None) -> list:
     """Train R fresh models in lockstep, one per stacked training set.
 
     ``X`` is (R, n, d) and ``y`` is (R, n); ``tcfgs`` holds one TrainConfig
@@ -364,8 +358,10 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
 
     Returns one entry per run: its :class:`Classifier`, or the
     :class:`DivergenceError` of a run whose loss went non-finite (the other
-    runs go on). ``dynamics_sink`` and ``probe`` are as in :func:`fit` and
-    need R == 1.
+    runs go on). With a ``dynamics`` list, which needs R == 1, every
+    ``eval_interval`` fraction of an epoch the fit appends a pair of columns
+    over its own training rows, dropout off: the gold-label probability and
+    whether the argmax prediction is correct.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -383,11 +379,8 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
     if any(replace(t, rng_seed=tcfg.rng_seed) != tcfg for t in tcfgs):
         raise ValueError("lockstep runs must share every TrainConfig field but rng_seed")
     val_X, val_y = _as_xy(val) if val is not None else (np.zeros((0, d)), np.zeros(0, np.int64))
-    if dynamics_sink is not None and probe is None:
-        raise ValueError("dynamics_sink requires a probe set")
-    if dynamics_sink is not None and R != 1:
-        raise ValueError("dynamics_sink needs a single run")
-    probe_X, probe_y = _as_xy(probe) if probe is not None else (None, None)
+    if dynamics is not None and R != 1:
+        raise ValueError(f"dynamics needs a single run, got {R}")
 
     rngs = [np.random.default_rng(t.rng_seed) for t in tcfgs]
     # All runs' parameters in one (R, P) buffer and their gradients in
@@ -400,11 +393,10 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
     lr = tcfg.learning_rate
     B = tcfg.batch_size
     steps_per_epoch = math.ceil(n / B)
-    snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch) if dynamics_sink else []
-    next_snap = 0
-    probe_h = None
-    if dynamics_sink is not None:  # the probe's last hidden layer, rewritten by every snapshot
-        probe_h = np.empty((len(probe_X), config.hidden_dims[-1]))
+    snap_at, next_snap, hidden = [], 0, None
+    if dynamics is not None:  # the last hidden layer over the training rows, rewritten by every snapshot
+        snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch)
+        hidden = np.empty((n, config.hidden_dims[-1]))
     p = config.dropout_rate
     width = sum(config.hidden_dims)
 
@@ -467,10 +459,9 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None,
             step += 1
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
                 net = [(W[0], b[0]) for W, b in weights]
-                h = _last_hidden(net, probe_X, config.activation, out=probe_h)
+                h = _last_hidden(net, X[0], config.activation, out=hidden)
                 probs = softmax(h @ net[-1][0] + net[-1][1])
-                gold_p = probs[np.arange(probe_X.shape[0]), probe_y]
-                dynamics_sink(step, gold_p, np.argmax(probs, axis=1))
+                dynamics.append((probs[np.arange(n), y[0]], np.argmax(probs, axis=1) == y[0]))
                 next_snap += 1
         if not live.size:
             break
@@ -529,7 +520,7 @@ def load_checkpoint(path) -> Classifier:
         raise ValueError(f"{path}: checkpoint config keys are {keys}, expected {expected}")
     try:
         config = ClassifierConfig(**cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
     dims = (config.input_dim, *config.hidden_dims, config.num_classes)
     layers = payload.get("layers", [])

@@ -19,6 +19,7 @@ from .artifacts import reading
 from .classifier import TrainConfig
 from .errors import ConfigError
 from .experiment import ExperimentConfig, cartography_defaults
+from .pool import _is_int64
 
 __all__ = ["parse_config", "parse_config_dict", "config_to_dict"]
 
@@ -77,6 +78,8 @@ def _coerce(tp, value, path: str):
                      for i, v in enumerate(_expect(value, list, path)))
     if is_dataclass(tp):
         return _parse(tp, value, path)
+    if type(value) is int and tp in (int, float) and not _is_int64(value):
+        raise ConfigError("integer out of the int64 range", key=path)  # numpy's sizes and seeds
     if tp is float and type(value) is int:
         return float(value)
     return _expect(value, tp, path)

@@ -172,33 +172,35 @@ class ExperimentConfig:
         _require_unique([s.name for s in self.synthetic_sources], "data.synthetic_sources")
         _require_unique(self.source_files, "data.files")
         _require_unique([t.name for t in self.test_sets], "test_sets")
-        _require_unique(self.difficulty_combos, "difficulty_split.combos")
-        if not self.hidden_dims or min(self.hidden_dims) < 1:
-            raise ConfigError("need at least one hidden layer, each of width >= 1",
-                              key="classifier.hidden_dims")
+        try:
+            self.classifier_config(1, 2)
+        except ConfigError as exc:  # keyed by field: prefix the section
+            raise ConfigError(exc.reason, key=f"classifier.{exc.key}") from exc
+        if self.per_source_cap < 1:
+            raise ConfigError("must be >= 1", key="data.per_source_cap")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("must lie in [0, 1)", key="data.val_fraction")
         if not 0.0 <= self.ablation_fraction < 1.0:
             raise ConfigError("must lie in [0, 1)", key="ablation.fraction")
         if not self.difficulty_combos:
             raise ConfigError("need at least one combo", key="difficulty_split.combos")
+        seen = {}  # class set -> the combo that named it first
         for combo in self.difficulty_combos:
             try:
-                classes = len(_normalize_combo(combo))
+                classes = frozenset(_normalize_combo(combo))
             except ValueError as exc:
                 raise ConfigError(str(exc), key="difficulty_split.combos") from exc
-            if self.difficulty_n is not None and (self.difficulty_n < 1 or self.difficulty_n % classes):
-                raise ConfigError(f"must be >= 1 and divisible by the {classes} classes of combo "
+            if classes in seen:
+                raise ConfigError(f"{combo!r} names the classes of {seen[classes]!r}",
+                                  key="difficulty_split.combos")
+            seen[classes] = combo
+            if self.difficulty_n is not None and (self.difficulty_n < 1 or self.difficulty_n % len(classes)):
+                raise ConfigError(f"must be >= 1 and divisible by the {len(classes)} classes of combo "
                                   f"{combo!r}, got {self.difficulty_n}", key="difficulty_split.n")
 
     def classifier_config(self, input_dim: int, num_classes: int) -> clf.ClassifierConfig:
-        return clf.ClassifierConfig(
-            input_dim=input_dim,
-            hidden_dims=self.hidden_dims,
-            num_classes=num_classes,
-            dropout_rate=self.dropout_rate,
-            activation=self.activation,
-        )
+        return clf.ClassifierConfig(input_dim, self.hidden_dims, num_classes, self.dropout_rate,
+                                    self.activation)
 
 
 @dataclass
@@ -313,16 +315,17 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     return ExperimentData(pool=pool, val=val, tests=tests)
 
 
+def _cartography(config: ExperimentConfig, dataset: Dataset, val: Dataset, *tag):
+    """The cartography fit over ``dataset``, seeded by ``tag``."""
+    tcfg = replace(config.cartography_training, rng_seed=derive_seed(config.data_seed, *tag))
+    ccfg = config.classifier_config(dataset.feature_dim, dataset.num_classes)
+    return run_cartography_full(dataset, ccfg, tcfg, val=val, thresholds=config.thresholds)
+
+
 def prepare_context(config: ExperimentConfig, data: ExperimentData | None = None) -> RunContext:
     """Build the shared cartography model + datamap over the full pool."""
     data = data or build_experiment_data(config)
-    carto_tcfg = replace(
-        config.cartography_training, rng_seed=derive_seed(config.data_seed, "cartography")
-    )
-    ccfg = config.classifier_config(data.pool.feature_dim, data.pool.num_classes)
-    result = run_cartography_full(
-        data.pool, data.pool, ccfg, carto_tcfg, val=data.val, thresholds=config.thresholds
-    )
+    result = _cartography(config, data.pool, data.val, "cartography")
     return RunContext(data=data, reference_model=result.model, pool_datamap=result.entries)
 
 
@@ -349,7 +352,8 @@ class _Run:
     error: Exception | None = None
 
 
-def _start_run(config: ExperimentConfig, run: _Run, pool: Dataset) -> None:
+def _check_capacity(config: ExperimentConfig, pool: Dataset) -> None:
+    """Fail before any run starts: every run of a suite acquires the same count."""
     needed = config.seed_size + config.rounds * config.k
     if needed > len(pool):
         exhaust_round = max(0, (len(pool) - config.seed_size) // config.k) + 1
@@ -357,7 +361,6 @@ def _start_run(config: ExperimentConfig, run: _Run, pool: Dataset) -> None:
             f"pool of {len(pool)} exhausted at round {exhaust_round}: "
             f"need {needed} for {config.rounds} rounds of k={config.k} from seed {config.seed_size}"
         )
-    run.state = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
 
 
 def _val_accuracy(model: clf.Classifier) -> float:
@@ -473,7 +476,8 @@ def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
     """
     pool = context.data.pool
     runs = [_Run(strategy, seed, derive_seed("run", strategy, seed)) for strategy, seed in specs]
-    _advance(runs, [None] * len(runs), lambda run, _: _start_run(config, run, pool))
+    for run in runs:  # each from its seed split; the caller checked the pool's capacity
+        run.state = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
     for rnd in range(1, config.rounds + 1):
         live = [run for run in runs if run.error is None]
         if live:
@@ -498,6 +502,7 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
     context = context or prepare_context(config)
+    _check_capacity(config, context.data.pool)
     [run] = _run_lockstep(config, [(strategy, seed)], context, scores_dir)
     if run.error is not None:
         raise run.error
@@ -571,7 +576,7 @@ def _run_groups(jobs: list) -> list[list]:
 
 def run_suite(config: ExperimentConfig, context: RunContext | None = None,
               parallel: int = 1, scores_dir=None) -> SuiteResult:
-    """Cross-product of strategies x seeds; failures are recorded, not fatal.
+    """Cross-product of strategies x seeds; run failures are recorded, not fatal.
 
     The runs advance in lockstep (see :func:`_run_lockstep`). With
     ``parallel`` P > 1 they are dealt round-robin into P lockstep groups,
@@ -583,6 +588,7 @@ def run_suite(config: ExperimentConfig, context: RunContext | None = None,
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     context = context or prepare_context(config)
+    _check_capacity(config, context.data.pool)
     specs = [(s, sd) for s in config.strategies for sd in config.seeds]
     groups = min(parallel, len(specs))
     if groups > 1:
@@ -665,14 +671,7 @@ def run_stratified(config: ExperimentConfig, data: ExperimentData,
     """
     rows = []
     for name, test_ds in data.tests.items():
-        ccfg = config.classifier_config(test_ds.feature_dim, test_ds.num_classes)
-        tcfg = replace(
-            config.cartography_training,
-            rng_seed=derive_seed(config.data_seed, "stratify", name, carto_seed),
-        )
-        carto = run_cartography_full(
-            test_ds, test_ds, ccfg, tcfg, val=data.val, thresholds=config.thresholds
-        )
+        carto = _cartography(config, test_ds, data.val, "stratify", name, carto_seed)
         for (strategy, seed), model in sorted(models.items()):
             res = stratified_accuracy(model, test_ds, carto.entries)
             for difficulty in sorted(res.counts):

@@ -332,7 +332,7 @@ def test_criterion_8_stratified_consistency(context, suite):
     for carto_seed in range(5):
         tcfg = replace(BENCHMARK.cartography_training,
                        rng_seed=derive_seed(BENCHMARK.data_seed, "test-carto", carto_seed))
-        carto = run_cartography_full(insitu, insitu, ccfg, tcfg, val=context.data.val)
+        carto = run_cartography_full(insitu, ccfg, tcfg, val=context.data.val)
         if first_entries is None:
             first_entries = carto.entries
         dm = dict(zip(carto.entries.ids.tolist(), (DIFFICULTIES[d] for d in carto.entries.difficulty)))

@@ -23,7 +23,7 @@ from cartal.cartography import (
     run_cartography_full,
     write_datamap_csv,
 )
-from cartal.classifier import ClassifierConfig, TrainConfig
+from cartal.classifier import ClassifierConfig, TrainConfig, fit
 from cartal.errors import CapacityError, InsufficientDynamicsError
 
 from conftest import make_dataset, pass_allowance
@@ -155,7 +155,7 @@ def test_snapshot_count_three_epochs_half_interval():
     pool = _toy_pool()
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     tcfg = TrainConfig(max_epochs=3, eval_interval=0.5, rng_seed=0)
-    result = run_cartography_full(pool, pool, cfg, tcfg)
+    result = run_cartography_full(pool, cfg, tcfg)
     assert all(len(t.confidences) == 6 for t in result.traces)
 
 
@@ -163,28 +163,34 @@ def test_constant_label_pool_is_all_easy():
     pool = _toy_pool(constant_label=1)
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     tcfg = TrainConfig(max_epochs=4, eval_interval=0.5, rng_seed=0)
-    dm = run_cartography_full(pool, pool, cfg, tcfg).entries
+    dm = run_cartography_full(pool, cfg, tcfg).entries
     assert (dm.difficulty == DIFFICULTIES.index("easy")).all()
     assert (dm.mean_confidence > 0.75).all()
 
 
 def test_snapshot_holds_the_last_hidden_layer_and_logits_only():
-    # a tiny pool and a large held-out probe, so the probe's snapshots set the peak
+    # a 20k-row fit with dynamics against the same fit without, so only what the
+    # snapshots add to the fit's own peak is measured
     rng = np.random.default_rng(4)
     n = 20_000
-    pool = make_dataset(rng.standard_normal((64, 10)), rng.integers(0, 3, 64), num_classes=3)
-    probe = make_dataset(rng.standard_normal((n, 10)), rng.integers(0, 3, n), num_classes=3)
+    pool = make_dataset(rng.standard_normal((n, 10)), rng.integers(0, 3, n), num_classes=3)
     cfg = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
     tcfg = TrainConfig(max_epochs=1, eval_interval=0.5, rng_seed=0)
-    tracemalloc.start()
-    try:
-        result = run_cartography_full(pool, probe, cfg, tcfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.traces.confidences.shape == (n, 2)
-    held = n * (cfg.hidden_dims[-1] + cfg.num_classes) * 8
-    assert peak <= held + pass_allowance(n, cfg.num_classes, 32), (peak, held)
+
+    def peak(dynamics):
+        tracemalloc.start()
+        try:
+            fit(cfg, pool, tcfg=tcfg, dynamics=dynamics)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    dynamics = []
+    extra = peak(dynamics) - peak(None)
+    assert len(dynamics) == 2
+    hidden = n * cfg.hidden_dims[-1] * 8  # the (n, last width) buffer every snapshot rewrites
+    columns = len(dynamics) * n * (8 + 1)  # per snapshot, a float64 gold column and a bool one
+    assert extra <= hidden + pass_allowance(n, cfg.num_classes, 32) + columns, (extra, hidden)
 
 
 def test_insufficient_snapshots_raise():
@@ -192,7 +198,7 @@ def test_insufficient_snapshots_raise():
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     tcfg = TrainConfig(max_epochs=1, eval_interval=1.0, rng_seed=0)
     with pytest.raises(InsufficientDynamicsError):
-        run_cartography_full(pool, pool, cfg, tcfg)
+        run_cartography_full(pool, cfg, tcfg)
 
 
 # --- ablation ---------------------------------------------------------------------

@@ -566,24 +566,25 @@ def test_checkpoint_rejects_corrupt_layers(tmp_path, corrupt, message):
         load_checkpoint(path)
 
 
-def test_dynamics_sink_snapshot_count():
+def test_dynamics_snapshot_count():
     X, y = _blobs(32, seed=13)  # 64 examples, batch 32 -> 2 steps/epoch
     config = ClassifierConfig(2, (4,), 2, dropout_rate=0.0)
-    seen = []
-    fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=0.5, rng_seed=0, batch_size=32),
-        dynamics_sink=lambda step, gold, pred: seen.append((step, gold.copy(), pred.copy())),
-        probe=(X, y))
-    assert len(seen) == 6
-    assert all(g.shape == (64,) for _, g, _ in seen)
-    steps = [s for s, _, _ in seen]
-    assert steps == sorted(steps)
+    dynamics = []
+    model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=0.5, rng_seed=0, batch_size=32),
+                dynamics=dynamics)
+    assert len(dynamics) == 6
+    assert all(g.shape == c.shape == (64,) and c.dtype == bool for g, c in dynamics)
+    gold, correct = dynamics[-1]  # the last snapshot is the fit's last step, which it returns
+    probs = model.predict_proba(X)
+    assert gold.tobytes() == probs[np.arange(64), y].tobytes()
+    assert (correct == (probs.argmax(axis=1) == y)).all()
 
 
-def test_dynamics_sink_requires_probe():
+def test_dynamics_needs_a_single_run():
     X, y = _blobs(10, seed=0)
     config = ClassifierConfig(2, (4,), 2)
-    with pytest.raises(ValueError):
-        fit(config, (X, y), dynamics_sink=lambda *a: None)
+    with pytest.raises(ValueError, match="single run"):
+        fit_many(config, np.stack([X, X]), np.stack([y, y]), dynamics=[])
 
 
 def test_best_val_accuracy_is_the_accuracy_of_the_returned_weights():

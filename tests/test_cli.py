@@ -5,6 +5,9 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -298,6 +301,22 @@ def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_a_pool_too_small_for_the_runs_fails_once_before_any_starts(tmp_path, command, parallel):
+    # a subprocess, so stderr holds everything logging writes there too
+    cfg = write_config(tmp_path, tiny_config(k=500))
+    out = tmp_path / "exp"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(exp.__file__)), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "cartal.cli", command, "--config", cfg, "--out", str(out),
+                           "--parallel", parallel], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert re.fullmatch(r"error: pool of \d+ exhausted at round 1: need 1020 for 2 rounds of k=500 "
+                        r"from seed 20\n", done.stderr), done.stderr
+    assert not list(out.glob("failures*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
 @pytest.mark.parametrize("parallel", ["0", "-2"])
 def test_parallel_below_one_is_a_usage_error(tmp_path, capsys, command, parallel):
     cfg = write_config(tmp_path)
@@ -484,6 +503,16 @@ def _set(section, key, value):
     (_set("data", "format", "jsonl"), "data.format"),  # JSONL is the one data-file format
     (lambda raw: raw["test_sets"][0].update(format="jsonl"), "test_sets[0].format"),
     (_set("al", "strategies", []), "al.strategies"),
+    # two spellings of one class set would run as two splits with different draws
+    (_set("difficulty_split", "combos", ["EMHI", "IHME"]), "difficulty_split.combos"),
+    (_set("difficulty_split", "combos", ["EM", "me"]), "difficulty_split.combos"),
+    # these used to pass parsing and fail unkeyed once the data was built
+    (_set("data", "per_source_cap", -1), "data.per_source_cap"),
+    (_set("data", "per_source_cap", 0), "data.per_source_cap"),
+    (lambda raw: raw["data"]["synthetic_sources"][0].update(n=10 ** 30), "data.synthetic_sources[0].n"),
+    (_set("data", "val_fraction", 10 ** 400), "data.val_fraction"),  # a float key
+    (_set("classifier", "dropout_rate", 1.5), "classifier.dropout_rate"),
+    (_set("classifier", "activation", "gelu"), "classifier.activation"),
 ])
 def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
     raw = config_to_dict(tiny_config())
