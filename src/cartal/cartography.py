@@ -173,6 +173,12 @@ def ablate_hard_to_learn(datamap: Datamap, dataset, fraction: float) -> np.ndarr
     return np.sort(np.concatenate(retained))
 
 
+def ablated_size(dataset, fraction: float) -> int:
+    """``len`` of what :func:`ablate_hard_to_learn` keeps of ``dataset``: each
+    source loses ``floor(fraction * n)`` of its ``n`` examples."""
+    return sum(n - math.floor(fraction * n) for n in np.bincount(dataset.source_codes).tolist())
+
+
 def _normalize_combo(combo: str):
     names = []
     for ch in combo:

@@ -18,10 +18,13 @@ from dataclasses import replace
 
 from . import artifacts
 from . import classifier as clf
+from .cartography import ablated_size
 from .config import config_to_dict, parse_config
 from .errors import CartalError, ConfigError
 from .experiment import (
     build_experiment_data,
+    check_capacity,
+    parallel_error,
     prepare_context,
     run_ablated_suite,
     run_difficulty_split,
@@ -116,13 +119,18 @@ def _splits(config, context, args):
 
 
 def cmd_experiment(args) -> int:
-    """``run``, ``ablate`` and ``splits``: fit cartography over the pool, run the
-    command's ``args.step``, which writes its tables and returns its exit code
-    and manifest fields, then write the resolved config, the pool's datamap
-    and the command's manifest entry."""
+    """``run``, ``ablate`` and ``splits``: build the data, check that a suite's
+    pool holds its runs, fit cartography over the pool, run the command's
+    ``args.step``, which writes its tables and returns its exit code and
+    manifest fields, then write the resolved config, the pool's datamap and
+    the command's manifest entry."""
     config = _apply_overrides(parse_config(args.config), args)
     os.makedirs(args.out, exist_ok=True)
-    context = prepare_context(config)
+    data = build_experiment_data(config)
+    if args.command in ("run", "ablate"):  # before the cartography fit, which a shortfall would waste
+        fraction = config.ablation_fraction if args.command == "ablate" else 0.0
+        check_capacity(config, ablated_size(data.pool, fraction))
+    context = prepare_context(config, data)
     code, extra = args.step(config, context, args)
     artifacts.write_json(os.path.join(args.out, artifacts.CONFIG), config_to_dict(config),
                          indent=2, sort_keys=True)
@@ -200,8 +208,8 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         _setup_logging()
-        if getattr(args, "parallel", 1) < 1:
-            raise ConfigError(f"must be >= 1, got {args.parallel}", key="--parallel")
+        if problem := parallel_error(getattr(args, "parallel", 1)):
+            raise ConfigError(problem, key="--parallel")
         return args.func(args)
     except (CartalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

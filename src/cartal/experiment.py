@@ -12,11 +12,9 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import signal
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,6 +71,8 @@ __all__ = [
     "SuiteResult",
     "cartography_defaults",
     "build_experiment_data",
+    "check_capacity",
+    "parallel_error",
     "prepare_context",
     "run_al",
     "run_suite",
@@ -352,15 +352,24 @@ class _Run:
     error: Exception | None = None
 
 
-def _check_capacity(config: ExperimentConfig, pool: Dataset) -> None:
+def check_capacity(config: ExperimentConfig, pool_size: int) -> None:
     """Fail before any run starts: every run of a suite acquires the same count."""
     needed = config.seed_size + config.rounds * config.k
-    if needed > len(pool):
-        exhaust_round = max(0, (len(pool) - config.seed_size) // config.k) + 1
+    if needed > pool_size:
+        exhaust_round = max(0, (pool_size - config.seed_size) // config.k) + 1
         raise CapacityError(
-            f"pool of {len(pool)} exhausted at round {exhaust_round}: "
+            f"pool of {pool_size} exhausted at round {exhaust_round}: "
             f"need {needed} for {config.rounds} rounds of k={config.k} from seed {config.seed_size}"
         )
+
+
+def parallel_error(parallel: int) -> str | None:
+    """Why a suite cannot run in ``parallel`` worker processes here; None if it can."""
+    if parallel < 1:
+        return f"must be >= 1, got {parallel}"
+    if parallel > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        return "needs the fork start method, which this platform lacks"
+    return None
 
 
 def _val_accuracy(model: clf.Classifier) -> float:
@@ -502,7 +511,7 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
     context = context or prepare_context(config)
-    _check_capacity(config, context.data.pool)
+    check_capacity(config, len(context.data.pool))
     [run] = _run_lockstep(config, [(strategy, seed)], context, scores_dir)
     if run.error is not None:
         raise run.error
@@ -544,34 +553,33 @@ def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSu
             for strategy in config.strategies]
 
 
-def _init_worker(log_level: int) -> None:
-    """Log in a spawned worker at its parent's level."""
-    logging.basicConfig(level=log_level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def _run_groups(jobs: list) -> list[list]:
-    """Run each lockstep group in a spawned worker process of its own.
-
-    Workers start from a fresh interpreter, which imports cartal and so
-    computes with one BLAS thread (:mod:`cartal.blas`). A
-    group whose worker dies becomes one :class:`RunFailure` per run it held;
-    the other groups complete.
-    """
-    spawn = multiprocessing.get_context("spawn")
-    level = logging.getLogger().getEffectiveLevel()
-    with ExitStack() as stack:
-        executors = [stack.enter_context(ProcessPoolExecutor(
-            max_workers=1, mp_context=spawn, initializer=_init_worker, initargs=(level,)))
-            for _ in jobs]
-        futures = [ex.submit(_run_group, job) for ex, job in zip(executors, jobs)]
-        outcomes = []
-        for future, (_, specs, _, _) in zip(futures, jobs):
+    """Run each lockstep group in a forked worker process of its own, which
+    inherits its job, the context with it, the parent's log handlers and its
+    one BLAS thread (:mod:`cartal.blas`; OpenBLAS shuts its idle thread down
+    around a fork). A group whose worker dies becomes one :class:`RunFailure`
+    per run it held; the other groups complete."""
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    for job in jobs:  # all start before any result is read
+        recv, send = fork.Pipe(duplex=False)
+        worker = fork.Process(target=lambda conn, job: conn.send(_run_group(job)), args=(send, job))
+        worker.start()
+        send.close()  # before the next fork: the worker holds the only write end
+        workers.append((worker, recv))
+    outcomes = []
+    for (worker, recv), (_, specs, _, _) in zip(workers, jobs):
+        with recv:
             try:
-                outcomes.append(future.result())
-            except BrokenProcessPool as exc:
-                logger.error("worker of runs %s died: %s", specs, exc)
-                outcomes.append([RunFailure(s, sd, f"{type(exc).__name__}: {exc}") for s, sd in specs])
-        return outcomes
+                outcomes.append(recv.recv())
+            except EOFError:  # the worker exited without sending
+                worker.join()
+                code, names = worker.exitcode, {s.value: s.name for s in signal.Signals}
+                died = f"signal {names.get(-code, -code)}" if code < 0 else f"exit code {code}"
+                logger.error("worker of runs %s died: %s", specs, died)
+                outcomes.append([RunFailure(s, sd, f"WorkerDied: {died}") for s, sd in specs])
+        worker.join()
+    return outcomes
 
 
 def run_suite(config: ExperimentConfig, context: RunContext | None = None,
@@ -580,24 +588,20 @@ def run_suite(config: ExperimentConfig, context: RunContext | None = None,
 
     The runs advance in lockstep (see :func:`_run_lockstep`). With
     ``parallel`` P > 1 they are dealt round-robin into P lockstep groups,
-    one spawned worker process each (see :func:`_run_groups`); the outcome
-    is the same bytes in the same order. A script that calls this with
-    P > 1 must guard its entry point with ``if __name__ == "__main__":``,
-    because spawned workers import the main module.
+    one forked worker process each (see :func:`_run_groups`), which needs the
+    ``fork`` start method (POSIX) but no ``if __name__ == "__main__":`` guard
+    in the caller; the outcome is the same bytes in the same order.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    if problem := parallel_error(parallel):
+        raise ValueError(f"parallel {problem}")
     context = context or prepare_context(config)
-    _check_capacity(config, context.data.pool)
+    check_capacity(config, len(context.data.pool))
     specs = [(s, sd) for s in config.strategies for sd in config.seeds]
     groups = min(parallel, len(specs))
-    if groups > 1:
-        jobs = [(config, specs[g::groups], context, scores_dir) for g in range(groups)]
-        outcomes = [None] * len(specs)
-        for g, part in enumerate(_run_groups(jobs)):
-            outcomes[g::groups] = part
-    else:
-        outcomes = _run_group((config, specs, context, scores_dir))
+    jobs = [(config, specs[g::groups], context, scores_dir) for g in range(groups)]
+    outcomes = [None] * len(specs)
+    for g, part in enumerate(_run_groups(jobs) if groups > 1 else [_run_group(jobs[0])]):
+        outcomes[g::groups] = part
 
     results = [o for o in outcomes if isinstance(o, RunResult)]
     failures = [o for o in outcomes if isinstance(o, RunFailure)]
@@ -616,11 +620,7 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = Non
     retained = ablate_hard_to_learn(context.pool_datamap, pool, config.ablation_fraction)
     filtered = pool.subset(retained, name="pool-ablated")
     logger.info("ablation keeps %d of %d pool examples", len(filtered), len(pool))
-    ablated_ctx = RunContext(
-        data=ExperimentData(pool=filtered, val=context.data.val, tests=context.data.tests),
-        reference_model=context.reference_model,
-        pool_datamap=context.pool_datamap,
-    )
+    ablated_ctx = replace(context, data=replace(context.data, pool=filtered))
     return run_suite(config, ablated_ctx, parallel), ablated_ctx
 
 

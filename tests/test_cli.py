@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import glob
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 import cartal.experiment as exp
+from cartal.cartography import ablated_size
 from cartal.cli import main
 from cartal.config import config_to_dict, parse_config, parse_config_dict
 from cartal.errors import ConfigError
@@ -285,19 +288,51 @@ def _die_holding_seed_2(args):
 
 
 def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
-    # spawn pickles the patched function by reference, so the worker runs it
+    # a forked worker inherits the patched function, so it runs it
     monkeypatch.setattr(exp, "_run_group", _die_holding_seed_2)
     cfg = write_config(tmp_path)  # random, mcme x seeds 1, 2: groups hold seed 1 and seed 2
     out = tmp_path / "exp"
     assert main(["run", "--config", cfg, "--out", str(out), "--parallel", "2"]) == 2
     err = capsys.readouterr().err
-    assert "FAILED random/seed 2: BrokenProcessPool: " in err
-    assert "FAILED mcme/seed 2: BrokenProcessPool: " in err
+    assert "FAILED random/seed 2: WorkerDied: " in err
+    assert "FAILED mcme/seed 2: WorkerDied: " in err
     rounds = (out / "rounds.csv").read_text().strip().splitlines()
     assert {tuple(row.split(",")[:2]) for row in rounds[1:]} == {("random", "1"), ("mcme", "1")}
     failures = (out / "failures.csv").read_text().strip().splitlines()[1:]
     assert [row.split(",")[:2] for row in failures] == [["random", "2"], ["mcme", "2"]]
-    assert all(",BrokenProcessPool: " in row for row in failures)
+    assert all(",WorkerDied: " in row for row in failures)
+    assert all(row.endswith(",WorkerDied: exit code 1") for row in failures)
+
+
+def _killed_holding_seed_2(signum):
+    """A lockstep group whose worker process is killed by ``signum`` if it
+    holds a seed-2 run; forked workers inherit the closure."""
+    def run_group(args):
+        _, specs, _, _ = args
+        if any(seed == 2 for _, seed in specs):
+            os.kill(os.getpid(), signum)
+        return _real_run_group(args)
+    return run_group
+
+
+@pytest.mark.parametrize("which", ["SIGKILL", "real-time"])
+def test_a_worker_killed_by_a_signal_names_it(tmp_path, capsys, monkeypatch, which):
+    if which == "SIGKILL":
+        signum, named = signal.SIGKILL, "SIGKILL"
+    elif hasattr(signal, "SIGRTMIN"):  # signal.Signals has no name for it: its number stands in
+        signum = signal.SIGRTMIN + 6
+        named = str(int(signum))
+    else:
+        pytest.skip("no real-time signals here")
+    monkeypatch.setattr(exp, "_run_group", _killed_holding_seed_2(signum))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out), "--parallel", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"FAILED random/seed 2: WorkerDied: signal {named}\n" in err
+    assert f"FAILED mcme/seed 2: WorkerDied: signal {named}\n" in err
+    rounds = (out / "rounds.csv").read_text().strip().splitlines()
+    assert {tuple(row.split(",")[:2]) for row in rounds[1:]} == {("random", "1"), ("mcme", "1")}
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])
@@ -314,6 +349,34 @@ def test_a_pool_too_small_for_the_runs_fails_once_before_any_starts(tmp_path, co
     assert re.fullmatch(r"error: pool of \d+ exhausted at round 1: need 1020 for 2 rounds of k=500 "
                         r"from seed 20\n", done.stderr), done.stderr
     assert not list(out.glob("failures*.csv"))
+
+
+def _no_cartography(*args, **kwargs):
+    raise AssertionError("the cartography fit ran")
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_pool_too_small_for_the_runs_fails_before_the_cartography_fit(tmp_path, capsys,
+                                                                         monkeypatch, command):
+    config = tiny_config(k=500)
+    pool = exp.build_experiment_data(config).pool
+    size = ablated_size(pool, config.ablation_fraction) if command == "ablate" else len(pool)
+    monkeypatch.setattr(exp, "run_cartography_full", _no_cartography)
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "exp")]) == 1
+    assert capsys.readouterr().err == (f"error: pool of {size} exhausted at round 1: "
+                                       "need 1020 for 2 rounds of k=500 from seed 20\n")
+
+
+def test_without_fork_a_suite_runs_only_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(ValueError, match="^parallel needs the fork start method"):
+        exp.run_suite(tiny_config(), parallel=2)
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), "--parallel", "2"]) == 1
+    assert capsys.readouterr().err == ("error: --parallel: needs the fork start method, "
+                                       "which this platform lacks\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), "--parallel", "1"]) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])

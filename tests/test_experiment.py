@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ import pytest
 import cartal.acquisition as acquisition
 import cartal.experiment as exp
 from cartal.acquisition import score_pool
-from cartal.cartography import DIFFICULTIES, build_difficulty_split
+from cartal.cartography import DIFFICULTIES, ablated_size, build_difficulty_split
 from cartal.classifier import fit
 from cartal.config import parse_config
 from cartal.errors import CapacityError, ConfigError
@@ -254,7 +255,7 @@ def test_parallel_workers_get_one_blas_thread_and_parent_env_is_kept(ctx, monkey
     if openblas_threads() is None:
         pytest.skip("numpy ships no OpenBLAS of its own")
     config, context = ctx
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # what a worker's OpenBLAS starts with
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # ignored: a forked worker keeps the parent's pin
     before = dict(os.environ)
     monkeypatch.setattr(exp, "_run_group", _report_blas_threads)
     suite = run_suite(config, context, parallel=2)
@@ -289,11 +290,51 @@ def _log_its_runs(args):
 def test_parallel_workers_log_at_the_parent_level(ctx, monkeypatch, caplog, capfd):
     config, context = ctx
     caplog.set_level(logging.INFO)
+    # a stderr handler at INFO, as the CLI sets up; forked workers inherit it
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logging.getLogger().addHandler(handler)
     monkeypatch.setattr(exp, "_run_group", _log_its_runs)
-    run_suite(config, context, parallel=2)
+    try:
+        run_suite(config, context, parallel=2)
+    finally:
+        logging.getLogger().removeHandler(handler)
     err = capfd.readouterr().err  # the workers write to the inherited stderr
     assert "INFO cartal.experiment: group holds [('random', 1), ('mcme', 1)]" in err
     assert "INFO cartal.experiment: group holds [('random', 2), ('mcme', 2)]" in err
+
+
+def _refuse_pickling(self, protocol):
+    raise AssertionError("a RunContext was pickled")
+
+
+def test_parallel_suite_pickles_no_context(ctx, suite, monkeypatch):
+    """Forked workers inherit the context instead of receiving a copy."""
+    config, context = ctx
+    monkeypatch.setattr(exp.RunContext, "__reduce_ex__", _refuse_pickling)
+    with pytest.raises(AssertionError, match="a RunContext was pickled"):
+        pickle.dumps(context)
+    par = run_suite(config, context, parallel=2)
+    assert not par.failures
+    assert suite.summaries == par.summaries
+    assert [r.round_logs for r in suite.results] == [r.round_logs for r in par.results]
+
+
+def test_a_parallel_suite_needs_no_main_guard(tmp_path):
+    """Forked workers do not import the calling script again, so it may call
+    ``run_suite(parallel=2)`` at top level."""
+    script = tmp_path / "unguarded.py"
+    script.write_text("from conftest import tiny_config\n"
+                      "from cartal.experiment import run_suite\n"
+                      "suite = run_suite(tiny_config(), parallel=2)\n"
+                      "print(len(suite.results), len(suite.failures))\n")
+    src = os.path.dirname(os.path.dirname(exp.__file__))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["4", "0"]
 
 
 @pytest.mark.parametrize("parallel", [0, -1])
@@ -358,6 +399,14 @@ def test_ablation_filters_per_source(ctx):
         per_source_after[e.source] = per_source_after.get(e.source, 0) + 1
     for src, n in per_source_before.items():
         assert per_source_after[src] == n - math.floor(0.25 * n)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.25, 0.3])
+def test_ablated_size_is_the_ablated_pool_length(ctx, fraction):
+    config, context = ctx
+    cfg = replace(config, ablation_fraction=fraction, strategies=("random",), seeds=(1,))
+    _, ablated_ctx = run_ablated_suite(cfg, context)
+    assert ablated_size(context.data.pool, fraction) == len(ablated_ctx.data.pool)
 
 
 # --- difficulty splits -----------------------------------------------------------------
