@@ -2,7 +2,7 @@
 
 from types import ModuleType as _ModuleType
 
-from . import blas as _blas
+from . import blas as _blas, heap as _heap
 
 from .acquisition import (
     STRATEGIES,
@@ -71,6 +71,7 @@ from .pool import (
 )
 
 _blas.pin_one_thread()  # on the BLAS that numpy, imported above, has loaded
+_heap.pin_mmap_threshold()
 
 # every name imported above; the submodules they come from are not part of it
 __all__ = [name for name, value in globals().items()

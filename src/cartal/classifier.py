@@ -138,9 +138,9 @@ def _forward(weights, X, activation, masks=None):
 # after a multiple of 8, such as a 3-class output layer, can change its bits
 # with the row count, so the output layer runs whole-array (README
 # "Determinism"). On a 2-vCPU x86-64 Xeon, predict_proba over 6,000 rows took
-# 1.55 ms in 2,048-row blocks, 3.5 ms in 8,192-row ones. Peak RSS no longer
-# depends on it (pool54k: 105.3-105.4 MB from 1,024 to 8,192 rows): only a
-# threaded matmul faults in BLAS packing buffer by its rows (cartal.blas).
+# 1.55 ms in 2,048-row blocks, 3.5 ms in 8,192-row ones. Peak RSS does not
+# depend on it (pool54k: 88.9-89.0 MB, 1,024-8,192 rows); faults do: 32-wide
+# blocks pass the 1 MiB mmap threshold (cartal.heap) from 4,096 rows up.
 _BLOCK_ROWS = 2048
 
 
@@ -172,20 +172,32 @@ def _last_hidden(weights, X, activation, rows=None, out=None, dropout=None):
     return out
 
 
-def _log_softmax(logits):
+def _log_softmax(logits, out=None, scratch=None):
+    """Log-softmax over the last axis into ``out``, which may be ``logits``;
+    ``scratch``, shaped alike, takes the exponentials. Absent, each is made."""
     # The row max as one np.maximum per class: a reduction along the short
     # class axis loops once per row (3 ms against under 0.5 ms on 54k x 3
     # classes). Max is exact, so the bits are those of logits.max(axis=-1).
     top = logits[..., :1]
     for c in range(1, logits.shape[-1]):
         top = np.maximum(top, logits[..., c:c + 1])
-    shifted = logits - top
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = np.subtract(logits, top, out=out)
+    norm = np.add.reduce(np.exp(shifted, out=scratch), axis=-1, keepdims=True)
+    shifted -= np.log(norm, out=norm)
+    return shifted
 
 
-def softmax(logits):
-    logp = _log_softmax(logits)
-    return np.exp(logp)
+def softmax(logits, out=None, scratch=None):
+    """Class probabilities; ``out`` and ``scratch`` as in :func:`_log_softmax`."""
+    logp = _log_softmax(logits, out, scratch)
+    return np.exp(logp, out=logp)
+
+
+def _output_softmax(h, layer, out=None, scratch=None):
+    """``softmax(h @ W + b)`` of the output ``layer``, every step into ``out``."""
+    logits = np.matmul(h, layer[0], out=out)
+    logits += layer[1]
+    return softmax(logits, logits, scratch)
 
 
 def loss_and_gradients(config, weights, X, y, masks=None):
@@ -248,8 +260,7 @@ class Classifier:
     def predict_proba(self, xs) -> np.ndarray:
         """Deterministic class probabilities (dropout off), rows sum to 1."""
         X = _as_features(xs, self.config.input_dim)
-        W, b = self.weights[-1]
-        return softmax(_last_hidden(self.weights, X, self.config.activation) @ W + b)
+        return _output_softmax(_last_hidden(self.weights, X, self.config.activation), self.weights[-1])
 
     def predict(self, xs) -> np.ndarray:
         return np.argmax(self.predict_proba(xs), axis=1)
@@ -258,24 +269,24 @@ class Classifier:
         """T stochastic forward passes with fresh inverted-dropout masks, stacked (T, n, C).
 
         ``rows``, row positions into ``xs``, scores ``xs[rows]`` without
-        copying it. Every pass rewrites one (n, last width) array and runs
-        the other hidden layers a block of rows at a time. The masks are
-        those of whole-layer draws from one generator, pass by pass and layer
-        by layer: each layer draws from its own copy of the stream, advanced
-        to where that layer's draw begins.
+        copying it. A pass rewrites one (n, last width) and one (n, C) array,
+        writes into its slice of the result and runs the other hidden layers
+        a block of rows at a time. The masks are those of whole-layer draws
+        from one generator, pass by pass and layer by layer: each layer draws
+        from its own copy of the stream, advanced to where its draw begins.
         """
         if T < 1:
             raise ValueError(f"T must be >= 1: {T}")
         X = _as_features(xs, self.config.input_dim)
         act = self.config.activation
         p = self.config.dropout_rate
-        W, b = self.weights[-1]
         if p == 0.0:
-            return np.repeat(softmax(_last_hidden(self.weights, X, act, rows) @ W + b)[None], T, axis=0)
+            probs = _output_softmax(_last_hidden(self.weights, X, act, rows), self.weights[-1])
+            return np.repeat(probs[None], T, axis=0)
         rng = np.random.default_rng(rng_seed)
         n = len(X) if rows is None else len(rows)
         h = np.empty((n, self.config.hidden_dims[-1]))
-        out = np.empty((T, n, self.config.num_classes))
+        out, scratch = np.empty((T, n, self.config.num_classes)), np.empty((n, self.config.num_classes))
         for t in range(T):
             streams, at = [], t * n * sum(self.config.hidden_dims)
             for width in self.config.hidden_dims:
@@ -284,7 +295,7 @@ class Classifier:
                 streams.append(stream)
                 at += n * width
             _last_hidden(self.weights, X, act, rows, out=h, dropout=(p, streams))
-            out[t] = softmax(h @ W + b)
+            _output_softmax(h, self.weights[-1], out[t], scratch)
         return out
 
     def embed(self, xs, out=None, rows=None) -> np.ndarray:
@@ -396,7 +407,7 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
     snap_at, next_snap, hidden = [], 0, None
     if dynamics is not None:  # the last hidden layer over the training rows, rewritten by every snapshot
         snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch)
-        hidden = np.empty((n, config.hidden_dims[-1]))
+        hidden, probs = np.empty((n, config.hidden_dims[-1])), np.empty((2, n, config.num_classes))
     p = config.dropout_rate
     width = sum(config.hidden_dims)
 
@@ -460,8 +471,8 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
                 net = [(W[0], b[0]) for W, b in weights]
                 h = _last_hidden(net, X[0], config.activation, out=hidden)
-                probs = softmax(h @ net[-1][0] + net[-1][1])
-                dynamics.append((probs[np.arange(n), y[0]], np.argmax(probs, axis=1) == y[0]))
+                _output_softmax(h, net[-1], *probs)  # into probs[0], probs[1] its scratch
+                dynamics.append((probs[0, np.arange(n), y[0]], np.argmax(probs[0], axis=1) == y[0]))
                 next_snap += 1
         if not live.size:
             break

@@ -21,7 +21,7 @@ import numpy as np
 
 # perfbench's tracer wraps the functions imported here by name, in this module,
 # and score_pool where _al_round looks it up, in the acquisition module
-from . import acquisition, artifacts, blas
+from . import acquisition, artifacts, blas, heap
 from . import classifier as clf
 from .acquisition import DEFAULT_MC_SAMPLES, STRATEGIES, DalConfig, select_batch
 from .cartography import (
@@ -278,12 +278,12 @@ class SuiteResult:
     failures: list[RunFailure]
 
 
-def _sources(synthetic, files, data_seed, *tag) -> list[Dataset]:
-    """Generate the synthetic sources, each seeded by ``tag`` and its name, or
-    load the files, every one given the largest class count among them (a
-    small file's labels may never reach the last class)."""
+def _sources(synthetic, files, data_seed, *tag):
+    """The synthetic sources, each generated as it is iterated and seeded by
+    ``tag`` and its name, or the loaded files, every one given the largest
+    class count among them (a small file's labels may never reach the last class)."""
     if synthetic:
-        return [generate_synthetic_source(s, derive_seed(data_seed, *tag, s.name)) for s in synthetic]
+        return (generate_synthetic_source(s, derive_seed(data_seed, *tag, s.name)) for s in synthetic)
     sources = [load_dataset(path) for path in files]
     C = max(s.num_classes for s in sources)
     for s in sources:
@@ -297,14 +297,14 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     Validation is held out from each source *before* pooling and never enters
     the unlabelled pool.
     """
-    sources = _sources(config.synthetic_sources, config.source_files, config.data_seed, "source")
     rests, helds = [], []
-    for src in sources:
+    for src in _sources(config.synthetic_sources, config.source_files, config.data_seed, "source"):
         rest, held = split_dataset(
             src, config.val_fraction, derive_seed(config.data_seed, "val", src.name)
         )
         rests.append(rest)
         helds.append(held)
+        del src  # a generated source is gone before the next one is drawn
     pool = build_multi_source_pool(
         rests, config.per_source_cap, derive_seed(config.data_seed, "pool")
     )
@@ -771,7 +771,8 @@ def write_manifest(out_dir, extra: dict | None = None, command: str = "run") -> 
     commands' entries stay."""
     artifacts.record_command(out_dir, command, {
         "final_eval": "refit on the full labelled set after the last transfer",
-        "created_unix": time.time(), "blas_threads": blas.threads(), **(extra or {})})
+        "created_unix": time.time(), "blas_threads": blas.threads(),
+        "mmap_threshold": heap.mmap_threshold(), **(extra or {})})
 
 
 def write_pool_datamap(context: RunContext, out_dir) -> None:

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from cartal import artifacts, blas
+from cartal import artifacts, blas, heap
 from cartal.classifier import Classifier, ClassifierConfig, init_weights, save_checkpoint
 from cartal.experiment import write_manifest
 
@@ -95,6 +95,14 @@ def test_checkpoints_invert_checkpoint_names_per_variant(tmp_path):
 def test_suite_tables_of_each_variant():
     assert artifacts.suite_table("rounds") == "rounds.csv"
     assert artifacts.suite_table("failures", artifacts.ABLATED) == "failures_ablated.csv"
+
+
+def test_each_manifest_entry_records_the_mmap_threshold(tmp_path):
+    for command in ("run", "ablate"):
+        write_manifest(tmp_path, command=command)
+    manifest = json.loads((tmp_path / artifacts.MANIFEST).read_text())
+    assert [entry["mmap_threshold"] for entry in manifest.values()] == [heap.mmap_threshold()] * 2
+    assert heap.mmap_threshold() in (None, 1 << 20)
 
 
 def test_each_manifest_entry_records_the_blas_thread_count(tmp_path):

@@ -201,6 +201,13 @@ def _draw_masks(model, rng, batch_size):
     ]
 
 
+def _reference_softmax(logits):
+    """The softmax formula with every step in a fresh array, as written before
+    the passes over the pool wrote into their own buffers."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return np.exp(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
+
+
 def _reference_fit(config, X, y, val_X, val_y, tcfg):
     """Plain per-run SGD, the reference for the lockstep engine: per epoch one
     permutation, then one mask draw per hidden layer and step."""
@@ -405,10 +412,11 @@ def test_inference_in_row_blocks_equals_whole_array_forward(activation, hidden):
     n = 3 * _BLOCK_ROWS + 37
     X = rng.standard_normal((n, 10))
     logits, caches = _forward(model.weights, X, activation)
-    assert model.predict_proba(X).tobytes() == softmax(logits).tobytes()
+    assert model.predict_proba(X).tobytes() == _reference_softmax(logits).tobytes()
     assert model.embed(X).tobytes() == caches[-1][0].tobytes()
     mask_rng = np.random.default_rng(13)
-    expected = np.stack([softmax(_forward(model.weights, X, activation, _draw_masks(model, mask_rng, n))[0])
+    expected = np.stack([_reference_softmax(_forward(model.weights, X, activation,
+                                                     _draw_masks(model, mask_rng, n))[0])
                          for _ in range(3)])
     assert model.mc_predict_proba(X, T=3, rng_seed=13).tobytes() == expected.tobytes()
 
@@ -585,6 +593,35 @@ def test_dynamics_needs_a_single_run():
     config = ClassifierConfig(2, (4,), 2)
     with pytest.raises(ValueError, match="single run"):
         fit_many(config, np.stack([X, X]), np.stack([y, y]), dynamics=[])
+
+
+@pytest.mark.parametrize("logits", [
+    np.random.default_rng(0).standard_normal((1000, 3)) * 30,
+    np.array([[700.0, -700.0, 0.0], [-700.0, -700.0, -700.0], [700.0, 700.0, -700.0]]),
+    np.full((50, 4), 2.5),
+    np.array([[0.3, -1.2, 4.0]]),
+    np.random.default_rng(1).standard_normal((5, 7, 3)),
+], ids=["random", "pm700", "equal", "one-row", "stacked"])
+def test_softmax_in_place_equals_the_fresh_array_formula(logits):
+    expected = _reference_softmax(logits).tobytes()
+    assert softmax(logits).tobytes() == expected
+    buf, scratch = logits.copy(), np.empty_like(logits)
+    assert softmax(buf, out=buf, scratch=scratch) is buf
+    assert buf.tobytes() == expected
+
+
+def test_snapshot_columns_equal_fresh_array_softmax_of_the_weights_at_each_snapshot():
+    # at eval_interval 1 snapshot j ends epoch j, whose weights a fit of j epochs returns
+    X, y = _blobs(100, seed=3, C=3)
+    config = ClassifierConfig(2, (8,), 3, dropout_rate=0.2)
+    dynamics = []
+    fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=1.0, rng_seed=5), dynamics=dynamics)
+    assert len(dynamics) == 3
+    for epochs, (gold, correct) in enumerate(dynamics, start=1):
+        model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=epochs, eval_interval=1.0, rng_seed=5))
+        probs = _reference_softmax(_forward(model.weights, X, "relu")[0])
+        assert gold.tobytes() == probs[np.arange(len(y)), y].tobytes()
+        assert (correct == (probs.argmax(axis=1) == y)).all()
 
 
 def test_best_val_accuracy_is_the_accuracy_of_the_returned_weights():

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+import cartal.cli as cli
 import cartal.experiment as exp
 from cartal.cartography import ablated_size
 from cartal.cli import main
@@ -160,6 +161,17 @@ def test_run_is_byte_deterministic(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(b)]) == 0
     for name in ("rounds.csv", "summary.csv", "profile.csv", "datamap.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_out_of_memory_is_one_named_line(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 1.00 TiB for an array with shape (2, 68719476736)"
+
+    def exhausted(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_experiment_data", exhausted)
+    assert main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 def _fail_mcme_seed_1(monkeypatch):
