@@ -9,7 +9,6 @@ finite differences.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -273,24 +272,21 @@ class Classifier:
         writes into its slice of the result and runs the other hidden layers
         a block of rows at a time. The masks are those of whole-layer draws
         from one generator, pass by pass and layer by layer: each layer draws
-        from its own copy of the stream, advanced to where its draw begins.
+        from a generator seeded with ``rng_seed``, advanced to where its draw
+        begins. Without dropout the masks are all 1.0 and change no bit.
         """
         if T < 1:
             raise ValueError(f"T must be >= 1: {T}")
         X = _as_features(xs, self.config.input_dim)
         act = self.config.activation
         p = self.config.dropout_rate
-        if p == 0.0:
-            probs = _output_softmax(_last_hidden(self.weights, X, act, rows), self.weights[-1])
-            return np.repeat(probs[None], T, axis=0)
-        rng = np.random.default_rng(rng_seed)
         n = len(X) if rows is None else len(rows)
         h = np.empty((n, self.config.hidden_dims[-1]))
         out, scratch = np.empty((T, n, self.config.num_classes)), np.empty((n, self.config.num_classes))
         for t in range(T):
             streams, at = [], t * n * sum(self.config.hidden_dims)
             for width in self.config.hidden_dims:
-                stream = copy.deepcopy(rng)
+                stream = np.random.default_rng(rng_seed)
                 stream.bit_generator.advance(at)  # one 64-bit draw per uniform
                 streams.append(stream)
                 at += n * width
@@ -365,7 +361,8 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
     own generator exactly what a separate fit draws, in the same order (per
     epoch a permutation, then the dropout masks of its steps), so run r ends
     with the bits of a fit on ``(X[r], y[r])`` alone. Early stopping is per
-    run; a stopped run leaves the stack.
+    run, read off its val curve. A run leaves the stack at the end of the
+    step on which it stops, diverges or ends its last epoch.
 
     Returns one entry per run: its :class:`Classifier`, or the
     :class:`DivergenceError` of a run whose loss went non-finite (the other
@@ -412,26 +409,10 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
     width = sum(config.hidden_dims)
 
     live = np.arange(R)  # run index of each slice of the stacked arrays
-    results: list = [None] * R
+    results: list = [None] * R  # a run leaves the stack once it has its result
     best: dict[int, list] = {}
-    best_acc = np.full(R, -1.0)
-    best_epoch = [None] * R
-    stale = np.zeros(R, dtype=np.int64)
     curves: list[list[float]] = [[] for _ in range(R)]
     step = 0
-
-    def finish(slices, epochs, stopped_early):
-        for i in slices:
-            r = live[i]
-            kept = best.get(r) or [(W[i].copy(), b[i].copy()) for W, b in weights]
-            results[r] = Classifier(config, kept, {
-                "epochs": epochs,
-                "steps": step,
-                "best_val_accuracy": float(best_acc[r]) if r in best else None,
-                "val_curve": curves[r],
-                "best_epoch": best_epoch[r],
-                "stopped_early": stopped_early,
-            })
 
     for epoch in range(tcfg.max_epochs):
         rows = np.arange(live.size)[:, None]
@@ -455,50 +436,56 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
                     at += (hi - lo) * h
             total = _gradients(config, weights, Xe[:, lo:hi], gold_e[:, lo:hi], masks, grads)
             if not all(map(math.isfinite, total.tolist())):  # cheaper than isfinite(...).all() at small R
-                ok = np.isfinite(total)
-                for r in live[~ok]:
+                for r in live[~np.isfinite(total)]:
                     results[r] = DivergenceError("non-finite training loss", step=step)
-                flat, grad = flat[ok], grad[ok]
-                weights, grads = _layer_views(flat, config), _layer_views(grad, config)
-                X, gold, Xe, gold_e, live = X[ok], gold[ok], Xe[ok], gold_e[ok], live[ok]
-                if p > 0:
-                    drawn = drawn[ok]
-                if not live.size:
-                    break
-            grad *= lr  # then flat -= grad: the bits of W -= lr * dW
+            # then flat -= grad: the bits of W -= lr * dW. A diverged run's
+            # slice takes this step too, which touches no other slice.
+            grad *= lr
             flat -= grad
             step += 1
+            if s == steps_per_epoch - 1:  # before the snapshot and the next epoch's copies
+                Xe = gold_e = None
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
                 net = [(W[0], b[0]) for W, b in weights]
                 h = _last_hidden(net, X[0], config.activation, out=hidden)
                 _output_softmax(h, net[-1], *probs)  # into probs[0], probs[1] its scratch
                 dynamics.append((probs[0, np.arange(n), y[0]], np.argmax(probs[0], axis=1) == y[0]))
                 next_snap += 1
-        if not live.size:
-            break
-        if val_X.shape[0] == 0:
-            continue
-        done = np.zeros(live.size, dtype=bool)
-        for i, r in enumerate(live):
-            # run by run: a stacked pass would hold R copies of every activation
-            acc = Classifier(config, [(W[i], b[i]) for W, b in weights]).accuracy(val_X, val_y)
-            curves[r].append(acc)
-            if acc > best_acc[r]:
-                best_acc[r], best_epoch[r], stale[r] = acc, epoch + 1, 0
-                best[r] = [(W[i].copy(), b[i].copy()) for W, b in weights]
-            else:
-                stale[r] += 1
-                done[i] = stale[r] >= tcfg.patience
-        if done.any():
-            finish(np.flatnonzero(done), epoch + 1, True)
-            keep = ~done
-            flat, grad = flat[keep], grad[keep]
-            weights, grads = _layer_views(flat, config), _layer_views(grad, config)
-            X, gold, live = X[keep], gold[keep], live[keep]
-            if not live.size:
-                break
-    else:
-        finish(range(live.size), tcfg.max_epochs, False)
+            if s == steps_per_epoch - 1:
+                for i, r in enumerate(live):
+                    if results[r] is not None:  # diverged on this step
+                        continue
+                    curve = curves[r]
+                    if val_X.shape[0]:
+                        # run by run: a stacked pass would hold R copies of every activation
+                        acc = Classifier(config, [(W[i], b[i]) for W, b in weights]).accuracy(val_X, val_y)
+                        curve.append(acc)
+                    best_epoch = curve.index(max(curve)) + 1 if curve else None
+                    if best_epoch == len(curve):
+                        best[r] = [(W[i].copy(), b[i].copy()) for W, b in weights]
+                    # stale epochs since the best; an epoch that improved never stops a run
+                    stopped = bool(curve) and len(curve) - best_epoch >= max(tcfg.patience, 1)
+                    if stopped or epoch + 1 == tcfg.max_epochs:
+                        kept = best.get(r) or [(W[i].copy(), b[i].copy()) for W, b in weights]
+                        results[r] = Classifier(config, kept, {
+                            "epochs": epoch + 1,
+                            "steps": step,
+                            "best_val_accuracy": max(curve, default=None),
+                            "val_curve": curve,
+                            "best_epoch": best_epoch,
+                            "stopped_early": stopped,
+                        })
+            if results.count(None) < live.size:  # the one exit from the stack
+                keep = np.array([results[r] is None for r in live])
+                flat, grad = flat[keep], grad[keep]
+                weights, grads = _layer_views(flat, config), _layer_views(grad, config)
+                X, gold, live = X[keep], gold[keep], live[keep]
+                if Xe is not None:  # mid-epoch: the epoch goes on without the run
+                    Xe, gold_e = Xe[keep], gold_e[keep]
+                    if p > 0:
+                        drawn = drawn[keep]
+                if not live.size:
+                    return results
     return results
 
 

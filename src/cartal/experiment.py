@@ -445,23 +445,6 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
     )
 
 
-def _advance(runs: list[_Run], outcomes, step) -> None:
-    """Call ``step(run, outcome)`` for each run; a run that fails drops out.
-
-    An outcome that is an exception (a diverged fit) fails its run as it
-    stands: one exception may be the outcome of every run of a fit, and
-    raising it again would grow its traceback once per run.
-    """
-    for run, outcome in zip(runs, outcomes):
-        if isinstance(outcome, Exception):
-            run.error = outcome
-            continue
-        try:
-            step(run, outcome)
-        except Exception as exc:  # a suite must survive the failure of one run
-            run.error = exc
-
-
 def _fit_live(config: ExperimentConfig, runs: list[_Run], context: RunContext, *tag) -> list:
     """One lockstep fit over the labelled sets of the runs still live."""
     pool = context.data.pool
@@ -487,15 +470,23 @@ def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
     runs = [_Run(strategy, seed, derive_seed("run", strategy, seed)) for strategy, seed in specs]
     for run in runs:  # each from its seed split; the caller checked the pool's capacity
         run.state = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
-    for rnd in range(1, config.rounds + 1):
+    for rnd in (*range(1, config.rounds + 1), None):  # None: the final refit
         live = [run for run in runs if run.error is None]
-        if live:
-            _advance(live, _fit_live(config, live, context, rnd, "fit"),
-                     lambda run, model: _al_round(config, run, model, rnd, context, scores_dir))
-    live = [run for run in runs if run.error is None]
-    if live:
-        _advance(live, _fit_live(config, live, context, "final"),
-                 lambda run, model: _finish_run(config, run, model, context))
+        if not live:
+            break
+        tag = ("final",) if rnd is None else (rnd, "fit")
+        for run, outcome in zip(live, _fit_live(config, live, context, *tag)):
+            try:  # a suite must survive the failure of one run
+                if isinstance(outcome, Exception):
+                    # stored, never raised again: one exception may be the outcome of
+                    # every run of a fit, and each raise would grow its shared traceback
+                    run.error = outcome
+                elif rnd is None:
+                    _finish_run(config, run, outcome, context)
+                else:
+                    _al_round(config, run, outcome, rnd, context, scores_dir)
+            except Exception as exc:
+                run.error = exc
     return runs
 
 

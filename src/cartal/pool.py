@@ -127,9 +127,6 @@ class Dataset:
         if not finite.all():
             fail(f"example {self.ids[np.argmin(finite.all(axis=1))]} has a non-finite feature")
 
-    def __getstate__(self):
-        return {**self.__dict__, "_examples": None}  # views are rebuilt, not shipped
-
     def __len__(self):
         return len(self.ids)
 

@@ -56,6 +56,28 @@ def logistic_regression_irls(X, y, C=1.0, tol=1e-10, max_iter=100):
     raise RuntimeError(f"IRLS did not converge in {max_iter} iterations")
 
 
+def logistic_regression_lbfgs(X, y, C=1.0):
+    """The objective of :func:`logistic_regression_irls` minimized by scipy's
+    L-BFGS-B, a third-party optimizer with its own line search; needs scipy.
+    Returns (w, b)."""
+    from scipy.optimize import minimize
+
+    Xb = np.hstack([X, np.ones((len(X), 1))])
+    penalty = np.full(Xb.shape[1], 1.0 / C)
+    penalty[-1] = 0.0
+
+    def objective(beta):  # the penalized log-loss and its gradient
+        z = Xb @ beta
+        p = 0.5 * (1.0 + np.tanh(0.5 * z))
+        return (np.logaddexp(0.0, z).sum() - y @ z + 0.5 * penalty @ beta ** 2,
+                Xb.T @ (p - y) + penalty * beta)
+
+    result = minimize(objective, np.zeros(Xb.shape[1]), jac=True, method="L-BFGS-B", options={"gtol": 1e-9})
+    if not result.success:
+        raise RuntimeError(f"L-BFGS-B did not converge: {result.message}")
+    return result.x[:-1], result.x[-1]
+
+
 def three_source_specs(n=120, d=2, flip_source="gamma", flip=0.3, scale=3.0):
     """Three Gaussian sources with shared geometry; one carries label noise."""
     rng = np.random.default_rng(1234)

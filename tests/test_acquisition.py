@@ -26,7 +26,7 @@ from cartal.acquisition import (
 from cartal.classifier import Classifier, ClassifierConfig, init_weights
 from cartal.pool import PoolState
 
-from conftest import logistic_regression_irls, make_dataset
+from conftest import logistic_regression_irls, logistic_regression_lbfgs, make_dataset
 from openblas_threads import openblas_threads
 
 
@@ -197,13 +197,19 @@ def test_dal_displaced_cluster_scores_high():
 
 
 def test_dal_displaced_cluster_agrees_with_newton_oracle():
-    # the scikit-learn oracle above, as a numpy-only Newton (IRLS) fit
+    # the scikit-learn oracle above, as a numpy-only Newton (IRLS) fit and as
+    # scipy's minimizer of the same objective, which must find the same optimum
     rng = np.random.default_rng(3)
     lab = rng.standard_normal((300, 4))
     unl = rng.standard_normal((300, 4)) + 8.0
     assert (score_dal(lab, unl) > 0.9).all()
-    w, b = logistic_regression_irls(np.vstack([lab, unl]), np.r_[np.zeros(300), np.ones(300)])
+    X, y = np.vstack([lab, unl]), np.r_[np.zeros(300), np.ones(300)]
+    w, b = logistic_regression_irls(X, y)
     assert (1.0 / (1.0 + np.exp(-(unl @ w + b))) > 0.9).all()
+    pytest.importorskip("scipy")
+    w_scipy, b_scipy = logistic_regression_lbfgs(X, y)
+    assert (1.0 / (1.0 + np.exp(-(unl @ w_scipy + b_scipy))) > 0.9).all()
+    assert np.allclose(np.r_[w_scipy, b_scipy], np.r_[w, b], rtol=0, atol=1e-4)
 
 
 def test_dal_duplicate_point_sits_near_boundary():

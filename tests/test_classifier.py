@@ -28,7 +28,7 @@ from cartal.classifier import (
 )
 from cartal.errors import DivergenceError
 
-from conftest import logistic_regression_irls, pass_allowance
+from conftest import logistic_regression_irls, logistic_regression_lbfgs, pass_allowance
 
 
 def _blobs(n_per_class, d=2, sep=4.0, seed=0, C=2):
@@ -117,13 +117,18 @@ def test_fit_separates_linearly_separable_blobs():
 
 
 def test_fit_on_blobs_agrees_with_newton_oracle():
-    # the scikit-learn oracle above, as a numpy-only Newton (IRLS) fit
+    # the scikit-learn oracle above, as a numpy-only Newton (IRLS) fit and as
+    # scipy's minimizer of the same objective, which must find the same optimum
     X, y = _blobs(100, sep=5.0, seed=1)
     config = ClassifierConfig(2, (16,), 2, dropout_rate=0.0)
     model = fit(config, (X, y), val=(X, y), tcfg=TrainConfig(rng_seed=3, max_epochs=20))
     assert model.accuracy(X, y) >= 0.99
     w, b = logistic_regression_irls(X, y)
     assert ((X @ w + b > 0) == y).mean() >= 0.99
+    pytest.importorskip("scipy")
+    w_scipy, b_scipy = logistic_regression_lbfgs(X, y)
+    assert ((X @ w_scipy + b_scipy > 0) == y).mean() >= 0.99
+    assert np.allclose(np.r_[w_scipy, b_scipy], np.r_[w, b], rtol=0, atol=1e-4)
 
 
 def test_fit_is_bitwise_deterministic():
@@ -248,7 +253,7 @@ def _same_weights(a, b):
     R=st.integers(1, 6), batch=st.integers(1, 12), full=st.integers(0, 4), rem=st.integers(0, 11),
     d=st.integers(1, 4), C=st.integers(2, 4), hidden=st.lists(st.integers(1, 9), min_size=1, max_size=2),
     dropout=st.sampled_from([0.0, 0.3]), activation=st.sampled_from(["relu", "tanh"]),
-    patience=st.integers(1, 3), n_val=st.sampled_from([0, 9]), seed=st.integers(0, 2**16),
+    patience=st.integers(0, 3), n_val=st.sampled_from([0, 9]), seed=st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
 def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hidden, dropout,
@@ -272,17 +277,25 @@ def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hi
 
 
 def test_diverging_run_fails_alone_in_lockstep():
+    # every exit from the stack in one call: run 1 diverges mid-epoch, run 3
+    # on an epoch's last step, run 2 stops early and run 0 trains every epoch
     X, y = _blobs(25, sep=2.0, seed=2)
-    stacked = np.stack([X, X * 1e150, -X])
-    labels = np.stack([y, y, y])
+    stacked = np.stack([X, X * 1e150, -X, X * 1e60])
+    labels = np.stack([y] * 4)
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.3)
-    tcfgs = [TrainConfig(max_epochs=3, rng_seed=s) for s in (1, 2, 3)]
+    tcfgs = [TrainConfig(batch_size=16, max_epochs=6, patience=2, rng_seed=s) for s in (1, 2, 3, 4)]
     with np.errstate(all="ignore"):
         many = fit_many(config, stacked, labels, val=(X, y), tcfgs=tcfgs)
-    assert isinstance(many[1], DivergenceError) and many[1].step is not None
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as alone:
-        _reference_fit(config, stacked[1], y, X, y, tcfgs[1])
-    assert many[1].step == alone.value.step
+    for r, step in ((1, 1), (3, 3)):  # 50 rows in batches of 16: steps 0-3 are the first epoch
+        assert isinstance(many[r], DivergenceError) and many[r].step == step
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as alone:
+            _reference_fit(config, stacked[r], y, X, y, tcfgs[r])
+        assert alone.value.step == step
+    with np.errstate(all="ignore"):  # run 3 alone, its divergence on the last step of its last epoch
+        [last] = fit_many(config, stacked[3:], labels[3:], val=(X, y), tcfgs=[replace(tcfgs[3], max_epochs=1)])
+    assert isinstance(last, DivergenceError) and last.step == 3
+    assert not many[0].history["stopped_early"] and many[0].history["epochs"] == 6
+    assert many[2].history["stopped_early"] and many[2].history["epochs"] < 6
     for r in (0, 2):
         alone = fit(config, (stacked[r], y), val=(X, y), tcfg=tcfgs[r])
         assert _same_weights(many[r].weights, alone.weights)
