@@ -90,11 +90,13 @@ class DifficultyThresholds:
 
 
 class TraceMatrix:
-    """Dynamics of many examples as row-major (N, T) arrays.
+    """Dynamics of many examples as (N, T) arrays.
 
-    Row i holds the T snapshots of example ``ids[i]``. Indexing gives that
-    row as a :class:`DynamicsTrace`; the program does not use that, and it
-    stays because perfbench's tracer reads ``traces[0].confidences``.
+    Row i holds the T snapshots of example ``ids[i]``. The arrays may be in
+    either memory order: :func:`run_cartography_full` passes the transposed
+    views of its fit's (T, N) arrays, whose rows are snapshots. Indexing
+    gives a row as a :class:`DynamicsTrace`; the program does not use that,
+    and it stays because perfbench's tracer reads ``traces[0].confidences``.
     """
 
     def __init__(self, ids, confidences: np.ndarray, correct: np.ndarray):
@@ -112,19 +114,29 @@ def compute_datamap(traces: TraceMatrix, thresholds: DifficultyThresholds | None
     """Mean, population std and correctness of each row of the (N, T)
     dynamics matrix, banded into difficulties.
 
-    One ``searchsorted`` over the three thresholds with ``side="left"`` puts
-    a mean equal to a threshold in the band below it (bands are
-    upper-inclusive). perfbench's tracer times calls to it by this name.
+    The rows are reduced 4,096 at a time, each block copied to C order
+    first, so every row is summed along its contiguous T values as in a
+    C-ordered (N, T) matrix, whatever the matrix's own order, and no (N, T)
+    temporary is made. One ``searchsorted`` over the three thresholds with
+    ``side="left"`` puts a mean equal to a threshold in the band below it
+    (bands are upper-inclusive). perfbench's tracer times calls to it by
+    this name.
     """
     thresholds = thresholds or DifficultyThresholds()
-    if traces.confidences.shape[1] == 0:
+    N, T = traces.confidences.shape
+    if T == 0:
         raise ValueError(f"empty dynamics traces for examples {traces.ids[:10].tolist()}")
-    mean = traces.confidences.mean(axis=1)
+    mean, variability, correctness = np.empty(N), np.empty(N), np.empty(N)
+    for lo in range(0, N, 4096):
+        rows = slice(lo, lo + 4096)
+        block = np.ascontiguousarray(traces.confidences[rows])
+        block.mean(axis=1, out=mean[rows])
+        block.std(axis=1, out=variability[rows])
+        traces.correct[rows].mean(axis=1, out=correctness[rows])  # sums of 0s and 1s: exact in any order
     edges = [thresholds.impossible_max, thresholds.hard_max, thresholds.medium_max]
     # the count of edges below the mean (an equal edge not counted): 0 is impossible, 3 easy
     difficulty = len(edges) - np.searchsorted(edges, mean, side="left")
-    return Datamap(traces.ids, mean, traces.confidences.std(axis=1), traces.correct.mean(axis=1),
-                   difficulty)
+    return Datamap(traces.ids, mean, variability, correctness, difficulty)
 
 
 @dataclass
@@ -138,16 +150,19 @@ def run_cartography_full(dataset, config, tcfg, val=None, thresholds=None) -> Ca
     """Fit a fresh model on ``dataset`` and map its examples by the dynamics
     of that fit, snapshotted every ``eval_interval`` of an epoch.
 
-    The fitted model is returned alongside the datamap so callers can reuse
-    it as an output-uncertainty reference.
+    The fit writes snapshot t into row t of two (T, N) arrays; the
+    :class:`TraceMatrix` holds their transposed views, so the snapshots are
+    never copied into an (N, T) stack. The fitted model is returned
+    alongside the datamap so callers can reuse it as an output-uncertainty
+    reference.
     """
     dynamics: list = []
     model = clf.fit(config, dataset, val=val, tcfg=tcfg, dynamics=dynamics)
-    if len(dynamics) < 2:
-        raise InsufficientDynamicsError(f"collected {len(dynamics)} snapshots; need at least 2 "
+    [(confidences, correct)] = dynamics
+    if len(confidences) < 2:
+        raise InsufficientDynamicsError(f"collected {len(confidences)} snapshots; need at least 2 "
                                         "(shorten eval_interval or train longer)")
-    confidences, correct = zip(*dynamics)
-    traces = TraceMatrix(dataset.ids, np.stack(confidences, axis=1), np.stack(correct, axis=1))
+    traces = TraceMatrix(dataset.ids, confidences.T, correct.T)
     return CartographyResult(compute_datamap(traces, thresholds), model, traces)
 
 

@@ -111,7 +111,7 @@ def _forward(weights, X, activation, masks=None):
     None for deterministic passes. Weights may be stacked: W of shape
     (R, fan_in, fan_out) and b of shape (R, fan_out) run R networks at once,
     each slice through the same matmul a single network makes. Inference
-    runs through :func:`_last_hidden` instead, which holds less.
+    runs through :func:`_probabilities` instead, which holds less.
     """
     h = X
     caches = []
@@ -132,27 +132,34 @@ def _forward(weights, X, activation, masks=None):
     return logits, caches
 
 
-# Rows per block of an inference pass. Hidden layers of the shipped widths
-# keep the bits of one whole-array matmul; a matmul whose width leaves 1-4
-# after a multiple of 8, such as a 3-class output layer, can change its bits
-# with the row count, so the output layer runs whole-array (README
+# Rows per block of an inference pass's hidden layers. Hidden layers of the
+# shipped widths keep the bits of one whole-array matmul (README
 # "Determinism"). On a 2-vCPU x86-64 Xeon, predict_proba over 6,000 rows took
 # 1.55 ms in 2,048-row blocks, 3.5 ms in 8,192-row ones. Peak RSS does not
 # depend on it (pool54k: 88.9-89.0 MB, 1,024-8,192 rows); faults do: 32-wide
 # blocks pass the 1 MiB mmap threshold (cartal.heap) from 4,096 rows up.
 _BLOCK_ROWS = 2048
 
+# An output-layer block has more than this many multiply-adds (M*N*K).
+# OpenBLAS runs a matmul of at most 10^6 of them through its small-matrix
+# kernel, whose bits for a width leaving 1-4 after a multiple of 8 (a 3-class
+# output) depend on the row count; above it every block of rows has the bits
+# of the same rows of one whole-array matmul.
+_OUTPUT_MNK = 1 << 20
+
 
 def _last_hidden(weights, X, activation, rows=None, out=None, dropout=None):
     """The last hidden layer of the network ``weights`` over ``X``, or over
     ``X[rows]`` when row positions are given, one block of rows at a time.
 
-    Only the result, (n, last width), is held at full size: it is written
-    into ``out`` when given, which may be a view. Every other layer exists
-    for one block at a time. ``dropout`` is (p, streams) for an MC pass:
-    ``streams[l]`` is a generator at the start of layer l's whole-layer mask
-    draw, so masking the blocks in row order takes its uniforms in the order
-    one whole-layer draw does.
+    The result, (n, last width), is written into ``out`` when given, which
+    may be a view; DAL's embeddings are the one caller that keeps it at the
+    pool's size, the passes of :func:`_probabilities` take it a block at a
+    time. Every other layer exists for one block of ``_BLOCK_ROWS`` at a
+    time. ``dropout`` is (p, streams) for an MC pass: ``streams[l]`` is a
+    generator at the start of layer l's whole-layer mask draw, so masking
+    the blocks in row order takes its uniforms in the order one whole-layer
+    draw does.
     """
     n = len(X) if rows is None else len(rows)
     if out is None:
@@ -192,11 +199,33 @@ def softmax(logits, out=None, scratch=None):
     return np.exp(logp, out=logp)
 
 
-def _output_softmax(h, layer, out=None, scratch=None):
-    """``softmax(h @ W + b)`` of the output ``layer``, every step into ``out``."""
-    logits = np.matmul(h, layer[0], out=out)
-    logits += layer[1]
-    return softmax(logits, logits, scratch)
+def _probabilities(weights, X, activation, rows=None, out=None, dropout=None):
+    """Class probabilities of the network ``weights`` over ``X``, or over
+    ``X[rows]``, written into ``out`` (n, C) when given; ``rows`` and
+    ``dropout`` as in :func:`_last_hidden`.
+
+    The output layer runs over blocks of rows, each the smallest multiple of
+    ``_BLOCK_ROWS`` with more than ``_OUTPUT_MNK`` multiply-adds (12,288 rows
+    for a 32 -> 3 layer), so each block has the bits of a whole-array
+    matmul. The remainder joins the last block, and a pass of fewer than two
+    blocks runs as one. So the last hidden layer exists for one block at a
+    time, and every step of the softmax writes into ``out``.
+    """
+    W, b = weights[-1]
+    n = len(X) if rows is None else len(rows)
+    if out is None:
+        out = np.empty((n, W.shape[1]))
+    block = _BLOCK_ROWS * (_OUTPUT_MNK // (_BLOCK_ROWS * W.size) + 1)
+    bounds = [i * block for i in range(max(1, n // block))] + [n]
+    widest = bounds[-1] - bounds[-2]  # the last block, which takes the remainder
+    hidden, scratch = np.empty((widest, W.shape[0])), np.empty((widest, W.shape[1]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        Xb, rb = (X[lo:hi], None) if rows is None else (X, rows[lo:hi])
+        h = _last_hidden(weights, Xb, activation, rb, hidden[:hi - lo], dropout)
+        logits = np.matmul(h, W, out=out[lo:hi])
+        logits += b
+        softmax(logits, logits, scratch[:hi - lo])
+    return out
 
 
 def loss_and_gradients(config, weights, X, y, masks=None):
@@ -259,7 +288,7 @@ class Classifier:
     def predict_proba(self, xs) -> np.ndarray:
         """Deterministic class probabilities (dropout off), rows sum to 1."""
         X = _as_features(xs, self.config.input_dim)
-        return _output_softmax(_last_hidden(self.weights, X, self.config.activation), self.weights[-1])
+        return _probabilities(self.weights, X, self.config.activation)
 
     def predict(self, xs) -> np.ndarray:
         return np.argmax(self.predict_proba(xs), axis=1)
@@ -268,21 +297,21 @@ class Classifier:
         """T stochastic forward passes with fresh inverted-dropout masks, stacked (T, n, C).
 
         ``rows``, row positions into ``xs``, scores ``xs[rows]`` without
-        copying it. A pass rewrites one (n, last width) and one (n, C) array,
-        writes into its slice of the result and runs the other hidden layers
-        a block of rows at a time. The masks are those of whole-layer draws
-        from one generator, pass by pass and layer by layer: each layer draws
-        from a generator seeded with ``rng_seed``, advanced to where its draw
-        begins. Without dropout the masks are all 1.0 and change no bit.
+        copying it. Each pass is one :func:`_probabilities` call into its
+        slice of the result, so no layer, mask or copy of the rows exists at
+        the pool's size: the last hidden layer lives for one output block,
+        the others for one block of ``_BLOCK_ROWS``. The masks are those of
+        whole-layer draws from one generator, pass by pass and layer by
+        layer: each layer draws from a generator seeded with ``rng_seed``,
+        advanced to where its draw begins. Without dropout the masks are all
+        1.0 and change no bit.
         """
         if T < 1:
             raise ValueError(f"T must be >= 1: {T}")
         X = _as_features(xs, self.config.input_dim)
-        act = self.config.activation
         p = self.config.dropout_rate
         n = len(X) if rows is None else len(rows)
-        h = np.empty((n, self.config.hidden_dims[-1]))
-        out, scratch = np.empty((T, n, self.config.num_classes)), np.empty((n, self.config.num_classes))
+        out = np.empty((T, n, self.config.num_classes))
         for t in range(T):
             streams, at = [], t * n * sum(self.config.hidden_dims)
             for width in self.config.hidden_dims:
@@ -290,8 +319,7 @@ class Classifier:
                 stream.bit_generator.advance(at)  # one 64-bit draw per uniform
                 streams.append(stream)
                 at += n * width
-            _last_hidden(self.weights, X, act, rows, out=h, dropout=(p, streams))
-            _output_softmax(h, self.weights[-1], out[t], scratch)
+            _probabilities(self.weights, X, self.config.activation, rows, out[t], (p, streams))
         return out
 
     def embed(self, xs, out=None, rows=None) -> np.ndarray:
@@ -366,10 +394,13 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
 
     Returns one entry per run: its :class:`Classifier`, or the
     :class:`DivergenceError` of a run whose loss went non-finite (the other
-    runs go on). With a ``dynamics`` list, which needs R == 1, every
-    ``eval_interval`` fraction of an epoch the fit appends a pair of columns
-    over its own training rows, dropout off: the gold-label probability and
-    whether the argmax prediction is correct.
+    runs go on). With a ``dynamics`` list, which needs R == 1, the fit
+    snapshots its own training rows every ``eval_interval`` fraction of an
+    epoch, dropout off, and appends one pair of (T, n) arrays when it ends:
+    row t of the first holds each row's gold-label probability at snapshot
+    t, row t of the second whether its argmax prediction is correct. Both
+    are allocated when the fit starts, one row per planned snapshot, and T
+    counts the snapshots taken.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -401,10 +432,11 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
     lr = tcfg.learning_rate
     B = tcfg.batch_size
     steps_per_epoch = math.ceil(n / B)
-    snap_at, next_snap, hidden = [], 0, None
-    if dynamics is not None:  # the last hidden layer over the training rows, rewritten by every snapshot
+    snap_at, next_snap = [], 0
+    if dynamics is not None:  # snapshot t writes row t; probs is rewritten by every snapshot
         snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch)
-        hidden, probs = np.empty((n, config.hidden_dims[-1])), np.empty((2, n, config.num_classes))
+        confidence, correct = np.empty((len(snap_at), n)), np.empty((len(snap_at), n), dtype=bool)
+        probs = np.empty((n, config.num_classes))
     p = config.dropout_rate
     width = sum(config.hidden_dims)
 
@@ -446,10 +478,9 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
             if s == steps_per_epoch - 1:  # before the snapshot and the next epoch's copies
                 Xe = gold_e = None
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
-                net = [(W[0], b[0]) for W, b in weights]
-                h = _last_hidden(net, X[0], config.activation, out=hidden)
-                _output_softmax(h, net[-1], *probs)  # into probs[0], probs[1] its scratch
-                dynamics.append((probs[0, np.arange(n), y[0]], np.argmax(probs[0], axis=1) == y[0]))
+                _probabilities([(W[0], b[0]) for W, b in weights], X[0], config.activation, out=probs)
+                confidence[next_snap] = probs[gold[0]]  # one gold class per row, in row order
+                np.equal(np.argmax(probs, axis=1), y[0], out=correct[next_snap])
                 next_snap += 1
             if s == steps_per_epoch - 1:
                 for i, r in enumerate(live):
@@ -485,6 +516,8 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
                     if p > 0:
                         drawn = drawn[keep]
                 if not live.size:
+                    if dynamics is not None:
+                        dynamics.append((confidence[:next_snap], correct[:next_snap]))
                     return results
     return results
 

@@ -156,6 +156,11 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed", key="al.seeds")
         if not self.strategies:
             raise ConfigError("need at least one strategy", key="al.strategies")
+        for section in ("training", "cartography_training"):
+            # fit_many reads patience below 1 as 1; a config says what it means
+            if getattr(self, section).patience < 1:
+                raise ConfigError(f"must be >= 1, got {getattr(self, section).patience}",
+                                  key=f"{section}.patience")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be >= 1", key="al.mc_samples")
         if self.mc_samples < 2 and "bald" in self.strategies:

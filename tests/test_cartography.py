@@ -187,9 +187,10 @@ def test_snapshot_holds_the_last_hidden_layer_and_logits_only():
 
     dynamics = []
     extra = peak(dynamics) - peak(None)
-    assert len(dynamics) == 2
-    hidden = n * cfg.hidden_dims[-1] * 8  # the (n, last width) buffer every snapshot rewrites
-    columns = len(dynamics) * n * (8 + 1)  # per snapshot, a float64 gold column and a bool one
+    [(golds, _)] = dynamics
+    assert len(golds) == 2
+    hidden = n * cfg.hidden_dims[-1] * 8  # under two output blocks: one (n, last width) buffer per snapshot
+    columns = len(golds) * n * (8 + 1)  # per snapshot, a float64 gold row and a bool one
     assert extra <= hidden + pass_allowance(n, cfg.num_classes, 32) + columns, (extra, hidden)
 
 
@@ -359,6 +360,20 @@ def test_datamap_csv_roundtrip(tmp_path):
     assert lines[0] == "id,source,mean_confidence,variability,correctness,difficulty"
     assert lines[1].startswith("0,A,0.9")
     assert lines[2].endswith("hard")
+
+
+@pytest.mark.parametrize("T", [2, 24, 37])
+def test_datamap_of_snapshot_rows_equals_the_c_ordered_stack_bit_for_bit(T):
+    # the fit's (T, N) arrays seen as (N, T), N not a multiple of the 4,096-row
+    # reduction blocks, against whole-array reductions of the (N, T) stack
+    rng = np.random.default_rng(T)
+    N = 2 * 4096 + 1234
+    conf, flags = rng.random((T, N)), rng.random((T, N)) > 0.4
+    stack, stacked_flags = np.ascontiguousarray(conf.T), np.ascontiguousarray(flags.T)
+    dm = compute_datamap(TraceMatrix(np.arange(N), conf.T, flags.T))
+    assert dm.mean_confidence.tobytes() == stack.mean(axis=1).tobytes()
+    assert dm.variability.tobytes() == stack.std(axis=1).tobytes()
+    assert dm.correctness.tobytes() == stacked_flags.mean(axis=1).tobytes()
 
 
 @given(st.integers(0, 10_000))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from cartal.classifier import (
     _BLOCK_ROWS,
     _MASK_CHUNK,
+    _OUTPUT_MNK,
     Classifier,
     ClassifierConfig,
     TrainConfig,
@@ -398,8 +400,8 @@ def test_mc_over_several_mask_chunks_equals_whole_array_masks(activation, hidden
 
 
 def test_mc_call_holds_its_hidden_buffers_and_output_only():
-    # a pass rewrites one (n, last width) array and runs the other hidden
-    # layers a block of rows at a time; the output is (T, n, C)
+    # under two output blocks a pass holds one (n, last width) array and runs
+    # the other hidden layers a block of rows at a time; the output is (T, n, C)
     rng = np.random.default_rng(3)
     config = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
     model = Classifier(config, init_weights(config, rng))
@@ -432,6 +434,74 @@ def test_inference_in_row_blocks_equals_whole_array_forward(activation, hidden):
                                                      _draw_masks(model, mask_rng, n))[0])
                          for _ in range(3)])
     assert model.mc_predict_proba(X, T=3, rng_seed=13).tobytes() == expected.tobytes()
+
+
+def _output_block(fan_in, num_classes):
+    """The smallest multiple of _BLOCK_ROWS whose output matmul has more than
+    _OUTPUT_MNK multiply-adds, counted up one block at a time."""
+    return next(m for m in itertools.count(_BLOCK_ROWS, _BLOCK_ROWS) if m * fan_in * num_classes > _OUTPUT_MNK)
+
+
+def test_an_output_block_of_the_minimum_size_equals_those_rows_of_the_whole_product():
+    # the shipped 32 -> 3 output layer; a block one _BLOCK_ROWS smaller can differ
+    block = _output_block(32, 3)
+    assert block == 12_288
+    rng = np.random.default_rng(11)
+    h = np.maximum(rng.standard_normal((3 * block + 1001, 32)), 0.0)
+    W = rng.uniform(-0.4, 0.4, (32, 3))
+    whole = h @ W
+    for lo in (0, 37, block, len(h) - block):
+        assert (h[lo:lo + block] @ W).tobytes() == whole[lo:lo + block].tobytes(), lo
+
+
+def test_passes_over_two_output_blocks_equal_whole_array_passes():
+    # about 30,000 rows: one whole output block and a ragged second one
+    rng = np.random.default_rng(12)
+    config = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
+    n = 2 * _output_block(32, 3) + 5_000
+    X, y = rng.standard_normal((n, 10)), rng.integers(0, 3, n)
+    dynamics = []
+    model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=1, eval_interval=1.0, batch_size=256, rng_seed=2),
+                dynamics=dynamics)
+    expected = _reference_softmax(_forward(model.weights, X, "relu")[0])
+    assert model.predict_proba(X).tobytes() == expected.tobytes()
+    [(golds, corrects)] = dynamics  # the one snapshot is the fit's last step, which it returns
+    assert golds[0].tobytes() == expected[np.arange(n), y].tobytes()
+    assert (corrects[0] == (expected.argmax(axis=1) == y)).all()
+    mask_rng = np.random.default_rng(13)
+    expected = np.stack([_reference_softmax(_forward(model.weights, X, "relu",
+                                                     _draw_masks(model, mask_rng, n))[0])
+                         for _ in range(2)])
+    assert model.mc_predict_proba(X, T=2, rng_seed=13).tobytes() == expected.tobytes()
+
+
+def test_passes_over_many_output_blocks_hold_no_pool_sized_hidden_layer():
+    # six output blocks: an MC call and a fit's snapshots hold the last hidden
+    # layer one block at a time, never (n, last width)
+    rng = np.random.default_rng(14)
+    config = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
+    block = _output_block(32, 3)
+    n, T = 6 * block, 2
+    X, y = rng.standard_normal((n, 10)), rng.integers(0, 3, n)
+    model = Classifier(config, init_weights(config, rng))
+    tcfg = TrainConfig(max_epochs=1, eval_interval=0.5, batch_size=512, rng_seed=0)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    allowance = block * 32 * 8 + pass_allowance(n, 3, 32)
+    assert allowance < n * 32 * 8
+    mc = peak(lambda: model.mc_predict_proba(X, T=T, rng_seed=1))
+    assert mc <= T * n * 3 * 8 + allowance, mc
+    dynamics = []
+    snapshots = peak(lambda: fit(config, (X, y), tcfg=tcfg, dynamics=dynamics))
+    snapshots -= peak(lambda: fit(config, (X, y), tcfg=tcfg))
+    assert snapshots <= 2 * n * (8 + 1) + allowance, snapshots
 
 
 def test_rows_equal_passing_the_selected_rows():
@@ -593,9 +663,10 @@ def test_dynamics_snapshot_count():
     dynamics = []
     model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=0.5, rng_seed=0, batch_size=32),
                 dynamics=dynamics)
-    assert len(dynamics) == 6
-    assert all(g.shape == c.shape == (64,) and c.dtype == bool for g, c in dynamics)
-    gold, correct = dynamics[-1]  # the last snapshot is the fit's last step, which it returns
+    [(golds, corrects)] = dynamics  # one (T, n) pair, row t for snapshot t
+    assert len(golds) == len(corrects) == 6
+    assert all(g.shape == c.shape == (64,) and c.dtype == bool for g, c in zip(golds, corrects))
+    gold, correct = golds[-1], corrects[-1]  # the last snapshot is the fit's last step, which it returns
     probs = model.predict_proba(X)
     assert gold.tobytes() == probs[np.arange(64), y].tobytes()
     assert (correct == (probs.argmax(axis=1) == y)).all()
@@ -629,8 +700,9 @@ def test_snapshot_columns_equal_fresh_array_softmax_of_the_weights_at_each_snaps
     config = ClassifierConfig(2, (8,), 3, dropout_rate=0.2)
     dynamics = []
     fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=1.0, rng_seed=5), dynamics=dynamics)
-    assert len(dynamics) == 3
-    for epochs, (gold, correct) in enumerate(dynamics, start=1):
+    [(golds, corrects)] = dynamics
+    assert len(golds) == len(corrects) == 3
+    for epochs, (gold, correct) in enumerate(zip(golds, corrects), start=1):
         model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=epochs, eval_interval=1.0, rng_seed=5))
         probs = _reference_softmax(_forward(model.weights, X, "relu")[0])
         assert gold.tobytes() == probs[np.arange(len(y)), y].tobytes()

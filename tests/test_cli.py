@@ -588,6 +588,10 @@ def _set(section, key, value):
     (_set("data", "val_fraction", 10 ** 400), "data.val_fraction"),  # a float key
     (_set("classifier", "dropout_rate", 1.5), "classifier.dropout_rate"),
     (_set("classifier", "activation", "gelu"), "classifier.activation"),
+    # fit_many would read any patience below 1 as 1
+    (_set("training", "patience", 0), "training.patience"),
+    (_set("training", "patience", -5), "training.patience"),
+    (_set("cartography_training", "patience", 0), "cartography_training.patience"),
 ])
 def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
     raw = config_to_dict(tiny_config())
