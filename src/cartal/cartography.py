@@ -146,9 +146,10 @@ class CartographyResult:
     traces: TraceMatrix
 
 
-def run_cartography_full(dataset, config, tcfg, val=None, thresholds=None) -> CartographyResult:
-    """Fit a fresh model on ``dataset`` and map its examples by the dynamics
-    of that fit, snapshotted every ``eval_interval`` of an epoch.
+def run_cartography_full(dataset, config, tcfg, seed, val=None, thresholds=None) -> CartographyResult:
+    """Fit a fresh model on ``dataset``, seeded by ``seed`` and early-stopped
+    on the ``(X, y)`` pair ``val``, and map its examples by the dynamics of
+    that fit, snapshotted every ``eval_interval`` of an epoch.
 
     The fit writes snapshot t into row t of two (T, N) arrays; the
     :class:`TraceMatrix` holds their transposed views, so the snapshots are
@@ -157,7 +158,7 @@ def run_cartography_full(dataset, config, tcfg, val=None, thresholds=None) -> Ca
     reference.
     """
     dynamics: list = []
-    model = clf.fit(config, dataset, val=val, tcfg=tcfg, dynamics=dynamics)
+    model = clf.fit(config, (dataset.X, dataset.y), tcfg, seed, val, dynamics)
     [(confidences, correct)] = dynamics
     if len(confidences) < 2:
         raise InsufficientDynamicsError(f"collected {len(confidences)} snapshots; need at least 2 "

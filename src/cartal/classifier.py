@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .artifacts import reading, write_json
 from .errors import ConfigError, DivergenceError
-from .pool import Dataset
 
 CHECKPOINT_MAGIC = "CARTAL1"
 
@@ -60,19 +59,20 @@ class TrainConfig:
     max_epochs: int = 30
     patience: int = 5
     eval_interval: float = 0.5
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
+        # keyed by field, as ClassifierConfig; "not >" rejects NaN too
+        if not self.learning_rate > 0:
+            raise ConfigError(f"must be > 0, got {self.learning_rate}", key="learning_rate")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", key=name)
         if not 0.0 < self.eval_interval <= 1.0:
-            raise ValueError(f"eval_interval must lie in (0, 1]: {self.eval_interval}")
+            raise ConfigError(f"must lie in (0, 1], got {self.eval_interval}", key="eval_interval")
 
 
 def _as_features(xs, expected_dim=None) -> np.ndarray:
-    X = xs.X if isinstance(xs, Dataset) else np.asarray(xs, dtype=float)
+    X = np.asarray(xs, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
     if expected_dim is not None and X.shape[1] != expected_dim:
@@ -81,11 +81,9 @@ def _as_features(xs, expected_dim=None) -> np.ndarray:
 
 
 def _as_xy(data):
-    if isinstance(data, Dataset):
-        return data.X, data.y
     if isinstance(data, tuple) and len(data) == 2:
         return np.asarray(data[0], dtype=float), np.asarray(data[1], dtype=np.int64)
-    raise TypeError(f"expected a Dataset or an (X, y) pair, got {type(data).__name__}")
+    raise TypeError(f"expected an (X, y) pair, got {type(data).__name__}")
 
 
 def init_weights(config: ClassifierConfig, rng: np.random.Generator):
@@ -178,9 +176,8 @@ def _last_hidden(weights, X, activation, rows=None, out=None, dropout=None):
     return out
 
 
-def _log_softmax(logits, out=None, scratch=None):
-    """Log-softmax over the last axis into ``out``, which may be ``logits``;
-    ``scratch``, shaped alike, takes the exponentials. Absent, each is made."""
+def _log_softmax(logits, out=None):
+    """Log-softmax over the last axis into ``out``, which may be ``logits``."""
     # The row max as one np.maximum per class: a reduction along the short
     # class axis loops once per row (3 ms against under 0.5 ms on 54k x 3
     # classes). Max is exact, so the bits are those of logits.max(axis=-1).
@@ -188,14 +185,14 @@ def _log_softmax(logits, out=None, scratch=None):
     for c in range(1, logits.shape[-1]):
         top = np.maximum(top, logits[..., c:c + 1])
     shifted = np.subtract(logits, top, out=out)
-    norm = np.add.reduce(np.exp(shifted, out=scratch), axis=-1, keepdims=True)
+    norm = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     shifted -= np.log(norm, out=norm)
     return shifted
 
 
-def softmax(logits, out=None, scratch=None):
-    """Class probabilities; ``out`` and ``scratch`` as in :func:`_log_softmax`."""
-    logp = _log_softmax(logits, out, scratch)
+def softmax(logits, out=None):
+    """Class probabilities; ``out`` as in :func:`_log_softmax`."""
+    logp = _log_softmax(logits, out)
     return np.exp(logp, out=logp)
 
 
@@ -209,7 +206,7 @@ def _probabilities(weights, X, activation, rows=None, out=None, dropout=None):
     for a 32 -> 3 layer), so each block has the bits of a whole-array
     matmul. The remainder joins the last block, and a pass of fewer than two
     blocks runs as one. So the last hidden layer exists for one block at a
-    time, and every step of the softmax writes into ``out``.
+    time, and the softmax writes all but its exponentials into ``out``.
     """
     W, b = weights[-1]
     n = len(X) if rows is None else len(rows)
@@ -218,13 +215,13 @@ def _probabilities(weights, X, activation, rows=None, out=None, dropout=None):
     block = _BLOCK_ROWS * (_OUTPUT_MNK // (_BLOCK_ROWS * W.size) + 1)
     bounds = [i * block for i in range(max(1, n // block))] + [n]
     widest = bounds[-1] - bounds[-2]  # the last block, which takes the remainder
-    hidden, scratch = np.empty((widest, W.shape[0])), np.empty((widest, W.shape[1]))
+    hidden = np.empty((widest, W.shape[0]))
     for lo, hi in zip(bounds, bounds[1:]):
         Xb, rb = (X[lo:hi], None) if rows is None else (X, rows[lo:hi])
         h = _last_hidden(weights, Xb, activation, rb, hidden[:hi - lo], dropout)
         logits = np.matmul(h, W, out=out[lo:hi])
         logits += b
-        softmax(logits, logits, scratch[:hi - lo])
+        softmax(logits, logits)
     return out
 
 
@@ -364,33 +361,36 @@ def _layer_views(flat, config):
 _MASK_CHUNK = 1 << 16
 
 
-def fit(config: ClassifierConfig, train, val=None, tcfg: TrainConfig | None = None,
+def fit(config: ClassifierConfig, train, tcfg: TrainConfig, seed: int, val=None,
         dynamics: list | None = None) -> Classifier:
-    """Train a fresh model with mini-batch SGD and patience-based early stop.
+    """Train a fresh model on the ``(X, y)`` pair ``train`` with mini-batch
+    SGD from ``seed`` and patience-based early stop.
 
     This is :func:`fit_many` for one run; a divergence raises its
-    :class:`DivergenceError`. Early stopping tracks validation accuracy per
-    epoch and restores the best weights seen; with an empty validation set
+    :class:`DivergenceError`. Early stopping tracks accuracy on the ``(X, y)``
+    pair ``val`` per epoch and restores the best weights seen; without it
     training runs all epochs. ``dynamics`` is as in :func:`fit_many`.
     """
     X, y = _as_xy(train)
-    [model] = fit_many(config, X[None], y[None], val, [tcfg or TrainConfig()], dynamics=dynamics)
+    [model] = fit_many(config, X[None], y[None], tcfg, [seed], val, dynamics)
     if isinstance(model, DivergenceError):
         raise model
     return model
 
 
-def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: list | None = None) -> list:
+def fit_many(config: ClassifierConfig, X, y, tcfg: TrainConfig, seeds, val=None,
+             dynamics: list | None = None) -> list:
     """Train R fresh models in lockstep, one per stacked training set.
 
-    ``X`` is (R, n, d) and ``y`` is (R, n); ``tcfgs`` holds one TrainConfig
-    per run, all equal but for ``rng_seed``. Each step is one forward and
-    backward pass over the runs' stacked weights. Every run draws from its
-    own generator exactly what a separate fit draws, in the same order (per
-    epoch a permutation, then the dropout masks of its steps), so run r ends
-    with the bits of a fit on ``(X[r], y[r])`` alone. Early stopping is per
-    run, read off its val curve. A run leaves the stack at the end of the
-    step on which it stops, diverges or ends its last epoch.
+    ``X`` is (R, n, d) and ``y`` is (R, n); every run trains by ``tcfg``,
+    and run r draws from a generator seeded with ``seeds[r]``. Each step is
+    one forward and backward pass over the runs' stacked weights. Every run
+    draws from its own generator exactly what a separate fit draws, in the
+    same order (per epoch a permutation, then the dropout masks of its
+    steps), so run r ends with the bits of a fit on ``(X[r], y[r])`` alone.
+    Early stopping is per run, read off its accuracy curve on the ``(X, y)``
+    pair ``val``. A run leaves the stack at the end of the step on which it
+    stops, diverges or ends its last epoch.
 
     Returns one entry per run: its :class:`Classifier`, or the
     :class:`DivergenceError` of a run whose loss went non-finite (the other
@@ -411,17 +411,13 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
         raise ValueError("training set is empty")
     if d != config.input_dim:
         raise ValueError(f"train feature dim {d} != config input_dim {config.input_dim}")
-    tcfgs = list(tcfgs) if tcfgs is not None else [TrainConfig()] * R
-    if len(tcfgs) != R:
-        raise ValueError(f"{len(tcfgs)} train configs for {R} runs")
-    tcfg = tcfgs[0]
-    if any(replace(t, rng_seed=tcfg.rng_seed) != tcfg for t in tcfgs):
-        raise ValueError("lockstep runs must share every TrainConfig field but rng_seed")
+    if len(seeds) != R:
+        raise ValueError(f"{len(seeds)} seeds for {R} runs")
     val_X, val_y = _as_xy(val) if val is not None else (np.zeros((0, d)), np.zeros(0, np.int64))
     if dynamics is not None and R != 1:
         raise ValueError(f"dynamics needs a single run, got {R}")
 
-    rngs = [np.random.default_rng(t.rng_seed) for t in tcfgs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # All runs' parameters in one (R, P) buffer and their gradients in
     # another, each layer a view: one call pair updates every parameter.
     flat = np.stack([np.concatenate([a.ravel() for layer in init_weights(config, rng) for a in layer])
@@ -495,7 +491,7 @@ def fit_many(config: ClassifierConfig, X, y, val=None, tcfgs=None, dynamics: lis
                     if best_epoch == len(curve):
                         best[r] = [(W[i].copy(), b[i].copy()) for W, b in weights]
                     # stale epochs since the best; an epoch that improved never stops a run
-                    stopped = bool(curve) and len(curve) - best_epoch >= max(tcfg.patience, 1)
+                    stopped = bool(curve) and len(curve) - best_epoch >= tcfg.patience
                     if stopped or epoch + 1 == tcfg.max_epochs:
                         kept = best.get(r) or [(W[i].copy(), b[i].copy()) for W, b in weights]
                         results[r] = Classifier(config, kept, {

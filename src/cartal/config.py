@@ -42,8 +42,6 @@ _LAYOUT = {
         "difficulty_split": {"combos": "difficulty_combos", "n": "difficulty_n"},
         **_same("dump_scores"),
     },
-    # rng_seed is derived per fit, never configured
-    TrainConfig: _same("learning_rate", "batch_size", "max_epochs", "patience", "eval_interval"),
 }
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number",

@@ -108,9 +108,9 @@ def _require_unique(values, key: str) -> None:
 
 def cartography_defaults(training: clf.TrainConfig) -> clf.TrainConfig:
     """The cartography fit when none is configured: the AL fit's learning
-    rate and batch size, 6 epochs with patience 6."""
+    rate, batch size and snapshot interval, 6 epochs with patience 6."""
     return clf.TrainConfig(learning_rate=training.learning_rate, batch_size=training.batch_size,
-                           max_epochs=6, patience=6)
+                           max_epochs=6, patience=6, eval_interval=training.eval_interval)
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,6 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed", key="al.seeds")
         if not self.strategies:
             raise ConfigError("need at least one strategy", key="al.strategies")
-        for section in ("training", "cartography_training"):
-            # fit_many reads patience below 1 as 1; a config says what it means
-            if getattr(self, section).patience < 1:
-                raise ConfigError(f"must be >= 1, got {getattr(self, section).patience}",
-                                  key=f"{section}.patience")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be >= 1", key="al.mc_samples")
         if self.mc_samples < 2 and "bald" in self.strategies:
@@ -322,9 +317,9 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
 
 def _cartography(config: ExperimentConfig, dataset: Dataset, val: Dataset, *tag):
     """The cartography fit over ``dataset``, seeded by ``tag``."""
-    tcfg = replace(config.cartography_training, rng_seed=derive_seed(config.data_seed, *tag))
     ccfg = config.classifier_config(dataset.feature_dim, dataset.num_classes)
-    return run_cartography_full(dataset, ccfg, tcfg, val=val, thresholds=config.thresholds)
+    return run_cartography_full(dataset, ccfg, config.cartography_training,
+                                derive_seed(config.data_seed, *tag), (val.X, val.y), config.thresholds)
 
 
 def prepare_context(config: ExperimentConfig, data: ExperimentData | None = None) -> RunContext:
@@ -444,7 +439,7 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
         round_logs=run.round_logs,
         final_model=final_model,
         final_val_accuracy=_val_accuracy(final_model),
-        test_accuracies={name: final_model.accuracy(ds, ds.y) for name, ds in tests.items()},
+        test_accuracies={name: final_model.accuracy(ds.X, ds.y) for name, ds in tests.items()},
         profile=_profile(context, labelled, ~run.state.labelled_mask),
         labelled_ids=tuple(pool.ids[labelled].tolist()),
     )
@@ -452,12 +447,12 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
 
 def _fit_live(config: ExperimentConfig, runs: list[_Run], context: RunContext, *tag) -> list:
     """One lockstep fit over the labelled sets of the runs still live."""
-    pool = context.data.pool
+    pool, val = context.data.pool, context.data.val
     rows = np.stack([np.flatnonzero(run.state.labelled_mask) for run in runs])
-    tcfgs = [replace(config.training, rng_seed=derive_seed(run.run_seed, *tag)) for run in runs]
+    seeds = [derive_seed(run.run_seed, *tag) for run in runs]
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
     try:
-        return clf.fit_many(ccfg, pool.X[rows], pool.y[rows], val=context.data.val, tcfgs=tcfgs)
+        return clf.fit_many(ccfg, pool.X[rows], pool.y[rows], config.training, seeds, (val.X, val.y))
     except Exception as exc:  # e.g. an empty seed set: every run fails alike
         return [exc] * len(runs)
 
@@ -495,8 +490,8 @@ def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
     return runs
 
 
-def run_al(config: ExperimentConfig, strategy: str, seed: int,
-           context: RunContext | None = None, scores_dir=None) -> RunResult:
+def run_al(config: ExperimentConfig, strategy: str, seed: int, context: RunContext,
+           scores_dir=None) -> RunResult:
     """One full AL run: per-round fit / select / transfer, then a final refit.
 
     The final model is refit from scratch on the complete labelled set after
@@ -506,7 +501,6 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
-    context = context or prepare_context(config)
     check_capacity(config, len(context.data.pool))
     [run] = _run_lockstep(config, [(strategy, seed)], context, scores_dir)
     if run.error is not None:
@@ -578,9 +572,10 @@ def _run_groups(jobs: list) -> list[list]:
     return outcomes
 
 
-def run_suite(config: ExperimentConfig, context: RunContext | None = None,
-              parallel: int = 1, scores_dir=None) -> SuiteResult:
-    """Cross-product of strategies x seeds; run failures are recorded, not fatal.
+def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1,
+              scores_dir=None) -> SuiteResult:
+    """Cross-product of strategies x seeds over the pool of ``context`` (see
+    :func:`prepare_context`); run failures are recorded, not fatal.
 
     The runs advance in lockstep (see :func:`_run_lockstep`). With
     ``parallel`` P > 1 they are dealt round-robin into P lockstep groups,
@@ -590,7 +585,6 @@ def run_suite(config: ExperimentConfig, context: RunContext | None = None,
     """
     if problem := parallel_error(parallel):
         raise ValueError(f"parallel {problem}")
-    context = context or prepare_context(config)
     check_capacity(config, len(context.data.pool))
     specs = [(s, sd) for s in config.strategies for sd in config.seeds]
     groups = min(parallel, len(specs))
@@ -604,14 +598,13 @@ def run_suite(config: ExperimentConfig, context: RunContext | None = None,
     return SuiteResult(_aggregate(config, results), results, failures)
 
 
-def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = None,
+def run_ablated_suite(config: ExperimentConfig, context: RunContext,
                       parallel: int = 1) -> tuple[SuiteResult, RunContext]:
     """Filter the pool's per-source bottom conf*var fraction, then run a suite.
 
     The full-pool cartography model/datamap are reused as the uncertainty
     reference and difficulty authority for the ablated runs.
     """
-    context = context or prepare_context(config)
     pool = context.data.pool
     retained = ablate_hard_to_learn(context.pool_datamap, pool, config.ablation_fraction)
     filtered = pool.subset(retained, name="pool-ablated")
@@ -620,8 +613,7 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext | None = Non
     return run_suite(config, ablated_ctx, parallel), ablated_ctx
 
 
-def run_difficulty_split(config: ExperimentConfig,
-                         context: RunContext | None = None) -> list[RunSummary]:
+def run_difficulty_split(config: ExperimentConfig, context: RunContext) -> list[RunSummary]:
     """Train once per difficulty combo and seed (no AL loop), evaluate everywhere.
 
     Every combo x seed split holds ``difficulty_n`` examples, so all of them
@@ -629,7 +621,6 @@ def run_difficulty_split(config: ExperimentConfig,
     """
     if config.difficulty_n is None:
         raise ConfigError("difficulty_n must be set for split experiments", key="difficulty_split.n")
-    context = context or prepare_context(config)
     pool, val, tests = context.data.pool, context.data.val, context.data.tests
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
 
@@ -641,16 +632,15 @@ def run_difficulty_split(config: ExperimentConfig,
         ))
         for combo, seed in combos
     ])
-    tcfgs = [replace(config.training, rng_seed=derive_seed(config.data_seed, "split-fit", combo, seed))
-             for combo, seed in combos]
-    models = clf.fit_many(ccfg, pool.X[rows], pool.y[rows], val=val, tcfgs=tcfgs)
+    seeds = [derive_seed(config.data_seed, "split-fit", combo, seed) for combo, seed in combos]
+    models = clf.fit_many(ccfg, pool.X[rows], pool.y[rows], config.training, seeds, (val.X, val.y))
 
     accuracies = []
     for model in models:
         if isinstance(model, Exception):
             raise model
         accuracies.append({"val": _val_accuracy(model),
-                           **{name: model.accuracy(ds, ds.y) for name, ds in tests.items()}})
+                           **{name: model.accuracy(ds.X, ds.y) for name, ds in tests.items()}})
     S = len(config.seeds)
     return [_summary(combo, ["val", *tests], accuracies[c * S:(c + 1) * S], config.difficulty_n)
             for c, combo in enumerate(config.difficulty_combos)]

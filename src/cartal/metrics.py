@@ -90,7 +90,7 @@ def acquisition_factor(batch_ids, pool_before) -> dict[str, float]:
 def stratified_accuracy(model, test: Dataset, test_datamap: Datamap) -> StratifiedResult:
     """Argmax accuracy per difficulty class of the test examples, plus overall."""
     bands = test_datamap.difficulty[test_datamap.rows(test.ids, "test ids")]
-    correct = model.predict(test) == test.y
+    correct = model.predict(test.X) == test.y
     counts = np.bincount(bands, minlength=len(DIFFICULTIES)).tolist()
     hits = np.bincount(bands, weights=correct, minlength=len(DIFFICULTIES)).tolist()
     present = [d for d in range(len(DIFFICULTIES)) if counts[d]]

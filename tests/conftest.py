@@ -107,7 +107,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
         seeds=(1, 2),
         hidden_dims=(8,),
         dropout_rate=0.3,
-        training=TrainConfig(max_epochs=5, patience=3, rng_seed=0),
+        training=TrainConfig(max_epochs=5, patience=3),
         cartography_training=TrainConfig(max_epochs=3, patience=3, eval_interval=0.5),
         mc_samples=4,
     )

@@ -297,7 +297,7 @@ def test_criterion_6_ablation_recovery(context, suite):
 
 def test_criterion_7_difficulty_split_ordering(context):
     pool = context.data.pool
-    clean = context.data.tests["clean"]
+    clean, val = context.data.tests["clean"], context.data.val
     ccfg = BENCHMARK.classifier_config(pool.feature_dim, pool.num_classes)
     per_combo: dict[str, list[float]] = {}
     for combo in BENCHMARK.difficulty_combos:
@@ -306,10 +306,10 @@ def test_criterion_7_difficulty_split_ordering(context):
             ids = build_difficulty_split(
                 context.pool_datamap, combo, BENCHMARK.difficulty_n,
                 derive_seed(BENCHMARK.data_seed, "split-sample", combo, seed))
-            tcfg = replace(BENCHMARK.training,
-                           rng_seed=derive_seed(BENCHMARK.data_seed, "split-fit", combo, seed))
-            model = fit(ccfg, pool.subset(ids), val=context.data.val, tcfg=tcfg)
-            accs.append(model.accuracy(clean, clean.y))
+            split = pool.subset(ids)
+            model = fit(ccfg, (split.X, split.y), BENCHMARK.training,
+                        derive_seed(BENCHMARK.data_seed, "split-fit", combo, seed), val=(val.X, val.y))
+            accs.append(model.accuracy(clean.X, clean.y))
         per_combo[combo] = accs
     hi_worst_everywhere = all(
         min(per_combo, key=lambda c: per_combo[c][i]) == "HI"
@@ -324,15 +324,15 @@ def test_criterion_7_difficulty_split_ordering(context):
 # criterion 8: stratified consistency and flip detection
 
 def test_criterion_8_stratified_consistency(context, suite):
-    insitu = context.data.tests["insitu"]
+    insitu, val = context.data.tests["insitu"], context.data.val
     ccfg = BENCHMARK.classifier_config(insitu.feature_dim, insitu.num_classes)
 
     rates = []
     first_entries = None
     for carto_seed in range(5):
-        tcfg = replace(BENCHMARK.cartography_training,
-                       rng_seed=derive_seed(BENCHMARK.data_seed, "test-carto", carto_seed))
-        carto = run_cartography_full(insitu, ccfg, tcfg, val=context.data.val)
+        carto = run_cartography_full(insitu, ccfg, BENCHMARK.cartography_training,
+                                     derive_seed(BENCHMARK.data_seed, "test-carto", carto_seed),
+                                     val=(val.X, val.y))
         if first_entries is None:
             first_entries = carto.entries
         dm = dict(zip(carto.entries.ids.tolist(), (DIFFICULTIES[d] for d in carto.entries.difficulty)))
@@ -369,8 +369,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     state = seed_split(pool, 10, rng_seed=0)
     unlabelled = set(pool.ids[~state.labelled_mask].tolist())
     model = fit(ClassifierConfig(2, (4,), 2, dropout_rate=0.3),
-                pool.subset(pool.ids[state.labelled_mask]),
-                tcfg=TrainConfig(max_epochs=2, rng_seed=0))
+                (pool.X[state.labelled_mask], pool.y[state.labelled_mask]), TrainConfig(max_epochs=2), 0)
     batch = select_batch("mcme", state, score_pool("mcme", state, model, 0), len(unlabelled), 0)
     checks.append(("k equals pool", batch == unlabelled))
 
@@ -391,8 +390,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     # single-class training predicts that class everywhere
     Xc = np.random.default_rng(2).standard_normal((40, 2))
     yc = np.full(40, 1)
-    const_model = fit(ClassifierConfig(2, (4,), 3, dropout_rate=0.0), (Xc, yc),
-                      tcfg=TrainConfig(max_epochs=30, rng_seed=0))
+    const_model = fit(ClassifierConfig(2, (4,), 3, dropout_rate=0.0), (Xc, yc), TrainConfig(max_epochs=30), 0)
     checks.append(("single-class training", const_model.accuracy(Xc, yc) == 1.0))
 
     # specified errors for invalid cases
@@ -412,7 +410,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks.append(("k too large", raises(
         ValueError, lambda: select_batch("random", state, None, 1000, 0))))
     checks.append(("empty train set", raises(
-        ValueError, lambda: fit(det_cfg, (np.zeros((0, 2)), np.zeros(0, dtype=int))))))
+        ValueError, lambda: fit(det_cfg, (np.zeros((0, 2)), np.zeros(0, dtype=int)), TrainConfig(), 0))))
     checks.append(("entropy bad vector", raises(
         ValueError, lambda: predictive_entropy([0.4, 0.4]))))
     checks.append(("indivisible split n", raises(

@@ -154,16 +154,16 @@ def _toy_pool(n=64, seed=0, constant_label=None):
 def test_snapshot_count_three_epochs_half_interval():
     pool = _toy_pool()
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
-    tcfg = TrainConfig(max_epochs=3, eval_interval=0.5, rng_seed=0)
-    result = run_cartography_full(pool, cfg, tcfg)
+    tcfg = TrainConfig(max_epochs=3, eval_interval=0.5)
+    result = run_cartography_full(pool, cfg, tcfg, 0)
     assert all(len(t.confidences) == 6 for t in result.traces)
 
 
 def test_constant_label_pool_is_all_easy():
     pool = _toy_pool(constant_label=1)
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
-    tcfg = TrainConfig(max_epochs=4, eval_interval=0.5, rng_seed=0)
-    dm = run_cartography_full(pool, cfg, tcfg).entries
+    tcfg = TrainConfig(max_epochs=4, eval_interval=0.5)
+    dm = run_cartography_full(pool, cfg, tcfg, 0).entries
     assert (dm.difficulty == DIFFICULTIES.index("easy")).all()
     assert (dm.mean_confidence > 0.75).all()
 
@@ -175,12 +175,12 @@ def test_snapshot_holds_the_last_hidden_layer_and_logits_only():
     n = 20_000
     pool = make_dataset(rng.standard_normal((n, 10)), rng.integers(0, 3, n), num_classes=3)
     cfg = ClassifierConfig(10, (32, 32), 3, dropout_rate=0.3)
-    tcfg = TrainConfig(max_epochs=1, eval_interval=0.5, rng_seed=0)
+    tcfg = TrainConfig(max_epochs=1, eval_interval=0.5)
 
     def peak(dynamics):
         tracemalloc.start()
         try:
-            fit(cfg, pool, tcfg=tcfg, dynamics=dynamics)
+            fit(cfg, (pool.X, pool.y), tcfg, 0, dynamics=dynamics)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -197,9 +197,9 @@ def test_snapshot_holds_the_last_hidden_layer_and_logits_only():
 def test_insufficient_snapshots_raise():
     pool = _toy_pool()
     cfg = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
-    tcfg = TrainConfig(max_epochs=1, eval_interval=1.0, rng_seed=0)
+    tcfg = TrainConfig(max_epochs=1, eval_interval=1.0)
     with pytest.raises(InsufficientDynamicsError):
-        run_cartography_full(pool, cfg, tcfg)
+        run_cartography_full(pool, cfg, tcfg, 0)
 
 
 # --- ablation ---------------------------------------------------------------------

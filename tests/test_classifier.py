@@ -110,7 +110,7 @@ def test_gradients_with_fixed_dropout_masks():
 def test_fit_separates_linearly_separable_blobs():
     X, y = _blobs(100, sep=5.0, seed=1)
     config = ClassifierConfig(2, (16,), 2, dropout_rate=0.0)
-    model = fit(config, (X, y), val=(X, y), tcfg=TrainConfig(rng_seed=3, max_epochs=20))
+    model = fit(config, (X, y), TrainConfig(max_epochs=20), 3, val=(X, y))
     assert model.accuracy(X, y) >= 0.99
     # independent logistic-regression oracle on the same data
     sklearn = pytest.importorskip("sklearn.linear_model")
@@ -123,7 +123,7 @@ def test_fit_on_blobs_agrees_with_newton_oracle():
     # scipy's minimizer of the same objective, which must find the same optimum
     X, y = _blobs(100, sep=5.0, seed=1)
     config = ClassifierConfig(2, (16,), 2, dropout_rate=0.0)
-    model = fit(config, (X, y), val=(X, y), tcfg=TrainConfig(rng_seed=3, max_epochs=20))
+    model = fit(config, (X, y), TrainConfig(max_epochs=20), 3, val=(X, y))
     assert model.accuracy(X, y) >= 0.99
     w, b = logistic_regression_irls(X, y)
     assert ((X @ w + b > 0) == y).mean() >= 0.99
@@ -136,9 +136,9 @@ def test_fit_on_blobs_agrees_with_newton_oracle():
 def test_fit_is_bitwise_deterministic():
     X, y = _blobs(40, seed=5)
     config = ClassifierConfig(2, (8, 8), 2, dropout_rate=0.3)
-    tcfg = TrainConfig(rng_seed=11, max_epochs=5)
-    m1 = fit(config, (X, y), val=(X, y), tcfg=tcfg)
-    m2 = fit(config, (X, y), val=(X, y), tcfg=tcfg)
+    tcfg = TrainConfig(max_epochs=5)
+    m1 = fit(config, (X, y), tcfg, 11, val=(X, y))
+    m2 = fit(config, (X, y), tcfg, 11, val=(X, y))
     for (W1, b1), (W2, b2) in zip(m1.weights, m2.weights):
         assert (W1 == W2).all() and (b1 == b2).all()
 
@@ -148,21 +148,21 @@ def test_fit_constant_label_predicts_it_everywhere():
     X = rng.standard_normal((60, 3))
     y = np.full(60, 2)
     config = ClassifierConfig(3, (8,), 4, dropout_rate=0.0)
-    model = fit(config, (X, y), tcfg=TrainConfig(rng_seed=1, max_epochs=10))
+    model = fit(config, (X, y), TrainConfig(max_epochs=10), 1)
     assert model.accuracy(X, y) == 1.0
 
 
 def test_fit_rejects_empty_train_set():
     config = ClassifierConfig(2, (4,), 2)
     with pytest.raises(ValueError):
-        fit(config, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+        fit(config, (np.zeros((0, 2)), np.zeros(0, dtype=int)), TrainConfig(), 0)
 
 
 def test_fit_raises_divergence_error_with_step():
     X, y = _blobs(50, sep=2.0, seed=2)
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="step"):
-        fit(config, (X * 1e150, y), tcfg=TrainConfig(learning_rate=1e10, max_epochs=3))
+        fit(config, (X * 1e150, y), TrainConfig(learning_rate=1e10, max_epochs=3), 0)
 
 
 def test_loss_non_increasing_over_first_epochs_with_small_lr():
@@ -170,7 +170,7 @@ def test_loss_non_increasing_over_first_epochs_with_small_lr():
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
     losses = []
     for epochs in (1, 2, 3):
-        m = fit(config, (X, y), tcfg=TrainConfig(learning_rate=0.01, max_epochs=epochs, rng_seed=4))
+        m = fit(config, (X, y), TrainConfig(learning_rate=0.01, max_epochs=epochs), 4)
         losses.append(loss_and_gradients(config, m.weights, X, y)[0])
     init = loss_and_gradients(config, init_weights(config, np.random.default_rng(4)), X, y)[0]
     seq = [init] + losses
@@ -180,7 +180,7 @@ def test_loss_non_increasing_over_first_epochs_with_small_lr():
 def test_early_stopping_respects_patience():
     X, y = _blobs(50, sep=6.0, seed=3)
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.0)
-    model = fit(config, (X, y), val=(X, y), tcfg=TrainConfig(max_epochs=200, patience=3, rng_seed=0))
+    model = fit(config, (X, y), TrainConfig(max_epochs=200, patience=3), 0, val=(X, y))
     assert model.history["epochs"] < 200
     curve = model.history["val_curve"]
     assert model.history["stopped_early"]
@@ -191,7 +191,7 @@ def test_early_stopping_respects_patience():
 def test_history_without_validation_has_no_best_epoch():
     X, y = _blobs(20, seed=3)
     config = ClassifierConfig(2, (4,), 2, dropout_rate=0.0)
-    h = fit(config, (X, y), tcfg=TrainConfig(max_epochs=4, batch_size=16, rng_seed=0)).history
+    h = fit(config, (X, y), TrainConfig(max_epochs=4, batch_size=16), 0).history
     assert (h["epochs"], h["steps"], h["best_epoch"], h["stopped_early"]) == (4, 12, None, False)
     assert h["best_val_accuracy"] is None and h["val_curve"] == []
 
@@ -215,10 +215,10 @@ def _reference_softmax(logits):
     return np.exp(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
 
 
-def _reference_fit(config, X, y, val_X, val_y, tcfg):
+def _reference_fit(config, X, y, val_X, val_y, tcfg, seed):
     """Plain per-run SGD, the reference for the lockstep engine: per epoch one
     permutation, then one mask draw per hidden layer and step."""
-    rng = np.random.default_rng(tcfg.rng_seed)
+    rng = np.random.default_rng(seed)
     weights = init_weights(config, rng)
     model = Classifier(config, weights)
     p, n = config.dropout_rate, X.shape[0]
@@ -255,7 +255,7 @@ def _same_weights(a, b):
     R=st.integers(1, 6), batch=st.integers(1, 12), full=st.integers(0, 4), rem=st.integers(0, 11),
     d=st.integers(1, 4), C=st.integers(2, 4), hidden=st.lists(st.integers(1, 9), min_size=1, max_size=2),
     dropout=st.sampled_from([0.0, 0.3]), activation=st.sampled_from(["relu", "tanh"]),
-    patience=st.integers(0, 3), n_val=st.sampled_from([0, 9]), seed=st.integers(0, 2**16),
+    patience=st.integers(1, 3), n_val=st.sampled_from([0, 9]), seed=st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
 def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hidden, dropout,
@@ -266,12 +266,11 @@ def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hi
     y = rng.integers(0, C, size=(R, n))
     val_X, val_y = rng.standard_normal((n_val, d)), rng.integers(0, C, size=n_val)
     config = ClassifierConfig(d, tuple(hidden), C, dropout_rate=dropout, activation=activation)
-    tcfgs = [TrainConfig(batch_size=batch, max_epochs=8, patience=patience, rng_seed=seed + r)
-             for r in range(R)]
-    many = fit_many(config, X, y, val=(val_X, val_y), tcfgs=tcfgs)
+    tcfg = TrainConfig(batch_size=batch, max_epochs=8, patience=patience)
+    many = fit_many(config, X, y, tcfg, [seed + r for r in range(R)], val=(val_X, val_y))
     for r in range(R):
-        single = fit(config, (X[r], y[r]), val=(val_X, val_y), tcfg=tcfgs[r])
-        ref_weights, ref_history = _reference_fit(config, X[r], y[r], val_X, val_y, tcfgs[r])
+        single = fit(config, (X[r], y[r]), tcfg, seed + r, val=(val_X, val_y))
+        ref_weights, ref_history = _reference_fit(config, X[r], y[r], val_X, val_y, tcfg, seed + r)
         assert _same_weights(many[r].weights, ref_weights)
         assert _same_weights(single.weights, ref_weights)
         assert many[r].history == single.history
@@ -285,31 +284,31 @@ def test_diverging_run_fails_alone_in_lockstep():
     stacked = np.stack([X, X * 1e150, -X, X * 1e60])
     labels = np.stack([y] * 4)
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.3)
-    tcfgs = [TrainConfig(batch_size=16, max_epochs=6, patience=2, rng_seed=s) for s in (1, 2, 3, 4)]
+    tcfg, seeds = TrainConfig(batch_size=16, max_epochs=6, patience=2), [1, 2, 3, 4]
     with np.errstate(all="ignore"):
-        many = fit_many(config, stacked, labels, val=(X, y), tcfgs=tcfgs)
+        many = fit_many(config, stacked, labels, tcfg, seeds, val=(X, y))
     for r, step in ((1, 1), (3, 3)):  # 50 rows in batches of 16: steps 0-3 are the first epoch
         assert isinstance(many[r], DivergenceError) and many[r].step == step
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as alone:
-            _reference_fit(config, stacked[r], y, X, y, tcfgs[r])
+            _reference_fit(config, stacked[r], y, X, y, tcfg, seeds[r])
         assert alone.value.step == step
     with np.errstate(all="ignore"):  # run 3 alone, its divergence on the last step of its last epoch
-        [last] = fit_many(config, stacked[3:], labels[3:], val=(X, y), tcfgs=[replace(tcfgs[3], max_epochs=1)])
+        [last] = fit_many(config, stacked[3:], labels[3:], replace(tcfg, max_epochs=1), seeds[3:], val=(X, y))
     assert isinstance(last, DivergenceError) and last.step == 3
     assert not many[0].history["stopped_early"] and many[0].history["epochs"] == 6
     assert many[2].history["stopped_early"] and many[2].history["epochs"] < 6
     for r in (0, 2):
-        alone = fit(config, (stacked[r], y), val=(X, y), tcfg=tcfgs[r])
+        alone = fit(config, (stacked[r], y), tcfg, seeds[r], val=(X, y))
         assert _same_weights(many[r].weights, alone.weights)
         assert many[r].history == alone.history
 
 
-def test_fit_many_rejects_runs_that_differ_beyond_their_seed():
+def test_fit_many_needs_one_seed_per_run():
     X, y = _blobs(10, seed=0)
     config = ClassifierConfig(2, (4,), 2)
-    with pytest.raises(ValueError, match="rng_seed"):
-        fit_many(config, np.stack([X, X]), np.stack([y, y]),
-                 tcfgs=[TrainConfig(rng_seed=0), TrainConfig(learning_rate=0.5, rng_seed=1)])
+    for seeds in ([0], [0, 1, 2]):
+        with pytest.raises(ValueError, match=f"{len(seeds)} seeds for 2 runs"):
+            fit_many(config, np.stack([X, X]), np.stack([y, y]), TrainConfig(), seeds)
 
 
 # --- inference -------------------------------------------------------------------
@@ -361,7 +360,7 @@ def test_mc_without_dropout_equals_deterministic():
 def test_mc_fixed_seed_reproducible_and_varying_on_trained_net():
     X, y = _blobs(60, sep=3.0, seed=6, C=3)
     config = ClassifierConfig(2, (16,), 3, dropout_rate=0.3)
-    model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=10, rng_seed=1))
+    model = fit(config, (X, y), TrainConfig(max_epochs=10), 1)
     a = model.mc_predict_proba(X, T=4, rng_seed=123)
     b = model.mc_predict_proba(X, T=4, rng_seed=123)
     for ma, mb in zip(a, b):
@@ -461,7 +460,7 @@ def test_passes_over_two_output_blocks_equal_whole_array_passes():
     n = 2 * _output_block(32, 3) + 5_000
     X, y = rng.standard_normal((n, 10)), rng.integers(0, 3, n)
     dynamics = []
-    model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=1, eval_interval=1.0, batch_size=256, rng_seed=2),
+    model = fit(config, (X, y), TrainConfig(max_epochs=1, eval_interval=1.0, batch_size=256), 2,
                 dynamics=dynamics)
     expected = _reference_softmax(_forward(model.weights, X, "relu")[0])
     assert model.predict_proba(X).tobytes() == expected.tobytes()
@@ -484,7 +483,7 @@ def test_passes_over_many_output_blocks_hold_no_pool_sized_hidden_layer():
     n, T = 6 * block, 2
     X, y = rng.standard_normal((n, 10)), rng.integers(0, 3, n)
     model = Classifier(config, init_weights(config, rng))
-    tcfg = TrainConfig(max_epochs=1, eval_interval=0.5, batch_size=512, rng_seed=0)
+    tcfg = TrainConfig(max_epochs=1, eval_interval=0.5, batch_size=512)
 
     def peak(call):
         tracemalloc.start()
@@ -499,8 +498,8 @@ def test_passes_over_many_output_blocks_hold_no_pool_sized_hidden_layer():
     mc = peak(lambda: model.mc_predict_proba(X, T=T, rng_seed=1))
     assert mc <= T * n * 3 * 8 + allowance, mc
     dynamics = []
-    snapshots = peak(lambda: fit(config, (X, y), tcfg=tcfg, dynamics=dynamics))
-    snapshots -= peak(lambda: fit(config, (X, y), tcfg=tcfg))
+    snapshots = peak(lambda: fit(config, (X, y), tcfg, 0, dynamics=dynamics))
+    snapshots -= peak(lambda: fit(config, (X, y), tcfg, 0))
     assert snapshots <= 2 * n * (8 + 1) + allowance, snapshots
 
 
@@ -574,7 +573,7 @@ def test_embed_into_a_view_equals_embed():
 def test_checkpoint_roundtrip_is_exact(tmp_path):
     X, y = _blobs(30, seed=12)
     config = ClassifierConfig(2, (5,), 2, dropout_rate=0.2)
-    model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, rng_seed=2))
+    model = fit(config, (X, y), TrainConfig(max_epochs=3), 2)
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     with open(path) as fh:
@@ -661,7 +660,7 @@ def test_dynamics_snapshot_count():
     X, y = _blobs(32, seed=13)  # 64 examples, batch 32 -> 2 steps/epoch
     config = ClassifierConfig(2, (4,), 2, dropout_rate=0.0)
     dynamics = []
-    model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=0.5, rng_seed=0, batch_size=32),
+    model = fit(config, (X, y), TrainConfig(max_epochs=3, eval_interval=0.5, batch_size=32), 0,
                 dynamics=dynamics)
     [(golds, corrects)] = dynamics  # one (T, n) pair, row t for snapshot t
     assert len(golds) == len(corrects) == 6
@@ -676,7 +675,7 @@ def test_dynamics_needs_a_single_run():
     X, y = _blobs(10, seed=0)
     config = ClassifierConfig(2, (4,), 2)
     with pytest.raises(ValueError, match="single run"):
-        fit_many(config, np.stack([X, X]), np.stack([y, y]), dynamics=[])
+        fit_many(config, np.stack([X, X]), np.stack([y, y]), TrainConfig(), [0, 1], dynamics=[])
 
 
 @pytest.mark.parametrize("logits", [
@@ -689,8 +688,8 @@ def test_dynamics_needs_a_single_run():
 def test_softmax_in_place_equals_the_fresh_array_formula(logits):
     expected = _reference_softmax(logits).tobytes()
     assert softmax(logits).tobytes() == expected
-    buf, scratch = logits.copy(), np.empty_like(logits)
-    assert softmax(buf, out=buf, scratch=scratch) is buf
+    buf = logits.copy()
+    assert softmax(buf, out=buf) is buf
     assert buf.tobytes() == expected
 
 
@@ -699,11 +698,11 @@ def test_snapshot_columns_equal_fresh_array_softmax_of_the_weights_at_each_snaps
     X, y = _blobs(100, seed=3, C=3)
     config = ClassifierConfig(2, (8,), 3, dropout_rate=0.2)
     dynamics = []
-    fit(config, (X, y), tcfg=TrainConfig(max_epochs=3, eval_interval=1.0, rng_seed=5), dynamics=dynamics)
+    fit(config, (X, y), TrainConfig(max_epochs=3, eval_interval=1.0), 5, dynamics=dynamics)
     [(golds, corrects)] = dynamics
     assert len(golds) == len(corrects) == 3
     for epochs, (gold, correct) in enumerate(zip(golds, corrects), start=1):
-        model = fit(config, (X, y), tcfg=TrainConfig(max_epochs=epochs, eval_interval=1.0, rng_seed=5))
+        model = fit(config, (X, y), TrainConfig(max_epochs=epochs, eval_interval=1.0), 5)
         probs = _reference_softmax(_forward(model.weights, X, "relu")[0])
         assert gold.tobytes() == probs[np.arange(len(y)), y].tobytes()
         assert (correct == (probs.argmax(axis=1) == y)).all()
@@ -716,12 +715,11 @@ def test_best_val_accuracy_is_the_accuracy_of_the_returned_weights():
     X, y = _blobs(40, sep=1.5, seed=5)
     val_X, val_y = _blobs(30, sep=1.5, seed=6)
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.3)
-    stopped = fit(config, (X, y), val=(val_X, val_y),
-                  tcfg=TrainConfig(max_epochs=200, patience=2, rng_seed=1))
-    full = fit(config, (X, y), val=(val_X, val_y), tcfg=TrainConfig(max_epochs=8, patience=9, rng_seed=1))
+    stopped = fit(config, (X, y), TrainConfig(max_epochs=200, patience=2), 1, val=(val_X, val_y))
+    full = fit(config, (X, y), TrainConfig(max_epochs=8, patience=9), 1, val=(val_X, val_y))
     with np.errstate(all="ignore"):
-        beside = fit_many(config, np.stack([X, X * 1e150]), np.stack([y, y]), val=(val_X, val_y),
-                          tcfgs=[TrainConfig(max_epochs=6, rng_seed=s) for s in (1, 2)])
+        beside = fit_many(config, np.stack([X, X * 1e150]), np.stack([y, y]), TrainConfig(max_epochs=6),
+                          [1, 2], val=(val_X, val_y))
     assert stopped.history["stopped_early"] and not full.history["stopped_early"]
     assert full.history["best_epoch"] < full.history["epochs"]  # the best weights were restored
     assert isinstance(beside[1], DivergenceError)

@@ -383,7 +383,7 @@ def test_a_pool_too_small_for_the_runs_fails_before_the_cartography_fit(tmp_path
 def test_without_fork_a_suite_runs_only_in_process(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with pytest.raises(ValueError, match="^parallel needs the fork start method"):
-        exp.run_suite(tiny_config(), parallel=2)
+        exp.run_suite(tiny_config(), exp.prepare_context(tiny_config()), parallel=2)
     cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), "--parallel", "2"]) == 1
     assert capsys.readouterr().err == ("error: --parallel: needs the fork start method, "
@@ -507,11 +507,12 @@ def test_unknown_log_level_is_rejected_listing_valid_ones(tmp_path, capsys, monk
 def test_cartography_default_is_the_same_from_a_dict_and_the_dataclass():
     raw = config_to_dict(tiny_config())
     del raw["cartography_training"]
-    raw["training"].update(learning_rate=0.05, batch_size=16)
+    raw["training"].update(learning_rate=0.05, batch_size=16, eval_interval=1.0)
     parsed = parse_config_dict(raw)
     direct = tiny_config(training=parsed.training, cartography_training=None)
     assert parsed.cartography_training == direct.cartography_training
-    assert (direct.cartography_training.learning_rate, direct.cartography_training.batch_size) == (0.05, 16)
+    carto = direct.cartography_training
+    assert (carto.learning_rate, carto.batch_size, carto.eval_interval) == (0.05, 16, 1.0)
     # a partial section still takes its unset keys from the training section
     raw["cartography_training"] = {"max_epochs": 9}
     partial = parse_config_dict(raw).cartography_training
@@ -588,10 +589,17 @@ def _set(section, key, value):
     (_set("data", "val_fraction", 10 ** 400), "data.val_fraction"),  # a float key
     (_set("classifier", "dropout_rate", 1.5), "classifier.dropout_rate"),
     (_set("classifier", "activation", "gelu"), "classifier.activation"),
-    # fit_many would read any patience below 1 as 1
+    # every training field is keyed; a patience below 1 used to be read as 1
     (_set("training", "patience", 0), "training.patience"),
     (_set("training", "patience", -5), "training.patience"),
     (_set("cartography_training", "patience", 0), "cartography_training.patience"),
+    (_set("training", "learning_rate", 0.0), "training.learning_rate"),
+    # json reads NaN, and a NaN rate used to fail every run with a non-finite loss
+    (_set("training", "learning_rate", float("nan")), "training.learning_rate"),
+    (_set("training", "batch_size", 0), "training.batch_size"),
+    (_set("training", "max_epochs", 0), "training.max_epochs"),
+    (_set("training", "eval_interval", 0.0), "training.eval_interval"),
+    (_set("cartography_training", "eval_interval", 2.0), "cartography_training.eval_interval"),
 ])
 def test_wrong_input_names_its_key(tmp_path, capsys, mutate, key):
     raw = config_to_dict(tiny_config())

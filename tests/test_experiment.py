@@ -225,7 +225,7 @@ def test_failed_lockstep_fit_logs_one_plain_traceback_per_run(caplog):
     config = replace(parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                                "quickstart.json")), seed_size=0)
     caplog.set_level(logging.ERROR, logger="cartal.experiment")
-    suite = run_suite(config)
+    suite = run_suite(config, prepare_context(config))
     assert len(suite.failures) == len(config.strategies) * len(config.seeds)
     tracebacks = [logging.Formatter().formatException(r.exc_info) for r in caplog.records if r.exc_info]
     assert len(tracebacks) == len(suite.failures)
@@ -325,8 +325,8 @@ def test_a_parallel_suite_needs_no_main_guard(tmp_path):
     ``run_suite(parallel=2)`` at top level."""
     script = tmp_path / "unguarded.py"
     script.write_text("from conftest import tiny_config\n"
-                      "from cartal.experiment import run_suite\n"
-                      "suite = run_suite(tiny_config(), parallel=2)\n"
+                      "from cartal.experiment import prepare_context, run_suite\n"
+                      "suite = run_suite(tiny_config(), prepare_context(tiny_config()), parallel=2)\n"
                       "print(len(suite.results), len(suite.failures))\n")
     src = os.path.dirname(os.path.dirname(exp.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
@@ -366,9 +366,9 @@ def test_difficulty_split_matches_separate_fits(ctx):
         ids = build_difficulty_split(context.pool_datamap, "EM", 8,
                                      exp.derive_seed(cfg.data_seed, "split-sample", "EM", seed))
         rows = pool.positions(ids)
-        tcfg = replace(cfg.training, rng_seed=exp.derive_seed(cfg.data_seed, "split-fit", "EM", seed))
-        model = fit(ccfg, (pool.X[rows], pool.y[rows]), val=val, tcfg=tcfg)
-        accs.append(model.accuracy(val, val.y))
+        model = fit(ccfg, (pool.X[rows], pool.y[rows]), cfg.training,
+                    exp.derive_seed(cfg.data_seed, "split-fit", "EM", seed), val=(val.X, val.y))
+        accs.append(model.accuracy(val.X, val.y))
     assert em.accuracies["val"] == (float(np.mean(accs)), float(np.std(accs)), len(accs))
 
 

@@ -86,13 +86,13 @@ def test_tokens_of_skips_tokenless(caplog):
 def test_uniform_model_gives_log_c():
     model = _zero_weight_model(C=3)
     ds = _dataset([0, 1, 2])
-    assert output_uncertainty(model, ds) == pytest.approx(math.log(3), abs=1e-12)
+    assert output_uncertainty(model, ds.X) == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_output_uncertainty_rejects_empty():
     model = _zero_weight_model()
     with pytest.raises(ValueError):
-        output_uncertainty(model, _dataset([]))
+        output_uncertainty(model, _dataset([]).X)
 
 
 class _FixedProbaModel:
@@ -105,13 +105,13 @@ class _FixedProbaModel:
 
 def test_output_uncertainty_one_hot_is_zero():
     model = _FixedProbaModel([[1.0, 0.0, 0.0]])
-    assert output_uncertainty(model, _dataset([0])) == 0.0
+    assert output_uncertainty(model, _dataset([0]).X) == 0.0
 
 
 def test_output_uncertainty_is_arithmetic_mean():
     model = _FixedProbaModel([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     expected = math.log(2) / 2
-    assert output_uncertainty(model, _dataset([0, 1])) == pytest.approx(expected, abs=1e-12)
+    assert output_uncertainty(model, _dataset([0, 1]).X) == pytest.approx(expected, abs=1e-12)
 
 
 def test_output_uncertainty_permutation_invariant():
@@ -121,7 +121,7 @@ def test_output_uncertainty_permutation_invariant():
                (rng.standard_normal((4, 3)), rng.standard_normal(3))]
     model = Classifier(cfg, weights)
     X = rng.standard_normal((10, 2))
-    fwd = output_uncertainty(model, make_dataset(X, np.zeros(10), num_classes=3))
+    fwd = output_uncertainty(model, X)
     rev = output_uncertainty(model, X[::-1])
     assert fwd == pytest.approx(rev, abs=1e-12)
 
