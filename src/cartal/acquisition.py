@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import classifier as clf
 from .errors import ConfigError
 
 __all__ = [
@@ -120,38 +121,20 @@ def _dal(Xb, n_labelled, cfg: DalConfig, rng_seed):
     n = Xb.shape[0]
     if not 0 < n_labelled < n:
         raise ValueError("both embedding matrices must be non-empty")
-    t = np.concatenate([np.zeros(n_labelled), np.ones(n - n_labelled)])
-    if cfg.hidden_dim is None:
-        w = np.zeros(Xb.shape[1])
-        for _ in range(cfg.epochs):
-            p = _sigmoid(Xb @ w)
-            # a fixed-order sum over the rows: BLAS would split it across
-            # threads, and its bits would depend on their number
-            w -= cfg.learning_rate * np.einsum("ij,i->j", Xb, p - t) / n
-        probs = _sigmoid(Xb[n_labelled:] @ w)
-    else:
-        X, B = Xb[:, :-1], Xb[n_labelled:, :-1]
-        rng = np.random.default_rng(rng_seed)
-        lim1 = np.sqrt(6.0 / X.shape[1])
-        W1 = rng.uniform(-lim1, lim1, size=(X.shape[1], cfg.hidden_dim))
-        b1 = np.zeros(cfg.hidden_dim)
-        lim2 = np.sqrt(6.0 / cfg.hidden_dim)
-        w2 = rng.uniform(-lim2, lim2, size=cfg.hidden_dim)
-        b2 = 0.0
-        for _ in range(cfg.epochs):
-            h = np.maximum(X @ W1 + b1, 0.0)
-            p = _sigmoid(h @ w2 + b2)
-            d = (p - t) / n
-            gw2 = h.T @ d
-            gb2 = d.sum()
-            dh = np.outer(d, w2) * (h > 0)
-            W1 -= cfg.learning_rate * (X.T @ dh)
-            b1 -= cfg.learning_rate * dh.sum(axis=0)
-            w2 -= cfg.learning_rate * gw2
-            b2 -= cfg.learning_rate * gb2
-        h = np.maximum(B @ W1 + b1, 0.0)
-        probs = _sigmoid(h @ w2 + b2)
-    return probs
+    t = np.repeat([0, 1], [n_labelled, n - n_labelled])
+    if cfg.hidden_dim is not None:  # classifier.fit's MLP, full batch; its layers hold their own biases
+        ccfg = clf.ClassifierConfig(Xb.shape[1] - 1, (cfg.hidden_dim,), 2, 0.0, "relu")
+        tcfg = clf.TrainConfig(cfg.learning_rate, batch_size=n, max_epochs=cfg.epochs,
+                               patience=cfg.epochs, eval_interval=1.0)
+        model = clf.fit(ccfg, (Xb[:, :-1], t), tcfg, rng_seed)
+        return model.predict_proba(Xb[n_labelled:, :-1])[:, 1]
+    w = np.zeros(Xb.shape[1])
+    for _ in range(cfg.epochs):
+        p = _sigmoid(Xb @ w)
+        # a fixed-order sum over the rows: BLAS would split it across
+        # threads, and its bits would depend on their number
+        w -= cfg.learning_rate * np.einsum("ij,i->j", Xb, p - t) / n
+    return _sigmoid(Xb[n_labelled:] @ w)
 
 
 def _check_strategy(strategy: str):
@@ -181,27 +164,27 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     return _dal(Xb, n_l, dal_cfg or DalConfig(), rng_seed)
 
 
-def select_batch(strategy, state, scores, k, rng_seed) -> set[int]:
-    """Pick k unlabelled ids: uniform for random, top-k by score otherwise.
+def select_batch(strategy, state, scores, k, rng_seed) -> np.ndarray:
+    """Pick k unlabelled pool rows, ascending: uniform for random, top-k by score otherwise.
 
     ``scores`` is :func:`score_pool`'s result for the same state; random
     ignores it and draws from ``rng_seed``. Score ties break toward the smaller
-    example id, which makes selection invariant to the iteration order of the
-    pool.
+    row, whose example id is the smaller, which makes selection invariant to
+    the iteration order of the pool.
     """
     _check_strategy(strategy)
-    ids = state.universe.ids[~state.labelled_mask]
+    rows = np.flatnonzero(~state.labelled_mask)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > ids.size:
-        raise ValueError(f"k={k} exceeds unlabelled pool size {ids.size}")
+    if k > rows.size:
+        raise ValueError(f"k={k} exceeds unlabelled pool size {rows.size}")
     if strategy == "random":
         rng = np.random.default_rng(rng_seed)
-        return set(ids[rng.choice(ids.size, size=k, replace=False)].tolist())
-    if scores is None or len(scores) != ids.size:
-        raise ValueError(f"{strategy} needs {ids.size} scores, one per unlabelled example; "
+        return np.sort(rows[rng.choice(rows.size, size=k, replace=False)])
+    if scores is None or len(scores) != rows.size:
+        raise ValueError(f"{strategy} needs {rows.size} scores, one per unlabelled example; "
                          f"got {'none' if scores is None else len(scores)}")
     if not np.isfinite(scores).all():
         raise ValueError("non-finite acquisition score")
-    order = np.lexsort((ids, -scores))
-    return set(ids[order[:k]].tolist())
+    top = np.argsort(-scores, kind="stable")[:k]
+    return np.sort(rows[top])

@@ -5,8 +5,8 @@ way each is written and read back.
 and ``report`` read it back as ``--exp`` and add their tables::
 
     config.json          resolved config of the last run/ablate/splits; stratify reads it
-    manifest.json        one entry per command (run, ablate, splits), each kept until that
-                         command runs again; timestamps live only here
+    manifest.json        one entry per command (generate, run, ablate, splits), each kept
+                         until that command runs again; timestamps live only here
     rounds.csv           run x round: sizes, val accuracy, acquisitions per source, profile
     summary.csv          strategy x test set: mean, std and count of accuracy over seeds
     profile.csv          run: profile of its final labelled set
@@ -24,8 +24,9 @@ and ``report`` read it back as ``--exp`` and add their tables::
                          checkpoints carry the prefix "ablated_"
 
 ``cartal generate --out DIR`` writes ``<source>.jsonl`` per synthetic source and
-a manifest.json of their files, sizes and flipped ids. Every file is UTF-8 text
-written through :func:`writing`, so a failed write never leaves a truncated one.
+records their files, sizes and flipped ids as the manifest's "generate" entry.
+Every file is UTF-8 text written through :func:`writing`, so a failed write
+never leaves a truncated one.
 """
 
 from __future__ import annotations

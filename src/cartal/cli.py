@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: generate | run | ablate | splits | stratify | report.
-Exit codes: 0 success, 1 usage/config error, 2 partial run failure.
+Exit codes: 0 success, 1 usage/config error, 2 partial run failure, 130 interrupted.
 Verbosity is controlled by the CARTAL_LOG environment variable
 (error | warn | info | debug).
 """
@@ -71,18 +71,17 @@ def cmd_generate(args) -> int:
     if not config.synthetic_sources:
         raise ConfigError("config has no synthetic sources to generate", key="data.synthetic_sources")
     os.makedirs(args.out, exist_ok=True)
-    manifest = {"sources": {}}
+    sources = {}
     for spec in config.synthetic_sources:
         ds = generate_synthetic_source(spec, derive_seed(config.data_seed, "source", spec.name))
         path = write_dataset(ds, os.path.join(args.out, artifacts.source_file(spec.name)))
-        manifest["sources"][spec.name] = {
+        sources[spec.name] = {
             "file": os.path.basename(path),
             "n": len(ds),
             "flipped_ids": ds.ids[ds.flipped].tolist(),
         }
         print(f"wrote {path} ({len(ds)} examples)")
-    manifest["created_unix"] = time.time()
-    artifacts.write_json(os.path.join(args.out, artifacts.MANIFEST), manifest, indent=2)
+    artifacts.record_command(args.out, "generate", {"sources": sources, "created_unix": time.time()})
     return 0
 
 
@@ -217,6 +216,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy names the allocation that failed
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # a suite's forked workers are gone by now
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

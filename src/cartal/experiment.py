@@ -405,13 +405,12 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
                                     mc_samples=config.mc_samples, dal_cfg=config.dal)
     if scores_dir is not None and scores is not None:
         _dump_scores(scores_dir, run.strategy, run.seed, rnd, state, scores)
-    batch = select_batch(run.strategy, state, scores, config.k, select_seed)
-    picked = pool.positions(sorted(batch))
+    picked = select_batch(run.strategy, state, scores, config.k, select_seed)
     remainder = ~state.labelled_mask
     remainder[picked] = False
     profile = _profile(context, picked, remainder)
-    factor = acquisition_factor(batch, state)
-    run.state = state = transfer(state, batch)
+    factor = acquisition_factor(picked, state)
+    run.state = state = transfer(state, picked)
     run.round_logs.append(
         RoundLog(
             strategy=run.strategy,
@@ -508,9 +507,8 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int, context: RunConte
     return run.result
 
 
-def _run_group(args) -> list:
+def _run_group(config: ExperimentConfig, specs, context: RunContext, scores_dir=None) -> list:
     """A lockstep group's outcome per run: its RunResult or its RunFailure."""
-    config, specs, context, scores_dir = args
     out = []
     for run in _run_lockstep(config, specs, context, scores_dir):
         if run.error is None:
@@ -543,33 +541,45 @@ def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSu
             for strategy in config.strategies]
 
 
-def _run_groups(jobs: list) -> list[list]:
-    """Run each lockstep group in a forked worker process of its own, which
-    inherits its job, the context with it, the parent's log handlers and its
-    one BLAS thread (:mod:`cartal.blas`; OpenBLAS shuts its idle thread down
+def _work(conn, *group) -> None:
+    """A forked worker: send :func:`_run_group`'s outcome. It ignores SIGINT,
+    which the parent handles by killing it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    conn.send(_run_group(*group))
+
+
+def _run_groups(config: ExperimentConfig, groups, context: RunContext, scores_dir) -> list[list]:
+    """Run each lockstep group of ``groups`` in a forked worker process of its
+    own, which inherits the context, the parent's log handlers and its one
+    BLAS thread (:mod:`cartal.blas`; OpenBLAS shuts its idle thread down
     around a fork). A group whose worker dies becomes one :class:`RunFailure`
-    per run it held; the other groups complete."""
+    per run it held; the other groups complete. No worker outlives the call,
+    not even on an interrupt."""
     fork = multiprocessing.get_context("fork")
     workers = []
-    for job in jobs:  # all start before any result is read
-        recv, send = fork.Pipe(duplex=False)
-        worker = fork.Process(target=lambda conn, job: conn.send(_run_group(job)), args=(send, job))
-        worker.start()
-        send.close()  # before the next fork: the worker holds the only write end
-        workers.append((worker, recv))
-    outcomes = []
-    for (worker, recv), (_, specs, _, _) in zip(workers, jobs):
-        with recv:
-            try:
-                outcomes.append(recv.recv())
-            except EOFError:  # the worker exited without sending
-                worker.join()
-                code, names = worker.exitcode, {s.value: s.name for s in signal.Signals}
-                died = f"signal {names.get(-code, -code)}" if code < 0 else f"exit code {code}"
-                logger.error("worker of runs %s died: %s", specs, died)
-                outcomes.append([RunFailure(s, sd, f"WorkerDied: {died}") for s, sd in specs])
-        worker.join()
-    return outcomes
+    try:
+        for specs in groups:  # all start before any result is read
+            recv, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_work, args=(send, config, specs, context, scores_dir))
+            worker.start()
+            send.close()  # before the next fork: the worker holds the only write end
+            workers.append((worker, recv))
+        outcomes = []
+        for (worker, recv), specs in zip(workers, groups):
+            with recv:
+                try:
+                    outcomes.append(recv.recv())
+                except EOFError:  # the worker exited without sending
+                    worker.join()
+                    code, names = worker.exitcode, {s.value: s.name for s in signal.Signals}
+                    died = f"signal {names.get(-code, -code)}" if code < 0 else f"exit code {code}"
+                    logger.error("worker of runs %s died: %s", specs, died)
+                    outcomes.append([RunFailure(s, sd, f"WorkerDied: {died}") for s, sd in specs])
+        return outcomes
+    finally:  # also on an interrupt or an error; a worker that sent its outcome is exiting anyway
+        for worker, _ in workers:
+            worker.kill()
+            worker.join()
 
 
 def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1,
@@ -587,11 +597,12 @@ def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1,
         raise ValueError(f"parallel {problem}")
     check_capacity(config, len(context.data.pool))
     specs = [(s, sd) for s in config.strategies for sd in config.seeds]
-    groups = min(parallel, len(specs))
-    jobs = [(config, specs[g::groups], context, scores_dir) for g in range(groups)]
+    n = min(parallel, len(specs))
+    groups = [specs[g::n] for g in range(n)]
     outcomes = [None] * len(specs)
-    for g, part in enumerate(_run_groups(jobs) if groups > 1 else [_run_group(jobs[0])]):
-        outcomes[g::groups] = part
+    for g, part in enumerate(_run_groups(config, groups, context, scores_dir) if n > 1
+                             else [_run_group(config, specs, context, scores_dir)]):
+        outcomes[g::n] = part
 
     results = [o for o in outcomes if isinstance(o, RunResult)]
     failures = [o for o in outcomes if isinstance(o, RunFailure)]

@@ -70,21 +70,20 @@ def class_distribution(labels: np.ndarray, num_classes: int) -> tuple[float, ...
     return tuple(float(c) / labels.size for c in counts)
 
 
-def acquisition_factor(batch_ids, pool_before) -> dict[str, float]:
-    """Per-source acquired count over the count expected under random sampling.
+def acquisition_factor(rows, pool_before) -> dict[str, float]:
+    """Per-source count among the acquired pool ``rows`` over the count
+    expected under random sampling.
 
     The normalization uses the unlabelled-pool composition immediately before
     the batch was selected. Every source present in the pool appears in the
     result, including those the batch never touched (factor 0).
     """
-    pos, stray = pool_before.locate_unlabelled(batch_ids)
-    if not pos.size and not stray:
+    rows = np.unique(pool_before.unlabelled_rows(rows, ValueError))
+    if not rows.size:
         raise ValueError("batch is empty")
-    if stray:
-        raise ValueError(f"batch ids not in the pre-round unlabelled pool: {stray}")
     shares = pool_before.source_shares()
-    counts = pool_before.universe.source_counts(pos)
-    return {s: counts[s] / (pos.size * share) for s, share in shares.items()}
+    counts = pool_before.universe.source_counts(rows)
+    return {s: counts[s] / (rows.size * share) for s, share in shares.items()}
 
 
 def stratified_accuracy(model, test: Dataset, test_datamap: Datamap) -> StratifiedResult:

@@ -203,13 +203,16 @@ class PoolState:
     def __init__(self, labelled_mask: np.ndarray, universe: Dataset):
         self.labelled_mask, self.universe = labelled_mask, universe
 
-    def locate_unlabelled(self, ids) -> tuple[np.ndarray, list[int]]:
-        """Positions of the distinct ``ids``, and those of them not in the unlabelled pool."""
-        ids = np.unique(np.fromiter(ids, dtype=np.int64))
-        pos = self.universe.positions(ids)
-        stray = pos < 0
-        stray[~stray] = self.labelled_mask[pos[~stray]]
-        return pos[~stray], ids[stray][:10].tolist()
+    def unlabelled_rows(self, rows, error=StateError) -> np.ndarray:
+        """``rows`` as int64 positions, each of which must be an unlabelled row;
+        ``error`` names those out of range (negative included) or labelled."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ok = (rows >= 0) & (rows < len(self.labelled_mask))
+        ok[ok] = ~self.labelled_mask[rows[ok]]
+        if not ok.all():
+            raise error(f"rows not in the unlabelled pool (already labelled or out of range): "
+                        f"{rows[~ok][:10].tolist()}")
+        return rows
 
     def source_shares(self) -> dict[str, float]:
         """Fraction of the unlabelled pool contributed by each source."""
@@ -520,13 +523,8 @@ def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:
     return PoolState(labelled, pool)
 
 
-def transfer(state: PoolState, batch_ids) -> PoolState:
-    """Move a batch from the unlabelled to the labelled side."""
-    pos, stray = state.locate_unlabelled(batch_ids)
-    if stray:
-        raise StateError(
-            f"ids not in the unlabelled pool (already labelled or unknown): {stray}"
-        )
+def transfer(state: PoolState, rows) -> PoolState:
+    """Move the pool rows ``rows`` from the unlabelled to the labelled side."""
     labelled = state.labelled_mask.copy()
-    labelled[pos] = True
+    labelled[state.unlabelled_rows(rows)] = True
     return PoolState(labelled, state.universe)

@@ -24,7 +24,9 @@ from cartal.acquisition import (
     _sigmoid,
 )
 from cartal.classifier import Classifier, ClassifierConfig, init_weights
-from cartal.pool import PoolState
+from cartal.errors import StateError
+from cartal.metrics import acquisition_factor
+from cartal.pool import PoolState, transfer
 
 from conftest import logistic_regression_irls, logistic_regression_lbfgs, make_dataset
 from openblas_threads import openblas_threads
@@ -351,7 +353,27 @@ def test_select_batch_breaks_ties_by_lowest_id():
     state = _all_unlabelled(ds)
     model = _ScoredModel({5: 0.9, 2: 0.9, 7: 0.1})
     picked = select_batch("mcme", state, score_pool("mcme", state, model, 0), 1, rng_seed=0)
-    assert picked == {2}
+    assert picked.tolist() == [0]  # the row of id 2
+
+
+def test_a_batch_is_pool_rows_where_ids_are_not_rows():
+    # ids 2, 5, 7 sit at rows 0, 1, 2: taking either for the other picks,
+    # counts or labels the wrong example, or refuses a valid one
+    ds = make_dataset(np.array([[2.0], [5.0], [7.0]]), np.zeros(3), sources=["A", "B", "B"],
+                      ids=[2, 5, 7], num_classes=3)
+    state = _all_unlabelled(ds)
+    model = _ScoredModel({2: 0.1, 5: 0.2, 7: 0.9})
+    rows = select_batch("mcme", state, score_pool("mcme", state, model, 0), 1, rng_seed=0)
+    assert rows.dtype == np.int64 and rows.tolist() == [2]  # the row of id 7
+    assert acquisition_factor(rows, state) == pytest.approx({"A": 0.0, "B": 1.5})
+    moved = transfer(state, rows)
+    assert ds.ids[moved.labelled_mask].tolist() == [7]
+    assert select_batch("random", moved, None, 2, rng_seed=0).tolist() == [0, 1]
+    for stray in ([2], [5], [7], [-1]):  # labelled, or out of range though an id
+        with pytest.raises(StateError, match=str(stray[0])):
+            transfer(moved, stray)
+        with pytest.raises(ValueError, match=str(stray[0])):
+            acquisition_factor(stray, moved)
 
 
 def test_select_batch_random_is_reproducible():
@@ -359,8 +381,8 @@ def test_select_batch_random_is_reproducible():
     state = _all_unlabelled(ds)
     a = select_batch("random", state, None, 10, rng_seed=42)
     b = select_batch("random", state, None, 10, rng_seed=42)
-    assert a == b
-    assert len(a) == 10 and a <= set(range(30))
+    assert a.tolist() == b.tolist()
+    assert len(set(a.tolist())) == 10 and set(a.tolist()) <= set(range(30))
 
 
 def test_select_batch_exhausts_pool_when_k_equals_size():
@@ -369,7 +391,7 @@ def test_select_batch_exhausts_pool_when_k_equals_size():
     model = _ScoredModel({i: 0.5 for i in range(12)})
     for strategy in ("random", "mcme", "bald"):
         scores = score_pool(strategy, state, model, 1)
-        assert select_batch(strategy, state, scores, 12, rng_seed=1) == set(range(12))
+        assert select_batch(strategy, state, scores, 12, rng_seed=1).tolist() == list(range(12))
 
 
 def test_select_batch_rejects_oversized_k():

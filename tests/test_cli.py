@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -44,8 +46,20 @@ def test_generate_writes_per_source_files_and_manifest(tmp_path):
     files = sorted(os.listdir(out))
     assert files == ["alpha.jsonl", "beta.jsonl", "gamma.jsonl", "manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["sources"]["gamma"]["flipped_ids"]
-    assert manifest["sources"]["alpha"]["flipped_ids"] == []
+    assert manifest["generate"]["sources"]["gamma"]["flipped_ids"]
+    assert manifest["generate"]["sources"]["alpha"]["flipped_ids"] == []
+
+
+def test_generate_keeps_the_manifest_entries_of_other_commands(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["run", "generate"]
+    assert sorted(manifest["generate"]["sources"]) == ["alpha", "beta", "gamma"]
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+    assert list(json.loads((out / "manifest.json").read_text())) == ["run", "generate", "ablate"]
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -161,6 +175,25 @@ def test_run_is_byte_deterministic(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(b)]) == 0
     for name in ("rounds.csv", "summary.csv", "profile.csv", "datamap.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_run_order_and_parallel_leave_the_tables_unchanged(tmp_path):
+    # a metamorphic relation: permuting al.strategies and al.seeds, or the
+    # number of worker processes, permutes the rows of rounds, summary and
+    # profile, and moves no byte of datamap.csv
+    cfg = write_config(tmp_path, tiny_config(strategies=("random", "mcme", "bald"), seeds=(1, 2, 3)))
+    tables = ("rounds.csv", "summary.csv", "profile.csv")
+    seen = []
+    for strategies, seeds, parallel in (("random,mcme,bald", "1,2,3", "1"),
+                                        ("bald,random,mcme", "3,1,2", "1"),
+                                        ("mcme,bald,random", "2,3,1", "2"),
+                                        ("bald,mcme,random", "3,2,1", "3")):
+        out = tmp_path / f"{strategies}-{parallel}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--strategies", strategies,
+                     "--seeds", seeds, "--parallel", parallel]) == 0
+        rows = [(out / name).read_text().splitlines() for name in tables]
+        seen.append(([(r[0], sorted(r[1:])) for r in rows], (out / "datamap.csv").read_bytes()))
+    assert all(s == seen[0] for s in seen[1:])
 
 
 def test_out_of_memory_is_one_named_line(tmp_path, capsys, monkeypatch):
@@ -291,12 +324,11 @@ def test_an_integer_out_of_range_in_a_data_file_is_named(tmp_path, capsys, recor
 _real_run_group = exp._run_group
 
 
-def _die_holding_seed_2(args):
+def _die_holding_seed_2(config, specs, context, scores_dir=None):
     """A lockstep group whose worker process dies if it holds a seed-2 run."""
-    _, specs, _, _ = args
     if any(seed == 2 for _, seed in specs):
         os._exit(1)
-    return _real_run_group(args)
+    return _real_run_group(config, specs, context, scores_dir)
 
 
 def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
@@ -319,11 +351,10 @@ def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
 def _killed_holding_seed_2(signum):
     """A lockstep group whose worker process is killed by ``signum`` if it
     holds a seed-2 run; forked workers inherit the closure."""
-    def run_group(args):
-        _, specs, _, _ = args
+    def run_group(config, specs, context, scores_dir=None):
         if any(seed == 2 for _, seed in specs):
             os.kill(os.getpid(), signum)
-        return _real_run_group(args)
+        return _real_run_group(config, specs, context, scores_dir)
     return run_group
 
 
@@ -347,20 +378,53 @@ def test_a_worker_killed_by_a_signal_names_it(tmp_path, capsys, monkeypatch, whi
     assert {tuple(row.split(",")[:2]) for row in rounds[1:]} == {("random", "1"), ("mcme", "1")}
 
 
+def _cli_env(**extra):
+    """The environment of a ``python -m cartal.cli`` subprocess that imports this tree's cartal."""
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(exp.__file__)), os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("command", ["run", "ablate"])
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_a_pool_too_small_for_the_runs_fails_once_before_any_starts(tmp_path, command, parallel):
     # a subprocess, so stderr holds everything logging writes there too
     cfg = write_config(tmp_path, tiny_config(k=500))
     out = tmp_path / "exp"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        os.path.dirname(os.path.dirname(exp.__file__)), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "cartal.cli", command, "--config", cfg, "--out", str(out),
-                           "--parallel", parallel], env=env, capture_output=True, text=True, timeout=120)
+                           "--parallel", parallel], env=_cli_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 1
     assert re.fullmatch(r"error: pool of \d+ exhausted at round 1: need 1020 for 2 rounds of k=500 "
                         r"from seed 20\n", done.stderr), done.stderr
     assert not list(out.glob("failures*.csv"))
+
+
+@pytest.mark.parametrize("to", ["parent", "group"])
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_an_interrupted_run_exits_130_without_a_traceback_or_a_worker_left(tmp_path, parallel, to):
+    # SIGINT once round 1 has logged, to the parent alone or to its process
+    # group as a terminal's Ctrl-C sends it; 60 runs of 25 rounds are still going
+    cfg = write_config(tmp_path, tiny_config(seeds=tuple(range(1, 31)), rounds=25))
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "cartal.cli", "run", "--config", cfg,
+                                 "--out", str(tmp_path / "exp"), "--parallel", parallel],
+                                env=_cli_env(CARTAL_LOG="info"), stderr=err, start_new_session=True)
+    try:  # the session's process group is the parent and its workers
+        deadline = time.monotonic() + 60
+        while " round 1: val_acc=" not in err_path.read_text() and time.monotonic() < deadline:
+            assert proc.poll() is None, err_path.read_text()
+            time.sleep(0.01)
+        (os.killpg if to == "group" else os.kill)(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=30) == 130
+        text = err_path.read_text()
+        assert text.endswith("\ninterrupted\n") and "Traceback" not in text, text
+        with pytest.raises(ProcessLookupError):  # no worker outlives the parent
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def _no_cartography(*args, **kwargs):

@@ -100,8 +100,25 @@ def test_replaying_round_logs_reconstructs_final_state(one_run):
     state = seed_split(context.data.pool, config.seed_size,
                        exp.derive_seed(exp.derive_seed("run", "mcme", 1), "split"))
     for log in result.round_logs:
-        state = transfer(state, log.acquired_ids)
+        state = transfer(state, context.data.pool.positions(log.acquired_ids))
     assert context.data.pool.ids[state.labelled_mask].tolist() == sorted(result.labelled_ids)
+
+
+def test_run_on_an_ablated_pool_logs_its_ids_not_its_rows(ctx):
+    # an ablated pool keeps its examples' ids, so past the first one dropped
+    # its ids are not its rows
+    config, context = ctx
+    retained = exp.ablate_hard_to_learn(context.pool_datamap, context.data.pool, config.ablation_fraction)
+    pool = context.data.pool.subset(retained, name="pool-ablated")
+    assert (pool.ids != np.arange(len(pool))).any()
+    ablated = replace(context, data=replace(context.data, pool=pool))
+    result = run_al(config, "mcme", 1, ablated)
+    state = seed_split(pool, config.seed_size, exp.derive_seed(exp.derive_seed("run", "mcme", 1), "split"))
+    for log in result.round_logs:
+        rows = pool.positions(log.acquired_ids)
+        assert (rows >= 0).all() and not state.labelled_mask[rows].any()  # unlabelled ids of this pool
+        state = transfer(state, rows)
+    assert pool.ids[state.labelled_mask].tolist() == sorted(result.labelled_ids)
 
 
 def test_round_metrics_are_recorded(one_run):
@@ -243,10 +260,9 @@ def test_parallel_suite_matches_sequential(ctx, suite):
     assert [r.profile for r in suite.results] == [r.profile for r in par.results]
 
 
-def _report_blas_threads(args):
+def _report_blas_threads(config, specs, context, scores_dir=None):
     """Stands in for a lockstep group: fails each run with the OpenBLAS
     thread count in effect in its worker as the error text."""
-    _, specs, _, _ = args
     seen = str(openblas_threads())
     return [exp.RunFailure(strategy, seed, seen) for strategy, seed in specs]
 
@@ -280,9 +296,8 @@ def test_import_cartal_leaves_one_blas_thread():
     assert out.stdout.split() == ["2", "1", "1"]
 
 
-def _log_its_runs(args):
+def _log_its_runs(config, specs, context, scores_dir=None):
     """Stands in for a lockstep group: logs the runs it holds at info level."""
-    _, specs, _, _ = args
     logging.getLogger("cartal.experiment").info("group holds %s", specs)
     return [exp.RunFailure(strategy, seed, "") for strategy, seed in specs]
 

@@ -154,7 +154,7 @@ def _pool_state(sources, labelled=()):
 
 def test_acquisition_factor_two_sources():
     state = _pool_state(["A"] * 10 + ["B"] * 10)
-    batch = set(range(8)) | {10, 11}  # 8 from A, 2 from B
+    batch = [*range(8), 10, 11]  # 8 from A, 2 from B
     factors = acquisition_factor(batch, state)
     assert factors["A"] == pytest.approx(1.6)
     assert factors["B"] == pytest.approx(0.4)
@@ -162,7 +162,7 @@ def test_acquisition_factor_two_sources():
 
 def test_acquisition_factor_concentrated_batch():
     state = _pool_state(["A"] * 5 + ["B"] * 15)  # A share 0.25
-    factors = acquisition_factor({0, 1, 2, 3, 4}, state)
+    factors = acquisition_factor([0, 1, 2, 3, 4], state)
     assert factors["A"] == pytest.approx(4.0)
     assert factors["B"] == pytest.approx(0.0)
 
@@ -172,7 +172,7 @@ def test_acquisition_factor_weighted_mean_identity():
     for _ in range(20):
         sources = [rng.choice(["A", "B", "C"]) for _ in range(40)]
         state = _pool_state(sources)
-        batch = set(int(i) for i in rng.choice(40, size=10, replace=False))
+        batch = rng.choice(40, size=10, replace=False)
         factors = acquisition_factor(batch, state)
         shares = state.source_shares()
         total = sum(factors[s] * shares[s] for s in factors)
@@ -182,9 +182,9 @@ def test_acquisition_factor_weighted_mean_identity():
 def test_acquisition_factor_rejects_empty_and_stray():
     state = _pool_state(["A"] * 4)
     with pytest.raises(ValueError):
-        acquisition_factor(set(), state)
+        acquisition_factor([], state)
     with pytest.raises(ValueError):
-        acquisition_factor({99}, state)
+        acquisition_factor([99], state)
 
 
 # --- stratified accuracy -------------------------------------------------------------
@@ -274,6 +274,6 @@ def test_bincount_factors_match_per_id_counts(sources, data):
     in_batch = {s: sum(sources[i] == s for i in batch) for s in set(sources)}
     shares = {s: c / len(unlabelled) for s, c in in_pool.items() if c}
     assert state.source_shares() == shares
-    assert acquisition_factor(batch, state) == {
+    assert acquisition_factor(sorted(batch), state) == {
         s: in_batch[s] / (len(batch) * share) for s, share in shares.items()
     }

@@ -404,7 +404,7 @@ def test_seed_split_rejects_oversize():
 def test_transfer_set_algebra():
     pool = _tiny_dataset(3)
     state = _state({1}, pool)
-    new = transfer(state, {2})
+    new = transfer(state, [2])
     assert _sides(new) == ({1, 2}, {0})
     # original state is unchanged
     assert _sides(state)[0] == {1}
@@ -414,14 +414,14 @@ def test_transfer_rejects_already_labelled():
     pool = _tiny_dataset(3)
     state = _state({1}, pool)
     with pytest.raises(StateError, match="1"):
-        transfer(state, {1})
+        transfer(state, [1])
 
 
 def test_seed_then_seven_transfers_reach_4k():
     pool = _tiny_dataset(4200)
     state = seed_split(pool, 500, rng_seed=0)
     for _ in range(7):
-        batch = pool.ids[~state.labelled_mask][:500]
+        batch = np.flatnonzero(~state.labelled_mask)[:500]
         state = transfer(state, batch)
     assert np.count_nonzero(state.labelled_mask) == 4000
 
@@ -439,7 +439,7 @@ def test_pool_state_invariants_under_random_transfers(seed):
             break
         size = int(rng.integers(1, len(unlabelled) + 1))
         batch = rng.choice(sorted(unlabelled), size=size, replace=False)
-        state = transfer(state, batch)
+        state = transfer(state, pool.positions(batch))
         labelled, unlabelled = _sides(state)
         assert not labelled & unlabelled
         assert len(labelled) + len(unlabelled) == total
@@ -534,7 +534,7 @@ def test_mask_state_transfer_matches_set_algebra(ids, data):
     assert _sides(state) == (labelled, unlabelled)
     assert ds.ids[~state.labelled_mask].tolist() == sorted(unlabelled)
     batch = data.draw(st.sets(st.sampled_from(sorted(unlabelled)))) if unlabelled else set()
-    moved = transfer(state, batch)
+    moved = transfer(state, ds.positions(batch))
     assert _sides(moved) == (labelled | batch, unlabelled - batch)
     assert _sides(state)[0] == labelled  # transfer leaves its input alone
 
