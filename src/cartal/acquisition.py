@@ -94,7 +94,7 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | None = None,
+def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig = DalConfig(),
               rng_seed: int = 0) -> np.ndarray:
     """Train a labelled-vs-unlabelled discriminator on embeddings.
 
@@ -111,7 +111,7 @@ def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig | N
     Xb = np.ones((len(A) + len(B), A.shape[1] + 1))
     Xb[:len(A), :-1] = A
     Xb[len(A):, :-1] = B
-    return _dal(Xb, len(A), dal_cfg or DalConfig(), rng_seed)
+    return _dal(Xb, len(A), dal_cfg, rng_seed)
 
 
 def _dal(Xb, n_labelled, cfg: DalConfig, rng_seed):
@@ -143,8 +143,8 @@ def _check_strategy(strategy: str):
 
 
 def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
-               dal_cfg=None) -> np.ndarray | None:
-    """Scores over the unlabelled pool, aligned with its ids in ascending order.
+               dal_cfg=DalConfig()) -> np.ndarray | None:
+    """Scores over the unlabelled pool, aligned with its rows in ascending order.
 
     Returns None for the random strategy, which has no scores.
     """
@@ -161,7 +161,7 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     Xb = np.ones((len(X), model.config.hidden_dims[-1] + 1))
     model.embed(X, out=Xb[:n_l, :-1], rows=np.flatnonzero(state.labelled_mask))
     model.embed(X, out=Xb[n_l:, :-1], rows=unlabelled)
-    return _dal(Xb, n_l, dal_cfg or DalConfig(), rng_seed)
+    return _dal(Xb, n_l, dal_cfg, rng_seed)
 
 
 def select_batch(strategy, state, scores, k, rng_seed) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import classifier as clf
 from .errors import CapacityError, InsufficientDynamicsError
-from .pool import _positions
 from .artifacts import write_table
 
 __all__ = [
@@ -42,7 +41,7 @@ _LETTER = {"E": "easy", "M": "medium", "H": "hard", "I": "impossible"}
 
 @dataclass(frozen=True)
 class DynamicsTrace:
-    """One example's row of a :class:`TraceMatrix`."""
+    """One example's row of a :class:`TraceMatrix`; ``example_id`` is that row."""
 
     example_id: int
     confidences: tuple[float, ...]
@@ -51,29 +50,19 @@ class DynamicsTrace:
 
 @dataclass(frozen=True, eq=False)
 class Datamap:
-    """Per-example cartography statistics as columns; row i is example ``ids[i]``.
+    """Per-example cartography statistics as columns over the rows of the
+    dataset it maps; ``difficulty`` holds codes into :data:`DIFFICULTIES`."""
 
-    ``ids`` strictly increase, and ``difficulty`` holds codes into
-    :data:`DIFFICULTIES`.
-    """
-
-    ids: np.ndarray
     mean_confidence: np.ndarray
     variability: np.ndarray
     correctness: np.ndarray
     difficulty: np.ndarray
 
-    def __post_init__(self):
-        if (np.diff(self.ids) <= 0).any():
-            raise ValueError("datamap ids must be strictly increasing")
-
-    def rows(self, ids, what) -> np.ndarray:
-        """Row positions of ``ids``; a ValueError names the ``what`` the datamap lacks."""
-        ids = np.fromiter(ids, dtype=np.int64)
-        pos = _positions(self.ids, ids)
-        if (pos < 0).any():
-            raise ValueError(f"{what} missing from the datamap: {ids[pos < 0][:10].tolist()}")
-        return pos
+    def check_rows(self, dataset) -> None:
+        """Raise a ValueError unless this datamap has one row per row of ``dataset``."""
+        if self.difficulty.size != len(dataset):
+            raise ValueError(f"datamap of {self.difficulty.size} rows for dataset "
+                             f"{dataset.name!r} of {len(dataset)}")
 
 
 @dataclass(frozen=True)
@@ -92,25 +81,25 @@ class DifficultyThresholds:
 class TraceMatrix:
     """Dynamics of many examples as (N, T) arrays.
 
-    Row i holds the T snapshots of example ``ids[i]``. The arrays may be in
+    Row i holds the T snapshots of dataset row i. The arrays may be in
     either memory order: :func:`run_cartography_full` passes the transposed
     views of its fit's (T, N) arrays, whose rows are snapshots. Indexing
     gives a row as a :class:`DynamicsTrace`; the program does not use that,
     and it stays because perfbench's tracer reads ``traces[0].confidences``.
     """
 
-    def __init__(self, ids, confidences: np.ndarray, correct: np.ndarray):
-        self.ids, self.confidences, self.correct = np.asarray(ids, dtype=np.int64), confidences, correct
+    def __init__(self, confidences: np.ndarray, correct: np.ndarray):
+        self.confidences, self.correct = confidences, correct
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.confidences)
 
     def __getitem__(self, i) -> DynamicsTrace:
-        return DynamicsTrace(int(self.ids[i]), tuple(self.confidences[i].tolist()),
-                             tuple(self.correct[i].tolist()))
+        return DynamicsTrace(i, tuple(self.confidences[i].tolist()), tuple(self.correct[i].tolist()))
 
 
-def compute_datamap(traces: TraceMatrix, thresholds: DifficultyThresholds | None = None) -> Datamap:
+def compute_datamap(traces: TraceMatrix,
+                    thresholds: DifficultyThresholds = DifficultyThresholds()) -> Datamap:
     """Mean, population std and correctness of each row of the (N, T)
     dynamics matrix, banded into difficulties.
 
@@ -122,10 +111,9 @@ def compute_datamap(traces: TraceMatrix, thresholds: DifficultyThresholds | None
     (bands are upper-inclusive). perfbench's tracer times calls to it by
     this name.
     """
-    thresholds = thresholds or DifficultyThresholds()
     N, T = traces.confidences.shape
     if T == 0:
-        raise ValueError(f"empty dynamics traces for examples {traces.ids[:10].tolist()}")
+        raise ValueError(f"empty dynamics traces for {N} examples")
     mean, variability, correctness = np.empty(N), np.empty(N), np.empty(N)
     for lo in range(0, N, 4096):
         rows = slice(lo, lo + 4096)
@@ -136,7 +124,7 @@ def compute_datamap(traces: TraceMatrix, thresholds: DifficultyThresholds | None
     edges = [thresholds.impossible_max, thresholds.hard_max, thresholds.medium_max]
     # the count of edges below the mean (an equal edge not counted): 0 is impossible, 3 easy
     difficulty = len(edges) - np.searchsorted(edges, mean, side="left")
-    return Datamap(traces.ids, mean, variability, correctness, difficulty)
+    return Datamap(mean, variability, correctness, difficulty)
 
 
 @dataclass
@@ -146,7 +134,8 @@ class CartographyResult:
     traces: TraceMatrix
 
 
-def run_cartography_full(dataset, config, tcfg, seed, val=None, thresholds=None) -> CartographyResult:
+def run_cartography_full(dataset, config, tcfg, seed, val=None,
+                         thresholds=DifficultyThresholds()) -> CartographyResult:
     """Fit a fresh model on ``dataset``, seeded by ``seed`` and early-stopped
     on the ``(X, y)`` pair ``val``, and map its examples by the dynamics of
     that fit, snapshotted every ``eval_interval`` of an epoch.
@@ -163,30 +152,26 @@ def run_cartography_full(dataset, config, tcfg, seed, val=None, thresholds=None)
     if len(confidences) < 2:
         raise InsufficientDynamicsError(f"collected {len(confidences)} snapshots; need at least 2 "
                                         "(shorten eval_interval or train longer)")
-    traces = TraceMatrix(dataset.ids, confidences.T, correct.T)
+    traces = TraceMatrix(confidences.T, correct.T)
     return CartographyResult(compute_datamap(traces, thresholds), model, traces)
 
 
 def ablate_hard_to_learn(datamap: Datamap, dataset, fraction: float) -> np.ndarray:
     """Drop the per-source bottom fraction by confidence*variability product.
 
-    Returns the retained ids, ascending. Ties in the product break toward the
-    smaller id. Filtering is per source of ``dataset``, so equal-sized
-    sources stay equal-sized after ablation.
+    Returns the retained rows of ``dataset``, ascending. Ties in the product
+    break toward the smaller row. Filtering is per source of ``dataset``, so
+    equal-sized sources stay equal-sized after ablation.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1): {fraction}")
-    pos = dataset.positions(datamap.ids)
-    if (pos < 0).any():
-        raise ValueError(f"no source known for examples {datamap.ids[pos < 0][:10].tolist()}")
-    codes = dataset.source_codes[pos]
+    datamap.check_rows(dataset)
     product = datamap.mean_confidence * datamap.variability
-    retained = [datamap.ids[:0]]
-    for code in np.unique(codes):
-        rows = np.flatnonzero(codes == code)
-        order = rows[np.lexsort((datamap.ids[rows], product[rows]))]
-        retained.append(datamap.ids[order[math.floor(fraction * rows.size):]])
-    return np.sort(np.concatenate(retained))
+    keep = np.ones(len(dataset), dtype=bool)
+    for code in np.unique(dataset.source_codes):
+        rows = np.flatnonzero(dataset.source_codes == code)
+        keep[rows[np.argsort(product[rows], kind="stable")][:math.floor(fraction * rows.size)]] = False
+    return np.flatnonzero(keep)
 
 
 def ablated_size(dataset, fraction: float) -> int:
@@ -209,43 +194,45 @@ def _normalize_combo(combo: str):
 
 
 def build_difficulty_split(datamap: Datamap, combo: str, n: int, rng_seed: int) -> np.ndarray:
-    """Sample n ids in equal proportion from the difficulty classes named by
-    the letters of ``combo`` (E, M, H, I); ascending."""
+    """Sample n datamap rows in equal proportion from the difficulty classes
+    named by the letters of ``combo`` (E, M, H, I); ascending."""
     names = _normalize_combo(combo)
     if n % len(names) != 0:
         raise ValueError(f"n={n} is not divisible by the {len(names)} classes in the combo")
     per_class = n // len(names)
-    pools = [datamap.ids[datamap.difficulty == DIFFICULTIES.index(name)] for name in names]
-    for name, ids in zip(names, pools):
-        if ids.size < per_class:
+    pools = [np.flatnonzero(datamap.difficulty == DIFFICULTIES.index(name)) for name in names]
+    for name, rows in zip(names, pools):
+        if rows.size < per_class:
             raise CapacityError(
-                f"difficulty class {name!r} holds {ids.size} examples, need {per_class}"
+                f"difficulty class {name!r} holds {rows.size} examples, need {per_class}"
             )
     rng = np.random.default_rng(rng_seed)
-    return np.sort(np.concatenate([ids[rng.choice(ids.size, size=per_class, replace=False)]
-                                   for ids in pools]))
+    return np.sort(np.concatenate([rows[rng.choice(rows.size, size=per_class, replace=False)]
+                                   for rows in pools]))
 
 
-def acquisition_by_difficulty(round_logs, datamap: Datamap) -> list[dict[str, int]]:
-    """Count acquired ids per difficulty class for each round, in order."""
+def acquisition_by_difficulty(rounds, datamap: Datamap) -> list[dict[str, int]]:
+    """Count the acquired datamap rows per difficulty class, one array of rows
+    per round, in order; a row outside the datamap is a ValueError."""
     out = []
-    for log in round_logs:
-        rows = datamap.rows(getattr(log, "acquired_ids", log), "acquired examples")
+    for rows in rounds:
+        rows = np.asarray(rows, dtype=np.int64)
+        outside = (rows < 0) | (rows >= datamap.difficulty.size)
+        if outside.any():
+            raise ValueError(f"acquired rows outside the datamap: {rows[outside][:10].tolist()}")
         counts = np.bincount(datamap.difficulty[rows], minlength=len(DIFFICULTIES))
         out.append(dict(zip(DIFFICULTIES, counts.tolist())))
     return out
 
 
 def write_datamap_csv(datamap: Datamap, dataset, path) -> None:
-    """One row per datamap example, by id, with its source in ``dataset`` ("" if absent);
-    formatted a block of rows at a time, so no column becomes a pool-long list."""
-    pos = dataset.positions(datamap.ids)
-    codes = np.where(pos >= 0, dataset.source_codes[pos], -1)
-    names = (*dataset.source_names, "")  # code -1 reads the trailing ""
-    columns = (datamap.ids, codes, datamap.mean_confidence, datamap.variability,
+    """One row per row of ``dataset``, with its id and source; formatted a
+    block of rows at a time, so no column becomes a pool-long list."""
+    datamap.check_rows(dataset)
+    columns = (dataset.ids, dataset.source_codes, datamap.mean_confidence, datamap.variability,
                datamap.correctness, datamap.difficulty)
-    blocks = (zip(*(c[lo:lo + 4096].tolist() for c in columns)) for lo in range(0, codes.size, 4096))
+    blocks = (zip(*(c[lo:lo + 4096].tolist() for c in columns)) for lo in range(0, len(dataset), 4096))
     write_table(path, ["id", "source", "mean_confidence", "variability", "correctness", "difficulty"], (
-        [i, names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]]
+        [i, dataset.source_names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]]
         for i, code, conf, var, corr, band in itertools.chain.from_iterable(blocks)
     ))

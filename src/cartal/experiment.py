@@ -126,12 +126,12 @@ class ExperimentConfig:
     seed_size: int = 500
     k: int = 500
     rounds: int = 7
-    strategies: tuple[str, ...] = ("random", "mcme", "bald", "dal")
+    strategies: tuple[str, ...] = STRATEGIES
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     # models
-    hidden_dims: tuple[int, ...] = (32, 32)
-    dropout_rate: float = 0.3
-    activation: str = "relu"
+    hidden_dims: tuple[int, ...] = clf.ClassifierConfig.hidden_dims
+    dropout_rate: float = clf.ClassifierConfig.dropout_rate
+    activation: str = clf.ClassifierConfig.activation
     training: clf.TrainConfig = field(default_factory=clf.TrainConfig)
     cartography_training: clf.TrainConfig | None = None  # None: cartography_defaults(training)
     mc_samples: int = DEFAULT_MC_SAMPLES
@@ -618,7 +618,7 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext,
     """
     pool = context.data.pool
     retained = ablate_hard_to_learn(context.pool_datamap, pool, config.ablation_fraction)
-    filtered = pool.subset(retained, name="pool-ablated")
+    filtered = pool.take(retained, name="pool-ablated")
     logger.info("ablation keeps %d of %d pool examples", len(filtered), len(pool))
     ablated_ctx = replace(context, data=replace(context.data, pool=filtered))
     return run_suite(config, ablated_ctx, parallel), ablated_ctx
@@ -637,10 +637,8 @@ def run_difficulty_split(config: ExperimentConfig, context: RunContext) -> list[
 
     combos = [(combo, seed) for combo in config.difficulty_combos for seed in config.seeds]
     rows = np.stack([
-        pool.positions(build_difficulty_split(
-            context.pool_datamap, combo, config.difficulty_n,
-            derive_seed(config.data_seed, "split-sample", combo, seed),
-        ))
+        build_difficulty_split(context.pool_datamap, combo, config.difficulty_n,
+                               derive_seed(config.data_seed, "split-sample", combo, seed))
         for combo, seed in combos
     ])
     seeds = [derive_seed(config.data_seed, "split-fit", combo, seed) for combo, seed in combos]

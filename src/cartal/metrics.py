@@ -87,11 +87,11 @@ def acquisition_factor(rows, pool_before) -> dict[str, float]:
 
 
 def stratified_accuracy(model, test: Dataset, test_datamap: Datamap) -> StratifiedResult:
-    """Argmax accuracy per difficulty class of the test examples, plus overall."""
-    bands = test_datamap.difficulty[test_datamap.rows(test.ids, "test ids")]
+    """Argmax accuracy per difficulty class of the rows of ``test``, which ``test_datamap`` maps, plus overall."""
+    test_datamap.check_rows(test)
     correct = model.predict(test.X) == test.y
-    counts = np.bincount(bands, minlength=len(DIFFICULTIES)).tolist()
-    hits = np.bincount(bands, weights=correct, minlength=len(DIFFICULTIES)).tolist()
+    counts = np.bincount(test_datamap.difficulty, minlength=len(DIFFICULTIES)).tolist()
+    hits = np.bincount(test_datamap.difficulty, weights=correct, minlength=len(DIFFICULTIES)).tolist()
     present = [d for d in range(len(DIFFICULTIES)) if counts[d]]
     return StratifiedResult(
         accuracies={DIFFICULTIES[d]: hits[d] / counts[d] for d in present},

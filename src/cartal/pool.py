@@ -47,15 +47,6 @@ class Example:
     tokens: tuple[str, ...] = ()
 
 
-def _positions(sorted_ids, ids) -> np.ndarray:
-    """Positions of ``ids`` in the ascending array ``sorted_ids``; -1 where an id is absent."""
-    ids = np.fromiter(ids, dtype=np.int64)
-    pos = np.searchsorted(sorted_ids, ids)
-    found = pos < len(sorted_ids)
-    found[found] = sorted_ids[pos[found]] == ids[found]
-    return np.where(found, pos, -1)
-
-
 def _recode(codes, names):
     """Codes into the distinct ``names`` that occur, listed in order of first occurrence."""
     # each code's first position; codes index the short names, so no sort is needed
@@ -158,8 +149,12 @@ class Dataset:
         return {"flipped_ids": self.ids[self.flipped].tolist()}
 
     def positions(self, ids) -> np.ndarray:
-        """Row positions of ``ids`` (any iterable of ints); -1 where an id is absent."""
-        return _positions(self.ids, ids)
+        """Row positions of ``ids``, -1 where an id is absent; only perfbench and the tests call it."""
+        ids = np.fromiter(ids, dtype=np.int64)
+        pos = np.searchsorted(self.ids, ids)
+        found = pos < len(self.ids)
+        found[found] = self.ids[pos[found]] == ids[found]
+        return np.where(found, pos, -1)
 
     def source_counts(self, rows) -> dict[str, int]:
         """Rows per source among ``rows`` (positions or a boolean mask); every source is listed."""
@@ -175,8 +170,8 @@ class Dataset:
         counts = np.bincount(self.token_indices[np.repeat(take, lengths)], minlength=len(self.vocab))
         return counts > 0, int(np.count_nonzero(take & (lengths == 0)))
 
-    def _take(self, pos, name=None) -> "Dataset":
-        """New dataset of the rows at ``pos`` (ascending positions), under this dataset's name tables."""
+    def take(self, pos, name=None) -> "Dataset":
+        """New dataset of the rows at ``pos``, ascending; ids are kept, and so are the name tables."""
         lengths = np.diff(self.token_indptr)[pos]
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         token_pos = np.repeat(self.token_indptr[pos] - indptr[:-1], lengths) + np.arange(indptr[-1])
@@ -188,12 +183,12 @@ class Dataset:
         )
 
     def subset(self, ids, name=None) -> "Dataset":
-        """New dataset holding the given ids (original id values preserved)."""
+        """:meth:`take` of the rows holding ``ids``; only perfbench and the tests call it."""
         wanted_ids = np.unique(np.fromiter(ids, dtype=np.int64))
         pos = self.positions(wanted_ids)
         if (pos < 0).any():
             raise ValueError(f"unknown ids in subset request: {wanted_ids[pos < 0][:10].tolist()}")
-        return self._take(pos, name)
+        return self.take(pos, name)
 
 
 class PoolState:
@@ -451,7 +446,7 @@ def _check_schemas_match(sources):
 def _merge_sources(sources, positions_per_source, name) -> Dataset:
     """Re-id and merge picked rows. The only place that reconciles name tables:
     sources and vocabulary are narrowed to those present, in first-appearance order."""
-    parts = [src._take(np.asarray(pos, dtype=np.int64))
+    parts = [src.take(np.asarray(pos, dtype=np.int64))
              for src, pos in zip(sources, positions_per_source)]
     # Each part's codes shift past the earlier parts' names; _recode merges repeated names.
     name_starts = np.cumsum([0] + [len(p.source_names) for p in parts])
@@ -507,8 +502,8 @@ def split_dataset(dataset: Dataset, fraction: float, rng_seed: int):
     n_hold = round(fraction * len(dataset))
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(dataset))
-    return (dataset._take(np.sort(order[n_hold:])),
-            dataset._take(np.sort(order[:n_hold]), name=f"{dataset.name}-held"))
+    return (dataset.take(np.sort(order[n_hold:])),
+            dataset.take(np.sort(order[:n_hold]), name=f"{dataset.name}-held"))
 
 
 def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:

@@ -139,7 +139,7 @@ def test_criterion_1_formula_oracles():
         n_snap = int(rng.integers(1, 9))
         confs = [float(c) for c in rng.random(n_snap)]
         flags = [bool(b) for b in rng.random(n_snap) > 0.5]
-        dm = compute_datamap(TraceMatrix([0], np.array([confs]), np.array([flags])))
+        dm = compute_datamap(TraceMatrix(np.array([confs]), np.array([flags])))
         worst = max(worst, abs(dm.mean_confidence[0] - statistics.fmean(confs)))
         worst = max(worst, abs(dm.variability[0] - statistics.pstdev(confs)))
         worst = max(worst, abs(dm.correctness[0] - sum(flags) / n_snap))
@@ -249,7 +249,7 @@ def test_criterion_4_cmd_run_determinism(tmp_path):
 def test_criterion_5_outlier_acquisition(context, suite):
     hard_impossible = {}
     for r in suite.results:
-        counts = acquisition_by_difficulty(r.round_logs, context.pool_datamap)
+        counts = acquisition_by_difficulty([log.acquired_ids for log in r.round_logs], context.pool_datamap)
         last2 = counts[-2:]
         hi = sum(c["hard"] + c["impossible"] for c in last2)
         hard_impossible.setdefault(r.strategy, []).append(hi)
@@ -303,10 +303,10 @@ def test_criterion_7_difficulty_split_ordering(context):
     for combo in BENCHMARK.difficulty_combos:
         accs = []
         for seed in BENCHMARK.seeds:
-            ids = build_difficulty_split(
+            rows = build_difficulty_split(
                 context.pool_datamap, combo, BENCHMARK.difficulty_n,
                 derive_seed(BENCHMARK.data_seed, "split-sample", combo, seed))
-            split = pool.subset(ids)
+            split = pool.take(rows)
             model = fit(ccfg, (split.X, split.y), BENCHMARK.training,
                         derive_seed(BENCHMARK.data_seed, "split-fit", combo, seed), val=(val.X, val.y))
             accs.append(model.accuracy(clean.X, clean.y))
@@ -335,7 +335,7 @@ def test_criterion_8_stratified_consistency(context, suite):
                                      val=(val.X, val.y))
         if first_entries is None:
             first_entries = carto.entries
-        dm = dict(zip(carto.entries.ids.tolist(), (DIFFICULTIES[d] for d in carto.entries.difficulty)))
+        dm = dict(zip(insitu.ids.tolist(), (DIFFICULTIES[d] for d in carto.entries.difficulty)))
         flipped = set(insitu.ids[insitu.flipped].tolist())
         rates.append(
             sum(1 for i in flipped if dm[i] in ("hard", "impossible")) / len(flipped))
@@ -374,8 +374,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks.append(("k equals pool", set(pool.ids[batch].tolist()) == unlabelled))
 
     # fraction-0 ablation keeps everything
-    datamap = compute_datamap(TraceMatrix(np.arange(12), np.tile([0.5, 0.7], (12, 1)),
-                                          np.tile([True, False], (12, 1))))
+    datamap = compute_datamap(TraceMatrix(np.tile([0.5, 0.7], (12, 1)), np.tile([True, False], (12, 1))))
     retained = ablate_hard_to_learn(datamap, make_dataset(np.zeros((12, 1)), np.zeros(12)), 0.0)
     checks.append(("fraction-0 ablation", retained.tolist() == list(range(12))))
 

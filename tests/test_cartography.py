@@ -41,10 +41,10 @@ def classify_difficulty(mean_confidence, thresholds):
 
 
 def _datamap_of(confs, flags=None):
-    """Datamap of one trace per row of ``confs``, ids 0..n-1."""
+    """Datamap of one trace per row of ``confs``."""
     confs = np.atleast_2d(np.asarray(confs, dtype=float))
     flags = confs > 0.5 if flags is None else np.atleast_2d(np.asarray(flags, dtype=bool))
-    return compute_datamap(TraceMatrix(np.arange(len(confs)), confs, flags))
+    return compute_datamap(TraceMatrix(confs, flags))
 
 
 def _bands(means):
@@ -52,13 +52,12 @@ def _bands(means):
     return [DIFFICULTIES[d] for d in dm.difficulty]
 
 
-def _datamap(means, variability=0.1, ids=None):
+def _datamap(means, variability=0.1):
     """Hand-built datamap: the given means and variabilities, correctness 1."""
     means = np.asarray(means, dtype=float)
     thr = DifficultyThresholds()
     return Datamap(
-        np.arange(len(means)) if ids is None else np.asarray(ids, dtype=np.int64), means,
-        np.broadcast_to(np.asarray(variability, dtype=float), means.shape), np.ones(len(means)),
+        means, np.broadcast_to(np.asarray(variability, dtype=float), means.shape), np.ones(len(means)),
         np.array([DIFFICULTIES.index(classify_difficulty(m, thr)) for m in means], dtype=np.int64))
 
 
@@ -104,14 +103,13 @@ def test_band_ordering_is_monotone_in_confidence():
 @settings(max_examples=80, deadline=None)
 def test_searchsorted_bands_match_per_example_banding(means, thr):
     means = np.array(means + [thr.impossible_max, thr.hard_max, thr.medium_max])
-    dm = compute_datamap(TraceMatrix(np.arange(means.size), means[:, None],
-                                     np.ones((means.size, 1), dtype=bool)), thr)
+    dm = compute_datamap(TraceMatrix(means[:, None], np.ones((means.size, 1), dtype=bool)), thr)
     assert [DIFFICULTIES[d] for d in dm.difficulty] == [classify_difficulty(m, thr) for m in means]
 
 
 def test_empty_trace_is_rejected_with_id():
-    with pytest.raises(ValueError, match="7"):
-        compute_datamap(TraceMatrix([7], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool)))
+    with pytest.raises(ValueError, match="7 examples"):
+        compute_datamap(TraceMatrix(np.zeros((7, 0)), np.zeros((7, 0), dtype=bool)))
 
 
 def test_thresholds_validate_ordering():
@@ -139,7 +137,7 @@ def test_difficulty_classes_partition_the_datamap():
     counts = {d: 0 for d in ("easy", "medium", "hard", "impossible")}
     for code in dm.difficulty.tolist():
         counts[DIFFICULTIES[code]] += 1
-    assert sum(counts.values()) == len(dm.ids) == 200
+    assert sum(counts.values()) == dm.difficulty.size == 200
 
 
 # --- run_cartography ----------------------------------------------------------
@@ -245,8 +243,8 @@ def test_ablate_retention_arithmetic():
 
 def test_ablate_rejects_unknown_source_and_bad_fraction():
     dm = _datamap([0.5])
-    with pytest.raises(ValueError):
-        ablate_hard_to_learn(dm, _sourced(["s"], ids=[5]), 0.25)
+    with pytest.raises(ValueError, match="1 rows"):  # a datamap of another dataset
+        ablate_hard_to_learn(dm, _sourced(["s", "s"]), 0.25)
     with pytest.raises(ValueError):
         ablate_hard_to_learn(dm, _sourced(["s"]), 1.0)
 
@@ -279,7 +277,7 @@ def test_split_em_takes_equal_shares():
     dm = _mixed_datamap(per_class=2000)
     ids = build_difficulty_split(dm, "EM", 4000, rng_seed=0)
     assert len(ids) == 4000
-    by_diff = dict(zip(dm.ids.tolist(), (DIFFICULTIES[d] for d in dm.difficulty)))
+    by_diff = dict(enumerate(DIFFICULTIES[d] for d in dm.difficulty))
     counts = {}
     for i in ids.tolist():
         counts[by_diff[i]] = counts.get(by_diff[i], 0) + 1
@@ -316,10 +314,10 @@ def test_split_rejects_bad_combo():
        st.sampled_from(["EM", "HI", "EMH", "MH", "EMHI"]), st.integers(0, 1000))
 @settings(max_examples=60, deadline=None)
 def test_split_matches_per_example_sampling(means, combo, seed):
-    # the per-example algorithm: each class's ids in order, then one draw per class
-    dm = _datamap(means, ids=np.arange(len(means)) * 3)
+    # the per-example algorithm: each class's rows in order, then one draw per class
+    dm = _datamap(means)
     names = [{"E": "easy", "M": "medium", "H": "hard", "I": "impossible"}[ch] for ch in combo]
-    pools = {name: sorted(int(i) for i, d in zip(dm.ids, dm.difficulty) if DIFFICULTIES[d] == name)
+    pools = {name: [i for i, d in enumerate(dm.difficulty.tolist()) if DIFFICULTIES[d] == name]
              for name in names}
     per_class = min(len(p) for p in pools.values())
     if per_class == 0:
@@ -350,6 +348,39 @@ def test_acquisition_by_difficulty_missing_id():
         acquisition_by_difficulty([[5]], _datamap([0.9]))
 
 
+def test_acquisition_by_difficulty_rejects_rows_outside_the_datamap():
+    dm = _datamap([0.9, 0.3, 0.6, 0.1])
+    assert acquisition_by_difficulty([[0, 3]], dm) == [{"easy": 1, "medium": 0, "hard": 0, "impossible": 1}]
+    for row in (-1, 4):  # -1 must not wrap around to the last row
+        with pytest.raises(ValueError):
+            acquisition_by_difficulty([[row]], dm)
+
+
+# --- datasets whose ids are not their rows ----------------------------------------------
+
+def _sparse_ids():
+    """Four rows with ids 2, 5, 7 and 11, in sources A, A, B and B."""
+    return _sourced(["A", "A", "B", "B"], ids=[2, 5, 7, 11])
+
+
+def test_ablate_returns_rows_not_ids():
+    dm = _datamap([0.9, 0.3, 0.6, 0.1])  # products 0.09, 0.03, 0.06, 0.01
+    assert ablate_hard_to_learn(dm, _sparse_ids(), 0.5).tolist() == [0, 2]
+
+
+def test_datamap_csv_writes_the_dataset_ids(tmp_path):
+    path = tmp_path / "datamap.csv"
+    write_datamap_csv(_datamap([0.9, 0.3, 0.6, 0.1]), _sparse_ids(), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[-1]) for r in rows] == [
+        ("2", "A", "easy"), ("5", "A", "hard"), ("7", "B", "medium"), ("11", "B", "impossible")]
+
+
+def test_datamap_csv_rejects_a_datamap_of_another_dataset(tmp_path):
+    with pytest.raises(ValueError, match="3 rows"):
+        write_datamap_csv(_datamap([0.9, 0.3, 0.6]), _sparse_ids(), tmp_path / "datamap.csv")
+
+
 # --- CSV ------------------------------------------------------------------------------
 
 def test_datamap_csv_roundtrip(tmp_path):
@@ -370,7 +401,7 @@ def test_datamap_of_snapshot_rows_equals_the_c_ordered_stack_bit_for_bit(T):
     N = 2 * 4096 + 1234
     conf, flags = rng.random((T, N)), rng.random((T, N)) > 0.4
     stack, stacked_flags = np.ascontiguousarray(conf.T), np.ascontiguousarray(flags.T)
-    dm = compute_datamap(TraceMatrix(np.arange(N), conf.T, flags.T))
+    dm = compute_datamap(TraceMatrix(conf.T, flags.T))
     assert dm.mean_confidence.tobytes() == stack.mean(axis=1).tobytes()
     assert dm.variability.tobytes() == stack.std(axis=1).tobytes()
     assert dm.correctness.tobytes() == stacked_flags.mean(axis=1).tobytes()
@@ -383,7 +414,7 @@ def test_matrix_datamap_equals_per_trace_numpy_bit_for_bit(seed):
     n, T = int(rng.integers(1, 20)), int(rng.integers(1, 300))
     conf = rng.random((n, T))
     flags = rng.random((n, T)) > 0.5
-    matrix = TraceMatrix(np.arange(n), conf, flags)
+    matrix = TraceMatrix(conf, flags)
     traces = [DynamicsTrace(i, tuple(conf[i].tolist()), tuple(flags[i].tolist())) for i in range(n)]
     dm = compute_datamap(matrix)
     for r, tr in enumerate(traces):

@@ -109,7 +109,7 @@ def test_run_on_an_ablated_pool_logs_its_ids_not_its_rows(ctx):
     # its ids are not its rows
     config, context = ctx
     retained = exp.ablate_hard_to_learn(context.pool_datamap, context.data.pool, config.ablation_fraction)
-    pool = context.data.pool.subset(retained, name="pool-ablated")
+    pool = context.data.pool.take(retained, name="pool-ablated")
     assert (pool.ids != np.arange(len(pool))).any()
     ablated = replace(context, data=replace(context.data, pool=pool))
     result = run_al(config, "mcme", 1, ablated)
@@ -378,9 +378,8 @@ def test_difficulty_split_matches_separate_fits(ctx):
     [em, _] = run_difficulty_split(cfg, context)
     accs = []
     for seed in cfg.seeds:
-        ids = build_difficulty_split(context.pool_datamap, "EM", 8,
-                                     exp.derive_seed(cfg.data_seed, "split-sample", "EM", seed))
-        rows = pool.positions(ids)
+        rows = build_difficulty_split(context.pool_datamap, "EM", 8,
+                                      exp.derive_seed(cfg.data_seed, "split-sample", "EM", seed))
         model = fit(ccfg, (pool.X[rows], pool.y[rows]), cfg.training,
                     exp.derive_seed(cfg.data_seed, "split-fit", "EM", seed), val=(val.X, val.y))
         accs.append(model.accuracy(val.X, val.y))
@@ -456,9 +455,10 @@ def test_random_over_easy_pool_acquires_mostly_easy():
     composition = {}
     for code in context.pool_datamap.difficulty.tolist():
         composition[DIFFICULTIES[code]] = composition.get(DIFFICULTIES[code], 0) + 1
-    assert composition.get("easy", 0) > len(context.pool_datamap.ids) / 2
+    assert composition.get("easy", 0) > len(context.data.pool) / 2
     result = run_al(config, "random", 1, context)
-    for counts in acquisition_by_difficulty(result.round_logs, context.pool_datamap):
+    for counts in acquisition_by_difficulty([log.acquired_ids for log in result.round_logs],
+                                            context.pool_datamap):
         assert counts["easy"] == max(counts.values())
 
 

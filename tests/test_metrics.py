@@ -199,7 +199,7 @@ class _FixedModel:
 
 def _datamap_for(ds, difficulties):
     n = len(difficulties)
-    return Datamap(ds.ids[:n], np.full(n, 0.5), np.full(n, 0.1), np.ones(n),
+    return Datamap(np.full(n, 0.5), np.full(n, 0.1), np.ones(n),
                    np.array([DIFFICULTIES.index(d) for d in difficulties], dtype=np.int64))
 
 
@@ -232,9 +232,17 @@ def test_overall_is_count_weighted_mean():
     assert recombined == pytest.approx(res.overall, abs=1e-12)
 
 
+def test_stratified_scores_a_test_set_whose_ids_are_not_its_rows():
+    ds = make_dataset(np.zeros((4, 2)), [0, 1, 2, 1], ids=[2, 5, 7, 11], num_classes=3)
+    dm = _datamap_for(ds, ["easy", "hard", "easy", "impossible"])
+    res = stratified_accuracy(_FixedModel([0, 0, 2, 1]), ds, dm)
+    assert res.counts == {"easy": 2, "hard": 1, "impossible": 1}
+    assert res.accuracies == {"easy": 1.0, "hard": 0.0, "impossible": 1.0}
+
+
 def test_stratified_rejects_missing_datamap_entry():
     ds = _dataset([0, 1])
-    dm = _datamap_for(ds, ["easy"])  # the second test id is missing
+    dm = _datamap_for(ds, ["easy"])  # the second test row is missing
     with pytest.raises(ValueError):
         stratified_accuracy(_FixedModel([0, 1]), ds, dm)
 
