@@ -197,7 +197,7 @@ class _FixedModel:
         return self.preds
 
 
-def _datamap_for(ds, difficulties):
+def _datamap_for(difficulties):
     n = len(difficulties)
     return Datamap(np.full(n, 0.5), np.full(n, 0.1), np.ones(n),
                    np.array([DIFFICULTIES.index(d) for d in difficulties], dtype=np.int64))
@@ -205,7 +205,7 @@ def _datamap_for(ds, difficulties):
 
 def test_perfect_model_scores_one_everywhere():
     ds = _dataset([0, 1, 2, 1])
-    dm = _datamap_for(ds, ["easy", "easy", "hard", "impossible"])
+    dm = _datamap_for(["easy", "easy", "hard", "impossible"])
     res = stratified_accuracy(_FixedModel([0, 1, 2, 1]), ds, dm)
     assert res.accuracies == {"easy": 1.0, "hard": 1.0, "impossible": 1.0}
     assert res.overall == 1.0
@@ -214,7 +214,7 @@ def test_perfect_model_scores_one_everywhere():
 
 def test_empty_difficulty_classes_are_absent():
     ds = _dataset([0, 1])
-    dm = _datamap_for(ds, ["easy", "easy"])
+    dm = _datamap_for(["easy", "easy"])
     res = stratified_accuracy(_FixedModel([0, 0]), ds, dm)
     assert set(res.accuracies) == {"easy"}
     assert res.accuracies["easy"] == 0.5
@@ -225,7 +225,7 @@ def test_overall_is_count_weighted_mean():
     labels = list(rng.integers(0, 3, size=50))
     ds = _dataset(labels)
     diffs = [("easy", "medium", "hard", "impossible")[i % 4] for i in range(50)]
-    dm = _datamap_for(ds, diffs)
+    dm = _datamap_for(diffs)
     preds = rng.integers(0, 3, size=50)
     res = stratified_accuracy(_FixedModel(preds), ds, dm)
     recombined = sum(res.counts[d] * res.accuracies[d] for d in res.counts) / sum(res.counts.values())
@@ -234,7 +234,7 @@ def test_overall_is_count_weighted_mean():
 
 def test_stratified_scores_a_test_set_whose_ids_are_not_its_rows():
     ds = make_dataset(np.zeros((4, 2)), [0, 1, 2, 1], ids=[2, 5, 7, 11], num_classes=3)
-    dm = _datamap_for(ds, ["easy", "hard", "easy", "impossible"])
+    dm = _datamap_for(["easy", "hard", "easy", "impossible"])
     res = stratified_accuracy(_FixedModel([0, 0, 2, 1]), ds, dm)
     assert res.counts == {"easy": 2, "hard": 1, "impossible": 1}
     assert res.accuracies == {"easy": 1.0, "hard": 0.0, "impossible": 1.0}
@@ -242,7 +242,7 @@ def test_stratified_scores_a_test_set_whose_ids_are_not_its_rows():
 
 def test_stratified_rejects_missing_datamap_entry():
     ds = _dataset([0, 1])
-    dm = _datamap_for(ds, ["easy"])  # the second test row is missing
+    dm = _datamap_for(["easy"])  # the second test row is missing
     with pytest.raises(ValueError):
         stratified_accuracy(_FixedModel([0, 1]), ds, dm)
 
