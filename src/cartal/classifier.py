@@ -355,9 +355,9 @@ def _layer_views(flat, config):
     return views
 
 
-# Uniforms drawn per bulk dropout-mask draw, over all runs of a lockstep fit:
-# 2^16 doubles keep the draw buffer and its masks near 1 MB even when one
-# epoch covers a whole pool, where a whole-epoch draw would take tens of MB.
+# Mask uniforms per chunk of steps, over all runs of a lockstep fit. A chunk
+# draws its masks (one draw per run) and gathers its rows and one-hot labels:
+# about 1 MB even when one epoch covers a whole pool, not tens of MB.
 _MASK_CHUNK = 1 << 16
 
 
@@ -424,7 +424,6 @@ def fit_many(config: ClassifierConfig, X, y, tcfg: TrainConfig, seeds, val=None,
                      for rng in rngs])
     grad = np.empty_like(flat)
     weights, grads = _layer_views(flat, config), _layer_views(grad, config)
-    gold = y[..., None] == np.arange(config.num_classes)
     lr = tcfg.learning_rate
     B = tcfg.batch_size
     steps_per_epoch = math.ceil(n / B)
@@ -443,26 +442,27 @@ def fit_many(config: ClassifierConfig, X, y, tcfg: TrainConfig, seeds, val=None,
     step = 0
 
     for epoch in range(tcfg.max_epochs):
-        rows = np.arange(live.size)[:, None]
         order = np.stack([rngs[r].permutation(n) for r in live])
-        Xe, gold_e = X[rows, order], gold[rows, order]
         chunk_steps = max(1, _MASK_CHUNK // (live.size * B * width))
         for s in range(steps_per_epoch):
             lo, hi = s * B, min(n, (s + 1) * B)
-            masks = None
-            if p > 0:
-                if s % chunk_steps == 0:
-                    # one draw per run covers the masks of the next chunk_steps steps
-                    size = (min(n, (s + chunk_steps) * B) - lo) * width
-                    uniform = np.empty((live.size, size))
+            if s % chunk_steps == 0:  # the next chunk_steps steps' rows, one-hot labels and masks
+                start, end = lo, min(n, (s + chunk_steps) * B)
+                rows = live[:, None], order[:, start:end]
+                Xc, gold = X[rows], y[rows][..., None] == np.arange(config.num_classes)
+                if p > 0:
+                    uniform = np.empty((live.size, (end - start) * width))
                     for i, r in enumerate(live):
                         rngs[r].random(out=uniform[i])
                     drawn, at = (uniform >= p) / (1.0 - p), 0
+            masks = None
+            if p > 0:
                 masks = []
                 for h in config.hidden_dims:
                     masks.append(drawn[:, at:at + (hi - lo) * h].reshape(live.size, hi - lo, h))
                     at += (hi - lo) * h
-            total = _gradients(config, weights, Xe[:, lo:hi], gold_e[:, lo:hi], masks, grads)
+            total = _gradients(config, weights, Xc[:, lo - start:hi - start], gold[:, lo - start:hi - start],
+                               masks, grads)
             if not all(map(math.isfinite, total.tolist())):  # cheaper than isfinite(...).all() at small R
                 for r in live[~np.isfinite(total)]:
                     results[r] = DivergenceError("non-finite training loss", step=step)
@@ -471,11 +471,9 @@ def fit_many(config: ClassifierConfig, X, y, tcfg: TrainConfig, seeds, val=None,
             grad *= lr
             flat -= grad
             step += 1
-            if s == steps_per_epoch - 1:  # before the snapshot and the next epoch's copies
-                Xe = gold_e = None
             while next_snap < len(snap_at) and step >= snap_at[next_snap]:
                 _probabilities([(W[0], b[0]) for W, b in weights], X[0], config.activation, out=probs)
-                confidence[next_snap] = probs[gold[0]]  # one gold class per row, in row order
+                confidence[next_snap] = np.take_along_axis(probs, y[0][:, None], 1)[:, 0]
                 np.equal(np.argmax(probs, axis=1), y[0], out=correct[next_snap])
                 next_snap += 1
             if s == steps_per_epoch - 1:
@@ -506,11 +504,9 @@ def fit_many(config: ClassifierConfig, X, y, tcfg: TrainConfig, seeds, val=None,
                 keep = np.array([results[r] is None for r in live])
                 flat, grad = flat[keep], grad[keep]
                 weights, grads = _layer_views(flat, config), _layer_views(grad, config)
-                X, gold, live = X[keep], gold[keep], live[keep]
-                if Xe is not None:  # mid-epoch: the epoch goes on without the run
-                    Xe, gold_e = Xe[keep], gold_e[keep]
-                    if p > 0:
-                        drawn = drawn[keep]
+                live, order, Xc, gold = live[keep], order[keep], Xc[keep], gold[keep]
+                if p > 0:
+                    drawn = drawn[keep]
                 if not live.size:
                     if dynamics is not None:
                         dynamics.append((confidence[:next_snap], correct[:next_snap]))

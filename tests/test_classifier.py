@@ -6,12 +6,14 @@ import itertools
 import json
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartal import classifier
 from cartal.classifier import (
     _BLOCK_ROWS,
     _MASK_CHUNK,
@@ -256,10 +258,13 @@ def _same_weights(a, b):
     d=st.integers(1, 4), C=st.integers(2, 4), hidden=st.lists(st.integers(1, 9), min_size=1, max_size=2),
     dropout=st.sampled_from([0.0, 0.3]), activation=st.sampled_from(["relu", "tanh"]),
     patience=st.integers(1, 3), n_val=st.sampled_from([0, 9]), seed=st.integers(0, 2**16),
+    chunk_steps=st.sampled_from([None, 1, 2, 3, 4]),
 )
 @settings(max_examples=40, deadline=None)
 def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hidden, dropout,
-                                                   activation, patience, n_val, seed):
+                                                   activation, patience, n_val, seed, chunk_steps):
+    # chunk_steps, when given, is the steps per chunk of the stacked fit's
+    # first epoch; None keeps _MASK_CHUNK, whose one chunk spans every epoch here
     n = max(1, batch * full + rem % batch)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((R, n, d))
@@ -267,7 +272,9 @@ def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hi
     val_X, val_y = rng.standard_normal((n_val, d)), rng.integers(0, C, size=n_val)
     config = ClassifierConfig(d, tuple(hidden), C, dropout_rate=dropout, activation=activation)
     tcfg = TrainConfig(batch_size=batch, max_epochs=8, patience=patience)
-    many = fit_many(config, X, y, tcfg, [seed + r for r in range(R)], val=(val_X, val_y))
+    mask_chunk = _MASK_CHUNK if chunk_steps is None else chunk_steps * R * batch * sum(hidden)
+    with mock.patch.object(classifier, "_MASK_CHUNK", mask_chunk):
+        many = fit_many(config, X, y, tcfg, [seed + r for r in range(R)], val=(val_X, val_y))
     for r in range(R):
         single = fit(config, (X[r], y[r]), tcfg, seed + r, val=(val_X, val_y))
         ref_weights, ref_history = _reference_fit(config, X[r], y[r], val_X, val_y, tcfg, seed + r)
@@ -279,28 +286,46 @@ def test_fit_many_equals_separate_fits_bit_for_bit(R, batch, full, rem, d, C, hi
 
 def test_diverging_run_fails_alone_in_lockstep():
     # every exit from the stack in one call: run 1 diverges mid-epoch, run 3
-    # on an epoch's last step, run 2 stops early and run 0 trains every epoch
+    # on an epoch's last step, run 2 stops early and run 0 trains every epoch;
+    # once with the whole epoch in one chunk, once with 3 steps per chunk of
+    # 4 runs x 16 rows x 8 units, so run 1 leaves in the middle of a chunk
     X, y = _blobs(25, sep=2.0, seed=2)
     stacked = np.stack([X, X * 1e150, -X, X * 1e60])
     labels = np.stack([y] * 4)
     config = ClassifierConfig(2, (8,), 2, dropout_rate=0.3)
     tcfg, seeds = TrainConfig(batch_size=16, max_epochs=6, patience=2), [1, 2, 3, 4]
-    with np.errstate(all="ignore"):
-        many = fit_many(config, stacked, labels, tcfg, seeds, val=(X, y))
-    for r, step in ((1, 1), (3, 3)):  # 50 rows in batches of 16: steps 0-3 are the first epoch
-        assert isinstance(many[r], DivergenceError) and many[r].step == step
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as alone:
-            _reference_fit(config, stacked[r], y, X, y, tcfg, seeds[r])
-        assert alone.value.step == step
+    for mask_chunk in (_MASK_CHUNK, 3 * 4 * 16 * 8):
+        with np.errstate(all="ignore"), mock.patch.object(classifier, "_MASK_CHUNK", mask_chunk):
+            many = fit_many(config, stacked, labels, tcfg, seeds, val=(X, y))
+        for r, step in ((1, 1), (3, 3)):  # 50 rows in batches of 16: steps 0-3 are the first epoch
+            assert isinstance(many[r], DivergenceError) and many[r].step == step
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as alone:
+                _reference_fit(config, stacked[r], y, X, y, tcfg, seeds[r])
+            assert alone.value.step == step
+        assert not many[0].history["stopped_early"] and many[0].history["epochs"] == 6
+        assert many[2].history["stopped_early"] and many[2].history["epochs"] < 6
+        for r in (0, 2):
+            alone = fit(config, (stacked[r], y), tcfg, seeds[r], val=(X, y))
+            assert _same_weights(many[r].weights, alone.weights)
+            assert many[r].history == alone.history
     with np.errstate(all="ignore"):  # run 3 alone, its divergence on the last step of its last epoch
         [last] = fit_many(config, stacked[3:], labels[3:], replace(tcfg, max_epochs=1), seeds[3:], val=(X, y))
     assert isinstance(last, DivergenceError) and last.step == 3
-    assert not many[0].history["stopped_early"] and many[0].history["epochs"] == 6
-    assert many[2].history["stopped_early"] and many[2].history["epochs"] < 6
-    for r in (0, 2):
-        alone = fit(config, (stacked[r], y), tcfg, seeds[r], val=(X, y))
-        assert _same_weights(many[r].weights, alone.weights)
-        assert many[r].history == alone.history
+
+
+def test_fit_holds_no_epoch_sized_copy_of_its_rows():
+    # one epoch over 200,000 rows: a fit gathers its rows a chunk of steps at a
+    # time, so it never holds a shuffled copy of X (16 MB) or of its labels
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((200_000, 10)), rng.integers(0, 3, size=200_000)
+    config = ClassifierConfig(10, (8,), 3, dropout_rate=0.3)
+    tracemalloc.start()
+    try:
+        fit(config, (X, y), TrainConfig(batch_size=64, max_epochs=1), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 3, (peak, X.nbytes)
 
 
 def test_fit_many_needs_one_seed_per_run():
