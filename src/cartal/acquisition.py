@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifier as clf
 from .errors import ConfigError
 
 __all__ = [
@@ -32,11 +31,10 @@ DEFAULT_MC_SAMPLES = 4
 
 @dataclass(frozen=True)
 class DalConfig:
-    """Discriminator settings: logistic regression unless hidden_dim is set."""
+    """DAL's logistic-regression discriminator: ``epochs`` full-batch gradient steps of ``learning_rate``."""
 
     learning_rate: float = 0.1
     epochs: int = 200
-    hidden_dim: int | None = None
 
     def __post_init__(self):
         # keyed by field: the config parser prefixes "dal"
@@ -44,8 +42,6 @@ class DalConfig:
             raise ConfigError("must be > 0", key="learning_rate")
         if self.epochs < 1:
             raise ConfigError("must be >= 1", key="epochs")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ConfigError("must be >= 1 or null", key="hidden_dim")
 
 
 def entropy_rows(P: np.ndarray) -> np.ndarray:
@@ -94,8 +90,7 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig = DalConfig(),
-              rng_seed: int = 0) -> np.ndarray:
+def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig = DalConfig()) -> np.ndarray:
     """Train a labelled-vs-unlabelled discriminator on embeddings.
 
     Targets are labelled -> 0, unlabelled -> 1; the score of an unlabelled
@@ -111,23 +106,18 @@ def score_dal(embeddings_labelled, embeddings_unlabelled, dal_cfg: DalConfig = D
     Xb = np.ones((len(A) + len(B), A.shape[1] + 1))
     Xb[:len(A), :-1] = A
     Xb[len(A):, :-1] = B
-    return _dal(Xb, len(A), dal_cfg, rng_seed)
+    return _dal(Xb, len(A), dal_cfg)
 
 
-def _dal(Xb, n_labelled, cfg: DalConfig, rng_seed):
+def _dal(Xb, n_labelled, cfg: DalConfig):
     """:func:`score_dal`'s discriminator on its design matrix ``Xb``: the
     labelled rows, then the unlabelled rows, each its embedding followed by
-    a bias column of ones."""
+    a bias column of ones. Logistic regression from zero weights, so it
+    draws nothing at random."""
     n = Xb.shape[0]
     if not 0 < n_labelled < n:
         raise ValueError("both embedding matrices must be non-empty")
     t = np.repeat([0, 1], [n_labelled, n - n_labelled])
-    if cfg.hidden_dim is not None:  # classifier.fit's MLP, full batch; its layers hold their own biases
-        ccfg = clf.ClassifierConfig(Xb.shape[1] - 1, (cfg.hidden_dim,), 2, 0.0, "relu")
-        tcfg = clf.TrainConfig(cfg.learning_rate, batch_size=n, max_epochs=cfg.epochs,
-                               patience=cfg.epochs, eval_interval=1.0)
-        model = clf.fit(ccfg, (Xb[:, :-1], t), tcfg, rng_seed)
-        return model.predict_proba(Xb[n_labelled:, :-1])[:, 1]
     w = np.zeros(Xb.shape[1])
     for _ in range(cfg.epochs):
         p = _sigmoid(Xb @ w)
@@ -161,7 +151,7 @@ def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
     Xb = np.ones((len(X), model.config.hidden_dims[-1] + 1))
     model.embed(X, out=Xb[:n_l, :-1], rows=np.flatnonzero(state.labelled_mask))
     model.embed(X, out=Xb[n_l:, :-1], rows=unlabelled)
-    return _dal(Xb, n_l, dal_cfg, rng_seed)
+    return _dal(Xb, n_l, dal_cfg)
 
 
 def select_batch(strategy, state, scores, k, rng_seed) -> np.ndarray:

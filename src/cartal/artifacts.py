@@ -93,13 +93,16 @@ def remove(path) -> None:
 def writing(path, newline=None):
     """Open ``path`` for writing UTF-8 text. The text goes to a temp file in the
     same directory, which replaces ``path`` when the block ends; if the block
-    raises, the temp file goes and ``path`` keeps its old bytes."""
+    raises, the temp file goes and ``path`` keeps its old bytes. An OSError
+    comes out naming ``path``, not the temp file or no file at all."""
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), os.fspath(path)) from exc
     finally:
         remove(tmp)
 

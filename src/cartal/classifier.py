@@ -561,6 +561,8 @@ def load_checkpoint(path) -> Classifier:
         if len(layer["W"]) != shape[0] * shape[1] or len(layer["b"]) != shape[1]:
             raise ValueError(f"{path}: layer {l} holds {len(layer['W'])} weights and "
                              f"{len(layer['b'])} biases, expected {shape[0] * shape[1]} and {shape[1]}")
-        weights.append((np.array(layer["W"], dtype=float).reshape(shape),
-                        np.array(layer["b"], dtype=float)))
+        W, b = np.array(layer["W"], dtype=float).reshape(shape), np.array(layer["b"], dtype=float)
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):  # json reads NaN, Infinity and 1e400
+            raise ValueError(f"{path}: layer {l} W and b must be finite")
+        weights.append((W, b))
     return Classifier(config, weights)

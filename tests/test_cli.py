@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import glob
 import json
 import multiprocessing
@@ -16,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+import cartal.artifacts as artifacts
 import cartal.cli as cli
 import cartal.experiment as exp
 from cartal.cartography import ablated_size
@@ -515,6 +517,59 @@ def test_stratify_names_a_malformed_checkpoint(tmp_path, capsys):
     assert "random_seed1.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+def test_stratify_refuses_a_checkpoint_weight_that_is_not_finite(tmp_path, capsys, number):
+    # json reads all three, 1e400 as inf; argmax over NaN rows would pick class 0
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["stratify", "--exp", str(out)]) == 0
+    stratified = (out / "stratified.csv").read_bytes()
+    checkpoint = out / "models" / "random_seed1.json"
+    payload = json.loads(checkpoint.read_text())
+    payload["layers"][1]["W"][3] = "number"
+    checkpoint.write_text(json.dumps(payload).replace('"number"', number))
+    capsys.readouterr()
+    assert main(["stratify", "--exp", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {checkpoint}: layer 1 W and b must be finite\n"
+    assert (out / "stratified.csv").read_bytes() == stratified
+
+
+def test_stratify_of_a_directory_whose_config_sets_dal_hidden_dim_needs_config(tmp_path, capsys):
+    # directories written while the MLP discriminator existed carry "hidden_dim": null
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    written = json.loads((out / "config.json").read_text())
+    written["dal"]["hidden_dim"] = None
+    (out / "config.json").write_text(json.dumps(written))
+    capsys.readouterr()
+    assert main(["stratify", "--exp", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dal.hidden_dim: ") and "Traceback" not in err
+    assert main(["stratify", "--exp", str(out), "--config", cfg]) == 0
+
+
+def test_a_failed_write_names_its_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "exp"
+    target = out / "rounds.csv"
+
+    def open_too_large(file, mode="r", **kwargs):  # as a write past ulimit -f fails
+        fh = open(file, mode, **kwargs)
+        if os.path.basename(file).startswith(f".{target.name}."):
+            def write(text):
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(artifacts, "open", open_too_large, raising=False)
+    assert main(["run", "--config", os.path.join(CONFIGS, "quickstart.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(target)!r}\n"
+    assert not target.exists() and not list(out.rglob("*.tmp"))
+
+
 # --- report ----------------------------------------------------------------------
 
 def test_report_without_paired_suite(run_dir):
@@ -614,6 +669,8 @@ def _set(section, key, value):
 
 @pytest.mark.parametrize("mutate, key", [
     (_set(None, "dump_scores", "false"), "dump_scores"),
+    # an unknown key even at null, the value every config written with it held; 0 is in the list below
+    (_set("dal", "hidden_dim", None), "dal.hidden_dim"),
     (_set("classifier", "hidden_dims", "32"), "classifier.hidden_dims"),
     (_set("al", "k", 2.7), "al.k"),
     (_set("al", "seeds", [1.9]), "al.seeds[0]"),
