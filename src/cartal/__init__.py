@@ -58,7 +58,6 @@ from .metrics import (
 )
 from .pool import (
     Dataset,
-    PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
     concat_datasets,

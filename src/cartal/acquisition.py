@@ -132,38 +132,38 @@ def _check_strategy(strategy: str):
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
 
 
-def score_pool(strategy, state, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
+def score_pool(strategy, X, unlabelled, model, rng_seed, mc_samples=DEFAULT_MC_SAMPLES,
                dal_cfg=DalConfig()) -> np.ndarray | None:
-    """Scores over the unlabelled pool, aligned with its rows in ascending order.
+    """Scores of the pool rows ``unlabelled`` (ascending positions into the
+    pool's features ``X``), aligned with them; every other row is labelled.
 
     Returns None for the random strategy, which has no scores.
     """
     _check_strategy(strategy)
     if strategy == "random":
         return None
-    X = state.universe.X
-    unlabelled = np.flatnonzero(~state.labelled_mask)
     if strategy in ("mcme", "bald"):
         stack = model.mc_predict_proba(X, mc_samples, rng_seed, rows=unlabelled)
         return score_mcme(stack) if strategy == "mcme" else score_bald(stack)
     # each embedding straight from the pool's rows into its row block of the discriminator's input
     n_l = len(X) - len(unlabelled)
     Xb = np.ones((len(X), model.config.hidden_dims[-1] + 1))
-    model.embed(X, out=Xb[:n_l, :-1], rows=np.flatnonzero(state.labelled_mask))
+    model.embed(X, out=Xb[:n_l, :-1], rows=np.delete(np.arange(len(X)), unlabelled))
     model.embed(X, out=Xb[n_l:, :-1], rows=unlabelled)
     return _dal(Xb, n_l, dal_cfg)
 
 
-def select_batch(strategy, state, scores, k, rng_seed) -> np.ndarray:
-    """Pick k unlabelled pool rows, ascending: uniform for random, top-k by score otherwise.
+def select_batch(strategy, unlabelled, scores, k, rng_seed) -> np.ndarray:
+    """Pick k of the pool rows ``unlabelled`` (ascending), returned ascending:
+    uniform for random, top-k by score otherwise.
 
-    ``scores`` is :func:`score_pool`'s result for the same state; random
+    ``scores`` is :func:`score_pool`'s result for the same rows; random
     ignores it and draws from ``rng_seed``. Score ties break toward the smaller
     row, whose example id is the smaller, which makes selection invariant to
     the iteration order of the pool.
     """
     _check_strategy(strategy)
-    rows = np.flatnonzero(~state.labelled_mask)
+    rows = np.asarray(unlabelled, dtype=np.int64)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > rows.size:

@@ -156,7 +156,7 @@ def record_command(exp_dir, command: str, entry: dict) -> None:
     try:
         with reading(path) as fh:
             entries = {k: v for k, v in json.load(fh).items() if isinstance(v, dict)}
-    except (OSError, ValueError, AttributeError):  # no manifest, not JSON, or not an object
+    except (OSError, ValueError, RecursionError, AttributeError):  # no manifest, not JSON, or not an object
         entries = {}
     entries[command] = entry
     write_json(path, entries, indent=2)

@@ -532,8 +532,11 @@ def _is_number_list(value) -> bool:
 
 
 def load_checkpoint(path) -> Classifier:
-    with reading(path) as fh:
-        payload = json.load(fh)
+    try:
+        with reading(path) as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested past the recursion limit
+        raise ValueError(f"{path}: not a checkpoint: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
     cfg = payload.get("config")
@@ -561,8 +564,12 @@ def load_checkpoint(path) -> Classifier:
         if len(layer["W"]) != shape[0] * shape[1] or len(layer["b"]) != shape[1]:
             raise ValueError(f"{path}: layer {l} holds {len(layer['W'])} weights and "
                              f"{len(layer['b'])} biases, expected {shape[0] * shape[1]} and {shape[1]}")
-        W, b = np.array(layer["W"], dtype=float).reshape(shape), np.array(layer["b"], dtype=float)
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):  # json reads NaN, Infinity and 1e400
+        try:
+            W, b = np.array(layer["W"], dtype=float).reshape(shape), np.array(layer["b"], dtype=float)
+            finite = np.isfinite(W).all() and np.isfinite(b).all()  # json reads NaN, Infinity and 1e400
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"{path}: layer {l} W and b must be finite")
         weights.append((W, b))
     return Classifier(config, weights)

@@ -126,7 +126,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with reading(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # also nested past the recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}", key=str(path)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object", key=str(path))

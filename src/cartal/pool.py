@@ -1,8 +1,10 @@
 """Datasets, synthetic sources, and labelled/unlabelled pool bookkeeping.
 
 A :class:`Dataset` is immutable after construction and shareable across runs.
-:class:`PoolState` tracks the disjoint labelled/unlabelled partition and is
-only ever advanced through :func:`transfer`.
+A run's acquisition history is one int32 array over its pool's rows,
+``acquired_round``: -1 where unlabelled, 0 for the seed set and r for a row
+acquired at round r. :func:`seed_split` makes it and only :func:`transfer`
+advances it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import ConfigError, ParseError, SchemaError, StateError
 __all__ = [
     "Example",
     "Dataset",
-    "PoolState",
     "SyntheticSourceSpec",
     "load_dataset",
     "write_dataset",
@@ -189,31 +190,6 @@ class Dataset:
         if (pos < 0).any():
             raise ValueError(f"unknown ids in subset request: {wanted_ids[pos < 0][:10].tolist()}")
         return self.take(pos, name)
-
-
-class PoolState:
-    """Disjoint labelled/unlabelled partition of a backing dataset: one
-    boolean mask over the dataset's rows, True where labelled."""
-
-    def __init__(self, labelled_mask: np.ndarray, universe: Dataset):
-        self.labelled_mask, self.universe = labelled_mask, universe
-
-    def unlabelled_rows(self, rows, error=StateError) -> np.ndarray:
-        """``rows`` as int64 positions, each of which must be an unlabelled row;
-        ``error`` names those out of range (negative included) or labelled."""
-        rows = np.asarray(rows, dtype=np.int64)
-        ok = (rows >= 0) & (rows < len(self.labelled_mask))
-        ok[ok] = ~self.labelled_mask[rows[ok]]
-        if not ok.all():
-            raise error(f"rows not in the unlabelled pool (already labelled or out of range): "
-                        f"{rows[~ok][:10].tolist()}")
-        return rows
-
-    def source_shares(self) -> dict[str, float]:
-        """Fraction of the unlabelled pool contributed by each source."""
-        counts = self.universe.source_counts(~self.labelled_mask)
-        total = sum(counts.values())
-        return {s: c / total for s, c in counts.items() if c}
 
 
 @dataclass(frozen=True)
@@ -392,7 +368,7 @@ def _read_dataset(lines) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
+        except (ValueError, RecursionError) as exc:  # not JSON, an int past its digit limit, or too deep
             raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
         if type(rec) is not dict:
             raise ParseError("record is not an object", line=lineno)
@@ -506,20 +482,29 @@ def split_dataset(dataset: Dataset, fraction: float, rng_seed: int):
             dataset.take(np.sort(order[:n_hold]), name=f"{dataset.name}-held"))
 
 
-def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> PoolState:
-    """Sample the initial labelled seed uniformly without replacement."""
+def seed_split(pool: Dataset, seed_size: int, rng_seed: int) -> np.ndarray:
+    """A new ``acquired_round`` array over ``pool``'s rows: 0 on a seed set of
+    ``seed_size`` rows sampled uniformly without replacement, -1 elsewhere.
+    It is int32 because the round count is bounded only by the pool's size."""
     if seed_size > len(pool):
         raise ValueError(f"seed_size {seed_size} exceeds pool size {len(pool)}")
     if seed_size < 0:
         raise ValueError("seed_size must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    labelled = np.zeros(len(pool), dtype=bool)
-    labelled[rng.choice(len(pool), size=seed_size, replace=False)] = True
-    return PoolState(labelled, pool)
+    acquired_round = np.full(len(pool), -1, dtype=np.int32)
+    acquired_round[rng.choice(len(pool), size=seed_size, replace=False)] = 0
+    return acquired_round
 
 
-def transfer(state: PoolState, rows) -> PoolState:
-    """Move the pool rows ``rows`` from the unlabelled to the labelled side."""
-    labelled = state.labelled_mask.copy()
-    labelled[state.unlabelled_rows(rows)] = True
-    return PoolState(labelled, state.universe)
+def transfer(acquired_round: np.ndarray, rows, rnd: int) -> None:
+    """Label the pool rows ``rows`` at round ``rnd``: write ``rnd`` into
+    ``acquired_round`` at each of them, in place. A row out of range
+    (negative included) or already labelled raises :class:`StateError`,
+    and then nothing is written."""
+    rows = np.asarray(rows, dtype=np.int64)
+    ok = (rows >= 0) & (rows < len(acquired_round))
+    ok[ok] = acquired_round[rows[ok]] < 0
+    if not ok.all():
+        raise StateError(f"rows not in the unlabelled pool (already labelled or out of range): "
+                         f"{rows[~ok][:10].tolist()}")
+    acquired_round[rows] = rnd

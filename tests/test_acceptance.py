@@ -42,7 +42,6 @@ from cartal.experiment import (
 )
 from cartal.metrics import acquisition_factor, input_diversity, stratified_accuracy
 from cartal.pool import (
-    PoolState,
     load_dataset,
     seed_split,
     transfer,
@@ -123,9 +122,8 @@ def test_criterion_1_formula_oracles():
         n_pool = int(rng.integers(6, 40))
         sources = [("A", "B", "C")[i] for i in rng.integers(0, 3, size=n_pool)]
         pool = make_dataset(np.zeros((n_pool, 1)), np.zeros(n_pool), sources=sources, num_classes=2)
-        state = PoolState(np.zeros(n_pool, dtype=bool), pool)
         batch = rng.choice(n_pool, size=int(rng.integers(1, n_pool)), replace=False)
-        factors = acquisition_factor(batch, state)
+        factors = acquisition_factor(pool, batch, np.arange(n_pool))
         counts = {s: 0 for s in set(sources)}
         for i in batch:
             counts[sources[i]] += 1
@@ -206,19 +204,20 @@ def test_criterion_3_default_run_bookkeeping(context):
     initial = set(result.labelled_ids) - acquired_union
     assert len(initial) == 500
 
-    def sides(state):
-        return (set(pool.ids[state.labelled_mask].tolist()),
-                set(pool.ids[~state.labelled_mask].tolist()))
+    def sides(acquired_round):
+        return (set(pool.ids[acquired_round >= 0].tolist()),
+                set(pool.ids[acquired_round < 0].tolist()))
 
-    state = PoolState(np.isin(pool.ids, list(initial)), pool)
+    state = np.where(np.isin(pool.ids, list(initial)), 0, -1).astype(np.int32)
     for i, log in enumerate(result.round_logs, start=1):
-        state = transfer(state, pool.positions(log.acquired_ids))  # transfer enforces disjointness
+        transfer(state, pool.positions(log.acquired_ids), i)  # transfer enforces disjointness
         labelled, unlabelled = sides(state)
         assert not labelled & unlabelled
         assert len(labelled) == 500 + i * 500 == log.labelled_size
     ok = (len(result.labelled_ids) == 4000
           and labelled == set(result.labelled_ids)
-          and len(labelled) + len(unlabelled) == len(pool))
+          and len(labelled) + len(unlabelled) == len(pool)
+          and (state == result.acquired_round).all())
     report(3, ok, f"7 rounds replayed, final |D_train|={len(result.labelled_ids)}, "
                   "disjointness held after every transfer")
 
@@ -367,10 +366,11 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     # k = |pool| exhausts the unlabelled set
     pool = make_dataset(np.stack([np.arange(30.0), np.zeros(30)], axis=1), np.arange(30) % 2)
     state = seed_split(pool, 10, rng_seed=0)
-    unlabelled = set(pool.ids[~state.labelled_mask].tolist())
+    rows = np.flatnonzero(state < 0)
+    unlabelled = set(pool.ids[rows].tolist())
     model = fit(ClassifierConfig(2, (4,), 2, dropout_rate=0.3),
-                (pool.X[state.labelled_mask], pool.y[state.labelled_mask]), TrainConfig(max_epochs=2), 0)
-    batch = select_batch("mcme", state, score_pool("mcme", state, model, 0), len(unlabelled), 0)
+                (pool.X[state >= 0], pool.y[state >= 0]), TrainConfig(max_epochs=2), 0)
+    batch = select_batch("mcme", rows, score_pool("mcme", pool.X, rows, model, 0), len(unlabelled), 0)
     checks.append(("k equals pool", set(pool.ids[batch].tolist()) == unlabelled))
 
     # fraction-0 ablation keeps everything
@@ -404,10 +404,10 @@ def test_criterion_9_degenerate_inputs(tmp_path):
 
     checks.append(("oversize seed_split", raises(ValueError, lambda: seed_split(pool, 31, 0))))
     checks.append(("transfer labelled id", raises(
-        StateError, lambda: transfer(state, np.flatnonzero(state.labelled_mask)[:1]))))
+        StateError, lambda: transfer(state, np.flatnonzero(state >= 0)[:1], 1))))
     checks.append(("T=0 MC", raises(ValueError, lambda: det_model.mc_predict_proba(X, 0, 0))))
     checks.append(("k too large", raises(
-        ValueError, lambda: select_batch("random", state, None, 1000, 0))))
+        ValueError, lambda: select_batch("random", rows, None, 1000, 0))))
     checks.append(("empty train set", raises(
         ValueError, lambda: fit(det_cfg, (np.zeros((0, 2)), np.zeros(0, dtype=int)), TrainConfig(), 0))))
     checks.append(("entropy bad vector", raises(

@@ -26,7 +26,7 @@ from cartal.acquisition import (
 from cartal.classifier import Classifier, ClassifierConfig, init_weights
 from cartal.errors import StateError
 from cartal.metrics import acquisition_factor
-from cartal.pool import PoolState, transfer
+from cartal.pool import transfer
 
 from conftest import logistic_regression_irls, logistic_regression_lbfgs, make_dataset
 from openblas_threads import openblas_threads
@@ -271,11 +271,11 @@ def test_score_pool_dal_equals_score_dal_on_embeddings():
     config = ClassifierConfig(5, (16, 12), 3)
     model = Classifier(config, init_weights(config, rng))
     ds = make_dataset(rng.standard_normal((6000, 5)), rng.integers(0, 3, 6000))
-    state = PoolState(rng.random(6000) < 0.15, ds)
-    X_l, X_u = ds.X[state.labelled_mask], ds.X[~state.labelled_mask]
+    labelled = rng.random(6000) < 0.15
+    X_l, X_u = ds.X[labelled], ds.X[~labelled]
     dal_cfg = DalConfig(epochs=20)
     want = score_dal(model.embed(X_l), model.embed(X_u), dal_cfg)
-    got = score_pool("dal", state, model, 4, dal_cfg=dal_cfg)
+    got = score_pool("dal", ds.X, np.flatnonzero(~labelled), model, 4, dal_cfg=dal_cfg)
     assert got.tobytes() == want.tobytes()
 
 
@@ -330,14 +330,16 @@ def _pool_of(ids):
 
 
 def _all_unlabelled(ds):
-    return PoolState(np.zeros(len(ds), dtype=bool), ds)
+    """The unlabelled rows of a pool none of whose rows is labelled."""
+    return np.arange(len(ds))
 
 
 def test_select_batch_breaks_ties_by_lowest_id():
     ds = _pool_of([2, 5, 7])
-    state = _all_unlabelled(ds)
+    unlabelled = _all_unlabelled(ds)
     model = _ScoredModel({5: 0.9, 2: 0.9, 7: 0.1})
-    picked = select_batch("mcme", state, score_pool("mcme", state, model, 0), 1, rng_seed=0)
+    scores = score_pool("mcme", ds.X, unlabelled, model, 0)
+    picked = select_batch("mcme", unlabelled, scores, 1, rng_seed=0)
     assert picked.tolist() == [0]  # the row of id 2
 
 
@@ -346,55 +348,58 @@ def test_a_batch_is_pool_rows_where_ids_are_not_rows():
     # counts or labels the wrong example, or refuses a valid one
     ds = make_dataset(np.array([[2.0], [5.0], [7.0]]), np.zeros(3), sources=["A", "B", "B"],
                       ids=[2, 5, 7], num_classes=3)
-    state = _all_unlabelled(ds)
+    unlabelled = _all_unlabelled(ds)
     model = _ScoredModel({2: 0.1, 5: 0.2, 7: 0.9})
-    rows = select_batch("mcme", state, score_pool("mcme", state, model, 0), 1, rng_seed=0)
+    scores = score_pool("mcme", ds.X, unlabelled, model, 0)
+    rows = select_batch("mcme", unlabelled, scores, 1, rng_seed=0)
     assert rows.dtype == np.int64 and rows.tolist() == [2]  # the row of id 7
-    assert acquisition_factor(rows, state) == pytest.approx({"A": 0.0, "B": 1.5})
-    moved = transfer(state, rows)
-    assert ds.ids[moved.labelled_mask].tolist() == [7]
+    assert acquisition_factor(ds, rows, unlabelled) == pytest.approx({"A": 0.0, "B": 1.5})
+    acquired_round = np.full(len(ds), -1, dtype=np.int32)
+    transfer(acquired_round, rows, 1)
+    assert ds.ids[acquired_round >= 0].tolist() == [7]
+    moved = np.flatnonzero(acquired_round < 0)
     assert select_batch("random", moved, None, 2, rng_seed=0).tolist() == [0, 1]
     for stray in ([2], [5], [7], [-1]):  # labelled, or out of range though an id
         with pytest.raises(StateError, match=str(stray[0])):
-            transfer(moved, stray)
+            transfer(acquired_round, stray, 2)
         with pytest.raises(ValueError, match=str(stray[0])):
-            acquisition_factor(stray, moved)
+            acquisition_factor(ds, stray, moved)
 
 
 def test_select_batch_random_is_reproducible():
     ds = _pool_of(range(30))
-    state = _all_unlabelled(ds)
-    a = select_batch("random", state, None, 10, rng_seed=42)
-    b = select_batch("random", state, None, 10, rng_seed=42)
+    unlabelled = _all_unlabelled(ds)
+    a = select_batch("random", unlabelled, None, 10, rng_seed=42)
+    b = select_batch("random", unlabelled, None, 10, rng_seed=42)
     assert a.tolist() == b.tolist()
     assert len(set(a.tolist())) == 10 and set(a.tolist()) <= set(range(30))
 
 
 def test_select_batch_exhausts_pool_when_k_equals_size():
     ds = _pool_of(range(12))
-    state = _all_unlabelled(ds)
+    unlabelled = _all_unlabelled(ds)
     model = _ScoredModel({i: 0.5 for i in range(12)})
     for strategy in ("random", "mcme", "bald"):
-        scores = score_pool(strategy, state, model, 1)
-        assert select_batch(strategy, state, scores, 12, rng_seed=1).tolist() == list(range(12))
+        scores = score_pool(strategy, ds.X, unlabelled, model, 1)
+        assert select_batch(strategy, unlabelled, scores, 12, rng_seed=1).tolist() == list(range(12))
 
 
 def test_select_batch_rejects_oversized_k():
     ds = _pool_of(range(5))
-    state = _all_unlabelled(ds)
+    unlabelled = _all_unlabelled(ds)
     with pytest.raises(ValueError):
-        select_batch("random", state, None, 6, rng_seed=0)
+        select_batch("random", unlabelled, None, 6, rng_seed=0)
 
 
 def test_select_batch_rejects_unknown_strategy():
     ds = _pool_of(range(5))
-    state = _all_unlabelled(ds)
+    unlabelled = _all_unlabelled(ds)
     with pytest.raises(ValueError, match="random"):
-        select_batch("margin", state, None, 2, rng_seed=0)
+        select_batch("margin", unlabelled, None, 2, rng_seed=0)
 
 
 @pytest.mark.parametrize("scores", [None, np.zeros(4), np.zeros(6)], ids=["none", "short", "long"])
 def test_select_batch_rejects_scores_not_one_per_unlabelled_id(scores):
-    state = _all_unlabelled(_pool_of(range(5)))
+    unlabelled = _all_unlabelled(_pool_of(range(5)))
     with pytest.raises(ValueError, match="5 scores"):
-        select_batch("mcme", state, scores, 2, rng_seed=0)
+        select_batch("mcme", unlabelled, scores, 2, rng_seed=0)

@@ -76,6 +76,9 @@ def test_manifest_keeps_the_other_commands_entries(tmp_path):
     path.write_text("[1, 2")  # a manifest that does not parse starts afresh
     write_manifest(tmp_path)
     assert list(json.loads(path.read_text())) == ["run"]
+    path.write_text("[" * 100_000)  # and so does one nested past the recursion limit
+    write_manifest(tmp_path, command="splits")
+    assert list(json.loads(path.read_text())) == ["splits"]
 
 
 def test_checkpoints_invert_checkpoint_names_per_variant(tmp_path):

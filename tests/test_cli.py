@@ -515,11 +515,17 @@ def test_stratify_names_a_malformed_checkpoint(tmp_path, capsys):
     assert main(["stratify", "--exp", str(out)]) == 1
     err = capsys.readouterr().err
     assert "random_seed1.json" in err and "Traceback" not in err
+    (out / "models" / "random_seed1.json").write_text('{"magic": ')  # truncated: not JSON
+    assert main(["stratify", "--exp", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'models' / 'random_seed1.json'}: not a checkpoint: Expecting value")
 
 
-@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400",
+                                    pytest.param("1" + "0" * 400, id="401-digit integer")])
 def test_stratify_refuses_a_checkpoint_weight_that_is_not_finite(tmp_path, capsys, number):
-    # json reads all three, 1e400 as inf; argmax over NaN rows would pick class 0
+    # json reads the first three, 1e400 as inf, and the integer exactly, which overflows a
+    # float; argmax over NaN rows would pick class 0
     cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
     out = tmp_path / "exp"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
@@ -534,6 +540,42 @@ def test_stratify_refuses_a_checkpoint_weight_that_is_not_finite(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"error: {checkpoint}: layer 1 W and b must be finite\n"
     assert (out / "stratified.csv").read_bytes() == stratified
+
+
+_DEEP = "[" * 100_000  # JSON arrays nested past the recursion limit
+
+
+def _deep_config(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    return ["run", "--config", str(path), "--out", str(tmp_path / "exp")], path, "config is not valid JSON"
+
+
+def _deep_data_file(tmp_path):
+    file_cfg, beta = _generated_files_config(tmp_path)
+    beta.write_text(_DEEP + "\n")
+    return ["run", "--config", file_cfg, "--out", str(tmp_path / "exp")], beta, "line 1: invalid JSON"
+
+
+def _deep_checkpoint(tmp_path):
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    checkpoint = out / "models" / "random_seed1.json"
+    checkpoint.write_text(_DEEP)
+    return ["stratify", "--exp", str(out)], checkpoint, "not a checkpoint"
+
+
+@pytest.mark.parametrize("deep", [_deep_config, _deep_data_file, _deep_checkpoint],
+                         ids=["config", "data file", "checkpoint"])
+def test_json_nested_past_the_recursion_limit_is_named(tmp_path, capsys, deep):
+    """Such input escaped as an uncaught RecursionError."""
+    argv, path, reason = deep(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {reason}: maximum recursion depth exceeded")
+    assert "Traceback" not in err
 
 
 def test_stratify_of_a_directory_whose_config_sets_dal_hidden_dim_needs_config(tmp_path, capsys):

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -100,8 +101,9 @@ def test_replaying_round_logs_reconstructs_final_state(one_run):
     state = seed_split(context.data.pool, config.seed_size,
                        exp.derive_seed(exp.derive_seed("run", "mcme", 1), "split"))
     for log in result.round_logs:
-        state = transfer(state, context.data.pool.positions(log.acquired_ids))
-    assert context.data.pool.ids[state.labelled_mask].tolist() == sorted(result.labelled_ids)
+        transfer(state, context.data.pool.positions(log.acquired_ids), log.round)
+    assert context.data.pool.ids[state >= 0].tolist() == sorted(result.labelled_ids)
+    assert (state == result.acquired_round).all()
 
 
 def test_run_on_an_ablated_pool_logs_its_ids_not_its_rows(ctx):
@@ -116,9 +118,9 @@ def test_run_on_an_ablated_pool_logs_its_ids_not_its_rows(ctx):
     state = seed_split(pool, config.seed_size, exp.derive_seed(exp.derive_seed("run", "mcme", 1), "split"))
     for log in result.round_logs:
         rows = pool.positions(log.acquired_ids)
-        assert (rows >= 0).all() and not state.labelled_mask[rows].any()  # unlabelled ids of this pool
-        state = transfer(state, rows)
-    assert pool.ids[state.labelled_mask].tolist() == sorted(result.labelled_ids)
+        assert (rows >= 0).all() and (state[rows] < 0).all()  # unlabelled ids of this pool
+        transfer(state, rows, log.round)
+    assert pool.ids[state >= 0].tolist() == sorted(result.labelled_ids)
 
 
 def test_round_metrics_are_recorded(one_run):
@@ -202,7 +204,7 @@ def test_suite_aggregation_matches_bruteforce(ctx, suite):
 def test_aggregate_two_seeds_population_std():
     profile = RunProfile(0.5, 0.5, (1.0,))
     results = [
-        RunResult("random", s, [], None, acc, {"clean": acc}, profile, ())
+        RunResult("random", s, [], None, acc, {"clean": acc}, profile, np.zeros(0, np.int32), ())
         for s, acc in ((1, 0.8), (2, 0.9))
     ]
     config = tiny_config(strategies=("random",), seeds=(1, 2))
@@ -213,7 +215,7 @@ def test_aggregate_two_seeds_population_std():
 
 def test_single_run_has_zero_std():
     profile = RunProfile(0.5, 0.5, (1.0,))
-    results = [RunResult("random", 1, [], None, 0.8, {"clean": 0.8}, profile, ())]
+    results = [RunResult("random", 1, [], None, 0.8, {"clean": 0.8}, profile, np.zeros(0, np.int32), ())]
     config = tiny_config(strategies=("random",), seeds=(1,))
     [summary] = exp._aggregate(config, results)
     assert summary.accuracies["clean"][1] == 0.0
@@ -421,6 +423,52 @@ def test_ablated_size_is_the_ablated_pool_length(ctx, fraction):
     cfg = replace(config, ablation_fraction=fraction, strategies=("random",), seeds=(1,))
     _, ablated_ctx = run_ablated_suite(cfg, context)
     assert ablated_size(context.data.pool, fraction) == len(ablated_ctx.data.pool)
+
+
+# --- acquisition history ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def quickstart():
+    config = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "quickstart.json"))
+    return config, prepare_context(config)
+
+
+def _assert_history_matches_ids(config, pool, results):
+    """Each run's ``acquired_round`` array against the id tuples and counts of its logs."""
+    assert len(results) == len(config.strategies) * len(config.seeds)
+    for r in results:
+        rounds = r.acquired_round
+        assert rounds.dtype == np.int32 and rounds.shape == (len(pool),)
+        assert np.count_nonzero(rounds == 0) == config.seed_size
+        assert [log.round for log in r.round_logs] == list(range(1, config.rounds + 1))
+        assert rounds.min() >= -1 and rounds.max() == config.rounds
+        for log in r.round_logs:
+            batch = rounds == log.round
+            assert pool.ids[batch].tolist() == list(log.acquired_ids)
+            assert np.count_nonzero((rounds >= 0) & (rounds <= log.round)) == log.labelled_size
+            sources = Counter(pool.source_names[c] for c in pool.source_codes[batch].tolist())
+            assert sources == Counter({s: n for s, n in log.per_source_counts.items() if n})
+        assert pool.ids[rounds >= 0].tolist() == list(r.labelled_ids)
+
+
+def test_acquired_round_matches_the_logged_ids_sequential_and_parallel(quickstart):
+    config, context = quickstart
+    sequential = run_suite(config, context)
+    parallel = run_suite(config, context, parallel=2)
+    for suite in (sequential, parallel):
+        assert not suite.failures
+        _assert_history_matches_ids(config, context.data.pool, suite.results)
+    for a, b in zip(sequential.results, parallel.results):
+        assert a.acquired_round.tobytes() == b.acquired_round.tobytes()
+
+
+def test_acquired_round_matches_the_logged_ids_of_an_ablated_suite(quickstart):
+    config, context = quickstart
+    suite, ablated = run_ablated_suite(config, context)
+    pool = ablated.data.pool
+    assert (pool.ids != np.arange(len(pool))).any()  # its ids are not its rows
+    assert not suite.failures
+    _assert_history_matches_ids(config, pool, suite.results)
 
 
 # --- difficulty splits -----------------------------------------------------------------

@@ -19,7 +19,6 @@ from cartal.metrics import (
     stratified_accuracy,
     tokens_of,
 )
-from cartal.pool import PoolState
 
 from conftest import make_dataset
 
@@ -148,21 +147,27 @@ def test_class_distribution_rejects_empty():
 # --- acquisition factor ------------------------------------------------------------
 
 def _pool_state(sources, labelled=()):
+    """A pool of one row per source name, and its rows outside ``labelled``."""
     ds = make_dataset(np.zeros((len(sources), 1)), np.zeros(len(sources)), sources=sources, num_classes=2)
-    return PoolState(np.isin(ds.ids, list(labelled)), ds)
+    return ds, np.flatnonzero(~np.isin(ds.ids, list(labelled)))
+
+
+def _shares(ds, unlabelled):
+    """Fraction of the ``unlabelled`` rows contributed by each source present among them."""
+    return {s: c / len(unlabelled) for s, c in ds.source_counts(unlabelled).items() if c}
 
 
 def test_acquisition_factor_two_sources():
-    state = _pool_state(["A"] * 10 + ["B"] * 10)
+    ds, unlabelled = _pool_state(["A"] * 10 + ["B"] * 10)
     batch = [*range(8), 10, 11]  # 8 from A, 2 from B
-    factors = acquisition_factor(batch, state)
+    factors = acquisition_factor(ds, batch, unlabelled)
     assert factors["A"] == pytest.approx(1.6)
     assert factors["B"] == pytest.approx(0.4)
 
 
 def test_acquisition_factor_concentrated_batch():
-    state = _pool_state(["A"] * 5 + ["B"] * 15)  # A share 0.25
-    factors = acquisition_factor([0, 1, 2, 3, 4], state)
+    ds, unlabelled = _pool_state(["A"] * 5 + ["B"] * 15)  # A share 0.25
+    factors = acquisition_factor(ds, [0, 1, 2, 3, 4], unlabelled)
     assert factors["A"] == pytest.approx(4.0)
     assert factors["B"] == pytest.approx(0.0)
 
@@ -171,20 +176,21 @@ def test_acquisition_factor_weighted_mean_identity():
     rng = np.random.default_rng(7)
     for _ in range(20):
         sources = [rng.choice(["A", "B", "C"]) for _ in range(40)]
-        state = _pool_state(sources)
+        ds, unlabelled = _pool_state(sources)
         batch = rng.choice(40, size=10, replace=False)
-        factors = acquisition_factor(batch, state)
-        shares = state.source_shares()
+        factors = acquisition_factor(ds, batch, unlabelled)
+        shares = _shares(ds, unlabelled)
         total = sum(factors[s] * shares[s] for s in factors)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_acquisition_factor_rejects_empty_and_stray():
-    state = _pool_state(["A"] * 4)
+    ds, unlabelled = _pool_state(["A"] * 4, labelled=[2])
     with pytest.raises(ValueError):
-        acquisition_factor([], state)
-    with pytest.raises(ValueError):
-        acquisition_factor([99], state)
+        acquisition_factor(ds, [], unlabelled)
+    for stray in ([99], [2], [-1]):  # out of range, labelled, negative
+        with pytest.raises(ValueError, match=str(stray[0])):
+            acquisition_factor(ds, stray, unlabelled)
 
 
 # --- stratified accuracy -------------------------------------------------------------
@@ -276,12 +282,13 @@ def test_bincount_factors_match_per_id_counts(sources, data):
     labelled = data.draw(st.sets(st.sampled_from(sorted(ids)), max_size=len(sources) - 1))
     unlabelled = sorted(ids - labelled)
     batch = data.draw(st.sets(st.sampled_from(unlabelled), min_size=1))
-    state = _pool_state(sources, labelled)
+    ds, rows = _pool_state(sources, labelled)
+    assert rows.tolist() == unlabelled
 
     in_pool = {s: sum(sources[i] == s for i in unlabelled) for s in set(sources)}
     in_batch = {s: sum(sources[i] == s for i in batch) for s in set(sources)}
     shares = {s: c / len(unlabelled) for s, c in in_pool.items() if c}
-    assert state.source_shares() == shares
-    assert acquisition_factor(sorted(batch), state) == {
-        s: in_batch[s] / (len(batch) * share) for s, share in shares.items()
-    }
+    assert _shares(ds, rows) == shares
+    factors = acquisition_factor(ds, sorted(batch), rows)
+    assert factors == {s: in_batch[s] / (len(batch) * share) for s, share in shares.items()}
+    assert acquisition_factor(ds, sorted(batch), rows, ds.source_counts(sorted(batch))) == factors

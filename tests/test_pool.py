@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cartal.errors import ConfigError, ParseError, SchemaError, StateError
 from cartal.pool import (
     Dataset,
-    PoolState,
     SyntheticSourceSpec,
     build_multi_source_pool,
     concat_datasets,
@@ -39,14 +38,15 @@ def _tiny_dataset(n, source="s", d=1, C=3):
     return make_dataset(np.zeros((n, d)), np.arange(n) % C, num_classes=C, name=source)
 
 
-def _sides(state):
-    """The labelled and the unlabelled ids of a state, as sets."""
-    ids = state.universe.ids
-    return set(ids[state.labelled_mask].tolist()), set(ids[~state.labelled_mask].tolist())
+def _sides(acquired_round, pool):
+    """The labelled and the unlabelled ids of an ``acquired_round`` array over ``pool``, as sets."""
+    labelled = acquired_round >= 0
+    return set(pool.ids[labelled].tolist()), set(pool.ids[~labelled].tolist())
 
 
 def _state(labelled, pool):
-    return PoolState(np.isin(pool.ids, list(labelled)), pool)
+    """An ``acquired_round`` array: round 0 on the rows of the ``labelled`` ids, -1 elsewhere."""
+    return np.where(np.isin(pool.ids, list(labelled)), 0, -1).astype(np.int32)
 
 
 # --- load_dataset -------------------------------------------------------------
@@ -382,7 +382,8 @@ def test_pool_rejects_schema_mismatch():
 def test_seed_split_sizes():
     pool = _tiny_dataset(600)
     state = seed_split(pool, 50, rng_seed=0)
-    labelled, unlabelled = _sides(state)
+    assert state.dtype == np.int32 and set(state.tolist()) == {-1, 0}
+    labelled, unlabelled = _sides(state, pool)
     assert len(labelled) == 50
     assert len(unlabelled) == 550
     assert not labelled & unlabelled
@@ -391,9 +392,9 @@ def test_seed_split_sizes():
 def test_seed_split_empty_and_exhaustive():
     pool = _tiny_dataset(10)
     cold = seed_split(pool, 0, rng_seed=0)
-    assert _sides(cold)[0] == set()
+    assert _sides(cold, pool)[0] == set()
     full = seed_split(pool, 10, rng_seed=0)
-    assert _sides(full)[1] == set()
+    assert _sides(full, pool)[1] == set()
 
 
 def test_seed_split_rejects_oversize():
@@ -404,26 +405,28 @@ def test_seed_split_rejects_oversize():
 def test_transfer_set_algebra():
     pool = _tiny_dataset(3)
     state = _state({1}, pool)
-    new = transfer(state, [2])
-    assert _sides(new) == ({1, 2}, {0})
-    # original state is unchanged
-    assert _sides(state)[0] == {1}
+    transfer(state, [2], 1)
+    assert _sides(state, pool) == ({1, 2}, {0})
+    # transfer writes the round into its rows and leaves every other row alone
+    assert state.tolist() == [-1, 0, 1]
 
 
 def test_transfer_rejects_already_labelled():
     pool = _tiny_dataset(3)
     state = _state({1}, pool)
     with pytest.raises(StateError, match="1"):
-        transfer(state, [1])
+        transfer(state, [0, 1], 1)
+    assert state.tolist() == [-1, 0, -1]  # a refused transfer writes no row, not even a valid one
 
 
 def test_seed_then_seven_transfers_reach_4k():
     pool = _tiny_dataset(4200)
     state = seed_split(pool, 500, rng_seed=0)
-    for _ in range(7):
-        batch = np.flatnonzero(~state.labelled_mask)[:500]
-        state = transfer(state, batch)
-    assert np.count_nonzero(state.labelled_mask) == 4000
+    for rnd in range(1, 8):
+        batch = np.flatnonzero(state < 0)[:500]
+        transfer(state, batch, rnd)
+    assert np.count_nonzero(state >= 0) == 4000
+    assert np.bincount(state[state >= 0]).tolist() == [500] * 8
 
 
 @given(st.integers(0, 1000))
@@ -433,14 +436,14 @@ def test_pool_state_invariants_under_random_transfers(seed):
     pool = _tiny_dataset(40)
     state = seed_split(pool, int(rng.integers(0, 20)), int(rng.integers(0, 100)))
     total = len(pool)
-    for _ in range(3):
-        labelled, unlabelled = _sides(state)
+    for rnd in range(1, 4):
+        labelled, unlabelled = _sides(state, pool)
         if not unlabelled:
             break
         size = int(rng.integers(1, len(unlabelled) + 1))
         batch = rng.choice(sorted(unlabelled), size=size, replace=False)
-        state = transfer(state, pool.positions(batch))
-        labelled, unlabelled = _sides(state)
+        transfer(state, pool.positions(batch), rnd)
+        labelled, unlabelled = _sides(state, pool)
         assert not labelled & unlabelled
         assert len(labelled) + len(unlabelled) == total
 
@@ -531,12 +534,12 @@ def test_mask_state_transfer_matches_set_algebra(ids, data):
     labelled = set(data.draw(st.sets(st.sampled_from(sorted(ids)))))
     unlabelled = ids - labelled
     state = _state(labelled, ds)
-    assert _sides(state) == (labelled, unlabelled)
-    assert ds.ids[~state.labelled_mask].tolist() == sorted(unlabelled)
+    assert _sides(state, ds) == (labelled, unlabelled)
+    assert ds.ids[state < 0].tolist() == sorted(unlabelled)
     batch = data.draw(st.sets(st.sampled_from(sorted(unlabelled)))) if unlabelled else set()
-    moved = transfer(state, ds.positions(batch))
-    assert _sides(moved) == (labelled | batch, unlabelled - batch)
-    assert _sides(state)[0] == labelled  # transfer leaves its input alone
+    transfer(state, ds.positions(batch), 1)
+    assert _sides(state, ds) == (labelled | batch, unlabelled - batch)
+    assert set(ds.ids[state == 0].tolist()) == labelled  # transfer leaves the other rows alone
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 2.4e17, -2.4e17])
