@@ -14,7 +14,10 @@ and ``report`` read it back as ``--exp`` and add their tables::
     models/              <prefix><strategy>_seed<seed>.json: final-model checkpoints
                          ("CARTAL1" JSON); a suite replaces only its own variant's
     scores/              with dump_scores, <strategy>_seed<seed>_round<r>.csv: id, source
-                         and score of every unlabelled example; each run replaces it whole
+                         and score of every unlabelled example; written with the suite's
+                         other tables when it ends, and each run replaces it whole, so a
+                         failed run dumps nothing, ablate dumps nothing, and an
+                         interrupted run leaves the last complete dumps
     datamap.csv          pool example: source, mean confidence, variability, correctness, band
     splits.csv           `splits`: combo x test set, the columns of summary.csv
     stratified.csv       `stratify`: strategy, seed, test set, band, count and accuracy of
@@ -57,8 +60,8 @@ def report_table(name: str, fmt: str) -> str:
     return f"report_{name}.{fmt}"
 
 
-def scores_table(strategy: str, seed: int, rnd: int) -> str:
-    return f"{strategy}_seed{seed}_round{rnd}.csv"
+def score_dump(exp_dir, strategy: str, seed: int, rnd: int) -> str:
+    return os.path.join(exp_dir, SCORES, f"{strategy}_seed{seed}_round{rnd}.csv")
 
 
 def source_file(source: str) -> str:

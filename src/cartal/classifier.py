@@ -429,6 +429,9 @@ def fit_many(config: ClassifierConfig, X, y, tcfg: TrainConfig, seeds, val=None,
     steps_per_epoch = math.ceil(n / B)
     snap_at, next_snap = [], 0
     if dynamics is not None:  # snapshot t writes row t; probs is rewritten by every snapshot
+        if tcfg.eval_interval * steps_per_epoch < 1:  # two snapshots would share a step
+            raise ValueError(f"eval_interval {tcfg.eval_interval} snapshots more than once per SGD step: "
+                             f"{n} rows at batch_size {B} make {steps_per_epoch} steps per epoch")
         snap_at = _snapshot_steps(tcfg.max_epochs, tcfg.eval_interval, steps_per_epoch)
         confidence, correct = np.empty((len(snap_at), n)), np.empty((len(snap_at), n), dtype=bool)
         probs = np.empty((n, config.num_classes))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import shutil
 import sys
 import time
 from dataclasses import replace
@@ -96,10 +95,7 @@ def _report(summaries, failures, label) -> int:
 
 
 def _run(config, context, args):
-    scores_dir = os.path.join(args.out, artifacts.SCORES)
-    shutil.rmtree(scores_dir, ignore_errors=True)  # no score dump of an earlier run stays
-    suite = run_suite(config, context, parallel=args.parallel,
-                      scores_dir=scores_dir if config.dump_scores else None)
+    suite = run_suite(config, context, parallel=args.parallel)
     write_suite_artifacts(suite, context, args.out)
     return _report(suite.summaries, suite.failures, "runs"), {}
 
@@ -142,10 +138,16 @@ def cmd_stratify(args) -> int:
     config = parse_config(args.config or os.path.join(args.exp, artifacts.CONFIG))
     if not config.test_sets:
         raise ConfigError("stratified testing needs at least one test set", key="test_sets")
-    models = {key: clf.load_checkpoint(path) for key, path in artifacts.checkpoints(args.exp).items()}
+    paths = artifacts.checkpoints(args.exp)
+    models = {key: clf.load_checkpoint(path) for key, path in paths.items()}
     if not models:
         raise FileNotFoundError(f"no model checkpoints under {os.path.join(args.exp, artifacts.MODELS)}")
     data = build_experiment_data(config)
+    for key, model in models.items():  # before the cartography fits of the test sets
+        shape = (model.config.input_dim, model.config.num_classes)
+        if shape != (data.pool.feature_dim, data.pool.num_classes):
+            raise ValueError(f"{paths[key]}: checkpoint has input_dim {shape[0]} and num_classes {shape[1]}, "
+                             f"the pool {data.pool.feature_dim} and {data.pool.num_classes}")
     rows = run_stratified(config, data, models, carto_seed=args.carto_seed)
     out_path = os.path.join(args.exp, artifacts.STRATIFIED)
     write_stratified_csv(rows, out_path)

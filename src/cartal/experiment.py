@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import shutil
 import signal
 import time
 from collections import Counter
@@ -33,7 +34,7 @@ from .cartography import (
     run_cartography_full,
     write_datamap_csv,
 )
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, SchemaError
 from .metrics import (
     acquisition_factor,
     class_distribution,
@@ -230,8 +231,8 @@ class RunProfile:
 
 @dataclass(frozen=True)
 class RoundLog:
-    """One round of one run: the batch it acquired, its profile, and the val
-    accuracy of the model that chose it."""
+    """One round of one run: the batch it acquired, its profile, the val accuracy of
+    the model that chose it and, with dump_scores, the scores of its unlabelled rows."""
 
     strategy: str
     seed: int
@@ -242,6 +243,7 @@ class RoundLog:
     acquisition_factor: dict[str, float]
     val_accuracy: float
     labelled_size: int
+    scores: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -312,6 +314,13 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
     tests = {t.name: concat_datasets(_sources(t.synthetic_sources, t.files, config.data_seed,
                                               "test", t.name), t.name)
              for t in config.test_sets}
+    for name, test in tests.items():  # before any fit: models of the pool's shape score each test set
+        if test.feature_dim != pool.feature_dim:
+            raise SchemaError(f"test set {name!r} has feature dim {test.feature_dim}, "
+                              f"the pool {pool.feature_dim}")
+        if test.num_classes > pool.num_classes:
+            raise SchemaError(f"test set {name!r} has {test.num_classes} classes, "
+                              f"more than the pool's {pool.num_classes}")
     return ExperimentData(pool=pool, val=val, tests=tests)
 
 
@@ -327,14 +336,6 @@ def prepare_context(config: ExperimentConfig, data: ExperimentData | None = None
     data = data or build_experiment_data(config)
     result = _cartography(config, data.pool, data.val, "cartography")
     return RunContext(data=data, reference_model=result.model, pool_datamap=result.entries)
-
-
-def _dump_scores(scores_dir, strategy, seed, rnd, pool, unlabelled, scores):
-    os.makedirs(scores_dir, exist_ok=True)
-    sources = [pool.source_names[code] for code in pool.source_codes[unlabelled].tolist()]
-    path = os.path.join(scores_dir, artifacts.scores_table(strategy, seed, rnd))
-    write_table(path, ["id", "source", "score"],
-                zip(pool.ids[unlabelled].tolist(), sources, map(_fmt, scores.tolist())))
 
 
 @dataclass
@@ -392,7 +393,7 @@ def _profile(context: RunContext, rows, rest) -> RunProfile:
 
 
 def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: int,
-              context: RunContext, scores_dir=None) -> None:
+              context: RunContext) -> None:
     """One run's round after its fit: score, select, profile, transfer."""
     pool = context.data.pool
     val_acc = _val_accuracy(model)
@@ -401,8 +402,6 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
     select_seed = derive_seed(run.run_seed, rnd, "select")
     scores = acquisition.score_pool(run.strategy, pool.X, unlabelled, model, select_seed,
                                     mc_samples=config.mc_samples, dal_cfg=config.dal)
-    if scores_dir is not None and scores is not None:
-        _dump_scores(scores_dir, run.strategy, run.seed, rnd, pool, unlabelled, scores)
     picked = select_batch(run.strategy, unlabelled, scores, config.k, select_seed)
     profile = _profile(context, picked, np.setdiff1d(unlabelled, picked, assume_unique=True))
     counts = pool.source_counts(picked)
@@ -419,6 +418,7 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
             acquisition_factor=factor,
             val_accuracy=val_acc,
             labelled_size=int(np.count_nonzero(run.acquired_round >= 0)),
+            scores=scores if config.dump_scores else None,
         )
     )
     logger.info("%s/seed %s round %d: val_acc=%.4f", run.strategy, run.seed, rnd, val_acc)
@@ -454,8 +454,7 @@ def _fit_live(config: ExperimentConfig, runs: list[_Run], context: RunContext, *
         return [exc] * len(runs)
 
 
-def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
-                  scores_dir=None) -> list[_Run]:
+def _run_lockstep(config: ExperimentConfig, specs, context: RunContext) -> list[_Run]:
     """Run the (strategy, seed) runs of ``specs`` round-synchronously.
 
     At a given round every run holds the same number of labelled examples,
@@ -481,14 +480,13 @@ def _run_lockstep(config: ExperimentConfig, specs, context: RunContext,
                 elif rnd is None:
                     _finish_run(config, run, outcome, context)
                 else:
-                    _al_round(config, run, outcome, rnd, context, scores_dir)
+                    _al_round(config, run, outcome, rnd, context)
             except Exception as exc:
                 run.error = exc
     return runs
 
 
-def run_al(config: ExperimentConfig, strategy: str, seed: int, context: RunContext,
-           scores_dir=None) -> RunResult:
+def run_al(config: ExperimentConfig, strategy: str, seed: int, context: RunContext) -> RunResult:
     """One full AL run: per-round fit / select / transfer, then a final refit.
 
     The final model is refit from scratch on the complete labelled set after
@@ -499,16 +497,16 @@ def run_al(config: ExperimentConfig, strategy: str, seed: int, context: RunConte
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
     check_capacity(config, len(context.data.pool))
-    [run] = _run_lockstep(config, [(strategy, seed)], context, scores_dir)
+    [run] = _run_lockstep(config, [(strategy, seed)], context)
     if run.error is not None:
         raise run.error
     return run.result
 
 
-def _run_group(config: ExperimentConfig, specs, context: RunContext, scores_dir=None) -> list:
+def _run_group(config: ExperimentConfig, specs, context: RunContext) -> list:
     """A lockstep group's outcome per run: its RunResult or its RunFailure."""
     out = []
-    for run in _run_lockstep(config, specs, context, scores_dir):
+    for run in _run_lockstep(config, specs, context):
         if run.error is None:
             out.append(run.result)
         else:
@@ -546,7 +544,7 @@ def _work(conn, *group) -> None:
     conn.send(_run_group(*group))
 
 
-def _run_groups(config: ExperimentConfig, groups, context: RunContext, scores_dir) -> list[list]:
+def _run_groups(config: ExperimentConfig, groups, context: RunContext) -> list[list]:
     """Run each lockstep group of ``groups`` in a forked worker process of its
     own, which inherits the context, the parent's log handlers and its one
     BLAS thread (:mod:`cartal.blas`; OpenBLAS shuts its idle thread down
@@ -558,7 +556,7 @@ def _run_groups(config: ExperimentConfig, groups, context: RunContext, scores_di
     try:
         for specs in groups:  # all start before any result is read
             recv, send = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_work, args=(send, config, specs, context, scores_dir))
+            worker = fork.Process(target=_work, args=(send, config, specs, context))
             worker.start()
             send.close()  # before the next fork: the worker holds the only write end
             workers.append((worker, recv))
@@ -580,8 +578,7 @@ def _run_groups(config: ExperimentConfig, groups, context: RunContext, scores_di
             worker.join()
 
 
-def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1,
-              scores_dir=None) -> SuiteResult:
+def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1) -> SuiteResult:
     """Cross-product of strategies x seeds over the pool of ``context`` (see
     :func:`prepare_context`); run failures are recorded, not fatal.
 
@@ -598,8 +595,8 @@ def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1,
     n = min(parallel, len(specs))
     groups = [specs[g::n] for g in range(n)]
     outcomes = [None] * len(specs)
-    for g, part in enumerate(_run_groups(config, groups, context, scores_dir) if n > 1
-                             else [_run_group(config, specs, context, scores_dir)]):
+    for g, part in enumerate(_run_groups(config, groups, context) if n > 1
+                             else [_run_group(config, specs, context)]):
         outcomes[g::n] = part
 
     results = [o for o in outcomes if isinstance(o, RunResult)]
@@ -612,14 +609,14 @@ def run_ablated_suite(config: ExperimentConfig, context: RunContext,
     """Filter the pool's per-source bottom conf*var fraction, then run a suite.
 
     The full-pool cartography model/datamap are reused as the uncertainty
-    reference and difficulty authority for the ablated runs.
+    reference and difficulty authority for the ablated runs, which dump no scores.
     """
     pool = context.data.pool
     retained = ablate_hard_to_learn(context.pool_datamap, pool, config.ablation_fraction)
     filtered = pool.take(retained, name="pool-ablated")
     logger.info("ablation keeps %d of %d pool examples", len(filtered), len(pool))
     ablated_ctx = replace(context, data=replace(context.data, pool=filtered))
-    return run_suite(config, ablated_ctx, parallel), ablated_ctx
+    return run_suite(replace(config, dump_scores=False), ablated_ctx, parallel), ablated_ctx
 
 
 def run_difficulty_split(config: ExperimentConfig, context: RunContext) -> list[RunSummary]:
@@ -738,7 +735,7 @@ def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
     """Write a suite's tables and model checkpoints, and remove the failures
     table and the checkpoints that its variant's last suite left and this one
     did not write. ``prefix`` names the variant (see :mod:`cartal.artifacts`),
-    e.g. "ablated_" for the ablated suite."""
+    e.g. "ablated_" for the ablated suite; the unprefixed one also replaces scores/."""
     def path(table):
         return os.path.join(out_dir, artifacts.suite_table(table, prefix))
 
@@ -757,6 +754,19 @@ def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
     for key, stale in artifacts.checkpoints(out_dir, prefix).items():
         if key not in written:
             artifacts.remove(stale)
+    if prefix:  # the ablated suite keeps no scores
+        return
+    pool, dumps = context.data.pool, os.path.join(out_dir, artifacts.SCORES)
+    shutil.rmtree(dumps, ignore_errors=True)
+    for r, log in ((r, log) for r in suite.results for log in r.round_logs if log.scores is not None):
+        rows = np.flatnonzero((r.acquired_round < 0) | (r.acquired_round >= log.round))  # the rows it scored
+        if len(rows) != len(log.scores):  # zip would drop the surplus silently
+            raise ValueError(f"{r.strategy}/seed {r.seed} round {log.round}: "
+                             f"{len(log.scores)} scores for {len(rows)} unlabelled rows")
+        os.makedirs(dumps, exist_ok=True)
+        sources = [pool.source_names[code] for code in pool.source_codes[rows].tolist()]
+        write_table(artifacts.score_dump(out_dir, r.strategy, r.seed, log.round), ["id", "source", "score"],
+                    zip(pool.ids[rows].tolist(), sources, map(_fmt, log.scores.tolist())))
 
 
 def write_manifest(out_dir, extra: dict | None = None, command: str = "run") -> None:

@@ -703,6 +703,20 @@ def test_dynamics_needs_a_single_run():
         fit_many(config, np.stack([X, X]), np.stack([y, y]), TrainConfig(), [0, 1], dynamics=[])
 
 
+@pytest.mark.parametrize("n", [1, 20, 32])
+def test_dynamics_finer_than_one_step_is_refused(n):
+    # n <= batch_size is one step per epoch, which eval_interval 0.5 would snapshot twice
+    X, y = _blobs(32, seed=0)
+    config = ClassifierConfig(2, (4,), 2)
+    tcfg = TrainConfig(max_epochs=2, eval_interval=0.5, batch_size=32)
+    with pytest.raises(ValueError, match=f"eval_interval 0.5 .*: {n} rows at batch_size 32 make 1 steps"):
+        fit(config, (X[:n], y[:n]), tcfg, 0, dynamics=[])
+    fit(config, (X[:n], y[:n]), tcfg, 0)  # a fit that takes no snapshot trains
+    dynamics = []  # two steps per epoch: one snapshot after each
+    fit(config, (X[:n + 32], y[:n + 32]), tcfg, 0, dynamics=dynamics)
+    assert len(dynamics[0][0]) == 4
+
+
 @pytest.mark.parametrize("logits", [
     np.random.default_rng(0).standard_normal((1000, 3)) * 30,
     np.array([[700.0, -700.0, 0.0], [-700.0, -700.0, -700.0], [700.0, 700.0, -700.0]]),

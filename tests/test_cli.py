@@ -17,13 +17,18 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
+
+import cartal.acquisition as acquisition
 import cartal.artifacts as artifacts
 import cartal.cli as cli
 import cartal.experiment as exp
 from cartal.cartography import ablated_size
+from cartal.classifier import Classifier, init_weights, load_checkpoint, save_checkpoint
 from cartal.cli import main
 from cartal.config import config_to_dict, parse_config, parse_config_dict
 from cartal.errors import ConfigError
+from cartal.seeding import derive_seed
 
 from conftest import tiny_config
 
@@ -272,10 +277,105 @@ def test_a_later_run_keeps_no_score_dump_of_an_earlier_one(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(os.listdir(out / "scores")) == [
         f"mcme_seed{seed}_round{r}.csv" for seed in (1, 2) for r in (1, 2)]
+    dumped = _dumps(out)
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0  # dumps nothing, removes nothing
+    assert _dumps(out) == dumped
     assert main(["run", "--config", cfg, "--out", str(out), "--seeds", "1"]) == 0
     assert sorted(os.listdir(out / "scores")) == ["mcme_seed1_round1.csv", "mcme_seed1_round2.csv"]
     assert main(["run", "--config", write_config(tmp_path, name="plain.json"), "--out", str(out)]) == 0
     assert not (out / "scores").exists()
+
+
+def _dumps(out):
+    """The bytes of each score dump under ``out``, by file name."""
+    return {name: (out / "scores" / name).read_bytes() for name in sorted(os.listdir(out / "scores"))}
+
+
+def test_an_interrupted_run_keeps_the_last_complete_score_dumps(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, tiny_config(dump_scores=True))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    before = _dumps(out), (out / "rounds.csv").read_bytes()
+    real, sizes = acquisition.score_pool, []
+
+    def interrupt_in_round_2(strategy, X, unlabelled, *args, **kwargs):
+        sizes.append(len(unlabelled))
+        if len(unlabelled) < sizes[0]:  # round 2 scores fewer rows than round 1
+            raise KeyboardInterrupt
+        return real(strategy, X, unlabelled, *args, **kwargs)
+
+    monkeypatch.setattr(acquisition, "score_pool", interrupt_in_round_2)
+    assert main(["run", "--config", cfg, "--out", str(out), "--seeds", "7,8"]) == 130
+    assert (_dumps(out), (out / "rounds.csv").read_bytes()) == before
+
+
+def test_a_run_that_fails_dumps_no_scores(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, tiny_config(dump_scores=True))
+    out = tmp_path / "exp"
+    real, doomed = acquisition.score_pool, derive_seed(derive_seed("run", "mcme", 2), 2, "select")
+
+    def fail_mcme_seed_2_in_round_2(strategy, X, unlabelled, model, rng_seed, **kwargs):
+        if rng_seed == doomed:
+            raise ValueError("injected")
+        return real(strategy, X, unlabelled, model, rng_seed, **kwargs)
+
+    monkeypatch.setattr(acquisition, "score_pool", fail_mcme_seed_2_in_round_2)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "FAILED mcme/seed 2: ValueError: injected" in capsys.readouterr().err
+    failures = (out / "failures.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in failures] == [["mcme", "2"]]
+    rounds = (out / "rounds.csv").read_text().splitlines()[1:]
+    scored = sorted({tuple(row.split(",")[:2]) for row in rounds if not row.startswith("random,")})
+    assert scored == [("mcme", "1")]
+    assert list(_dumps(out)) == [f"{s}_seed{seed}_round{r}.csv" for s, seed in scored for r in (1, 2)]
+
+
+def test_parallel_score_dumps_equal_the_sequential_ones(tmp_path):
+    # the dumps cross the worker pipe on their round logs
+    cfg = write_config(tmp_path, tiny_config(dump_scores=True, strategies=("random", "mcme", "dal")))
+    dumps = []
+    for parallel in ("1", "2"):
+        out = tmp_path / f"parallel{parallel}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--parallel", parallel]) == 0
+        dumps.append(_dumps(out))
+    assert list(dumps[0]) == [f"{s}_seed{seed}_round{r}.csv"
+                              for s in ("dal", "mcme") for seed in (1, 2) for r in (1, 2)]
+    assert dumps[1] == dumps[0]
+
+
+@pytest.mark.parametrize("interval", [5e-324, 1e-300])
+def test_a_snapshot_plan_finer_than_one_step_is_refused_before_it_is_built(tmp_path, capsys, interval):
+    """5e-324 escaped as an OverflowError; 1e-300 planned ~10^301 snapshots in a list."""
+    cfg = write_config(tmp_path, mutate=lambda raw: raw["cartography_training"].update(eval_interval=interval))
+    start = time.perf_counter()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "exp")]) == 1
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval_interval {interval} snapshots more than once per SGD step: ")
+    assert "batch_size 32" in err and "Traceback" not in err
+
+
+def _reshape_test_set(change):
+    """A config mutation that applies ``change`` to each centroid of the test set's sources."""
+    def mutate(raw):
+        for source in raw["test_sets"][0]["synthetic_sources"]:
+            source["class_centroids"] = change(source["class_centroids"])
+    return mutate
+
+
+@pytest.mark.parametrize("change, code, reason", [
+    (lambda cs: [c + [0.0] for c in cs], 1, "has feature dim 3, the pool 2"),
+    (lambda cs: cs + [[5.0, 5.0]], 1, "has 4 classes, more than the pool's 3"),
+    (lambda cs: cs[:2], 0, None),
+], ids=["wider", "more classes", "fewer classes"])
+def test_a_test_set_must_fit_the_pools_model_before_any_fit(tmp_path, capsys, change, code, reason):
+    """A test set the model cannot score failed every run, after the whole suite trained."""
+    cfg = write_config(tmp_path, mutate=_reshape_test_set(change))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == code
+    if reason:
+        assert capsys.readouterr().err == f"error: test set 'clean' {reason}\n"
+        assert not (out / "datamap.csv").exists() and not (out / "failures.csv").exists()
 
 
 def _generated_files_config(tmp_path):
@@ -326,11 +426,11 @@ def test_an_integer_out_of_range_in_a_data_file_is_named(tmp_path, capsys, recor
 _real_run_group = exp._run_group
 
 
-def _die_holding_seed_2(config, specs, context, scores_dir=None):
+def _die_holding_seed_2(config, specs, context):
     """A lockstep group whose worker process dies if it holds a seed-2 run."""
     if any(seed == 2 for _, seed in specs):
         os._exit(1)
-    return _real_run_group(config, specs, context, scores_dir)
+    return _real_run_group(config, specs, context)
 
 
 def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
@@ -353,10 +453,10 @@ def test_dead_worker_fails_only_its_runs(tmp_path, capsys, monkeypatch):
 def _killed_holding_seed_2(signum):
     """A lockstep group whose worker process is killed by ``signum`` if it
     holds a seed-2 run; forked workers inherit the closure."""
-    def run_group(config, specs, context, scores_dir=None):
+    def run_group(config, specs, context):
         if any(seed == 2 for _, seed in specs):
             os.kill(os.getpid(), signum)
-        return _real_run_group(config, specs, context, scores_dir)
+        return _real_run_group(config, specs, context)
     return run_group
 
 
@@ -576,6 +676,25 @@ def test_json_nested_past_the_recursion_limit_is_named(tmp_path, capsys, deep):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {reason}: maximum recursion depth exceeded")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["input_dim", "num_classes"])
+def test_stratify_refuses_a_checkpoint_of_another_shape_than_the_pool(tmp_path, capsys, monkeypatch,
+                                                                      field):
+    """Two output classes were scored at exit 0; another input_dim failed naming no file."""
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    checkpoint = out / "models" / "random_seed1.json"
+    config = load_checkpoint(checkpoint).config
+    config = replace(config, **{field: 2 if field == "num_classes" else 5})
+    save_checkpoint(Classifier(config, init_weights(config, np.random.default_rng(0))), checkpoint)
+    monkeypatch.setattr(exp, "run_cartography_full", _no_cartography)
+    capsys.readouterr()
+    assert main(["stratify", "--exp", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: checkpoint has input_dim ") and "Traceback" not in err
+    assert not (out / "stratified.csv").exists()
 
 
 def test_stratify_of_a_directory_whose_config_sets_dal_hidden_dim_needs_config(tmp_path, capsys):

@@ -25,6 +25,7 @@ from cartal.experiment import (
     ExperimentConfig,
     RunResult,
     RunProfile,
+    SuiteResult,
     build_experiment_data,
     prepare_context,
     run_ablated_suite,
@@ -33,6 +34,7 @@ from cartal.experiment import (
     run_stratified,
     run_suite,
     write_rounds_csv,
+    write_suite_artifacts,
     write_summary_csv,
 )
 from cartal.pool import seed_split, transfer
@@ -262,7 +264,7 @@ def test_parallel_suite_matches_sequential(ctx, suite):
     assert [r.profile for r in suite.results] == [r.profile for r in par.results]
 
 
-def _report_blas_threads(config, specs, context, scores_dir=None):
+def _report_blas_threads(config, specs, context):
     """Stands in for a lockstep group: fails each run with the OpenBLAS
     thread count in effect in its worker as the error text."""
     seen = str(openblas_threads())
@@ -298,7 +300,7 @@ def test_import_cartal_leaves_one_blas_thread():
     assert out.stdout.split() == ["2", "1", "1"]
 
 
-def _log_its_runs(config, specs, context, scores_dir=None):
+def _log_its_runs(config, specs, context):
     """Stands in for a lockstep group: logs the runs it holds at info level."""
     logging.getLogger("cartal.experiment").info("group holds %s", specs)
     return [exp.RunFailure(strategy, seed, "") for strategy, seed in specs]
@@ -512,10 +514,11 @@ def test_random_over_easy_pool_acquires_mostly_easy():
 
 def test_score_dump_written_for_scored_strategies(tmp_path, ctx):
     config, context = ctx
-    run_al(config, "mcme", 1, context, scores_dir=str(tmp_path))
-    files = sorted(p.name for p in tmp_path.iterdir())
+    result = run_al(replace(config, dump_scores=True), "mcme", 1, context)
+    write_suite_artifacts(SuiteResult([], [result], []), context, tmp_path)
+    files = sorted(p.name for p in (tmp_path / "scores").iterdir())
     assert files == [f"mcme_seed1_round{r}.csv" for r in range(1, config.rounds + 1)]
-    header = (tmp_path / files[0]).read_text().splitlines()[0]
+    header = (tmp_path / "scores" / files[0]).read_text().splitlines()[0]
     assert header == "id,source,score"
 
 
@@ -561,10 +564,22 @@ def test_score_dump_scores_once_per_round_and_keeps_rounds(tmp_path, ctx, monkey
         return score_pool(*args, **kwargs)
 
     monkeypatch.setattr(acquisition, "score_pool", counting)
-    dumped = run_al(config, strategy, 1, context, scores_dir=str(tmp_path / "scores"))
+    dumped = run_al(replace(config, dump_scores=True), strategy, 1, context)
     assert calls == [strategy] * config.rounds
+    write_suite_artifacts(SuiteResult([], [dumped], []), context, tmp_path)
     write_rounds_csv([plain], context.data.pool, tmp_path / "plain.csv")
     write_rounds_csv([dumped], context.data.pool, tmp_path / "dumped.csv")
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dumped.csv").read_bytes()
     first = (tmp_path / "scores" / f"{strategy}_seed1_round1.csv").read_text().splitlines()
     assert len(first) == 1 + len(context.data.pool) - config.seed_size
+    assert plain.round_logs == dumped.round_logs  # the scores are no part of a round log's value
+    assert [log.scores is None for log in plain.round_logs] == [True] * config.rounds
+
+
+def test_a_score_dump_that_does_not_match_its_rows_is_refused(tmp_path, ctx):
+    config, context = ctx
+    result = run_al(replace(config, dump_scores=True), "mcme", 1, context)
+    last = result.round_logs[-1]
+    result.round_logs[-1] = replace(last, scores=last.scores[:-1])
+    with pytest.raises(ValueError, match=f"mcme/seed 1 round {last.round}: "):
+        write_suite_artifacts(SuiteResult([], [result], []), context, tmp_path)
