@@ -29,7 +29,10 @@ and ``report`` read it back as ``--exp`` and add their tables::
 ``cartal generate --out DIR`` writes ``<source>.jsonl`` per synthetic source and
 records their files, sizes and flipped ids as the manifest's "generate" entry.
 Every file is UTF-8 text written through :func:`writing`, so a failed write
-never leaves a truncated one.
+never leaves a truncated one. Tables are for reading: :func:`write_table`
+writes every float cell with 6 significant digits (``f"{x:.6g}"``). JSON keeps
+full ``repr`` precision: checkpoints, config.json, the manifest and the
+generated data files, so state that must round-trip exactly belongs in JSON.
 """
 
 from __future__ import annotations
@@ -120,15 +123,20 @@ def write_json(path, payload, **dump_kwargs) -> None:
         json.dump(payload, fh, **dump_kwargs)
 
 
+def _cells(row) -> list:
+    return [f"{c:.6g}" if isinstance(c, float) else c for c in row]
+
+
 def _md_row(cells) -> str:
     # pipes inside cells (the "ablated | original" scheme) must not break the table
-    return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |\n"
+    return "| " + " | ".join(str(c).replace("|", "\\|") for c in _cells(cells)) + " |\n"
 
 
 def write_table(path, header, rows, fmt="csv"):
     """Write ``header`` then ``rows`` to ``path`` as CSV or as a markdown table
     (``fmt="md"``); returns ``path``. Every table cartal writes goes through
-    here."""
+    here, and the writers pass values: each float, NumPy's float64 included,
+    becomes ``f"{x:.6g}"`` ("nan" for NaN); other cells are written as they are."""
     with writing(path, newline=None if fmt == "md" else "") as fh:
         if fmt == "md":
             fh.write(_md_row(header) + "|" + "|".join([" --- "] * len(header)) + "|\n")
@@ -136,7 +144,7 @@ def write_table(path, header, rows, fmt="csv"):
         else:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(map(_cells, rows))
     return path
 
 

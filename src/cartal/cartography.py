@@ -226,13 +226,13 @@ def acquisition_by_difficulty(rounds, datamap: Datamap) -> list[dict[str, int]]:
 
 
 def write_datamap_csv(datamap: Datamap, dataset, path) -> None:
-    """One row per row of ``dataset``, with its id and source; formatted a
+    """One row per row of ``dataset``, with its id and source; listed a
     block of rows at a time, so no column becomes a pool-long list."""
     datamap.check_rows(dataset)
     columns = (dataset.ids, dataset.source_codes, datamap.mean_confidence, datamap.variability,
                datamap.correctness, datamap.difficulty)
     blocks = (zip(*(c[lo:lo + 4096].tolist() for c in columns)) for lo in range(0, len(dataset), 4096))
     write_table(path, ["id", "source", "mean_confidence", "variability", "correctness", "difficulty"], (
-        [i, dataset.source_names[code], f"{conf:.6g}", f"{var:.6g}", f"{corr:.6g}", DIFFICULTIES[band]]
+        [i, dataset.source_names[code], conf, var, corr, DIFFICULTIES[band]]
         for i, code, conf, var, corr, band in itertools.chain.from_iterable(blocks)
     ))

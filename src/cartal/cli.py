@@ -21,6 +21,7 @@ from .cartography import ablated_size
 from .config import config_to_dict, parse_config
 from .errors import CartalError, ConfigError
 from .experiment import (
+    _sources,
     build_experiment_data,
     check_capacity,
     parallel_error,
@@ -35,9 +36,8 @@ from .experiment import (
     write_suite_artifacts,
     write_summary_csv,
 )
-from .pool import generate_synthetic_source, write_dataset
+from .pool import write_dataset
 from .reporting import render_report
-from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -71,10 +71,9 @@ def cmd_generate(args) -> int:
         raise ConfigError("config has no synthetic sources to generate", key="data.synthetic_sources")
     os.makedirs(args.out, exist_ok=True)
     sources = {}
-    for spec in config.synthetic_sources:
-        ds = generate_synthetic_source(spec, derive_seed(config.data_seed, "source", spec.name))
-        path = write_dataset(ds, os.path.join(args.out, artifacts.source_file(spec.name)))
-        sources[spec.name] = {
+    for ds in _sources(config.synthetic_sources, (), config.data_seed, "source"):
+        path = write_dataset(ds, os.path.join(args.out, artifacts.source_file(ds.name)))
+        sources[ds.name] = {
             "file": os.path.basename(path),
             "n": len(ds),
             "flipped_ids": ds.ids[ds.flipped].tolist(),

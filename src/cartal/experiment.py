@@ -150,8 +150,8 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 1", key="al.rounds")
         if self.k < 1:
             raise ConfigError("k must be >= 1", key="al.k")
-        if self.seed_size < 0:
-            raise ConfigError("seed_size must be >= 0", key="al.seed_size")
+        if self.seed_size < 1:  # the first round's fit needs a labelled example
+            raise ConfigError("must be >= 1", key="al.seed_size")
         if not self.seeds:
             raise ConfigError("need at least one seed", key="al.seeds")
         if not self.strategies:
@@ -263,7 +263,6 @@ class RunResult:
 class RunSummary:
     strategy: str
     accuracies: dict[str, tuple[float, float, int]]  # test set -> (mean, std, runs)
-    final_labelled_size: int
 
 
 @dataclass(frozen=True)
@@ -450,7 +449,7 @@ def _fit_live(config: ExperimentConfig, runs: list[_Run], context: RunContext, *
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
     try:
         return clf.fit_many(ccfg, pool.X[rows], pool.y[rows], config.training, seeds, (val.X, val.y))
-    except Exception as exc:  # e.g. an empty seed set: every run fails alike
+    except Exception as exc:  # an error of the shared fit fails every run alike
         return [exc] * len(runs)
 
 
@@ -516,7 +515,7 @@ def _run_group(config: ExperimentConfig, specs, context: RunContext) -> list:
     return out
 
 
-def _summary(name: str, names, accuracies: list[dict[str, float]], size: int) -> RunSummary:
+def _summary(name: str, names, accuracies: list[dict[str, float]]) -> RunSummary:
     """Mean, std and count over runs of each of ``names`` in the runs'
     ``accuracies``; NaN, NaN, 0 where there are no runs."""
     acc = {}
@@ -526,14 +525,13 @@ def _summary(name: str, names, accuracies: list[dict[str, float]], size: int) ->
             acc[key] = (float(v.mean()), float(v.std()), len(v))
         else:
             acc[key] = (float("nan"), float("nan"), 0)
-    return RunSummary(strategy=name, accuracies=acc, final_labelled_size=size)
+    return RunSummary(strategy=name, accuracies=acc)
 
 
 def _aggregate(config: ExperimentConfig, results: list[RunResult]) -> list[RunSummary]:
     names = ["val"] + [t.name for t in config.test_sets]
-    final_size = config.seed_size + config.rounds * config.k
     return [_summary(strategy, names, [{"val": r.final_val_accuracy, **r.test_accuracies}
-                                       for r in results if r.strategy == strategy], final_size)
+                                       for r in results if r.strategy == strategy])
             for strategy in config.strategies]
 
 
@@ -646,7 +644,7 @@ def run_difficulty_split(config: ExperimentConfig, context: RunContext) -> list[
         accuracies.append({"val": _val_accuracy(model),
                            **{name: model.accuracy(ds.X, ds.y) for name, ds in tests.items()}})
     S = len(config.seeds)
-    return [_summary(combo, ["val", *tests], accuracies[c * S:(c + 1) * S], config.difficulty_n)
+    return [_summary(combo, ["val", *tests], accuracies[c * S:(c + 1) * S])
             for c, combo in enumerate(config.difficulty_combos)]
 
 
@@ -679,15 +677,8 @@ def run_stratified(config: ExperimentConfig, data: ExperimentData,
 # ---------------------------------------------------------------------------
 # artifact writing
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
-
-
-def _profile_cells(profile: RunProfile) -> list[str]:
-    return [_fmt(profile.input_diversity), _fmt(profile.output_uncertainty),
-            *map(_fmt, profile.class_distribution)]
+def _profile_cells(profile: RunProfile) -> list[float]:
+    return [profile.input_diversity, profile.output_uncertainty, *profile.class_distribution]
 
 
 def write_rounds_csv(results: list[RunResult], pool: Dataset, path) -> None:
@@ -701,17 +692,17 @@ def write_rounds_csv(results: list[RunResult], pool: Dataset, path) -> None:
         + [f"factor_{s}" for s in sources]
     )
     write_table(path, header, (
-        [log.strategy, log.seed, log.round, log.labelled_size, _fmt(log.val_accuracy)]
+        [log.strategy, log.seed, log.round, log.labelled_size, log.val_accuracy]
         + [log.per_source_counts.get(s, 0) for s in sources]
         + _profile_cells(log.profile)
-        + [_fmt(log.acquisition_factor.get(s, 0.0)) for s in sources]
+        + [log.acquisition_factor.get(s, 0.0) for s in sources]
         for r in results for log in r.round_logs
     ))
 
 
 def write_summary_csv(summaries: list[RunSummary], path) -> None:
     write_table(path, ["strategy", "test_set", "mean", "std", "runs"], (
-        [s.strategy, test_set, _fmt(mean), _fmt(std), n]
+        [s.strategy, test_set, mean, std, n]
         for s in summaries for test_set, (mean, std, n) in s.accuracies.items()
     ))
 
@@ -723,11 +714,8 @@ def write_profile_csv(results: list[RunResult], num_classes: int, path) -> None:
 
 
 def write_stratified_csv(rows: list[dict], path) -> None:
-    write_table(path, ["strategy", "seed", "test_set", "difficulty", "count", "accuracy"], (
-        [row["strategy"], row["seed"], row["test_set"], row["difficulty"], row["count"],
-         _fmt(row["accuracy"])]
-        for row in rows
-    ))
+    header = ["strategy", "seed", "test_set", "difficulty", "count", "accuracy"]
+    write_table(path, header, ([row[key] for key in header] for row in rows))
 
 
 def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
@@ -766,7 +754,7 @@ def write_suite_artifacts(suite: SuiteResult, context: RunContext, out_dir,
         os.makedirs(dumps, exist_ok=True)
         sources = [pool.source_names[code] for code in pool.source_codes[rows].tolist()]
         write_table(artifacts.score_dump(out_dir, r.strategy, r.seed, log.round), ["id", "source", "score"],
-                    zip(pool.ids[rows].tolist(), sources, map(_fmt, log.scores.tolist())))
+                    zip(pool.ids[rows].tolist(), sources, log.scores.tolist()))
 
 
 def write_manifest(out_dir, extra: dict | None = None, command: str = "run") -> None:

@@ -220,9 +220,9 @@ class SyntheticSourceSpec:
         if len(self.class_centroids) < 2:
             raise ConfigError(f"need at least 2 classes (source {self.name!r})", key="class_centroids")
         dims = {len(c) for c in self.class_centroids}
-        if len(dims) > 1:
-            raise ConfigError(f"centroids must share one dimension (source {self.name!r})",
-                              key="class_centroids")
+        if len(dims) > 1 or 0 in dims:
+            raise ConfigError(f"centroids must share one dimension of at least 1 feature "
+                              f"(source {self.name!r})", key="class_centroids")
         if not all(math.isfinite(v) for c in self.class_centroids for v in c):
             raise ConfigError(f"centroid entries must be finite (source {self.name!r})",
                               key="class_centroids")
@@ -384,6 +384,8 @@ def _read_dataset(lines) -> Dataset:
         dim = len(feats) if dim is None else dim
         if len(feats) != dim:
             raise SchemaError(f"example {i} has feature dim {len(feats)}, expected {dim}")
+        if not dim:
+            raise SchemaError(f"example {i} has no features")
         try:
             features.extend(map(float, feats))
         except OverflowError as exc:

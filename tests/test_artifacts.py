@@ -1,5 +1,5 @@
-"""The experiment directory: atomic writes, checkpoint names and their inverse,
-and a manifest with one entry per command."""
+"""The experiment directory: atomic writes, the number format of tables,
+checkpoint names and their inverse, and a manifest with one entry per command."""
 
 from __future__ import annotations
 
@@ -39,6 +39,19 @@ def test_a_failed_table_write_keeps_the_old_bytes_and_no_temp_file(tmp_path):
     with pytest.raises(RuntimeError, match="halfway"):
         artifacts.write_table(tmp_path / "new.md", ["a", "b"], _rows_then_fail(1000), fmt="md")
     assert [p.name for p in tmp_path.iterdir()] == ["rounds.csv"]
+
+
+def test_a_table_writes_each_float_with_6_significant_digits_and_other_cells_as_str(tmp_path):
+    floats = [0.1 + 0.2, 1e-7, 123456789.0, -0.0, float("nan"), float("inf"), np.float64(2 / 3)]
+    row = [*floats, 7, True, "a b"]
+    expected = [f"{x:.6g}" for x in floats] + ["7", "True", "a b"]
+    header = [f"c{j}" for j in range(len(row))]
+    csv_path = artifacts.write_table(tmp_path / "t.csv", header, [row])
+    assert csv_path.read_text().splitlines()[1] == ",".join(expected)
+    assert artifacts.read_table(csv_path) == [dict(zip(header, expected))]
+    md_path = artifacts.write_table(tmp_path / "t.md", header, [row], fmt="md")
+    assert md_path.read_text().splitlines()[2] == "| " + " | ".join(expected) + " |"
+    assert expected[:7] == ["0.3", "1e-07", "1.23457e+08", "-0", "nan", "inf", "0.666667"]
 
 
 def test_a_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path):

@@ -423,6 +423,39 @@ def test_an_integer_out_of_range_in_a_data_file_is_named(tmp_path, capsys, recor
     assert err.startswith(f"error: {beta}: line 1: field ") and "Traceback" not in err
 
 
+def test_data_files_without_features_are_named(tmp_path, capsys):
+    """Records of no features, with no test set of another width, ended the run
+    in an uncaught ZeroDivisionError when the first fit drew its weights."""
+    file_cfg, _ = _generated_files_config(tmp_path)
+    with open(file_cfg) as fh:
+        raw = json.load(fh)
+    raw["test_sets"] = []
+    with open(file_cfg, "w") as fh:
+        json.dump(raw, fh)
+    for path in raw["data"]["files"]:
+        with open(path) as fh:
+            records = [{**json.loads(line), "features": []} for line in fh]
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+    capsys.readouterr()
+    assert main(["run", "--config", file_cfg, "--out", str(tmp_path / "exp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {raw['data']['files'][0]}: example ") and err.endswith(" has no features\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_centroids_without_features_name_their_key(tmp_path, capsys, command):
+    """Such centroids ended generate and run in an uncaught ZeroDivisionError
+    when the source's feature tokens were drawn."""
+    def featureless(raw):
+        raw["data"]["synthetic_sources"][0]["class_centroids"] = [[], [], []]
+
+    cfg = write_config(tmp_path, mutate=featureless)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.synthetic_sources[0].class_centroids: ") and "Traceback" not in err
+
+
 _real_run_group = exp._run_group
 
 
@@ -544,6 +577,16 @@ def test_a_pool_too_small_for_the_runs_fails_before_the_cartography_fit(tmp_path
     assert main([command, "--config", cfg, "--out", str(tmp_path / "exp")]) == 1
     assert capsys.readouterr().err == (f"error: pool of {size} exhausted at round 1: "
                                        "need 1020 for 2 rounds of k=500 from seed 20\n")
+
+
+def test_a_seed_size_of_zero_is_refused_before_the_cartography_fit(tmp_path, capsys):
+    """Every run then failed its first fit on an empty training set, one
+    logged traceback each, after the cartography fit had run."""
+    cfg = write_config(tmp_path, mutate=_set("al", "seed_size", 0))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: al.seed_size: must be >= 1\n"
+    assert not (out / "datamap.csv").exists()
 
 
 def test_without_fork_a_suite_runs_only_in_process(tmp_path, capsys, monkeypatch):
