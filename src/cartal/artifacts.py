@@ -119,8 +119,9 @@ def reading(path, newline=None):
 
 
 def write_json(path, payload, **dump_kwargs) -> None:
+    # json.dumps encodes in C where json.dump streams through the pure-Python encoder; same bytes
     with writing(path) as fh:
-        json.dump(payload, fh, **dump_kwargs)
+        fh.write(json.dumps(payload, **dump_kwargs))
 
 
 def _cells(row) -> list:

@@ -282,10 +282,13 @@ class SuiteResult:
 def _sources(synthetic, files, data_seed, *tag):
     """The synthetic sources, each generated as it is iterated and seeded by
     ``tag`` and its name, or the loaded files, every one given the largest
-    class count among them (a small file's labels may never reach the last class)."""
+    class count among them (a small file's labels may never reach the last class).
+    A file that holds no records is a :class:`SchemaError` naming it."""
     if synthetic:
         return (generate_synthetic_source(s, derive_seed(data_seed, *tag, s.name)) for s in synthetic)
     sources = [load_dataset(path) for path in files]
+    if empty := [path for path, s in zip(files, sources) if not len(s)]:
+        raise SchemaError(f"{empty[0]}: holds no records")
     C = max(s.num_classes for s in sources)
     for s in sources:
         s.num_classes = C  # labels below a file's own count lie below C too
@@ -585,10 +588,14 @@ def run_suite(config: ExperimentConfig, context: RunContext, parallel: int = 1) 
     one forked worker process each (see :func:`_run_groups`), which needs the
     ``fork`` start method (POSIX) but no ``if __name__ == "__main__":`` guard
     in the caller; the outcome is the same bytes in the same order.
+    Before any run starts, one warning counts the pool rows without tokens.
     """
     if problem := parallel_error(parallel):
         raise ValueError(f"parallel {problem}")
-    check_capacity(config, len(context.data.pool))
+    pool = context.data.pool
+    check_capacity(config, len(pool))
+    if tokenless := np.count_nonzero(np.diff(pool.token_indptr) == 0):
+        logger.warning("%d %s examples carry no tokens; they do not affect input diversity", tokenless, pool.name)
     specs = [(s, sd) for s in config.strategies for sd in config.seeds]
     n = min(parallel, len(specs))
     groups = [specs[g::n] for g in range(n)]

@@ -6,7 +6,6 @@ All functions are pure; the experiment layer decides when to call them
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +13,6 @@ import numpy as np
 from .acquisition import entropy_rows
 from .cartography import DIFFICULTIES, Datamap
 from .pool import Dataset
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "StratifiedResult",
@@ -38,12 +35,8 @@ class StratifiedResult:
 
 
 def tokens_of(dataset: Dataset, rows) -> np.ndarray:
-    """Presence vector over ``dataset.vocab`` of the tokens in ``rows``
-    (positions or a boolean mask); rows without tokens contribute nothing."""
-    tokens, missing = dataset.token_presence(rows)
-    if missing:
-        logger.warning("%d examples carry no tokens; they do not affect input diversity", missing)
-    return tokens
+    """:meth:`Dataset.token_presence`; perfbench's tracer times it by this name."""
+    return dataset.token_presence(rows)
 
 
 def input_diversity(acquired_tokens: np.ndarray, remainder_tokens: np.ndarray) -> float:

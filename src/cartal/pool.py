@@ -162,14 +162,14 @@ class Dataset:
         counts = np.bincount(self.source_codes[rows], minlength=len(self.source_names))
         return dict(zip(self.source_names, counts.tolist()))
 
-    def token_presence(self, rows) -> tuple[np.ndarray, int]:
-        """Which vocabulary ids occur in ``rows`` (positions or a boolean mask),
-        and how many of those rows carry no tokens."""
+    def token_presence(self, rows) -> np.ndarray:
+        """Which vocabulary ids occur in ``rows`` (positions or a boolean mask);
+        rows without tokens contribute nothing."""
         take = np.zeros(len(self), dtype=bool)
         take[rows] = True
-        lengths = np.diff(self.token_indptr)
-        counts = np.bincount(self.token_indices[np.repeat(take, lengths)], minlength=len(self.vocab))
-        return counts > 0, int(np.count_nonzero(take & (lengths == 0)))
+        counts = np.bincount(self.token_indices[np.repeat(take, np.diff(self.token_indptr))],
+                             minlength=len(self.vocab))
+        return counts > 0
 
     def take(self, pos, name=None) -> "Dataset":
         """New dataset of the rows at ``pos``, ascending; ids are kept, and so are the name tables."""
@@ -421,11 +421,9 @@ def _check_schemas_match(sources):
             )
 
 
-def _merge_sources(sources, positions_per_source, name) -> Dataset:
-    """Re-id and merge picked rows. The only place that reconciles name tables:
+def _merge_sources(parts, name) -> Dataset:
+    """Re-id and merge whole datasets. The only place that reconciles name tables:
     sources and vocabulary are narrowed to those present, in first-appearance order."""
-    parts = [src.take(np.asarray(pos, dtype=np.int64))
-             for src, pos in zip(sources, positions_per_source)]
     # Each part's codes shift past the earlier parts' names; _recode merges repeated names.
     name_starts = np.cumsum([0] + [len(p.source_names) for p in parts])
     vocab_starts = np.cumsum([0] + [len(p.vocab) for p in parts])
@@ -437,7 +435,7 @@ def _merge_sources(sources, positions_per_source, name) -> Dataset:
         np.concatenate([p.token_indices + o for p, o in zip(parts, vocab_starts)]),
         sum((p.vocab for p in parts), ()))
     return Dataset(
-        name, sources[0].num_classes,
+        name, parts[0].num_classes,
         ids=np.arange(len(token_counts), dtype=np.int64),
         X=np.concatenate([p.X for p in parts]), y=np.concatenate([p.y for p in parts]),
         flipped=np.concatenate([p.flipped for p in parts]),
@@ -460,8 +458,8 @@ def build_multi_source_pool(sources, per_source_cap, rng_seed) -> Dataset:
     minority = min(len(s) for s in sources)
     take = min(minority, int(per_source_cap))
     rng = np.random.default_rng(rng_seed)
-    picks = [np.sort(rng.choice(len(src), size=take, replace=False)) for src in sources]
-    return _merge_sources(sources, picks, "pool")
+    return _merge_sources([src.take(np.sort(rng.choice(len(src), size=take, replace=False)))
+                           for src in sources], "pool")
 
 
 def concat_datasets(sources, name) -> Dataset:
@@ -470,7 +468,7 @@ def concat_datasets(sources, name) -> Dataset:
     if not sources:
         raise ValueError("need at least one source")
     _check_schemas_match(sources)
-    return _merge_sources(sources, [range(len(s)) for s in sources], name)
+    return _merge_sources(sources, name)
 
 
 def split_dataset(dataset: Dataset, fraction: float, rng_seed: int):

@@ -3,6 +3,7 @@ checkpoint names and their inverse, and a manifest with one entry per command.""
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 from cartal import artifacts, blas, heap
 from cartal.classifier import Classifier, ClassifierConfig, init_weights, save_checkpoint
+from cartal.config import config_to_dict
 from cartal.experiment import write_manifest
 
+from conftest import tiny_config
 from openblas_threads import openblas_threads
 
 
@@ -52,6 +55,18 @@ def test_a_table_writes_each_float_with_6_significant_digits_and_other_cells_as_
     md_path = artifacts.write_table(tmp_path / "t.md", header, [row], fmt="md")
     assert md_path.read_text().splitlines()[2] == "| " + " | ".join(expected) + " |"
     assert expected[:7] == ["0.3", "1e-07", "1.23457e+08", "-0", "nan", "inf", "0.666667"]
+
+
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path):
+    """write_json encodes with json.dumps, whose C encoder must give json.dump's bytes."""
+    save_checkpoint(_model(0), tmp_path / "model.json")
+    with open(tmp_path / "model.json", encoding="utf-8") as fh:
+        checkpoint = json.load(fh)
+    for payload, kwargs in ((checkpoint, {}), (config_to_dict(tiny_config()), {"indent": 2, "sort_keys": True})):
+        artifacts.write_json(tmp_path / "out.json", payload, **kwargs)
+        streamed = io.StringIO()
+        json.dump(payload, streamed, **kwargs)
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == streamed.getvalue()
 
 
 def test_a_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path):

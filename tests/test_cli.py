@@ -443,6 +443,44 @@ def test_data_files_without_features_are_named(tmp_path, capsys):
     assert err.startswith(f"error: {raw['data']['files'][0]}: example ") and err.endswith(" has no features\n")
 
 
+@pytest.mark.parametrize("empty", [("alpha",), ("alpha", "beta", "gamma"), ("test",)])
+def test_an_empty_data_file_is_named(tmp_path, capsys, empty):
+    """One such file failed as another file's schema mismatch, and all three
+    as a test set's, naming no empty file."""
+    file_cfg, beta = _generated_files_config(tmp_path)
+    with open(file_cfg) as fh:
+        raw = json.load(fh)
+    test = beta.parent / "test.jsonl"
+    test.write_text(beta.read_text())
+    raw["test_sets"][0] = {"name": "clean", "files": [str(beta), str(test)]}
+    with open(file_cfg, "w") as fh:
+        json.dump(raw, fh)
+    for name in empty:
+        (beta.parent / f"{name}.jsonl").write_text("")
+    capsys.readouterr()
+    assert main(["run", "--config", file_cfg, "--out", str(tmp_path / "exp")]) == 1
+    assert capsys.readouterr().err == f"error: {beta.parent / (empty[0] + '.jsonl')}: holds no records\n"
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_tokenless_records_are_reported_once(tmp_path, parallel):
+    """Every profiling call of every run logged its own count (55 lines for quickstart)."""
+    file_cfg, beta = _generated_files_config(tmp_path)
+    for path in beta.parent.glob("*.jsonl"):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records[:5]:
+            del record["tokens"]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    done = subprocess.run([sys.executable, "-m", "cartal.cli", "run", "--config", file_cfg,
+                           "--out", str(tmp_path / "exp"), "--parallel", parallel],
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = [line for line in done.stderr.splitlines() if "carry no tokens" in line]
+    assert re.fullmatch(r"WARNING cartal.experiment: \d+ pool examples carry no tokens; "
+                        r"they do not affect input diversity", line), line
+
+
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_centroids_without_features_name_their_key(tmp_path, capsys, command):
     """Such centroids ended generate and run in an uncaught ZeroDivisionError

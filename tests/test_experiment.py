@@ -37,7 +37,7 @@ from cartal.experiment import (
     write_suite_artifacts,
     write_summary_csv,
 )
-from cartal.pool import seed_split, transfer
+from cartal.pool import Dataset, seed_split, transfer
 
 from conftest import tiny_config
 from openblas_threads import openblas_threads
@@ -429,6 +429,35 @@ def test_ablated_size_is_the_ablated_pool_length(ctx, fraction):
     cfg = replace(config, ablation_fraction=fraction, strategies=("random",), seeds=(1,))
     _, ablated_ctx = run_ablated_suite(cfg, context)
     assert ablated_size(context.data.pool, fraction) == len(ablated_ctx.data.pool)
+
+
+def _without_tokens(ds, rows):
+    """``ds`` with no tokens on ``rows``."""
+    lengths = np.diff(ds.token_indptr)
+    keep = np.ones(len(ds), dtype=bool)
+    keep[rows] = False
+    return Dataset(ds.name, ds.num_classes, ids=ds.ids, X=ds.X, y=ds.y, flipped=ds.flipped,
+                   source_codes=ds.source_codes, source_names=ds.source_names,
+                   token_indptr=np.concatenate(([0], np.cumsum(lengths * keep))),
+                   token_indices=ds.token_indices[np.repeat(keep, lengths)], vocab=ds.vocab)
+
+
+def test_tokenless_pool_rows_are_reported_once_per_suite(ctx, caplog):
+    """The count was logged by every profiling call, 55 times for a quickstart run."""
+    config, context = ctx
+    pool = context.data.pool
+    bare = np.arange(0, len(pool), 10)
+    tokenless = replace(context, data=replace(context.data, pool=_without_tokens(pool, bare)))
+    caplog.set_level(logging.WARNING, logger="cartal")
+    run_suite(config, context)
+    assert not caplog.records
+    run_suite(config, tokenless)
+    _, ablated = run_ablated_suite(config, tokenless)
+    kept = np.count_nonzero(np.isin(ablated.data.pool.ids, pool.ids[bare]))
+    assert 0 < kept < len(bare)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{n} {name} examples carry no tokens; they do not affect input diversity"
+        for n, name in ((len(bare), "pool"), (kept, "pool-ablated"))]
 
 
 # --- acquisition history ------------------------------------------------------------------
