@@ -38,10 +38,13 @@ generated data files, so state that must round-trip exactly belongs in JSON.
 from __future__ import annotations
 
 import csv
+import fnmatch
 import glob
 import json
 import os
 from contextlib import contextmanager, suppress
+
+from .errors import SchemaError
 
 CONFIG = "config.json"
 MANIFEST = "manifest.json"
@@ -149,15 +152,33 @@ def write_table(path, header, rows, fmt="csv"):
     return path
 
 
-def read_table(path, required=True) -> list[dict] | None:
+def read_table(path, required=True, columns=(), numbers=()) -> list[dict] | None:
     """The rows of a CSV artifact, as dicts by header; None for a missing
-    table that is not ``required``."""
+    table that is not ``required``. The table must hold the ``columns`` and
+    the ``numbers`` (names or fnmatch patterns), one cell per column on each
+    nonblank line and a float in each cell of ``numbers``, which becomes one;
+    else :class:`SchemaError` names ``path`` and the column or line."""
     if not os.path.exists(path):
         if required:
             raise FileNotFoundError(f"missing report input: {path}")
         return None
     with reading(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        lines = csv.reader(fh)
+        header = next(lines, [])
+        if missing := [name for name in (*columns, *numbers) if not fnmatch.filter(header, name)]:
+            raise SchemaError(f"{path}: no column {missing[0]!r}")
+        floats, rows = [c for name in numbers for c in fnmatch.filter(header, name)], []
+        for cells in filter(None, lines):
+            where, row = f"{path}: line {lines.line_num}", dict(zip(header, cells))
+            if len(cells) != len(header):
+                raise SchemaError(f"{where}: {len(cells)} cells for {len(header)} columns")
+            for c in floats:
+                try:
+                    row[c] = float(row[c])
+                except ValueError:
+                    raise SchemaError(f"{where}: column {c!r}: {row[c]!r} is not a number") from None
+            rows.append(row)
+    return rows
 
 
 def record_command(exp_dir, command: str, entry: dict) -> None:

@@ -231,11 +231,10 @@ class RunProfile:
 
 @dataclass(frozen=True)
 class RoundLog:
-    """One round of one run: the batch it acquired, its profile, the val accuracy of
-    the model that chose it and, with dump_scores, the scores of its unlabelled rows."""
+    """One round of one run, whose :class:`RunResult` holds the strategy and seed:
+    the batch it acquired, its profile, the val accuracy of the model that chose it
+    and, with dump_scores, the scores of its unlabelled rows."""
 
-    strategy: str
-    seed: int
     round: int
     acquired_ids: tuple[int, ...]  # perfbench's checks read it
     per_source_counts: dict[str, int]
@@ -381,7 +380,8 @@ def _val_accuracy(model: clf.Classifier) -> float:
 
 
 def _profile(context: RunContext, rows, rest) -> RunProfile:
-    """Profile the pool examples at ``rows`` against the unlabelled ``rest``.
+    """Profile the pool examples at ``rows`` against the unlabelled ``rest``,
+    each positions or a boolean mask.
 
     The metric functions are looked up in this module, where perfbench's
     tracer patches them.
@@ -396,7 +396,7 @@ def _profile(context: RunContext, rows, rest) -> RunProfile:
 
 def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: int,
               context: RunContext) -> None:
-    """One run's round after its fit: score, select, profile, transfer."""
+    """One run's round after its fit: score, select, transfer, profile."""
     pool = context.data.pool
     val_acc = _val_accuracy(model)
     unlabelled = np.flatnonzero(run.acquired_round < 0)
@@ -405,19 +405,15 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
     scores = acquisition.score_pool(run.strategy, pool.X, unlabelled, model, select_seed,
                                     mc_samples=config.mc_samples, dal_cfg=config.dal)
     picked = select_batch(run.strategy, unlabelled, scores, config.k, select_seed)
-    profile = _profile(context, picked, np.setdiff1d(unlabelled, picked, assume_unique=True))
-    counts = pool.source_counts(picked)
-    factor = acquisition_factor(pool, picked, unlabelled, counts)
     transfer(run.acquired_round, picked, rnd)
+    counts = pool.source_counts(picked)
     run.round_logs.append(
         RoundLog(
-            strategy=run.strategy,
-            seed=run.seed,
             round=rnd,
-            acquired_ids=tuple(pool.ids[run.acquired_round == rnd].tolist()),
+            acquired_ids=tuple(pool.ids[picked].tolist()),
             per_source_counts=counts,
-            profile=profile,
-            acquisition_factor=factor,
+            profile=_profile(context, picked, run.acquired_round < 0),
+            acquisition_factor=acquisition_factor(pool, picked, unlabelled, counts),
             val_accuracy=val_acc,
             labelled_size=int(np.count_nonzero(run.acquired_round >= 0)),
             scores=scores if config.dump_scores else None,
@@ -699,7 +695,7 @@ def write_rounds_csv(results: list[RunResult], pool: Dataset, path) -> None:
         + [f"factor_{s}" for s in sources]
     )
     write_table(path, header, (
-        [log.strategy, log.seed, log.round, log.labelled_size, log.val_accuracy]
+        [r.strategy, r.seed, log.round, log.labelled_size, log.val_accuracy]
         + [log.per_source_counts.get(s, 0) for s in sources]
         + _profile_cells(log.profile)
         + [log.acquisition_factor.get(s, 0.0) for s in sources]

@@ -30,12 +30,12 @@ def _pivot(rows, index, column, cell):
 
 def _mean_of(field):
     """A cell: the mean of ``field`` over the cell's rows, "" without rows."""
-    return lambda rows: f"{np.mean([float(r[field]) for r in rows]):.4f}" if rows else ""
+    return lambda rows: f"{np.mean([r[field] for r in rows]):.4f}" if rows else ""
 
 
 def _mean_std(rows, missing):
     """A cell: the last row's ``mean ± std``, ``missing`` without rows."""
-    return f"{float(rows[-1]['mean']):.4f} ± {float(rows[-1]['std']):.4f}" if rows else missing
+    return f"{rows[-1]['mean']:.4f} ± {rows[-1]['std']:.4f}" if rows else missing
 
 
 def _learning_curve(rounds_rows):
@@ -84,19 +84,23 @@ def render_report(exp_dir, fmt: str = "csv") -> list[str]:
     Requires the suite's rounds and summary tables. The paired
     ablated|original table appears only when the ablated suite's summary is
     present, the stratified and splits tables only when their tables exist.
+    Each input must hold the columns its table reads (see :func:`read_table`).
     """
     if fmt not in ("csv", "md"):
         raise ValueError(f"format must be 'csv' or 'md': {fmt!r}")
-    def read(name, required=False):
-        return read_table(os.path.join(exp_dir, name), required)
+    def read(name, numbers, *columns, required=False):
+        return read_table(os.path.join(exp_dir, name), required, ("strategy", *columns), numbers)
 
-    rounds_rows, summary_rows = read(suite_table("rounds"), True), read(suite_table("summary"), True)
+    summary = ("mean", "std"), "test_set"
+    rounds_rows = read(suite_table("rounds"), ("val_acc",), "round", required=True)
+    summary_rows = read(suite_table("summary"), *summary, required=True)
     tables = [  # (report name, input rows or None, table of the rows)
         ("learning_curve", rounds_rows, _learning_curve),
-        ("profile", read(suite_table("profile")), _profile_table),
-        ("paired", read(suite_table("summary", ABLATED)), lambda rows: _paired_table(rows, summary_rows)),
-        ("stratified", read(STRATIFIED), _stratified_table),
-        ("splits", read(SPLITS), _splits_table),
+        ("profile", read(suite_table("profile"), ("input_diversity", "output_uncertainty", "class_*")),
+         _profile_table),
+        ("paired", read(suite_table("summary", ABLATED), *summary), lambda rows: _paired_table(rows, summary_rows)),
+        ("stratified", read(STRATIFIED, ("accuracy",), "test_set", "difficulty"), _stratified_table),
+        ("splits", read(SPLITS, *summary), _splits_table),
     ]
     return [write_table(os.path.join(exp_dir, report_table(name, fmt)), *table(rows), fmt)
             for name, rows, table in tables if rows is not None]

@@ -12,6 +12,7 @@ import pytest
 from cartal import artifacts, blas, heap
 from cartal.classifier import Classifier, ClassifierConfig, init_weights, save_checkpoint
 from cartal.config import config_to_dict
+from cartal.errors import SchemaError
 from cartal.experiment import write_manifest
 
 from conftest import tiny_config
@@ -55,6 +56,20 @@ def test_a_table_writes_each_float_with_6_significant_digits_and_other_cells_as_
     md_path = artifacts.write_table(tmp_path / "t.md", header, [row], fmt="md")
     assert md_path.read_text().splitlines()[2] == "| " + " | ".join(expected) + " |"
     assert expected[:7] == ["0.3", "1e-07", "1.23457e+08", "-0", "nan", "inf", "0.666667"]
+
+
+def test_read_table_turns_the_number_columns_into_floats_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("strategy,seed,class_0,class_1\nrandom,1,0.25,nan\n\nmcme,2,1,0.5\n")
+    rows = artifacts.read_table(path, columns=("strategy",), numbers=("class_*",))
+    assert [r["seed"] for r in rows] == ["1", "2"]  # not a number column: kept as text
+    assert [(r["class_0"], r["class_1"]) for r in rows[1:]] == [(1.0, 0.5)]
+    assert np.isnan(rows[0]["class_1"])
+    with pytest.raises(SchemaError, match=r"profile\.csv: no column 'other_\*'"):
+        artifacts.read_table(path, numbers=("class_*", "other_*"))
+    path.write_text("strategy,seed,class_0\nrandom,1,0.25\n\nmcme,2,x\n")
+    with pytest.raises(SchemaError, match=r"profile\.csv: line 4: column 'class_0': 'x' is not a number"):
+        artifacts.read_table(path, numbers=("class_*",))
 
 
 def test_write_json_writes_the_bytes_of_json_dump(tmp_path):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import errno
 import glob
 import json
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -665,6 +667,20 @@ def test_ablate_writes_paired_artifacts(tmp_path):
     assert {"summary.csv", "summary_ablated.csv", "rounds_ablated.csv"} <= names
 
 
+def test_ablated_rounds_table_has_one_row_per_ablated_run_and_round(tmp_path):
+    # the writer gets the full pool's context; each row must still be its ablated run's
+    path = os.path.join(CONFIGS, "quickstart.json")
+    config, out = parse_config(path), tmp_path / "exp"
+    assert main(["ablate", "--config", path, "--out", str(out)]) == 0
+    with open(out / "rounds_ablated.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["strategy"], int(row["seed"]), int(row["round"]), int(row["labelled_size"])) for row in rows] == [
+        (strategy, seed, r, config.seed_size + r * config.k)
+        for strategy in config.strategies for seed in config.seeds for r in range(1, config.rounds + 1)]
+    for row in rows:
+        assert sum(int(v) for c, v in row.items() if c.startswith("acquired_")) == config.k
+
+
 def test_splits_requires_n(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["splits", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
@@ -851,6 +867,37 @@ def test_report_missing_inputs_names_file(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--exp", str(empty)]) == 1
     assert "rounds.csv" in capsys.readouterr().err
+
+
+def _drop_val_acc(lines):
+    j = lines[0].split(",").index("val_acc")
+    return [",".join(c for i, c in enumerate(line.split(",")) if i != j) for line in lines]
+
+
+def _short_row(lines):
+    return lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]
+
+
+def _val_acc_abc(lines):
+    j = lines[0].split(",").index("val_acc")
+    cells = lines[1].split(",")
+    cells[j] = "abc"
+    return [lines[0], ",".join(cells)] + lines[2:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_val_acc, "no column 'val_acc'"),
+    (_short_row, r"line 3: \d+ cells for \d+ columns"),
+    (_val_acc_abc, "line 2: column 'val_acc': 'abc' is not a number"),
+])
+def test_report_names_a_malformed_rounds_table(run_dir, tmp_path, capsys, damage, message):
+    for name in ("rounds.csv", "summary.csv"):
+        shutil.copy(run_dir / name, tmp_path / name)
+    rounds = tmp_path / "rounds.csv"
+    rounds.write_text("\n".join(damage(rounds.read_text().splitlines())) + "\n")
+    assert main(["report", "--exp", str(tmp_path)]) == 1
+    assert re.fullmatch(f"error: {re.escape(str(rounds))}: {message}\n", capsys.readouterr().err)
+    assert not list(tmp_path.glob("report_*"))
 
 
 # --- environment and defaults -------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import entr
 
 import cartal.acquisition as acquisition
 import cartal.experiment as exp
@@ -37,6 +38,7 @@ from cartal.experiment import (
     write_suite_artifacts,
     write_summary_csv,
 )
+from cartal.metrics import input_diversity, tokens_of
 from cartal.pool import Dataset, seed_split, transfer
 
 from conftest import tiny_config
@@ -486,15 +488,37 @@ def _assert_history_matches_ids(config, pool, results):
         assert pool.ids[rounds >= 0].tolist() == list(r.labelled_ids)
 
 
-def test_acquired_round_matches_the_logged_ids_sequential_and_parallel(quickstart):
+@pytest.fixture(scope="module")
+def quickstart_suite(quickstart):
     config, context = quickstart
-    sequential = run_suite(config, context)
+    return run_suite(config, context)
+
+
+def test_acquired_round_matches_the_logged_ids_sequential_and_parallel(quickstart, quickstart_suite):
+    config, context = quickstart
+    sequential = quickstart_suite
     parallel = run_suite(config, context, parallel=2)
     for suite in (sequential, parallel):
         assert not suite.failures
         _assert_history_matches_ids(config, context.data.pool, suite.results)
     for a, b in zip(sequential.results, parallel.results):
         assert a.acquired_round.tobytes() == b.acquired_round.tobytes()
+
+
+def test_round_profile_is_of_its_batch_against_the_rows_left_after_it(quickstart, quickstart_suite):
+    config, context = quickstart
+    pool = context.data.pool
+    assert not quickstart_suite.failures
+    for r in quickstart_suite.results:
+        for log in r.round_logs:
+            batch = r.acquired_round == log.round
+            rest = (r.acquired_round < 0) | (r.acquired_round > log.round)
+            assert np.count_nonzero(batch) == config.k and np.count_nonzero(rest)
+            assert log.profile.input_diversity == input_diversity(tokens_of(pool, batch), tokens_of(pool, rest))
+            probs = context.reference_model.predict_proba(pool.X[batch])
+            assert log.profile.output_uncertainty == pytest.approx(entr(probs).sum(axis=1).mean(), rel=1e-12)
+            counts = np.bincount(pool.y[batch], minlength=pool.num_classes)
+            assert log.profile.class_distribution == pytest.approx(tuple(counts / config.k), rel=1e-12)
 
 
 def test_acquired_round_matches_the_logged_ids_of_an_ablated_suite(quickstart):
