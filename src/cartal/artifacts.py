@@ -42,6 +42,7 @@ import fnmatch
 import glob
 import json
 import os
+import re
 from contextlib import contextmanager, suppress
 
 from .errors import SchemaError
@@ -87,7 +88,7 @@ def checkpoints(exp_dir, prefix: str | None = None) -> dict[tuple[str, int], str
     found = {}
     for path in sorted(glob.glob(checkpoint(glob.escape(os.fspath(exp_dir)), "*", "*"))):
         name, seed = os.path.basename(path)[:-len(".json")].rsplit("_seed", 1)
-        if seed.lstrip("-").isdigit() and (prefix is None or name[:name.rfind("_") + 1] == prefix):
+        if re.fullmatch("-?[0-9]+", seed) and (prefix is None or name[:name.rfind("_") + 1] == prefix):
             found[(name, int(seed))] = path
     return found
 

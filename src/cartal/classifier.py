@@ -547,6 +547,14 @@ def load_checkpoint(path) -> Classifier:
     expected = sorted(f.name for f in fields(ClassifierConfig))
     if keys != expected:
         raise ValueError(f"{path}: checkpoint config keys are {keys}, expected {expected}")
+    # JSON integers, not bools: a float dim would fail a reshape, a float width be truncated
+    widths = cfg["hidden_dims"]
+    if type(widths) is not list or not all(type(h) is int for h in widths):
+        raise ValueError(f"{path}: checkpoint config 'hidden_dims' must be a list of integers, "
+                         f"got {widths!r:.40}")
+    for key in ("input_dim", "num_classes"):
+        if type(cfg[key]) is not int:
+            raise ValueError(f"{path}: checkpoint config {key!r} must be an integer, got {cfg[key]!r:.40}")
     try:
         config = ClassifierConfig(**cfg)
     except (TypeError, ValueError, ConfigError) as exc:

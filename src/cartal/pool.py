@@ -68,7 +68,8 @@ class Dataset:
     ``token_indptr``/``token_indices`` into ``vocab``, and ``flipped``, True
     on rows whose label was flipped as planted noise (default: none). The name
     tables may list names no row uses: row operations keep their parent's, and
-    only pooling (:func:`_merge_sources`) narrows and reconciles them.
+    only :func:`concat_datasets`, which pooling goes through, narrows and
+    reconciles them.
     """
 
     def __init__(self, name, num_classes, *, ids, X, y, source_codes, source_names,
@@ -407,68 +408,57 @@ def _read_dataset(lines) -> Dataset:
     )
 
 
-def _check_schemas_match(sources):
-    dim = sources[0].feature_dim
-    n_classes = sources[0].num_classes
-    for s in sources[1:]:
-        if s.feature_dim != dim:
-            raise SchemaError(
-                f"source {s.name!r} has feature_dim {s.feature_dim}, expected {dim}"
-            )
-        if s.num_classes != n_classes:
-            raise SchemaError(
-                f"source {s.name!r} has num_classes {s.num_classes}, expected {n_classes}"
-            )
-
-
-def _merge_sources(parts, name) -> Dataset:
-    """Re-id and merge whole datasets. The only place that reconciles name tables:
-    sources and vocabulary are narrowed to those present, in first-appearance order."""
-    # Each part's codes shift past the earlier parts' names; _recode merges repeated names.
-    name_starts = np.cumsum([0] + [len(p.source_names) for p in parts])
-    vocab_starts = np.cumsum([0] + [len(p.vocab) for p in parts])
-    token_counts = np.concatenate([np.diff(p.token_indptr) for p in parts])
-    source_codes, source_names = _recode(
-        np.concatenate([p.source_codes + o for p, o in zip(parts, name_starts)]),
-        sum((p.source_names for p in parts), ()))
-    token_indices, vocab = _recode(
-        np.concatenate([p.token_indices + o for p, o in zip(parts, vocab_starts)]),
-        sum((p.vocab for p in parts), ()))
-    return Dataset(
-        name, parts[0].num_classes,
-        ids=np.arange(len(token_counts), dtype=np.int64),
-        X=np.concatenate([p.X for p in parts]), y=np.concatenate([p.y for p in parts]),
-        flipped=np.concatenate([p.flipped for p in parts]),
-        source_codes=source_codes, source_names=source_names,
-        token_indptr=np.concatenate(([0], np.cumsum(token_counts))),
-        token_indices=token_indices, vocab=vocab,
-    )
-
-
 def build_multi_source_pool(sources, per_source_cap, rng_seed) -> Dataset:
-    """Down-sample every source to min(minority size, cap) and pool them.
+    """Down-sample every source to min(minority size, cap) and pool them with
+    :func:`concat_datasets`.
 
-    Ids are re-assigned contiguously, in source order; every row keeps its
-    source name and its ``flipped`` mark.
+    Each source's rows are drawn in source order, also where the cap does not
+    cut it, since a later source's draw depends on the generator's state; a
+    source the cap does not cut is pooled as it is, without a copy.
+    """
+    sources = list(sources)
+    take = min(min((len(s) for s in sources), default=0), int(per_source_cap))
+    rng = np.random.default_rng(rng_seed)
+    picks = [np.sort(rng.choice(len(src), size=take, replace=False)) for src in sources]
+    return concat_datasets([src if take == len(src) else src.take(pos)
+                            for src, pos in zip(sources, picks)], "pool")
+
+
+def concat_datasets(sources, name) -> Dataset:
+    """Concatenate sources completely (no down-sampling), re-assigning ids.
+
+    The one place that checks that sources match (at least one source, one
+    feature dim, one class count) and that reconciles name tables: sources and
+    vocabulary are narrowed to those present, in first-appearance order.
     """
     sources = list(sources)
     if not sources:
         raise ValueError("need at least one source")
-    _check_schemas_match(sources)
-    minority = min(len(s) for s in sources)
-    take = min(minority, int(per_source_cap))
-    rng = np.random.default_rng(rng_seed)
-    return _merge_sources([src.take(np.sort(rng.choice(len(src), size=take, replace=False)))
-                           for src in sources], "pool")
-
-
-def concat_datasets(sources, name) -> Dataset:
-    """Concatenate sources completely (no down-sampling), re-assigning ids."""
-    sources = list(sources)
-    if not sources:
-        raise ValueError("need at least one source")
-    _check_schemas_match(sources)
-    return _merge_sources(sources, name)
+    first = sources[0]
+    for s in sources[1:]:
+        for what in ("feature_dim", "num_classes"):
+            if getattr(s, what) != getattr(first, what):
+                raise SchemaError(f"source {s.name!r} has {what} {getattr(s, what)}, "
+                                  f"expected {getattr(first, what)}")
+    # Each source's codes shift past the earlier sources' names; _recode merges repeated names.
+    name_starts = np.cumsum([0] + [len(s.source_names) for s in sources])
+    vocab_starts = np.cumsum([0] + [len(s.vocab) for s in sources])
+    token_counts = np.concatenate([np.diff(s.token_indptr) for s in sources])
+    source_codes, source_names = _recode(
+        np.concatenate([s.source_codes + o for s, o in zip(sources, name_starts)]),
+        sum((s.source_names for s in sources), ()))
+    token_indices, vocab = _recode(
+        np.concatenate([s.token_indices + o for s, o in zip(sources, vocab_starts)]),
+        sum((s.vocab for s in sources), ()))
+    return Dataset(
+        name, first.num_classes,
+        ids=np.arange(len(token_counts), dtype=np.int64),
+        X=np.concatenate([s.X for s in sources]), y=np.concatenate([s.y for s in sources]),
+        flipped=np.concatenate([s.flipped for s in sources]),
+        source_codes=source_codes, source_names=source_names,
+        token_indptr=np.concatenate(([0], np.cumsum(token_counts))),
+        token_indices=token_indices, vocab=vocab,
+    )
 
 
 def split_dataset(dataset: Dataset, fraction: float, rng_seed: int):

@@ -126,13 +126,14 @@ def test_manifest_keeps_the_other_commands_entries(tmp_path):
 
 def test_checkpoints_invert_checkpoint_names_per_variant(tmp_path):
     (tmp_path / artifacts.MODELS).mkdir()
-    runs = [("random", 1), ("mcme", 12), ("ablated_random", 1), ("ablated_bald", 3)]
+    runs = [("random", 1), ("random", -3), ("mcme", 12), ("ablated_random", 1), ("ablated_bald", 3)]
     for name, seed in runs:
-        save_checkpoint(_model(seed), artifacts.checkpoint(tmp_path, name, seed))
-    for stray in ("notes.json", "random_seedx.json"):
+        save_checkpoint(_model(abs(seed)), artifacts.checkpoint(tmp_path, name, seed))
+    # "--2" and "²" passed an isdigit check, and int() then raised
+    for stray in ("notes.json", "random_seedx.json", "random_seed--2.json", "random_seed².json"):
         (tmp_path / artifacts.MODELS / stray).write_text("{}")
     assert set(artifacts.checkpoints(tmp_path)) == set(runs)
-    assert set(artifacts.checkpoints(tmp_path, "")) == {("random", 1), ("mcme", 12)}
+    assert set(artifacts.checkpoints(tmp_path, "")) == {("random", 1), ("random", -3), ("mcme", 12)}
     assert set(artifacts.checkpoints(tmp_path, artifacts.ABLATED)) == {("ablated_random", 1),
                                                                        ("ablated_bald", 3)}
     assert artifacts.checkpoint(tmp_path, "ablated_bald", 3).endswith("ablated_bald_seed3.json")

@@ -657,6 +657,26 @@ def _corrupt_shape_to_number(payload):
     payload["layers"][0]["shape"] = 10
 
 
+def _corrupt_float_input_dim(payload):
+    payload["config"]["input_dim"] = 2.0
+
+
+def _corrupt_float_num_classes(payload):
+    payload["config"]["num_classes"] = 2.0
+
+
+def _corrupt_bool_num_classes(payload):
+    payload["config"]["num_classes"] = True
+
+
+def _corrupt_float_width(payload):
+    payload["config"]["hidden_dims"] = [5.7]
+
+
+def _corrupt_width_to_number(payload):
+    payload["config"]["hidden_dims"] = 5
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_corrupt_layer_count, "1 layers, expected 2"),
     (_corrupt_shape, r"layer 1 has shape \[4, 2\], expected \[5, 2\]"),
@@ -669,6 +689,13 @@ def _corrupt_shape_to_number(payload):
     (_corrupt_weights_to_number, "model.json: layer 0 W and b must be lists of numbers"),
     (_corrupt_bias_entry, "model.json: layer 1 W and b must be lists of numbers"),
     (_corrupt_shape_to_number, r"model.json: layer 0 has shape 10, expected \[2, 5\]"),
+    # a float dim failed in a reshape, naming no file; a float width was truncated
+    (_corrupt_float_input_dim, "model.json: checkpoint config 'input_dim' must be an integer, got 2.0"),
+    (_corrupt_float_num_classes, "model.json: checkpoint config 'num_classes' must be an integer"),
+    (_corrupt_bool_num_classes, "model.json: checkpoint config 'num_classes' must be an integer, got True"),
+    (_corrupt_float_width, r"model.json: checkpoint config 'hidden_dims' must be a list of integers, "
+                           r"got \[5.7\]"),
+    (_corrupt_width_to_number, "model.json: checkpoint config 'hidden_dims' must be a list of integers"),
 ])
 def test_checkpoint_rejects_corrupt_layers(tmp_path, corrupt, message):
     config = ClassifierConfig(2, (5,), 2)

@@ -739,6 +739,22 @@ def test_stratify_refuses_a_checkpoint_weight_that_is_not_finite(tmp_path, capsy
     assert (out / "stratified.csv").read_bytes() == stratified
 
 
+def test_stratify_names_a_checkpoint_dim_that_is_not_an_integer(tmp_path, capsys):
+    """A float dim died in a reshape with a TypeError traceback."""
+    cfg = write_config(tmp_path, tiny_config(strategies=("random",), seeds=(1,)))
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    checkpoint = out / "models" / "random_seed1.json"
+    payload = json.loads(checkpoint.read_text())
+    payload["config"]["input_dim"] = 10.0
+    checkpoint.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["stratify", "--exp", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {checkpoint}: checkpoint config 'input_dim' must be an integer, got 10.0\n"
+    assert "Traceback" not in err
+
+
 _DEEP = "[" * 100_000  # JSON arrays nested past the recursion limit
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,43 @@ def test_pool_carries_flipped_metadata_through():
     src_flipped = dict(zip(map(tuple, flipped_src.X.tolist()), flipped_src.flipped.tolist()))
     for x in pool.X[pool.flipped].tolist():
         assert src_flipped[tuple(x)]
+
+
+def _contents(ds):
+    return (ds.name, ds.num_classes, ds.source_names, ds.vocab,
+            *(a.tobytes() for a in (ds.ids, ds.X, ds.y, ds.flipped, ds.source_codes,
+                                    ds.token_indptr, ds.token_indices)))
+
+
+def test_pool_of_uncut_sources_holds_no_copy_of_them():
+    # three 50,000-row sources the cap does not cut: each is pooled as it is,
+    # so pooling holds no second copy of the rows besides the pool's own
+    sources = [generate_synthetic_source(
+        SyntheticSourceSpec(f"s{j}", 50_000, tuple((float(c + j),) * 8 for c in range(3))), j)
+        for j in range(3)]
+    tracemalloc.start()
+    try:
+        pool = build_multi_source_pool(sources, per_source_cap=10**9, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == 150_000
+    column_bytes = sum(a.nbytes for a in (pool.ids, pool.X, pool.y, pool.flipped, pool.source_codes,
+                                          pool.token_indptr, pool.token_indices))
+    assert peak < 1.5 * column_bytes, (peak, column_bytes)
+
+
+def test_pool_draws_every_source_in_order_also_one_the_cap_does_not_cut():
+    # only the middle source is uncut; its draw still advances the generator,
+    # so the last source's rows are those of a replay of every draw
+    sources = [generate_synthetic_source(_spec(f"s{j}", n=n, flip=0.2), rng_seed=j)
+               for j, n in enumerate((50, 40, 60))]
+    pool = build_multi_source_pool(sources, per_source_cap=100, rng_seed=7)
+    rng = np.random.default_rng(7)
+    expected = concat_datasets([src.take(np.sort(rng.choice(len(src), size=40, replace=False)))
+                                for src in sources], "pool")
+    assert _contents(pool) == _contents(expected)
+    assert pool.source_codes.tolist() == [0] * 40 + [1] * 40 + [2] * 40
 
 
 def test_concat_keeps_unequal_sources_whole():
