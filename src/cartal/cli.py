@@ -39,8 +39,6 @@ from .experiment import (
 from .pool import write_dataset
 from .reporting import render_report
 
-logger = logging.getLogger(__name__)
-
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -147,7 +145,7 @@ def cmd_stratify(args) -> int:
         if shape != (data.pool.feature_dim, data.pool.num_classes):
             raise ValueError(f"{paths[key]}: checkpoint has input_dim {shape[0]} and num_classes {shape[1]}, "
                              f"the pool {data.pool.feature_dim} and {data.pool.num_classes}")
-    rows = run_stratified(config, data, models, carto_seed=args.carto_seed)
+    rows = run_stratified(config, data, models)
     out_path = os.path.join(args.exp, artifacts.STRATIFIED)
     write_stratified_csv(rows, out_path)
     print(f"wrote {out_path} ({len(rows)} rows, {len(models)} models)")
@@ -189,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stratify", help="difficulty-stratified test accuracy for saved models")
     p.add_argument("--exp", required=True, help="experiment dir of a run and/or ablate")
     p.add_argument("--config", help=f"config override (defaults to <exp>/{artifacts.CONFIG})")
-    p.add_argument("--carto-seed", type=int, default=0)
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("report", help="render report tables from experiment CSVs")

@@ -92,10 +92,7 @@ class TestSetSpec:
     files: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.synthetic_sources and not self.files:
-            raise ValueError("test set needs synthetic_sources or files")
-        _require_unique([s.name for s in self.synthetic_sources], "synthetic_sources")
-        _require_unique(self.files, "files")
+        _check_sources(self.synthetic_sources, self.files, None)
 
 
 def _require_unique(values, key: str) -> None:
@@ -104,6 +101,19 @@ def _require_unique(values, key: str) -> None:
     repeated = [v for v, n in Counter(values).items() if n > 1]
     if repeated:
         raise ConfigError(f"repeated entries: {', '.join(map(str, repeated))}", key=key)
+
+
+def _check_sources(synthetic, files, key: str | None) -> None:
+    """Reject a set of sources, the data section's (``key`` "data") or a test
+    set's (``key`` None), that repeats a source name or a file, or that is not
+    exactly one of synthetic sources and files: of both, only the synthetic
+    sources would be read."""
+    where = f"{key}." if key else ""
+    _require_unique([s.name for s in synthetic], where + "synthetic_sources")
+    _require_unique(files, where + "files")
+    if bool(synthetic) == bool(files):
+        raise ConfigError("set synthetic_sources or files, not both" if files
+                          else "set synthetic_sources or files", key=key)
 
 
 def cartography_defaults(training: clf.TrainConfig) -> clf.TrainConfig:
@@ -160,8 +170,6 @@ class ExperimentConfig:
             raise ConfigError("mc_samples must be >= 1", key="al.mc_samples")
         if self.mc_samples < 2 and "bald" in self.strategies:
             raise ConfigError("BALD needs mc_samples >= 2", key="al.mc_samples")
-        if not self.synthetic_sources and not self.source_files:
-            raise ConfigError("no data: set synthetic_sources or source_files", key="data")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(
@@ -169,8 +177,7 @@ class ExperimentConfig:
                 )
         _require_unique(self.strategies, "al.strategies")
         _require_unique(self.seeds, "al.seeds")
-        _require_unique([s.name for s in self.synthetic_sources], "data.synthetic_sources")
-        _require_unique(self.source_files, "data.files")
+        _check_sources(self.synthetic_sources, self.source_files, "data")
         _require_unique([t.name for t in self.test_sets], "test_sets")
         try:
             self.classifier_config(1, 2)
@@ -652,8 +659,7 @@ def run_difficulty_split(config: ExperimentConfig, context: RunContext) -> list[
 
 
 def run_stratified(config: ExperimentConfig, data: ExperimentData,
-                   models: dict[tuple[str, int], clf.Classifier],
-                   carto_seed: int = 0) -> list[dict]:
+                   models: dict[tuple[str, int], clf.Classifier]) -> list[dict]:
     """Difficulty-stratified test accuracy for a set of final models.
 
     A fresh cartography model is trained on each *test set* to classify its
@@ -662,7 +668,9 @@ def run_stratified(config: ExperimentConfig, data: ExperimentData,
     """
     rows = []
     for name, test_ds in data.tests.items():
-        carto = _cartography(config, test_ds, data.val, "stratify", name, carto_seed)
+        # the 0 belongs to the tag that seeds this fit: without it the fit, and so
+        # stratified.csv, would take other bytes
+        carto = _cartography(config, test_ds, data.val, "stratify", name, 0)
         for (strategy, seed), model in sorted(models.items()):
             res = stratified_accuracy(model, test_ds, carto.entries)
             for difficulty in sorted(res.counts):

@@ -1053,6 +1053,9 @@ def _same_name_as_first_source(sources):
      "test_sets[0].synthetic_sources"),
     (_set("data", "files", ["a.jsonl", "b.jsonl", "a.jsonl"]), "data.files"),
     (lambda raw: raw["test_sets"][0].update(files=["t.jsonl", "t.jsonl"]), "test_sets[0].files"),
+    # beside synthetic sources, files were dropped unread and the run exited 0
+    (_set("data", "files", ["/nonexistent/pool.jsonl"]), "data"),
+    (lambda raw: raw["test_sets"][0].update(files=["/nonexistent/test.jsonl"]), "test_sets[0]"),
     (_set("dal", "hidden_dim", 0), "dal.hidden_dim"),
     (_set("dal", "epochs", 0), "dal.epochs"),
     (_set("dal", "learning_rate", 0.0), "dal.learning_rate"),

@@ -41,7 +41,7 @@ from cartal.experiment import (
 from cartal.metrics import input_diversity, tokens_of
 from cartal.pool import Dataset, seed_split, transfer
 
-from conftest import tiny_config
+from conftest import three_source_specs, tiny_config
 from openblas_threads import openblas_threads
 
 
@@ -177,6 +177,19 @@ def test_rounds_zero_rejected_at_config():
 def test_unknown_strategy_rejected_at_config():
     with pytest.raises(ConfigError, match="mcme"):
         tiny_config(strategies=("uncertainty",))
+
+
+@pytest.mark.parametrize("sources, key", [
+    (lambda specs: tiny_config(source_files=("pool.jsonl",)), "data"),
+    (lambda specs: exp.TestSetSpec("clean", synthetic_sources=specs, files=("test.jsonl",)), None),
+    (lambda specs: exp.TestSetSpec("clean"), None),
+])
+def test_a_set_of_sources_is_synthetic_sources_or_files_never_both(sources, key):
+    """Given both, the files were dropped unread; given neither, a test set
+    raised a bare ValueError."""
+    with pytest.raises(ConfigError, match="set synthetic_sources or files") as info:
+        sources(tuple(three_source_specs(n=60)))
+    assert info.value.key == key
 
 
 # --- run_suite --------------------------------------------------------------------
