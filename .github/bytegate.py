@@ -102,14 +102,27 @@ def check_same_fails():
         require(False, f"same() passed {other} against {ref}")
 
 
+def files_config(where):
+    """Generate quickstart's sources into ``TMP/where``; return the path of a
+    quickstart config that reads them, whose test sets stay synthetic."""
+    run(HEAD, where, QUICKSTART, "generate")
+    return config(f"{where}-files", lambda raw: {**raw, "data": {
+        **{k: v for k, v in raw["data"].items() if k != "synthetic_sources"},
+        "files": [str(TMP / where / f"{s['name']}.jsonl") for s in raw["data"]["synthetic_sources"]]}})
+
+
 def from_files():
     for where in ("gen-a", "gen-b/nested"):  # a file's rows are keyed by their source, not by where it lives
-        run(HEAD, where, QUICKSTART, "generate")
-        files = config(f"{where}-files", lambda raw: {**raw, "data": {  # the test sets stay synthetic
-            **{k: v for k, v in raw["data"].items() if k != "synthetic_sources"},
-            "files": [str(TMP / where / f"{s['name']}.jsonl") for s in raw["data"]["synthetic_sources"]]}})
-        run(HEAD, f"{where}-exp", files, "run")
+        run(HEAD, f"{where}-exp", files_config(where), "run")
         same("run", f"{where}-exp", "config.json")  # only the written config names the files
+
+
+def lacking_class():
+    files = files_config("gen-c")
+    gamma = TMP / "gen-c" / "gamma.jsonl"  # keeps none of its rows of class 2, quickstart's last
+    gamma.write_text("".join(line for line in gamma.read_text().splitlines(keepends=True)
+                             if json.loads(line)["label"] != 2))
+    both("lacking", files, "run")
 
 
 def tokenless():
@@ -157,6 +170,7 @@ CASES = [  # name, whether it compares with the base commit, the case
     ("quickstart with dump_scores, and at --parallel 2", True, scores),
     ("pool54k at seed 1, MC inference over dozens of row blocks and DAL over 54,000 rows", True,
      lambda: both("pool54k", config("pool54k", lambda raw: make_config(raw, "pool54k", 1), BENCHMARK), "run")),
+    ("run from generated quickstart files, one of which lacks the last class", True, lacking_class),
 ]
 
 

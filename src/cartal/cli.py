@@ -24,6 +24,7 @@ from .experiment import (
     _sources,
     build_experiment_data,
     check_capacity,
+    check_splits,
     parallel_error,
     prepare_context,
     run_ablated_suite,
@@ -60,7 +61,13 @@ def _apply_overrides(config, args):
         except ValueError as exc:
             raise ConfigError(f"expected comma-separated integers, got {args.seeds!r}",
                               key="--seeds") from exc
-    return replace(config, **updates) if updates else config
+    try:
+        return replace(config, **updates) if updates else config
+    except ConfigError as exc:  # name the flag the user typed, not the config key it replaced
+        flag = {"al.strategies": "--strategies", "al.seeds": "--seeds"}.get(exc.key)
+        if flag is None:
+            raise
+        raise ConfigError(exc.reason, key=flag) from exc
 
 
 def cmd_generate(args) -> int:
@@ -111,12 +118,14 @@ def _splits(config, context, args):
 
 
 def cmd_experiment(args) -> int:
-    """``run``, ``ablate`` and ``splits``: build the data, check that a suite's
-    pool holds its runs, fit cartography over the pool, run the command's
-    ``args.step``, which writes its tables and returns its exit code and
-    manifest fields, then write the resolved config, the pool's datamap and
-    the command's manifest entry."""
+    """``run``, ``ablate`` and ``splits``: check that a split experiment has
+    its size, build the data, check that a suite's pool holds its runs, fit
+    cartography over the pool, run the command's ``args.step``, which writes
+    its tables and returns its exit code and manifest fields, then write the
+    resolved config, the pool's datamap and the command's manifest entry."""
     config = _apply_overrides(parse_config(args.config), args)
+    if args.command == "splits":  # before the data are built and their cartography fit
+        check_splits(config)
     os.makedirs(args.out, exist_ok=True)
     data = build_experiment_data(config)
     if args.command in ("run", "ablate"):  # before the cartography fit, which a shortfall would waste

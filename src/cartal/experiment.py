@@ -72,6 +72,7 @@ __all__ = [
     "cartography_defaults",
     "build_experiment_data",
     "check_capacity",
+    "check_splits",
     "parallel_error",
     "prepare_context",
     "run_al",
@@ -286,19 +287,15 @@ class SuiteResult:
 
 
 def _sources(synthetic, files, data_seed, *tag):
-    """The synthetic sources, each generated as it is iterated and seeded by
-    ``tag`` and its name, or the loaded files, every one given the largest
-    class count among them (a small file's labels may never reach the last class).
-    A file that holds no records is a :class:`SchemaError` naming it."""
-    if synthetic:
-        return (generate_synthetic_source(s, derive_seed(data_seed, *tag, s.name)) for s in synthetic)
-    sources = [load_dataset(path) for path in files]
-    if empty := [path for path, s in zip(files, sources) if not len(s)]:
-        raise SchemaError(f"{empty[0]}: holds no records")
-    C = max(s.num_classes for s in sources)
-    for s in sources:
-        s.num_classes = C  # labels below a file's own count lie below C too
-    return sources
+    """Each synthetic source, seeded by ``tag`` and its name, then each file,
+    generated or loaded as it is iterated. A file that holds no records is a
+    :class:`SchemaError` naming it."""
+    for spec in synthetic:
+        yield generate_synthetic_source(spec, derive_seed(data_seed, *tag, spec.name))
+    for path in files:
+        if not len(source := load_dataset(path)):
+            raise SchemaError(f"{path}: holds no records")
+        yield source
 
 
 def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
@@ -323,6 +320,8 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
                                               "test", t.name), t.name)
              for t in config.test_sets}
     for name, test in tests.items():  # before any fit: models of the pool's shape score each test set
+        if not len(test):
+            raise SchemaError(f"test set {name!r} holds no examples")
         if test.feature_dim != pool.feature_dim:
             raise SchemaError(f"test set {name!r} has feature dim {test.feature_dim}, "
                               f"the pool {pool.feature_dim}")
@@ -368,6 +367,12 @@ def check_capacity(config: ExperimentConfig, pool_size: int) -> None:
             f"pool of {pool_size} exhausted at round {exhaust_round}: "
             f"need {needed} for {config.rounds} rounds of k={config.k} from seed {config.seed_size}"
         )
+
+
+def check_splits(config: ExperimentConfig) -> None:
+    """Fail before the data are built: a split experiment needs ``difficulty_split.n``."""
+    if config.difficulty_n is None:
+        raise ConfigError("difficulty_n must be set for split experiments", key="difficulty_split.n")
 
 
 def parallel_error(parallel: int) -> str | None:
@@ -420,7 +425,7 @@ def _al_round(config: ExperimentConfig, run: _Run, model: clf.Classifier, rnd: i
             acquired_ids=tuple(pool.ids[picked].tolist()),
             per_source_counts=counts,
             profile=_profile(context, picked, run.acquired_round < 0),
-            acquisition_factor=acquisition_factor(pool, picked, unlabelled, counts),
+            acquisition_factor=acquisition_factor(pool, picked, unlabelled),
             val_accuracy=val_acc,
             labelled_size=int(np.count_nonzero(run.acquired_round >= 0)),
             scores=scores if config.dump_scores else None,
@@ -633,8 +638,7 @@ def run_difficulty_split(config: ExperimentConfig, context: RunContext) -> list[
     Every combo x seed split holds ``difficulty_n`` examples, so all of them
     train in one lockstep :func:`classifier.fit_many` call.
     """
-    if config.difficulty_n is None:
-        raise ConfigError("difficulty_n must be set for split experiments", key="difficulty_split.n")
+    check_splits(config)
     pool, val, tests = context.data.pool, context.data.val, context.data.tests
     ccfg = config.classifier_config(pool.feature_dim, pool.num_classes)
 

@@ -63,11 +63,10 @@ def class_distribution(labels: np.ndarray, num_classes: int) -> tuple[float, ...
     return tuple(float(c) / labels.size for c in counts)
 
 
-def acquisition_factor(pool: Dataset, rows, unlabelled, counts=None) -> dict[str, float]:
+def acquisition_factor(pool: Dataset, rows, unlabelled) -> dict[str, float]:
     """Per-source count among the acquired pool ``rows`` over the count
     expected under random sampling from the pool rows ``unlabelled``, those
-    unlabelled immediately before the batch was selected. ``counts`` is
-    ``pool.source_counts(rows)`` where the caller has it.
+    unlabelled immediately before the batch was selected.
 
     Every source present among ``unlabelled`` appears in the result,
     including those the batch never touched (factor 0).
@@ -79,7 +78,7 @@ def acquisition_factor(pool: Dataset, rows, unlabelled, counts=None) -> dict[str
                          f"{stray[:10].tolist()}")
     if not rows.size:
         raise ValueError("batch is empty")
-    counts = pool.source_counts(rows) if counts is None else counts
+    counts = pool.source_counts(rows)
     return {s: counts[s] / (rows.size * (c / len(unlabelled)))
             for s, c in pool.source_counts(unlabelled).items() if c}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,6 @@ class Dataset:
         self.source_codes, self.source_names = source_codes, source_names
         self.token_indptr, self.token_indices, self.vocab = token_indptr, token_indices, vocab
         self.flipped = np.zeros(len(ids), dtype=bool) if flipped is None else flipped
-        self._examples: tuple[Example, ...] | None = None
         self._validate()
         self.feature_dim = int(X.shape[1])
 
@@ -123,19 +123,17 @@ class Dataset:
     def __len__(self):
         return len(self.ids)
 
-    @property
+    @cached_property
     def examples(self) -> tuple[Example, ...]:
         """Per-example view, built on first use. The program does not use it;
         it stays because perfbench's checks read it."""
-        if self._examples is None:
-            bounds = self.token_indptr.tolist()
-            tokens = [self.vocab[t] for t in self.token_indices.tolist()]
-            self._examples = tuple(
-                Example(i, self.source_names[c], x, label, tuple(tokens[a:b]))
-                for i, c, x, label, a, b in zip(self.ids.tolist(), self.source_codes.tolist(), self.X,
-                                                self.y.tolist(), bounds[:-1], bounds[1:])
-            )
-        return self._examples
+        bounds = self.token_indptr.tolist()
+        tokens = [self.vocab[t] for t in self.token_indices.tolist()]
+        return tuple(
+            Example(i, self.source_names[c], x, label, tuple(tokens[a:b]))
+            for i, c, x, label, a, b in zip(self.ids.tolist(), self.source_codes.tolist(), self.X,
+                                            self.y.tolist(), bounds[:-1], bounds[1:])
+        )
 
     def by_id(self, example_id: int) -> Example:
         """The :class:`Example` of one id; stays because perfbench's tracer counts its calls."""
@@ -428,18 +426,18 @@ def concat_datasets(sources, name) -> Dataset:
     """Concatenate sources completely (no down-sampling), re-assigning ids.
 
     The one place that checks that sources match (at least one source, one
-    feature dim, one class count) and that reconciles name tables: sources and
-    vocabulary are narrowed to those present, in first-appearance order.
+    feature dim) and that reconciles name tables: sources and vocabulary are
+    narrowed to those present, in first-appearance order. The class count is
+    the largest of the sources', since a source may lack a class.
     """
     sources = list(sources)
     if not sources:
         raise ValueError("need at least one source")
     first = sources[0]
     for s in sources[1:]:
-        for what in ("feature_dim", "num_classes"):
-            if getattr(s, what) != getattr(first, what):
-                raise SchemaError(f"source {s.name!r} has {what} {getattr(s, what)}, "
-                                  f"expected {getattr(first, what)}")
+        if s.feature_dim != first.feature_dim:
+            raise SchemaError(f"source {s.name!r} has feature_dim {s.feature_dim}, "
+                              f"expected {first.feature_dim}")
     # Each source's codes shift past the earlier sources' names; _recode merges repeated names.
     name_starts = np.cumsum([0] + [len(s.source_names) for s in sources])
     vocab_starts = np.cumsum([0] + [len(s.vocab) for s in sources])
@@ -451,7 +449,7 @@ def concat_datasets(sources, name) -> Dataset:
         np.concatenate([s.token_indices + o for s, o in zip(sources, vocab_starts)]),
         sum((s.vocab for s in sources), ()))
     return Dataset(
-        name, first.num_classes,
+        name, max(s.num_classes for s in sources),  # each source's labels lie below its own count
         ids=np.arange(len(token_counts), dtype=np.int64),
         X=np.concatenate([s.X for s in sources]), y=np.concatenate([s.y for s in sources]),
         flipped=np.concatenate([s.flipped for s in sources]),

@@ -380,6 +380,46 @@ def test_a_test_set_must_fit_the_pools_model_before_any_fit(tmp_path, capsys, ch
         assert not (out / "datamap.csv").exists() and not (out / "failures.csv").exists()
 
 
+def _count_fits(monkeypatch):
+    """A list that gains an entry at each fit, the cartography fits included."""
+    fits, real = [], exp.clf.fit_many
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exp.clf, "fit_many", counting)
+    return fits
+
+
+@pytest.mark.parametrize("command", ["run", "stratify"])
+def test_an_empty_test_set_is_refused_before_any_fit(tmp_path, capsys, monkeypatch, run_dir, command):
+    """Every run failed scoring it, one logged traceback each, and the suite exited 2."""
+    def empty(raw):
+        for source in raw["test_sets"][0]["synthetic_sources"]:
+            source["n"] = 0
+
+    cfg = write_config(tmp_path, mutate=empty)
+    fits = _count_fits(monkeypatch)
+    where = ["--exp", str(run_dir)] if command == "stratify" else ["--out", str(tmp_path / "exp")]
+    assert main([command, "--config", cfg, *where]) == 1
+    assert capsys.readouterr().err == "error: test set 'clean' holds no examples\n"
+    assert not fits
+
+
+def test_sources_of_unequal_class_counts_pool_with_the_largest(tmp_path):
+    """A source lacking a class was refused when synthetic, where its file ran."""
+    def two_class_gamma(raw):
+        gamma = raw["data"]["synthetic_sources"][2]
+        gamma["class_centroids"] = gamma["class_centroids"][:2]
+
+    cfg = write_config(tmp_path, mutate=two_class_gamma)
+    out = tmp_path / "exp"
+    assert main(["run", "--config", cfg, "--out", str(out), "--strategies", "random", "--seeds", "1"]) == 0
+    header = (out / "profile.csv").read_text().splitlines()[0].split(",")
+    assert [c for c in header if c.startswith("class_")] == ["class_0", "class_1", "class_2"]
+
+
 def _generated_files_config(tmp_path):
     """The config of files generated from the tiny config's sources, and its
     beta.jsonl."""
@@ -681,10 +721,14 @@ def test_ablated_rounds_table_has_one_row_per_ablated_run_and_round(tmp_path):
         assert sum(int(v) for c, v in row.items() if c.startswith("acquired_")) == config.k
 
 
-def test_splits_requires_n(tmp_path, capsys):
+def test_splits_requires_n(tmp_path, capsys, monkeypatch):
+    """Without it, the pool's cartography was fit before the command exited 1."""
     cfg = write_config(tmp_path)
+    fits = _count_fits(monkeypatch)
     assert main(["splits", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
-    assert "difficulty_split" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: difficulty_split.n: "
+                                       "difficulty_n must be set for split experiments\n")
+    assert not fits
 
 
 def test_splits_writes_summary(tmp_path):
@@ -1085,18 +1129,21 @@ def test_repeat_or_late_failing_value_names_its_key(tmp_path, capsys, mutate, ke
     ("--seeds", "2,1,2", "al.seeds"),
 ])
 def test_repeated_override_names_its_key(tmp_path, capsys, flag, value, key):
+    """The error names the flag, not the config ``key`` it replaced, which the user never typed."""
     cfg = write_config(tmp_path, tiny_config())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), flag, value]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}: repeated entries: ") and "Traceback" not in err
+    assert err.startswith(f"error: {flag}: repeated entries: ") and key not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value, key, reason", [
-    ("--strategies", ",", "al.strategies", "need at least one strategy"),
-    ("--seeds", ",", "al.seeds", "need at least one seed"),
+    ("--strategies", ",", "--strategies", "need at least one strategy"),
+    ("--seeds", ",", "--seeds", "need at least one seed"),
     ("--seeds", "1,a", "--seeds", "expected comma-separated integers, got '1,a'"),
+    ("--strategies", "foo", "--strategies", "unknown strategy 'foo'; valid: random, mcme, bald, dal"),
+    ("--strategies", "bald", "al.mc_samples", "BALD needs mc_samples >= 2"),  # a key the flag did not replace
 ])
 def test_empty_or_malformed_override_names_its_key(tmp_path, capsys, flag, value, key, reason):
-    cfg = write_config(tmp_path, tiny_config())
+    cfg = write_config(tmp_path, tiny_config(mc_samples=1))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"), flag, value]) == 1
     assert capsys.readouterr().err == f"error: {key}: {reason}\n"

@@ -291,4 +291,3 @@ def test_bincount_factors_match_per_id_counts(sources, data):
     assert _shares(ds, rows) == shares
     factors = acquisition_factor(ds, sorted(batch), rows)
     assert factors == {s: in_batch[s] / (len(batch) * share) for s, share in shares.items()}
-    assert acquisition_factor(ds, sorted(batch), rows, ds.source_counts(sorted(batch))) == factors

@@ -408,11 +408,18 @@ def test_flipped_stays_aligned_with_its_rows(shapes, seed, data):
 def test_pool_rejects_schema_mismatch():
     a = _tiny_dataset(10, "A", d=2)
     b = _tiny_dataset(10, "B", d=3)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^source 'B' has feature_dim 3, expected 2$"):
         build_multi_source_pool([a, b], per_source_cap=5, rng_seed=0)
-    c = make_dataset(np.zeros((1, 2)), [0], num_classes=2, name="C")
-    with pytest.raises(SchemaError):
-        build_multi_source_pool([a, c], per_source_cap=5, rng_seed=0)
+
+
+def test_a_pool_has_the_largest_class_count_of_its_sources():
+    """A source may lack a class; unequal counts used to raise a SchemaError."""
+    a = _tiny_dataset(10, "A", d=2)
+    c = make_dataset(np.zeros((4, 2)), [0, 1, 0, 1], name="C")
+    for sources in ([a, c], [c, a]):
+        assert build_multi_source_pool(sources, per_source_cap=5, rng_seed=0).num_classes == 3
+        assert concat_datasets(sources, "all").num_classes == 3
+    assert concat_datasets([c, c.take([0, 2])], "all").num_classes == 2
 
 
 # --- seed_split / transfer ------------------------------------------------------------
